@@ -20,6 +20,7 @@
  *     sanitizer builds where absolute numbers are meaningless; the
  *     real speedups are reported in the JSON for trend tracking.
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -38,43 +39,74 @@ namespace
 /** Loose fail-if-slower floor; see the file comment. */
 constexpr double kSanityRatio = 0.6;
 
+/** Virtual/fused run pairs per configuration. */
 constexpr int kReps = 5;
 
+/** One configuration's throughput on both paths. */
 struct Measurement
 {
-    double bps = 0.0; // best of kReps
-    std::uint64_t mispredictions = 0;
-    std::uint64_t simulation_instr = 0;
+    double virtual_bps = 0.0; // median over the pairs
+    double fused_bps = 0.0;   // median over the pairs
+    double speedup = 0.0;     // median of the per-pair fused/virtual ratios
+    std::uint64_t mispredictions[2] = {0, 0};   // virtual, fused
+    std::uint64_t simulation_instr[2] = {0, 0}; // virtual, fused
     bool failed = false;
 };
 
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
+
+/**
+ * Runs the virtual and the fused path of @p name in kReps adjacent
+ * pairs, alternating which goes first. A host that drifts in speed
+ * (other tenants, frequency changes) then slows both runs of a pair
+ * alike, and the median pair ratio ignores the pairs it splits.
+ */
 Measurement
-measure(const std::string &name, const mbp::SimArgs &args, bool fused)
+measure(const std::string &name, const mbp::SimArgs &args)
 {
     Measurement m;
+    std::vector<double> bps[2], ratios;
     for (int rep = 0; rep < kReps; ++rep) {
-        mbp::json_t result;
-        if (fused) {
-            result = mbp::pred::fusedRunnerByName(name)(args);
-        } else {
-            auto predictor = mbp::pred::makeByName(name);
-            result = mbp::simulate(*predictor, args);
+        double pair_bps[2] = {0.0, 0.0};
+        for (int k = 0; k < 2; ++k) {
+            const int path = (rep + k) % 2; // 0 virtual, 1 fused
+            mbp::json_t result;
+            if (path == 1) {
+                result = mbp::pred::fusedRunnerByName(name)(args);
+            } else {
+                auto predictor = mbp::pred::makeByName(name);
+                result = mbp::simulate(*predictor, args);
+            }
+            if (result.contains("error")) {
+                std::fprintf(stderr, "%s (%s): %s\n", name.c_str(),
+                             path == 1 ? "fused" : "virtual",
+                             result.find("error")->asString().c_str());
+                m.failed = true;
+                return m;
+            }
+            const mbp::json_t &metrics = *result.find("metrics");
+            pair_bps[path] = metrics.find("branches_per_second")->asDouble();
+            m.mispredictions[path] =
+                metrics.find("mispredictions")->asUint();
+            m.simulation_instr[path] = result.find("metadata")
+                                           ->find("simulation_instr")
+                                           ->asUint();
         }
-        if (result.contains("error")) {
-            std::fprintf(stderr, "%s (%s): %s\n", name.c_str(),
-                         fused ? "fused" : "virtual",
-                         result.find("error")->asString().c_str());
-            m.failed = true;
-            return m;
-        }
-        const mbp::json_t &metrics = *result.find("metrics");
-        m.bps = std::max(
-            m.bps, metrics.find("branches_per_second")->asDouble());
-        m.mispredictions = metrics.find("mispredictions")->asUint();
-        m.simulation_instr = result.find("metadata")
-                                 ->find("simulation_instr")
-                                 ->asUint();
+        bps[0].push_back(pair_bps[0]);
+        bps[1].push_back(pair_bps[1]);
+        ratios.push_back(pair_bps[0] > 0.0 ? pair_bps[1] / pair_bps[0]
+                                           : 0.0);
     }
+    m.virtual_bps = median(bps[0]);
+    m.fused_bps = median(bps[1]);
+    m.speedup = median(ratios);
     return m;
 }
 
@@ -119,49 +151,46 @@ main(int argc, char **argv)
             args.trace_path = entries[0].sbbt_flz;
             args.preloaded = arena;
             args.collect_most_failed = collect;
-            const Measurement virt = measure(name, args, false);
-            const Measurement fused = measure(name, args, true);
-            if (virt.failed || fused.failed) {
+            const Measurement m = measure(name, args);
+            if (m.failed) {
                 ok = false;
                 continue;
             }
-            if (virt.mispredictions != fused.mispredictions ||
-                virt.simulation_instr != fused.simulation_instr) {
+            if (m.mispredictions[0] != m.mispredictions[1] ||
+                m.simulation_instr[0] != m.simulation_instr[1]) {
                 std::fprintf(
                     stderr,
                     "%s (collect=%d): fused/virtual mismatch "
                     "(mispredictions %llu vs %llu, instr %llu vs %llu)\n",
                     name.c_str(), collect ? 1 : 0,
-                    (unsigned long long)virt.mispredictions,
-                    (unsigned long long)fused.mispredictions,
-                    (unsigned long long)virt.simulation_instr,
-                    (unsigned long long)fused.simulation_instr);
+                    (unsigned long long)m.mispredictions[0],
+                    (unsigned long long)m.mispredictions[1],
+                    (unsigned long long)m.simulation_instr[0],
+                    (unsigned long long)m.simulation_instr[1]);
                 ok = false;
             }
-            const double speedup =
-                virt.bps > 0.0 ? fused.bps / virt.bps : 0.0;
-            if (speedup < kSanityRatio) {
+            if (m.speedup < kSanityRatio) {
                 std::fprintf(stderr,
                              "%s (collect=%d): fused kernel slower than "
                              "virtual (%.2fx < %.2fx floor)\n",
-                             name.c_str(), collect ? 1 : 0, speedup,
+                             name.c_str(), collect ? 1 : 0, m.speedup,
                              kSanityRatio);
                 ok = false;
             }
             std::printf("%-10s collect=%d  virtual %12.0f b/s   fused "
                         "%12.0f b/s   %5.2fx\n",
-                        name.c_str(), collect ? 1 : 0, virt.bps,
-                        fused.bps, speedup);
+                        name.c_str(), collect ? 1 : 0, m.virtual_bps,
+                        m.fused_bps, m.speedup);
             rows.push_back(json_t::object({
                 {"predictor", name},
                 {"collect_most_failed", collect},
-                {"virtual_branches_per_second", virt.bps},
-                {"fused_branches_per_second", fused.bps},
+                {"virtual_branches_per_second", m.virtual_bps},
+                {"fused_branches_per_second", m.fused_bps},
                 // The headline absolute number (fused path), so the
                 // trajectory is trackable even as the ratio saturates.
-                {"branches_per_second", fused.bps},
-                {"speedup", speedup},
-                {"mispredictions", virt.mispredictions},
+                {"branches_per_second", m.fused_bps},
+                {"speedup", m.speedup},
+                {"mispredictions", m.mispredictions[0]},
             }));
         }
     }

@@ -16,8 +16,9 @@ checked on two axes:
   absorbs scheduler noise while still catching a real fast-path
   regression (the fused kernels sit at 2x+, so a 15% ratio drop is a
   code change, not weather). The arena artifact's single cold-vs-warm
-  wall-clock ratio is far noisier than the kernels' best-of-5 rows, so
-  it uses the wider ``ARENA_SPEEDUP_TOLERANCE`` floor instead.
+  wall-clock ratio is far noisier than the kernels' rows (each the
+  median ratio of 5 adjacent virtual/fused run pairs), so it uses the
+  wider ``ARENA_SPEEDUP_TOLERANCE`` floor instead.
 
 Exit codes: 0 all checks pass, 1 regression, 77 skip (fresh artifacts or
 baselines absent — e.g. the benches were not built or not yet run).
@@ -31,11 +32,11 @@ import sys
 SKIP = 77
 
 # The arena artifact's speedup is one cold-decode / warm-map wall-clock
-# pair, not a best-of-N throughput ratio like the kernels rows, so it
-# swings hard when the suite runs ctest-parallel alongside it. The guard
-# exists to catch the sidecar no longer serving the warm path by mapping
-# (which collapses the ratio to ~1x), so it gets its own wide floor
-# instead of the kernels tolerance.
+# pair, not a median of paired throughput ratios like the kernels rows,
+# so it swings hard when the suite runs ctest-parallel alongside it. The
+# guard exists to catch the sidecar no longer serving the warm path by
+# mapping (which collapses the ratio to ~1x), so it gets its own wide
+# floor instead of the kernels tolerance.
 ARENA_SPEEDUP_TOLERANCE = 0.5
 
 

@@ -76,6 +76,13 @@ class ByteSink
 std::unique_ptr<ByteSource> openSource(const std::string &path);
 
 /**
+ * @return The codec openSource() stacks for @p path: by extension, else by
+ *         the file's magic bytes; kRaw when neither matches or the file
+ *         cannot be opened.
+ */
+Codec detectCodec(const std::string &path);
+
+/**
  * Opens @p path for writing through @p codec.
  *
  * @param level Effort level (gzip: zlib 1-9; FLZ: match probes; ignored for
@@ -98,7 +105,8 @@ class MemorySource : public ByteSource
     read(void *dst, std::size_t size) override
     {
         std::size_t n = std::min(size, size_ - pos_);
-        std::memcpy(dst, data_ + pos_, n);
+        if (n != 0) // an empty buffer may be null: no memcpy from it
+            std::memcpy(dst, data_ + pos_, n);
         pos_ += n;
         return n;
     }

@@ -479,12 +479,13 @@ makeFlzSink(std::unique_ptr<ByteSink> inner, int level, bool wide)
     return std::make_unique<FlzSink>(std::move(inner), level, wide);
 }
 
-std::unique_ptr<ByteSource>
-openSource(const std::string &path)
+namespace
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return nullptr;
+
+/** Codec of the open file @p f at @p path: by extension, else by magic. */
+Codec
+sniffCodec(const std::string &path, std::FILE *f)
+{
     Codec codec = codecFromPath(path);
     if (codec == Codec::kRaw) {
         // Unknown extension: sniff the first bytes for a known magic.
@@ -497,6 +498,29 @@ openSource(const std::string &path)
                             std::memcmp(magic, kFlz2Magic, 4) == 0))
             codec = Codec::kFlz;
     }
+    return codec;
+}
+
+} // namespace
+
+Codec
+detectCodec(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return Codec::kRaw;
+    const Codec codec = sniffCodec(path, f);
+    std::fclose(f);
+    return codec;
+}
+
+std::unique_ptr<ByteSource>
+openSource(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return nullptr;
+    const Codec codec = sniffCodec(path, f);
     auto file = std::make_unique<FileSource>(f);
     switch (codec) {
       case Codec::kGzip: return makeGzipSource(std::move(file));

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mbp/sbbt/format.hpp"
@@ -66,14 +67,25 @@ class MemTrace
     static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 8 + 1 + 4;
 
     /**
-     * Decodes the whole trace at @p path in one streaming pass.
+     * Decodes the whole trace at @p path in one streaming pass, copying
+     * the reader's decoded blocks straight into the columns. The decode
+     * runs inline on the calling thread: `options.prefetch` is ignored,
+     * since a background decompression thread only adds a hand-off per
+     * block here (and a ring buffer per concurrent load).
+     *
+     * The columns are sized up front from the header's branch count, but
+     * never beyond what the input file can hold (its packet count for a
+     * raw trace, the codecs' worst-case expansion of its size for a
+     * compressed one), and grow geometrically past that — so a header
+     * that overstates its count costs no allocation it cannot back.
      *
      * Errors follow SbbtReader semantics: an unreadable file, corrupt
      * compressed stream, invalid packet or early-ending trace fails the
-     * load (nothing partial is returned).
+     * load (nothing partial is returned). An allocation failure fails it
+     * the same way, with a message instead of an exception.
      *
      * @param path    Trace file (possibly compressed).
-     * @param options Decode pipeline knobs (block size, prefetch thread).
+     * @param options Decode pipeline knobs (block size).
      * @param error   Receives the failure description (optional).
      * @return The shared arena, or nullptr on error.
      */
@@ -213,11 +225,46 @@ class MemTrace
   private:
     friend class MemTraceCursor;
 
+    /** std::allocator that default-initializes, so resizing a column
+     *  leaves the new slots unwritten for the decode to fill, instead of
+     *  zeroing them first. */
+    template <typename T>
+    struct UninitAllocator : std::allocator<T>
+    {
+        template <typename U>
+        struct rebind
+        {
+            using other = UninitAllocator<U>;
+        };
+        UninitAllocator() = default;
+        template <typename U>
+        UninitAllocator(const UninitAllocator<U> &) noexcept
+        {}
+        template <typename U>
+        void
+        construct(U *p)
+        {
+            ::new (static_cast<void *>(p)) U;
+        }
+        template <typename U, typename... Args>
+        void
+        construct(U *p, Args &&...args)
+        {
+            ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+        }
+    };
+    template <typename T>
+    using Column = std::vector<T, UninitAllocator<T>>;
+
     /** Read-only mmap of an SBBT-A file, unmapped on destruction; keeps
      *  the borrowed columns of a mapped arena alive. */
     class ArenaMapping;
 
     MemTrace() = default;
+
+    /** Sizes the per-branch columns and the first-seen bitmap for
+     *  @p branches rows, keeping the rows already written. */
+    void resizeColumns(std::size_t branches);
 
     /** Points the column views at the owned vectors (decode path). */
     void adoptOwnedColumns();
@@ -239,12 +286,12 @@ class MemTrace
     std::uint32_t num_sites_ = 0;
 
     // Decode-path ownership (empty for a mapped arena).
-    std::vector<std::uint64_t> ips_;
-    std::vector<std::uint64_t> targets_;
-    std::vector<std::uint64_t> instr_nums_;
-    std::vector<std::uint8_t> meta_;
-    std::vector<std::uint32_t> site_index_;
-    std::vector<std::uint64_t> first_seen_;
+    Column<std::uint64_t> ips_;
+    Column<std::uint64_t> targets_;
+    Column<std::uint64_t> instr_nums_;
+    Column<std::uint8_t> meta_;
+    Column<std::uint32_t> site_index_;
+    Column<std::uint64_t> first_seen_;
     std::vector<std::uint64_t> site_ips_;
     std::vector<std::uint64_t> site_cond_occ_;
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,8 @@ struct ReaderOptions
     /**
      * Run decompression on a background thread (compress::PrefetchSource)
      * so decode overlaps with consumption. Only honored by the path-based
-     * constructor; the InStream constructor reads synchronously.
+     * constructor; the InStream constructor reads synchronously, and
+     * MemTrace::load decodes inline whatever this says.
      */
     bool prefetch = false;
 
@@ -97,6 +99,31 @@ class SbbtReader
         ++branches_read_;
         instr_number_ += out.instr_gap + 1; // gap plus the branch itself
         return true;
+    }
+
+    /**
+     * Hands out every branch left in the current decoded block at once:
+     * the bulk form of next() for consumers that copy packets into their
+     * own storage (MemTrace::load). Afterwards the reader is in the state
+     * that as many next() calls would leave: instrNumber() is that of the
+     * block's last branch and branchesRead() counts the whole block.
+     *
+     * @return The packets, valid until the next call of next() or
+     *         nextBlock(); empty at end of trace or on error (check
+     *         error()).
+     */
+    std::span<const PacketData>
+    nextBlock()
+    {
+        if (block_pos_ == block_fill_ && !refill())
+            return {};
+        const std::span<const PacketData> block(block_.data() + block_pos_,
+                                                block_fill_ - block_pos_);
+        for (const PacketData &p : block)
+            instr_number_ += p.instr_gap + 1;
+        branches_read_ += block.size();
+        block_pos_ = block_fill_;
+        return block;
     }
 
     /**

@@ -229,7 +229,9 @@ measuredInstr(const SimArgs &args, std::uint64_t header_instr,
 
 /**
  * Appends the per-run throughput observability fields shared by all
- * simulator flavors to @p metrics. `trace_load_seconds` is the one-time
+ * simulator flavors to @p metrics: `dynamic_branches`, the count of
+ * branches the run stepped (warm-up included), as a number rather than
+ * only as the rate it feeds. `trace_load_seconds` is the one-time
  * arena decode cost (0 when streaming, or when the arena arrived
  * pre-decoded via SimArgs::preloaded); it is deliberately kept outside
  * `simulation_time` so branches_per_second measures the predict loop.
@@ -238,6 +240,7 @@ inline void
 addThroughputMetrics(json_t &metrics, std::uint64_t dynamic_branches,
                      const Throughput &tp)
 {
+    metrics["dynamic_branches"] = dynamic_branches;
     metrics["simulation_time"] = tp.seconds;
     metrics["branches_per_second"] =
         tp.seconds > 0.0

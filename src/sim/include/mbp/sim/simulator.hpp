@@ -147,7 +147,8 @@ struct SimArgs
      * compress::PrefetchSource) so inflate/FLZ decode overlaps with
      * prediction. Results are bit-identical with or without; only
      * throughput changes. The residual serialization is reported as
-     * `prefetch_stall_seconds` in the result metrics.
+     * `prefetch_stall_seconds` in the result metrics. Streaming runs
+     * only: an `in_memory` arena is decoded inline (sbbt::MemTrace::load).
      */
     bool prefetch = true;
 

@@ -234,17 +234,25 @@ bool campaignFromJson(const json_t &spec, Campaign &out,
  *   - "metadata": tool/version, grid dimensions, jobs, shared SimArgs;
  *   - "cells": one entry per (predictor, trace) pair in predictor-major
  *     grid order: {"predictor", "trace", "result": <simulate() doc>};
- *   - "aggregate": campaign wall time, total branches/second across the
+ *   - "aggregate": campaign wall time, the successful cells' summed
+ *     `dynamic_branches` and their total branches/second across the
  *     pool, failed-cell count, per-predictor rollups (arithmetic
  *     mean MPKI over the traces, total mispredictions) — the Table III
  *     summary form — and a "trace_cache" block ({hits, misses,
- *     evictions, resident_bytes, streamed_fallbacks, failed_waits,
- *     mapped_loads}) reporting how the decode-once cache behaved (all
- *     zero when in_memory is off).
+ *     evictions, resident_bytes, peak_resident_bytes,
+ *     streamed_fallbacks, failed_waits, mapped_loads}) reporting how the
+ *     decode-once cache behaved (all zero when in_memory is off).
+ *     `resident_bytes` is the value at the end of the run, which is 0
+ *     once every trace's arena has been released; `peak_resident_bytes`
+ *     is the most the cache held at once.
  *
- * Cells are *scheduled* trace-major so every predictor of a trace runs
- * while its arena is resident, but *reported* in the same
- * predictor-major grid order as always.
+ * Cells are *scheduled* in waves of `jobs` traces, predictor-major
+ * inside a wave: the wave's first `jobs` cells decode distinct traces in
+ * parallel, the rest of the wave shares their arenas, and the cell that
+ * finishes a trace's last predictor releases its arena
+ * (TraceCache::release). With one worker this is trace-major order.
+ * Cells are *reported* in the same predictor-major grid order as
+ * always.
  */
 json_t run(const Campaign &campaign, unsigned jobs = 0);
 

@@ -54,7 +54,9 @@ inline constexpr std::uint64_t kDefaultMemBudget = std::uint64_t(1) << 30;
  * as `failed_waits`, never as hits). Distinct traces decode
  * concurrently. Eviction is LRU over ready entries; an arena still
  * referenced by running cells survives eviction (the shared_ptr keeps
- * it alive), the cache merely stops accounting for it.
+ * it alive), the cache merely stops accounting for it. release() drops
+ * an arena the same way as soon as its caller knows it is done with it;
+ * sweep::run does so after each trace's last cell.
  */
 class TraceCache
 {
@@ -65,7 +67,13 @@ class TraceCache
         std::uint64_t hits = 0;   //!< arena shared with an earlier load
         std::uint64_t misses = 0; //!< arena loads initiated
         std::uint64_t evictions = 0;
-        std::uint64_t resident_bytes = 0; //!< currently cached arenas
+        /** Bytes of the arenas cached now; at the end of a sweep this
+         *  is 0, since run() releases each arena after its last cell. */
+        std::uint64_t resident_bytes = 0;
+        /** Highest resident_bytes reached. Counted as each arena is
+         *  added, before eviction makes room for it, so under a budget
+         *  it can exceed the budget by up to one arena. */
+        std::uint64_t peak_resident_bytes = 0;
         std::uint64_t streamed_fallbacks = 0; //!< budget refusals
         /** Waits on an in-flight load that then failed: the waiter got
          *  no arena, so it is not a hit (trace_cache.cpp kept the
@@ -107,6 +115,17 @@ class TraceCache
     std::shared_ptr<const sbbt::MemTrace>
     acquire(const std::string &path, const sbbt::ReaderOptions &options,
             std::string *error = nullptr);
+
+    /**
+     * Drops the cached arena for (@p path, @p options), for a caller that
+     * knows no later acquire wants it: the entry is erased and its bytes
+     * leave resident_bytes. Holders of the arena keep a valid one (their
+     * shared_ptr keeps it alive); a later acquire decodes it afresh and
+     * counts as a miss. A no-op when the trace is not cached, or its load
+     * is still in flight.
+     */
+    void release(const std::string &path,
+                 const sbbt::ReaderOptions &options);
 
     /** @return A consistent snapshot of the counters. */
     Stats stats() const;

@@ -4,9 +4,11 @@
  */
 #include "mbp/sweep/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string_view>
 #include <thread>
 
@@ -217,7 +219,6 @@ run(const Campaign &campaign, unsigned jobs)
                      store);
     sbbt::ReaderOptions decode_options;
     decode_options.block_packets = campaign.base_args.reader_block_packets;
-    decode_options.prefetch = campaign.base_args.prefetch;
 
     // Campaigns built programmatically bypass campaignFromJson's parse
     // check; a bad spec then fails every cell rather than the process.
@@ -230,15 +231,33 @@ run(const Campaign &campaign, unsigned jobs)
             frontend_error = "invalid frontend spec: " + spec_error;
     }
 
+    // Cells left to finish per trace; the cell that finishes a trace's
+    // last one releases its arena. A path listed twice is one cache entry,
+    // so its listings share the first one's counter.
+    std::vector<std::size_t> counter_of(num_traces);
+    std::vector<std::atomic<std::size_t>> cells_left(num_traces);
+    std::map<std::string_view, std::size_t> first_listing;
+    for (std::size_t t = 0; t < num_traces; ++t) {
+        counter_of[t] =
+            first_listing.emplace(campaign.traces[t], t).first->second;
+        cells_left[counter_of[t]] += num_predictors;
+    }
+
     std::vector<json_t> cell_results(num_cells);
     auto start_time = std::chrono::steady_clock::now();
-    // Work indices walk the grid trace-major — all predictor cells of a
-    // trace run back to back, while its decoded arena is resident — but
-    // each result lands in the predictor-major slot the report (and its
+    // Work indices walk the grid in waves of used_jobs traces,
+    // predictor-major inside a wave: the wave's first cells decode its
+    // traces concurrently, one per worker, and its remaining cells share
+    // those arenas. With one worker this is plain trace-major order.
+    // Each result lands in the predictor-major slot the report (and its
     // consumers) have always used.
+    const std::size_t wave_cells = std::size_t(used_jobs) * num_predictors;
     parallelFor(num_cells, used_jobs, [&](std::size_t i) {
-        const std::size_t t = i / num_predictors;
-        const std::size_t p = i % num_predictors;
+        const std::size_t first_trace = i / wave_cells * used_jobs;
+        const std::size_t wave_traces = std::min<std::size_t>(
+            used_jobs, num_traces - first_trace);
+        const std::size_t t = first_trace + i % wave_cells % wave_traces;
+        const std::size_t p = i % wave_cells / wave_traces;
         const PredictorSpec &spec = campaign.predictors[p];
         const std::string &trace = campaign.traces[t];
         SimArgs args = campaign.base_args;
@@ -257,13 +276,14 @@ run(const Campaign &campaign, unsigned jobs)
         } else if (campaign.frontend && !frontend_error.empty()) {
             result = errorCell(frontend_error);
         } else {
-            if (campaign.in_memory) {
-                // A null arena (budget fallback or decode failure) simply
-                // streams; a corrupt trace then surfaces its error through
-                // the streaming reader, same as before this cache existed.
-                args.preloaded = cache.acquire(trace, decode_options);
-            }
             try {
+                if (campaign.in_memory) {
+                    // A null arena (budget fallback or decode failure)
+                    // simply streams; a corrupt trace then surfaces its
+                    // error through the streaming reader, same as before
+                    // this cache existed.
+                    args.preloaded = cache.acquire(trace, decode_options);
+                }
                 if (campaign.frontend) {
                     frontend::FrontEnd front_end(std::move(instance),
                                                  frontend_config);
@@ -282,6 +302,10 @@ run(const Campaign &campaign, unsigned jobs)
         });
         cell["result"] = std::move(result);
         cell_results[p * num_traces + t] = std::move(cell);
+        args.preloaded = nullptr;
+        if (cells_left[counter_of[t]].fetch_sub(1) == 1 &&
+            campaign.in_memory)
+            cache.release(trace, decode_options);
     });
     auto end_time = std::chrono::steady_clock::now();
     double wall =
@@ -290,7 +314,7 @@ run(const Campaign &campaign, unsigned jobs)
     // Aggregate in deterministic grid order.
     std::vector<PredictorRollup> rollups(num_predictors);
     std::size_t failed_cells = 0;
-    double total_branches = 0.0;
+    std::uint64_t total_branches = 0;
     for (std::size_t i = 0; i < num_cells; ++i) {
         PredictorRollup &rollup = rollups[i / num_traces];
         const json_t &result = *cell_results[i].find("result");
@@ -303,11 +327,7 @@ run(const Campaign &campaign, unsigned jobs)
         rollup.mpki_sum += metrics.find("mpki")->asDouble();
         rollup.mispredictions += metrics.find("mispredictions")->asUint();
         ++rollup.succeeded;
-        // simulate() reports dynamic branches only as a rate; recover the
-        // count so the campaign can report pool-wide throughput.
-        total_branches +=
-            metrics.find("branches_per_second")->asDouble() *
-            metrics.find("simulation_time")->asDouble();
+        total_branches += metrics.find("dynamic_branches")->asUint();
     }
 
     json_t out = json_t::object();
@@ -346,8 +366,9 @@ run(const Campaign &campaign, unsigned jobs)
     const TraceCache::Stats cache_stats = cache.stats();
     out["aggregate"] = json_t::object({
         {"wall_time_seconds", wall},
+        {"dynamic_branches", total_branches},
         {"branches_per_second",
-         wall > 0.0 ? total_branches / wall : 0.0},
+         wall > 0.0 ? double(total_branches) / wall : 0.0},
         {"failed_cells", std::uint64_t(failed_cells)},
         {"trace_cache",
          json_t::object({
@@ -355,6 +376,7 @@ run(const Campaign &campaign, unsigned jobs)
              {"misses", cache_stats.misses},
              {"evictions", cache_stats.evictions},
              {"resident_bytes", cache_stats.resident_bytes},
+             {"peak_resident_bytes", cache_stats.peak_resident_bytes},
              {"streamed_fallbacks", cache_stats.streamed_fallbacks},
              {"failed_waits", cache_stats.failed_waits},
              {"mapped_loads", cache_stats.mapped_loads},

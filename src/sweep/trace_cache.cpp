@@ -4,6 +4,7 @@
  */
 #include "mbp/sweep/trace_cache.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <utility>
@@ -45,11 +46,10 @@ TraceCache::keyFor(std::unique_lock<std::mutex> &lock,
         key_memo_.emplace(path, id);
     }
     // Decode options are part of the identity: arenas decoded under
-    // different knobs must not silently alias.
-    char suffix[64];
-    std::snprintf(suffix, sizeof suffix, "#%zu/%d/%zu",
-                  options.block_packets, options.prefetch ? 1 : 0,
-                  options.prefetch_block_bytes);
+    // different knobs must not silently alias. The prefetch knobs are
+    // not among them, since MemTrace::load always decodes inline.
+    char suffix[32];
+    std::snprintf(suffix, sizeof suffix, "#%zu", options.block_packets);
     return id + suffix;
 }
 
@@ -112,6 +112,8 @@ TraceCache::acquire(const std::string &path,
             entry->bytes = trace->memoryBytes();
             entry->last_used = ++tick_;
             stats_.resident_bytes += entry->bytes;
+            stats_.peak_resident_bytes = std::max(
+                stats_.peak_resident_bytes, stats_.resident_bytes);
             evictOverBudgetLocked(key);
             ready_cv_.notify_all();
             return trace;
@@ -154,6 +156,19 @@ TraceCache::evictOverBudgetLocked(const std::string &keep)
         ++stats_.evictions;
         entries_.erase(victim);
     }
+}
+
+void
+TraceCache::release(const std::string &path,
+                    const sbbt::ReaderOptions &options)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const std::string key = keyFor(lock, path, options);
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second->state != Entry::State::kReady)
+        return;
+    stats_.resident_bytes -= it->second->bytes;
+    entries_.erase(it);
 }
 
 TraceCache::Stats

@@ -35,6 +35,7 @@
 #include "mbp/sim/simulator.hpp"
 #include "mbp/tracegen/adversarial.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -78,7 +79,7 @@ class ArenaConformanceTest : public testing::Test
     static void
     SetUpTestSuite()
     {
-        trace_path_ = new std::string(testing::TempDir() +
+        trace_path_ = new std::string(mbp::test::tempDir() +
                                       "/arena_conformance.sbbt");
         tracegen::WorkloadSpec spec;
         spec.seed = 20260805;
@@ -229,7 +230,7 @@ TEST_F(ArenaConformanceTest, MappedSbbtaArenaIsDecodeInvariantForRoster)
     ASSERT_NE(decoded, nullptr) << error;
 
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance.sbbta";
+        mbp::test::tempDir() + "/arena_conformance.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -479,7 +480,7 @@ mixedClassTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/arena_conformance_mixed.sbbt";
+    path = mbp::test::tempDir() + "/arena_conformance_mixed.sbbt";
     std::vector<tracegen::TraceEvent> events =
         tracegen::deepRecursion(31, 2000, 25);
     for (const tracegen::TraceEvent &ev :
@@ -544,7 +545,7 @@ TEST_F(ArenaConformanceTest, NonConditionalClassesRoundTripThroughArena)
     auto decoded = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(decoded, nullptr) << error;
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance_mixed.sbbta";
+        mbp::test::tempDir() + "/arena_conformance_mixed.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;
@@ -575,7 +576,7 @@ TEST_F(ArenaConformanceTest, FrontendReportIsSourceInvariant)
     auto decoded = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(decoded, nullptr) << error;
     const std::string sidecar =
-        testing::TempDir() + "/arena_conformance_mixed_fe.sbbta";
+        mbp::test::tempDir() + "/arena_conformance_mixed_fe.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;

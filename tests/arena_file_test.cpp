@@ -21,6 +21,7 @@
 #include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -31,7 +32,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::tempDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -144,7 +145,7 @@ TEST(ContentHasher, LengthAndContentBothMatter)
 
 TEST(ContentHasher, FileHashMatchesBufferHash)
 {
-    const std::string path = testing::TempDir() + "/hash_probe.bin";
+    const std::string path = mbp::test::tempDir() + "/hash_probe.bin";
     std::vector<std::uint8_t> data(70'001);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = std::uint8_t(i ^ (i >> 8));
@@ -171,7 +172,7 @@ class ArenaFileTest : public testing::Test
         std::string error;
         decoded_ = sbbt::MemTrace::load(trace_path_, {}, &error);
         ASSERT_NE(decoded_, nullptr) << error;
-        arena_path_ = testing::TempDir() + "/arena_rt.sbbta";
+        arena_path_ = mbp::test::tempDir() + "/arena_rt.sbbta";
         ASSERT_TRUE(decoded_->writeArena(arena_path_, 0xfeedf00d, &error))
             << error;
     }
@@ -350,7 +351,7 @@ namespace
 std::string
 freshStoreDir(const std::string &tag)
 {
-    const std::string dir = testing::TempDir() + "/arena_store_" + tag;
+    const std::string dir = mbp::test::tempDir() + "/arena_store_" + tag;
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -477,7 +478,7 @@ TEST(ArenaStore, MissingTraceStillFailsWithTheRealError)
 {
     sbbt::ArenaStore store(freshStoreDir("missing"));
     std::string error;
-    EXPECT_EQ(store.acquire(testing::TempDir() + "/no_such.sbbt", {},
+    EXPECT_EQ(store.acquire(mbp::test::tempDir() + "/no_such.sbbt", {},
                             &error),
               nullptr);
     EXPECT_NE(error, "");

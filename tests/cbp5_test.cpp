@@ -13,6 +13,7 @@
 
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace cbp5;
 using mbp::Branch;
@@ -24,7 +25,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 std::vector<mbp::tracegen::TraceEvent>

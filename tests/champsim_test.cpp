@@ -17,6 +17,7 @@
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/predictors/static_pred.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace champsim;
 
@@ -26,7 +27,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 /** Builds a champsim-lite trace from a synthetic workload. */

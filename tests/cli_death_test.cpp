@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 
 #include "mbp/sbbt/writer.hpp"
+#include "test_tmp.hpp"
 
 namespace
 {
@@ -35,7 +36,7 @@ RunResult
 run(const std::string &command)
 {
     static int counter = 0;
-    const std::string err_path = testing::TempDir() + "/cli-death-stderr-" +
+    const std::string err_path = mbp::test::tempDir() + "/cli-death-stderr-" +
                                  std::to_string(counter++) + ".txt";
     RunResult result;
     const std::string full =
@@ -61,7 +62,7 @@ validTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/cli-death-valid.sbbt";
+    path = mbp::test::tempDir() + "/cli-death-valid.sbbt";
     mbp::sbbt::SbbtWriter writer(path);
     for (int i = 0; i < 32; ++i)
         writer.append(mbp::Branch{0x500000ull + std::uint64_t(i % 4) * 16,
@@ -79,7 +80,7 @@ corruptTrace()
     static std::string path;
     if (!path.empty())
         return path;
-    path = testing::TempDir() + "/cli-death-corrupt.sbbt";
+    path = mbp::test::tempDir() + "/cli-death-corrupt.sbbt";
     std::ofstream out(path, std::ios::binary);
     out << "this is not a branch trace at all, sorry";
     return path;
@@ -280,7 +281,7 @@ TEST(FuzzCli, SelfTestCatchesAndExits0)
 {
     auto r = run(std::string(MBP_FUZZ_BIN) +
                  " --self-test --seed 11 --streams 4 --artifacts " +
-                 quoted(testing::TempDir() + "/fuzz-cli-selftest"));
+                 quoted(mbp::test::tempDir() + "/fuzz-cli-selftest"));
     EXPECT_EQ(r.exit_code, 0) << r.err;
     EXPECT_NE(r.err.find("self-test passed"), std::string::npos) << r.err;
 }
@@ -364,7 +365,7 @@ TEST(ArenaCli, UnknownFlagExits2AndNamesIt)
 TEST(ArenaCli, MaterializeThenVerifyExits0)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-store");
+        quoted(mbp::test::tempDir() + "/cli-death-arena-store");
     auto materialize = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
                            " materialize " + quoted(validTrace()));
     EXPECT_EQ(materialize.exit_code, 0) << materialize.err;
@@ -376,7 +377,7 @@ TEST(ArenaCli, MaterializeThenVerifyExits0)
 TEST(ArenaCli, VerifyWithoutSidecarIsUnhealthyExit1)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-empty");
+        quoted(mbp::test::tempDir() + "/cli-death-arena-empty");
     auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir + " verify " +
                  quoted(validTrace()));
     EXPECT_EQ(r.exit_code, 1) << r.err;
@@ -385,7 +386,7 @@ TEST(ArenaCli, VerifyWithoutSidecarIsUnhealthyExit1)
 TEST(ArenaCli, MaterializeCorruptTraceIsUnhealthyExit1)
 {
     const std::string dir =
-        quoted(testing::TempDir() + "/cli-death-arena-corrupt");
+        quoted(mbp::test::tempDir() + "/cli-death-arena-corrupt");
     auto r = run(std::string(MBP_ARENA_BIN) + " --dir " + dir +
                  " materialize " + quoted(corruptTrace()));
     EXPECT_EQ(r.exit_code, 1) << r.err;

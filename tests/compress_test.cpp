@@ -13,6 +13,8 @@
 #include <random>
 #include <string>
 
+#include "test_tmp.hpp"
+
 namespace compress = mbp::compress;
 using compress::Codec;
 
@@ -33,7 +35,7 @@ flzRoundTrip(const std::vector<std::uint8_t> &input, int effort = 4)
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 /** Pushes `data` through sink-chain into memory and reads it back. */

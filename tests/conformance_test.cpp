@@ -22,6 +22,7 @@
 #include "mbp/sim/simulator.hpp"
 #include "mbp/testkit/oracle.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 using testkit::Events;
@@ -32,7 +33,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 /** The shared workload: realistic, with calls/returns and noise. */

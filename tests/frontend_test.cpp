@@ -18,6 +18,7 @@
 #include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/testkit/oracle.hpp"
 #include "mbp/tracegen/adversarial.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 using namespace mbp::frontend;
@@ -401,7 +402,7 @@ class FrontEndSimTest : public testing::Test
     static void
     SetUpTestSuite()
     {
-        trace_path_ = new std::string(testing::TempDir() +
+        trace_path_ = new std::string(mbp::test::tempDir() +
                                       "/frontend_test.sbbt");
         events_ = new testkit::Events(mixedStream());
         ASSERT_EQ(testkit::writeSbbtFile(*events_, *trace_path_), "");
@@ -467,7 +468,7 @@ TEST_F(FrontEndSimTest, ReportIsIdenticalMappedVsDecodedArena)
     std::string error;
     auto decoded = sbbt::MemTrace::load(*trace_path_, {}, &error);
     ASSERT_NE(decoded, nullptr) << error;
-    const std::string sidecar = testing::TempDir() + "/frontend_test.sbbta";
+    const std::string sidecar = mbp::test::tempDir() + "/frontend_test.sbbta";
     ASSERT_TRUE(decoded->writeArena(sidecar, 0, &error)) << error;
     auto mapped = sbbt::MemTrace::mapFile(sidecar, &error);
     ASSERT_NE(mapped, nullptr) << error;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "mbp/sbbt/reader.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -20,7 +21,7 @@ TEST(FuzzSmoke, SeededCampaignIsCleanAndDeterministic)
     options.seed = 20260805;
     options.num_streams = 12;
     options.max_branches = 1024;
-    options.artifact_dir = testing::TempDir() + "/fuzz-smoke";
+    options.artifact_dir = mbp::test::tempDir() + "/fuzz-smoke";
     options.metamorphic_predictors = {"bimodal", "gshare", "tage"};
     options.frontend_predictors = {"gshare"};
 
@@ -42,7 +43,7 @@ TEST(FuzzSmoke, SelfTestStillCatchesThePlantedBug)
     options.seed = 20260805;
     options.num_streams = 4;
     options.max_branches = 512;
-    options.artifact_dir = testing::TempDir() + "/fuzz-smoke-selftest";
+    options.artifact_dir = mbp::test::tempDir() + "/fuzz-smoke-selftest";
     options.metamorphic = false;
     json_t report =
         testkit::runFuzz(options, {testkit::brokenGshareTarget()});
@@ -56,7 +57,7 @@ TEST(FuzzSmoke, FrontendSelfTestCatchesShrinksAndReplays)
     options.seed = 20260805;
     options.num_streams = 4;
     options.max_branches = 512;
-    options.artifact_dir = testing::TempDir() + "/fuzz-smoke-frontend";
+    options.artifact_dir = mbp::test::tempDir() + "/fuzz-smoke-frontend";
     options.metamorphic = false;
 
     testkit::FrontendDiffTarget broken = testkit::brokenFrontendTarget();

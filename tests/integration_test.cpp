@@ -22,6 +22,7 @@
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/simulator.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -47,9 +48,9 @@ buildTraceSet(std::uint64_t seed, std::uint64_t num_instr)
     auto events = tracegen::generateAll(spec);
 
     TraceSet set;
-    set.sbbt = testing::TempDir() + "/equiv.sbbt";
-    set.btt = testing::TempDir() + "/equiv.btt.gz";
-    set.champsim = testing::TempDir() + "/equiv.trace.flz";
+    set.sbbt = mbp::test::tempDir() + "/equiv.sbbt";
+    set.btt = mbp::test::tempDir() + "/equiv.btt.gz";
+    set.champsim = mbp::test::tempDir() + "/equiv.trace.flz";
 
     sbbt::SbbtWriter sbbt_writer(set.sbbt);
     cbp5::BttWriter btt_writer(set.btt);
@@ -197,7 +198,7 @@ TEST_F(Equivalence, TraceSizeRelationsFromTableIAndSectionIV)
         return static_cast<std::uint64_t>(size);
     };
     // Compress the SBBT trace with FLZ like the distributed traces.
-    std::string sbbt_flz = testing::TempDir() + "/equiv.sbbt.flz";
+    std::string sbbt_flz = mbp::test::tempDir() + "/equiv.sbbt.flz";
     {
         sbbt::SbbtReader reader(set_->sbbt);
         ASSERT_TRUE(reader.ok());

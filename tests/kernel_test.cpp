@@ -24,6 +24,7 @@
 #include "mbp/predictors/tage_scl.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/simulator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -98,7 +99,7 @@ scrubTiming(const json_t &value)
 std::string
 writeKernelTrace(const std::string &name, std::size_t num_branches)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::tempDir() + "/" + name;
     sbbt::SbbtWriter writer(path);
     EXPECT_TRUE(writer.ok()) << writer.error();
     std::mt19937_64 rng(20260808);

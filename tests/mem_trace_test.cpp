@@ -10,15 +10,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mbp/compress/streams.hpp"
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -29,7 +35,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::tempDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -42,20 +48,60 @@ writeTrace(const std::string &name, std::uint64_t seed,
     return path;
 }
 
+/**
+ * The bytes of a raw SBBT trace with @p branches branches whose header
+ * claims @p claimed of them.
+ */
+std::vector<std::uint8_t>
+inflatedTraceBytes(std::uint64_t branches, std::uint64_t claimed)
+{
+    const std::string raw = mbp::test::tempDir() + "/inflated_src.sbbt";
+    {
+        sbbt::SbbtWriter writer(raw);
+        for (std::uint64_t i = 0; i < branches; ++i)
+            EXPECT_TRUE(writer.append(
+                Branch{0x400000 + 16 * (i % 3), 0x400100,
+                       OpCode(BranchType::kJump, true, false),
+                       i % 2 == 0},
+                3));
+        EXPECT_TRUE(writer.close()) << writer.error();
+    }
+    std::ifstream in(raw, std::ios::binary);
+    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+    std::remove(raw.c_str());
+    const sbbt::Header header{.instruction_count = 4 * branches,
+                              .branch_count = claimed};
+    const auto encoded = sbbt::encodeHeader(header);
+    std::copy(encoded.begin(), encoded.end(), bytes.begin());
+    return bytes;
+}
+
+/** Writes @p bytes to @p path through the codec its extension names. */
+void
+writeThroughCodec(const std::string &path,
+                  const std::vector<std::uint8_t> &bytes)
+{
+    auto out = compress::openOutput(path);
+    ASSERT_NE(out, nullptr) << path;
+    ASSERT_TRUE(out->write(bytes.data(), bytes.size()));
+    ASSERT_TRUE(out->close());
+}
+
 } // namespace
 
 TEST(MemTrace, LoadFailsOnMissingFile)
 {
     std::string error;
     auto trace = sbbt::MemTrace::load(
-        testing::TempDir() + "/no-such-trace.sbbt", {}, &error);
+        mbp::test::tempDir() + "/no-such-trace.sbbt", {}, &error);
     EXPECT_EQ(trace, nullptr);
     EXPECT_NE(error, "");
 }
 
 TEST(MemTrace, LoadFailsOnCorruptFile)
 {
-    const std::string path = testing::TempDir() + "/corrupt.sbbt";
+    const std::string path = mbp::test::tempDir() + "/corrupt.sbbt";
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not an SBBT trace at all, not even close!";
@@ -217,7 +263,84 @@ TEST(MemTrace, EstimateBytesTracksActualFootprint)
     // File-based estimation reads only the header.
     EXPECT_EQ(sbbt::MemTrace::estimateFileBytes(path), estimate);
     EXPECT_EQ(sbbt::MemTrace::estimateFileBytes(
-                  testing::TempDir() + "/definitely-missing.sbbt"),
+                  mbp::test::tempDir() + "/definitely-missing.sbbt"),
               0u);
+    std::remove(path.c_str());
+}
+
+TEST(MemTrace, InflatedHeaderCountFailsWithoutSizingAnAllocation)
+{
+    // A 184-byte trace (header plus ten packets) whose header claims
+    // 2^40 branches: sizing the columns from that count used to throw
+    // std::bad_alloc out of load(). The file bounds the sizing now, and
+    // the short trace fails the load with the reader's error.
+    const std::uint64_t claimed = std::uint64_t(1) << 40;
+    const std::vector<std::uint8_t> bytes = inflatedTraceBytes(10, claimed);
+    ASSERT_EQ(bytes.size(), 184u);
+    for (const char *name :
+         {"inflated.sbbt", "inflated.sbbt.gz", "inflated.sbbt.flz"}) {
+        SCOPED_TRACE(name);
+        const std::string path = mbp::test::tempDir() + "/" + name;
+        writeThroughCodec(path, bytes);
+        std::string error;
+        std::shared_ptr<const sbbt::MemTrace> trace;
+        EXPECT_NO_THROW(trace = sbbt::MemTrace::load(path, {}, &error));
+        EXPECT_EQ(trace, nullptr);
+        EXPECT_NE(error.find("trace ended early"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(std::to_string(claimed)), std::string::npos)
+            << error;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(MemTrace, UnsizedInputGrowsTheColumnsPastTheFirstReserve)
+{
+    // A FIFO has no size to bound the up-front reserve by, so the load
+    // starts from a fixed reserve and doubles the columns as the trace
+    // outgrows it. The grown arena must equal the one decoded from the
+    // regular file.
+    const std::string path = writeTrace("mem_grow.sbbt", 96, 1'200'000);
+    std::string error;
+    auto expected = sbbt::MemTrace::load(path, {}, &error);
+    ASSERT_NE(expected, nullptr) << error;
+    ASSERT_GT(expected->size(), std::size_t(1) << 17)
+        << "the trace must outgrow the unsized reserve twice";
+    // Gzip it, so the FIFO's name selects the codec: sniffing an unknown
+    // extension would consume bytes a FIFO cannot rewind.
+    const std::string gz = path + ".gz";
+    {
+        std::ifstream in(path, std::ios::binary);
+        const std::vector<std::uint8_t> raw(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        writeThroughCodec(gz, raw);
+    }
+    std::ifstream gz_in(gz, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(gz_in)),
+                                  std::istreambuf_iterator<char>());
+
+    const std::string fifo = mbp::test::tempDir() + "/mem_grow.fifo.gz";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::thread writer([&] {
+        std::ofstream out(fifo, std::ios::binary);
+        out.write(bytes.data(), std::streamsize(bytes.size()));
+    });
+    auto grown = sbbt::MemTrace::load(fifo, {}, &error);
+    writer.join();
+    ASSERT_NE(grown, nullptr) << error;
+    ASSERT_EQ(grown->size(), expected->size());
+    EXPECT_EQ(grown->numSites(), expected->numSites());
+    EXPECT_EQ(grown->memoryBytes(), expected->memoryBytes());
+    for (std::size_t i = 0; i < expected->size(); ++i) {
+        ASSERT_EQ(grown->ip(i), expected->ip(i)) << i;
+        ASSERT_EQ(grown->target(i), expected->target(i)) << i;
+        ASSERT_EQ(grown->instrNumber(i), expected->instrNumber(i)) << i;
+        ASSERT_EQ(grown->siteIndex(i), expected->siteIndex(i)) << i;
+    }
+    EXPECT_EQ(grown->staticSitesInPrefix(grown->size()),
+              expected->staticSitesInPrefix(expected->size()));
+    std::remove(fifo.c_str());
+    std::remove(gz.c_str());
     std::remove(path.c_str());
 }

@@ -14,6 +14,7 @@
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/simulator.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 using namespace mbp::pred;
@@ -382,7 +383,7 @@ TEST(Storage, SimulatorEchoesStorageIntoMetadata)
     tracegen::WorkloadSpec spec;
     spec.seed = 3;
     spec.num_instr = 50'000;
-    std::string path = testing::TempDir() + "/storage.sbbt";
+    std::string path = mbp::test::tempDir() + "/storage.sbbt";
     {
         sbbt::SbbtWriter writer(path);
         tracegen::TraceGenerator gen(spec);

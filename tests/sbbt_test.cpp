@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <random>
 
+#include "test_tmp.hpp"
+
 using namespace mbp;
 using namespace mbp::sbbt;
 
@@ -22,7 +24,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 Branch

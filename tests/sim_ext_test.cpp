@@ -14,6 +14,7 @@
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -24,7 +25,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::tempDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;

@@ -15,6 +15,7 @@
 
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -24,7 +25,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 Branch

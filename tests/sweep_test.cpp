@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -24,8 +25,10 @@
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sbbt/arena_store.hpp"
+#include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/generator.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -36,7 +39,7 @@ std::string
 writeTrace(const std::string &name, std::uint64_t seed,
            std::uint64_t num_instr)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = mbp::test::tempDir() + "/" + name;
     tracegen::WorkloadSpec spec;
     spec.seed = seed;
     spec.num_instr = num_instr;
@@ -553,7 +556,7 @@ TEST(TraceCache, ConcurrentAcquiresShareOneDecode)
 
 TEST(TraceCache, FailedLoadsReportErrorsAndRetry)
 {
-    const std::string missing = testing::TempDir() + "/cache_missing.sbbt";
+    const std::string missing = mbp::test::tempDir() + "/cache_missing.sbbt";
     sweep::TraceCache cache;
     std::string error;
     EXPECT_EQ(cache.acquire(missing, {}, &error), nullptr);
@@ -606,7 +609,7 @@ TEST(TraceCache, ContentIdenticalCopiesShareOneArena)
     // Keying is by content, not by (canonicalized) name: a byte-identical
     // copy under a different name is the same trace.
     const std::string path = writeTrace("cache_copy_a.sbbt", 411, 50'000);
-    const std::string copy = testing::TempDir() + "/cache_copy_b.sbbt";
+    const std::string copy = mbp::test::tempDir() + "/cache_copy_b.sbbt";
     {
         std::ifstream src(path, std::ios::binary);
         std::ofstream dst(copy, std::ios::binary);
@@ -658,7 +661,7 @@ TEST(TraceCache, WaitersOnFailedLoadsAreNotHits)
     // decode that then *failed* was counted as a cache hit, inflating the
     // aggregate. Whatever the interleaving, a failing trace must produce
     // zero hits — only misses and failed_waits.
-    const std::string path = testing::TempDir() + "/cache_fail_race.sbbt";
+    const std::string path = mbp::test::tempDir() + "/cache_fail_race.sbbt";
     {
         // A file that passes the header peek but fails mid-decode keeps
         // the loading window open as long as possible; a missing file
@@ -692,7 +695,7 @@ TEST(TraceCache, WaitersOnFailedLoadsAreNotHits)
 TEST(TraceCache, ConsultsThePersistentStoreOnMisses)
 {
     const std::string path = writeTrace("cache_store.sbbt", 413, 60'000);
-    const std::string dir = testing::TempDir() + "/cache_store_dir";
+    const std::string dir = mbp::test::tempDir() + "/cache_store_dir";
     std::filesystem::remove_all(dir);
     auto store = std::make_shared<sbbt::ArenaStore>(dir);
     ASSERT_TRUE(store->ok());
@@ -717,7 +720,7 @@ TEST(TraceCache, ConsultsThePersistentStoreOnMisses)
 
 TEST_F(SweepTest, ArenaCacheCampaignMapsOnTheSecondRun)
 {
-    const std::string dir = testing::TempDir() + "/sweep_arena_dir";
+    const std::string dir = mbp::test::tempDir() + "/sweep_arena_dir";
     std::filesystem::remove_all(dir);
     sweep::Campaign campaign;
     campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
@@ -798,6 +801,271 @@ TEST_F(SweepTest, BudgetedCampaignNeverFailsJustStreams)
                        ->find("mispredictions"))
             << i;
     }
+}
+
+TEST(TraceCache, ReleaseKeepsHoldersValidAndDropsResidentBytes)
+{
+    const std::string path = writeTrace("cache_release.sbbt", 414, 50'000);
+    sweep::TraceCache cache;
+    std::string error;
+    auto held = cache.acquire(path, {}, &error);
+    ASSERT_NE(held, nullptr) << error;
+    const std::uint64_t bytes = held->memoryBytes();
+    EXPECT_EQ(cache.stats().resident_bytes, bytes);
+
+    cache.release(path, {});
+    sweep::TraceCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.resident_bytes, 0u);
+    EXPECT_EQ(stats.peak_resident_bytes, bytes);
+    EXPECT_EQ(stats.evictions, 0u) << "a release is not an eviction";
+
+    // The holder's arena outlives its cache entry, untouched.
+    auto fresh = sbbt::MemTrace::load(path, {}, &error);
+    ASSERT_NE(fresh, nullptr) << error;
+    ASSERT_EQ(held->size(), fresh->size());
+    for (std::size_t i = 0; i < fresh->size(); ++i) {
+        ASSERT_EQ(held->ip(i), fresh->ip(i)) << i;
+        ASSERT_EQ(held->instrNumber(i), fresh->instrNumber(i)) << i;
+        ASSERT_EQ(held->siteIndex(i), fresh->siteIndex(i)) << i;
+    }
+
+    // A re-acquire after the release decodes afresh: a miss, not a hit.
+    auto again = cache.acquire(path, {}, &error);
+    ASSERT_NE(again, nullptr) << error;
+    EXPECT_NE(again.get(), held.get());
+    stats = cache.stats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.resident_bytes, bytes);
+    EXPECT_EQ(stats.peak_resident_bytes, bytes);
+    std::remove(path.c_str());
+}
+
+TEST(TraceCache, ReleaseTouchesOnlyItsOwnEntry)
+{
+    const std::string path = writeTrace("cache_release_key.sbbt", 415,
+                                        30'000);
+    sweep::TraceCache cache;
+    // Releasing what was never cached is a no-op.
+    cache.release(mbp::test::tempDir() + "/never_cached.sbbt", {});
+    cache.release(path, {});
+    EXPECT_EQ(cache.stats().resident_bytes, 0u);
+
+    std::string error;
+    auto arena = cache.acquire(path, {}, &error);
+    ASSERT_NE(arena, nullptr) << error;
+    // Other decode options name another entry: this one stays cached.
+    sbbt::ReaderOptions packet_at_a_time;
+    packet_at_a_time.block_packets = 1;
+    cache.release(path, packet_at_a_time);
+    EXPECT_EQ(cache.stats().resident_bytes, arena->memoryBytes());
+    EXPECT_EQ(cache.acquire(path, {}, &error).get(), arena.get());
+    EXPECT_EQ(cache.stats().hits, 1u);
+    std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** Five traces of unequal length: no job count from 2 to 4 divides
+ *  them, so every multi-worker sweep over them ends in a short wave. */
+std::vector<std::string>
+waveTraces()
+{
+    std::vector<std::string> traces;
+    for (int k = 0; k < 5; ++k)
+        traces.push_back(writeTrace("wave_" + std::to_string(k) + ".sbbt",
+                                    501 + k, 40'000 + 15'000 * k));
+    return traces;
+}
+
+} // namespace
+
+TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
+{
+    const std::vector<std::string> all = waveTraces();
+    std::uint64_t largest_arena = 0;
+    for (const std::string &path : all) {
+        std::string error;
+        auto arena = sbbt::MemTrace::load(path, {}, &error);
+        ASSERT_NE(arena, nullptr) << error;
+        largest_arena = std::max(largest_arena, arena->memoryBytes());
+    }
+    // Five traces give tail waves of 1 (2 and 4 jobs) and 2 (3 jobs);
+    // three traces give a tail of 1 (2 jobs) and a single short wave
+    // (4 jobs, more workers than traces).
+    for (const std::size_t num_traces : {std::size_t(5), std::size_t(3)}) {
+        sweep::Campaign campaign;
+        campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
+                               rosterSpec("two-level")};
+        campaign.traces.assign(all.begin(), all.begin() + num_traces);
+        campaign.base_args.warmup_instr = 10'000;
+        campaign.in_memory = false;
+        const json_t streaming = sweep::run(campaign, 1);
+        const json_t &expected = *streaming.find("cells");
+        campaign.in_memory = true;
+        for (const unsigned jobs : {1u, 2u, 3u, 4u}) {
+            SCOPED_TRACE("traces " + std::to_string(num_traces) +
+                         ", jobs " + std::to_string(jobs));
+            const json_t result = sweep::run(campaign, jobs);
+            const json_t &cells = *result.find("cells");
+            ASSERT_EQ(cells.size(), expected.size());
+            std::uint64_t branches = 0;
+            for (std::size_t i = 0; i < cells.size(); ++i) {
+                EXPECT_EQ(*cells[i].find("predictor"),
+                          *expected[i].find("predictor"));
+                EXPECT_EQ(*cells[i].find("trace"),
+                          *expected[i].find("trace"));
+                const json_t &got = *cells[i].find("result");
+                const json_t &want = *expected[i].find("result");
+                ASSERT_FALSE(got.contains("error")) << i;
+                EXPECT_EQ(*got.find("metrics")->find("mispredictions"),
+                          *want.find("metrics")->find("mispredictions"))
+                    << i;
+                EXPECT_EQ(*got.find("most_failed"),
+                          *want.find("most_failed"))
+                    << i;
+                branches +=
+                    got.find("metrics")->find("dynamic_branches")->asUint();
+            }
+            const json_t &aggregate = *result.find("aggregate");
+            EXPECT_EQ(aggregate.find("dynamic_branches")->asUint(), branches);
+            EXPECT_EQ(
+                aggregate.find("dynamic_branches")->asUint(),
+                streaming.find("aggregate")->find("dynamic_branches")
+                    ->asUint());
+
+            // Decode-once holds in every wave shape, and every arena is
+            // released once its last cell is done.
+            const json_t &cache = *aggregate.find("trace_cache");
+            EXPECT_EQ(cache.find("misses")->asUint(), num_traces);
+            EXPECT_EQ(cache.find("hits")->asUint(),
+                      num_traces * (campaign.predictors.size() - 1));
+            EXPECT_EQ(cache.find("failed_waits")->asUint(), 0u);
+            EXPECT_EQ(cache.find("resident_bytes")->asUint(), 0u);
+            EXPECT_GT(cache.find("peak_resident_bytes")->asUint(), 0u);
+            if (jobs == 1) {
+                // One worker releases each trace before it decodes the
+                // next, so only one arena is ever resident.
+                EXPECT_LE(cache.find("peak_resident_bytes")->asUint(),
+                          largest_arena);
+            }
+        }
+    }
+    for (const std::string &path : all)
+        std::remove(path.c_str());
+}
+
+TEST(SweepWaves, ADuplicatedPathIsReleasedAfterItsLastListing)
+{
+    // Both listings of a path share one cache entry, so its arena must
+    // stay until the cells of both are done: one decode per distinct
+    // trace, whatever the worker count.
+    const std::vector<std::string> traces = waveTraces();
+    sweep::Campaign campaign;
+    campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+    campaign.traces = {traces[0], traces[1], traces[2], traces[0]};
+    for (const unsigned jobs : {1u, 2u, 3u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const json_t result = sweep::run(campaign, jobs);
+        const json_t &cache =
+            *result.find("aggregate")->find("trace_cache");
+        EXPECT_EQ(cache.find("misses")->asUint(), 3u);
+        EXPECT_EQ(cache.find("hits")->asUint(), 8u - 3u);
+        EXPECT_EQ(cache.find("resident_bytes")->asUint(), 0u);
+        const json_t &cells = *result.find("cells");
+        for (std::size_t p = 0; p < 2; ++p)
+            EXPECT_EQ(*cells[p * 4].find("result")->find("metrics")
+                           ->find("mispredictions"),
+                      *cells[p * 4 + 3].find("result")->find("metrics")
+                           ->find("mispredictions"))
+                << p;
+    }
+    for (const std::string &path : traces)
+        std::remove(path.c_str());
+}
+
+TEST(SweepWaves, FrontEndCellsMatchASerialStreamingRun)
+{
+    const std::vector<std::string> traces = waveTraces();
+    sweep::Campaign campaign;
+    campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+    campaign.traces = traces;
+    campaign.frontend = true;
+    campaign.in_memory = false;
+    const json_t streaming = sweep::run(campaign, 1);
+    campaign.in_memory = true;
+    const json_t waved = sweep::run(campaign, 3);
+    const json_t &expected = *streaming.find("cells");
+    const json_t &cells = *waved.find("cells");
+    ASSERT_EQ(cells.size(), expected.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const json_t &got = *cells[i].find("result");
+        const json_t &want = *expected[i].find("result");
+        ASSERT_FALSE(got.contains("error")) << i;
+        EXPECT_EQ(*got.find("metrics")->find("mispredictions"),
+                  *want.find("metrics")->find("mispredictions"))
+            << i;
+        // Per-class target mispredictions, rollups and structures.
+        EXPECT_EQ(*got.find("frontend"), *want.find("frontend")) << i;
+    }
+    for (const std::string &path : traces)
+        std::remove(path.c_str());
+}
+
+TEST(SweepBadInput, InflatedHeaderCountIsAnErrorCellNotACrash)
+{
+    // A 184-byte trace whose header claims 2^40 branches. Its arena
+    // decode used to throw std::bad_alloc outside the cell's try, and
+    // with no budget to refuse it first the sweep hit std::terminate.
+    const std::string good = writeTrace("inflated_good.sbbt", 416, 20'000);
+    const std::string bad = mbp::test::tempDir() + "/inflated_bad.sbbt";
+    {
+        sbbt::SbbtWriter writer(bad);
+        for (int i = 0; i < 10; ++i)
+            EXPECT_TRUE(writer.append(
+                Branch{0x400000, 0x400100,
+                       OpCode(BranchType::kJump, true, false), i % 2 == 0},
+                3));
+        ASSERT_TRUE(writer.close()) << writer.error();
+        std::fstream patch(bad, std::ios::binary | std::ios::in |
+                                    std::ios::out);
+        const sbbt::Header header{.instruction_count = 40,
+                                  .branch_count = std::uint64_t(1) << 40};
+        const auto bytes = sbbt::encodeHeader(header);
+        patch.write(reinterpret_cast<const char *>(bytes.data()),
+                    std::streamsize(bytes.size()));
+        ASSERT_TRUE(patch.good());
+    }
+    ASSERT_EQ(std::filesystem::file_size(bad), 184u);
+
+    for (const bool fused : {true, false}) {
+        SCOPED_TRACE(fused ? "fused" : "virtual");
+        sweep::Campaign campaign;
+        campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+        campaign.traces = {good, bad};
+        campaign.mem_budget = 0; // unlimited: nothing refuses the arena
+        campaign.fused = fused;
+        const json_t result = sweep::run(campaign, 2);
+        const json_t &cells = *result.find("cells");
+        ASSERT_EQ(cells.size(), 4u);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const json_t &cell_result = *cells[i].find("result");
+            if (i % 2 == 0) {
+                EXPECT_FALSE(cell_result.contains("error")) << i;
+                continue;
+            }
+            ASSERT_TRUE(cell_result.contains("error")) << i;
+            EXPECT_NE(cell_result.find("error")->asString().find(
+                          "trace ended early"),
+                      std::string::npos)
+                << cell_result.find("error")->asString();
+        }
+        EXPECT_EQ(result.find("aggregate")->find("failed_cells")->asUint(),
+                  2u);
+    }
+    std::remove(good.c_str());
+    std::remove(bad.c_str());
 }
 
 TEST(CampaignFromJson, ParsesArenaKnobs)

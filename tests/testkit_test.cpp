@@ -22,6 +22,7 @@
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/tracegen/adversarial.hpp"
 #include "mbp/utils/hash.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 using testkit::Events;
@@ -32,7 +33,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + "/" + name;
+    return mbp::test::tempDir() + "/" + name;
 }
 
 /** All conditional outcomes of the branch at @p ip, in stream order. */

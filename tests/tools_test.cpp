@@ -17,6 +17,7 @@
 #include "cbp5/trace.hpp"
 #include "champsim/trace.hpp"
 #include "mbp/sbbt/reader.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 
@@ -65,7 +66,7 @@ TEST(Suites, ScaleShrinksLengths)
 class CorpusTest : public testing::Test
 {
   protected:
-    std::string dir_ = testing::TempDir() + "/corpus_test";
+    std::string dir_ = mbp::test::tempDir() + "/corpus_test";
 
     std::vector<tracegen::WorkloadSpec>
     tinySuite()
@@ -156,7 +157,7 @@ TEST_F(CorpusTest, NoLeftoverTempOrLockVisibleTraces)
 class CorpusRaceTest : public testing::Test
 {
   protected:
-    std::string dir_ = testing::TempDir() + "/corpus_race_test";
+    std::string dir_ = mbp::test::tempDir() + "/corpus_race_test";
 
     std::vector<tracegen::WorkloadSpec>
     raceSuite()

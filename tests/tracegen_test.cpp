@@ -15,6 +15,7 @@
 
 #include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/writer.hpp"
+#include "test_tmp.hpp"
 
 using namespace mbp;
 using namespace mbp::tracegen;
@@ -66,8 +67,8 @@ TEST(TraceGen, SameSeedYieldsByteIdenticalSbbtFiles)
         return std::string(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
     };
-    std::string path_a = testing::TempDir() + "/det_a.sbbt";
-    std::string path_b = testing::TempDir() + "/det_b.sbbt";
+    std::string path_a = mbp::test::tempDir() + "/det_a.sbbt";
+    std::string path_b = mbp::test::tempDir() + "/det_b.sbbt";
     render(path_a);
     render(path_b);
     std::string bytes_a = slurp(path_a);
