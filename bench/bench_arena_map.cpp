@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "host_fingerprint.hpp"
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sbbt/arena_file.hpp"
 #include "mbp/sbbt/arena_store.hpp"
@@ -187,6 +188,7 @@ main(int argc, char **argv)
     json_t doc = json_t::object({
         {"bench", "SBBT-A arena map vs streaming decode"},
         {"version", kMbpVersion},
+        {"fingerprint", bench::hostFingerprint()},
         {"workload", json_t::object({
                          {"name", spec.name},
                          {"seed", spec.seed},

@@ -21,12 +21,14 @@
  *     real speedups are reported in the JSON for trend tracking.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "host_fingerprint.hpp"
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/simulator.hpp"
@@ -39,8 +41,16 @@ namespace
 /** Loose fail-if-slower floor; see the file comment. */
 constexpr double kSanityRatio = 0.6;
 
-/** Virtual/fused run pairs per configuration. */
-constexpr int kReps = 5;
+/** Virtual/fused run pairs per configuration, at least. */
+constexpr int kReps = 9;
+
+/**
+ * Pairs continue past kReps until a configuration has been timed for
+ * this long: a cheap predictor's run over the bench trace takes only a
+ * few milliseconds, and the median of a handful of such pairs swings
+ * with millisecond-scale host jitter.
+ */
+constexpr double kMinRowSeconds = 0.5;
 
 /** One configuration's throughput on both paths. */
 struct Measurement
@@ -50,6 +60,7 @@ struct Measurement
     double speedup = 0.0;     // median of the per-pair fused/virtual ratios
     std::uint64_t mispredictions[2] = {0, 0};   // virtual, fused
     std::uint64_t simulation_instr[2] = {0, 0}; // virtual, fused
+    std::uint64_t pairs = 0;
     bool failed = false;
 };
 
@@ -63,17 +74,24 @@ median(std::vector<double> values)
 }
 
 /**
- * Runs the virtual and the fused path of @p name in kReps adjacent
- * pairs, alternating which goes first. A host that drifts in speed
- * (other tenants, frequency changes) then slows both runs of a pair
- * alike, and the median pair ratio ignores the pairs it splits.
+ * Runs the virtual and the fused path of @p name in adjacent pairs,
+ * alternating which goes first: kReps pairs, or more until
+ * kMinRowSeconds have passed. A host that drifts in speed (other
+ * tenants, frequency changes) then slows both runs of a pair alike, and
+ * the median pair ratio ignores the pairs it splits.
  */
 Measurement
 measure(const std::string &name, const mbp::SimArgs &args)
 {
     Measurement m;
     std::vector<double> bps[2], ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto elapsed = [&start] {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    for (int rep = 0; rep < kReps || elapsed() < kMinRowSeconds; ++rep) {
         double pair_bps[2] = {0.0, 0.0};
         for (int k = 0; k < 2; ++k) {
             const int path = (rep + k) % 2; // 0 virtual, 1 fused
@@ -107,6 +125,7 @@ measure(const std::string &name, const mbp::SimArgs &args)
     m.virtual_bps = median(bps[0]);
     m.fused_bps = median(bps[1]);
     m.speedup = median(ratios);
+    m.pairs = ratios.size();
     return m;
 }
 
@@ -190,6 +209,7 @@ main(int argc, char **argv)
                 // trajectory is trackable even as the ratio saturates.
                 {"branches_per_second", m.fused_bps},
                 {"speedup", m.speedup},
+                {"pairs", m.pairs},
                 {"mispredictions", m.mispredictions[0]},
             }));
         }
@@ -198,6 +218,7 @@ main(int argc, char **argv)
     json_t doc = json_t::object({
         {"bench", "fused kernels vs virtual arena simulation"},
         {"version", kMbpVersion},
+        {"fingerprint", bench::hostFingerprint()},
         {"workload", json_t::object({
                          {"name", spec.name},
                          {"seed", spec.seed},

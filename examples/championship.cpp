@@ -1,7 +1,7 @@
 /**
  * @file
  * Championship-style evaluation: run the whole examples-library roster
- * over a training suite with the multi-trace driver and print a
+ * over a training suite as one mbp::sweep campaign and print a
  * leaderboard — the workflow the CBPs and most papers use (average MPKI
  * over the trace set), here taking seconds instead of hours because of
  * the fast simulator (paper §VII-B: "the user can perform a couple of
@@ -12,12 +12,11 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <cstdlib>
 #include <vector>
 
 #include "mbp/predictors/all.hpp"
-#include "mbp/sim/simulator.hpp"
+#include "mbp/sweep/sweep.hpp"
 #include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/suite.hpp"
 
@@ -42,57 +41,61 @@ main(int argc, char **argv)
     struct Contender
     {
         std::string name;
-        std::function<std::unique_ptr<Predictor>()> make;
         double amean_mpki = 0.0;
         double seconds = 0.0;
     };
-    std::vector<Contender> roster = {
-        {"Bimodal", [] { return std::make_unique<Bimodal<16>>(); }, 0, 0},
-        {"GAs two-level", [] { return std::make_unique<GAs<13, 4>>(); }, 0,
-         0},
-        {"GShare", [] { return std::make_unique<Gshare<15, 17>>(); }, 0, 0},
-        {"Agree", [] { return std::make_unique<Agree<15, 16>>(); }, 0, 0},
-        {"Bi-Mode", [] { return std::make_unique<BiMode<15, 15>>(); }, 0, 0},
-        {"YAGS", [] { return std::make_unique<Yags<13, 13>>(); }, 0, 0},
-        {"Tournament",
-         [] {
-             return std::make_unique<TournamentPred>(
-                 std::make_unique<Bimodal<15>>(),
-                 std::make_unique<Bimodal<16>>(),
-                 std::make_unique<Gshare<15, 16>>());
-         },
-         0, 0},
-        {"2bc-gskew", [] { return std::make_unique<Gskew2bc<17, 16>>(); }, 0,
-         0},
-        {"Hashed Perceptron",
-         [] { return std::make_unique<HashedPerceptron<8, 12, 128>>(); }, 0,
-         0},
-        {"Loop + GShare",
-         [] {
-             return std::make_unique<LoopOverride>(
-                 std::make_unique<Gshare<15, 17>>());
-         },
-         0, 0},
-        {"TAGE", [] { return std::make_unique<Tage>(); }, 0, 0},
-        {"BATAGE", [] { return std::make_unique<Batage>(); }, 0, 0},
-        {"TAGE-SC-L (lite)", [] { return std::make_unique<TageScl>(); }, 0,
-         0},
+    sweep::Campaign campaign;
+    campaign.traces = traces;
+    auto enter = [&](const char *name, auto make) {
+        campaign.predictors.push_back({name, make, nullptr});
     };
+    enter("Bimodal", [] { return std::make_unique<Bimodal<16>>(); });
+    enter("GAs two-level", [] { return std::make_unique<GAs<13, 4>>(); });
+    enter("GShare", [] { return std::make_unique<Gshare<15, 17>>(); });
+    enter("Agree", [] { return std::make_unique<Agree<15, 16>>(); });
+    enter("Bi-Mode", [] { return std::make_unique<BiMode<15, 15>>(); });
+    enter("YAGS", [] { return std::make_unique<Yags<13, 13>>(); });
+    enter("Tournament", [] {
+        return std::make_unique<TournamentPred>(
+            std::make_unique<Bimodal<15>>(), std::make_unique<Bimodal<16>>(),
+            std::make_unique<Gshare<15, 16>>());
+    });
+    enter("2bc-gskew", [] { return std::make_unique<Gskew2bc<17, 16>>(); });
+    enter("Hashed Perceptron",
+          [] { return std::make_unique<HashedPerceptron<8, 12, 128>>(); });
+    enter("Loop + GShare", [] {
+        return std::make_unique<LoopOverride>(
+            std::make_unique<Gshare<15, 17>>());
+    });
+    enter("TAGE", [] { return std::make_unique<Tage>(); });
+    enter("BATAGE", [] { return std::make_unique<Batage>(); });
+    enter("TAGE-SC-L (lite)", [] { return std::make_unique<TageScl>(); });
 
-    // Trace-level parallelism: each worker simulates whole traces with
-    // its own fresh predictor, so results are identical to a sequential
-    // run. Only possible because the user program owns execution.
-    unsigned threads = std::thread::hardware_concurrency();
-    for (auto &contender : roster) {
-        json_t result =
-            simulateSuiteParallel(contender.make, traces, SimArgs{}, threads);
-        const json_t &summary = *result.find("summary");
-        contender.amean_mpki = summary.find("amean_mpki")->asDouble();
-        contender.seconds =
-            summary.find("total_simulation_time")->asDouble();
+    // Every (predictor, trace) cell gets its own fresh predictor on the
+    // sweep's worker pool, and each trace is decoded once for all of
+    // them, so results are identical to a sequential run. Only possible
+    // because the user program owns execution.
+    const json_t result = sweep::run(campaign);
+    const json_t &per_predictor =
+        *result.find("aggregate")->find("per_predictor");
+    const json_t &cells = *result.find("cells");
+    std::vector<Contender> roster;
+    for (std::size_t p = 0; p < per_predictor.size(); ++p) {
+        Contender contender;
+        contender.name = per_predictor[p].find("predictor")->asString();
+        contender.amean_mpki =
+            per_predictor[p].find("amean_mpki")->asDouble();
+        // Cells are predictor-major: traces.size() per predictor.
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            const json_t &cell = *cells[p * traces.size() + t].find("result");
+            if (const json_t *metrics = cell.find("metrics"))
+                contender.seconds +=
+                    metrics->find("simulation_time")->asDouble();
+        }
         std::printf("  evaluated %-20s %8.4f MPKI  (%.2f s)\n",
                     contender.name.c_str(), contender.amean_mpki,
                     contender.seconds);
+        roster.push_back(contender);
     }
 
     std::sort(roster.begin(), roster.end(),

@@ -19,9 +19,15 @@ checked on two axes:
   wall-clock ratio is far noisier than the kernels' rows (each the
   median ratio of 5 adjacent virtual/fused run pairs), so it uses the
   wider ``ARENA_SPEEDUP_TOLERANCE`` floor instead.
+* **Speeds compare only on the same host**: every artifact records the
+  host and build it ran on (its ``fingerprint``: nproc, CPU model,
+  compiler, build type, sanitizers). When the baseline's fingerprint
+  differs from the fresh artifact's, or either lacks one, the speed
+  checks are skipped; the misprediction checks still run.
 
 Exit codes: 0 all checks pass, 1 regression, 77 skip (fresh artifacts or
-baselines absent — e.g. the benches were not built or not yet run).
+baselines absent — e.g. the benches were not built or not yet run — or
+a baseline recorded on another host, with no functional regression).
 """
 
 import argparse
@@ -39,12 +45,23 @@ SKIP = 77
 # floor instead of the kernels tolerance.
 ARENA_SPEEDUP_TOLERANCE = 0.5
 
+# The fingerprint fields that must match for speeds to be comparable.
+HOST_KEYS = ("nproc", "cpu_model", "compiler", "build_type", "sanitizers")
+
+
+def host_of(artifact):
+    """The artifact's host identity, or None when it records none."""
+    fingerprint = artifact.get("fingerprint")
+    if not isinstance(fingerprint, dict):
+        return None
+    return tuple(fingerprint.get(key) for key in HOST_KEYS)
+
 
 def fail(messages, text):
     messages.append(text)
 
 
-def check_kernels(base, fresh, tolerance, messages):
+def check_kernels(base, fresh, tolerance, messages, same_host):
     """BENCH_kernels.json: rows keyed by (predictor, collect flag)."""
     fresh_rows = {
         (r["predictor"], r["collect_most_failed"]): r
@@ -64,7 +81,7 @@ def check_kernels(base, fresh, tolerance, messages):
                 % (label, got["mispredictions"], row["mispredictions"]),
             )
         floor = tolerance * row["speedup"]
-        if got["speedup"] < floor:
+        if same_host and got["speedup"] < floor:
             fail(
                 messages,
                 "%s: speedup %.2fx below %.2fx (%.0f%% of baseline %.2fx)"
@@ -80,7 +97,7 @@ def check_kernels(base, fresh, tolerance, messages):
         fail(messages, "kernels: fresh artifact has checks_passed false")
 
 
-def check_arena(base, fresh, tolerance, messages):
+def check_arena(base, fresh, tolerance, messages, same_host):
     """BENCH_arena.json: one global speedup + per-predictor counts."""
     fresh_counts = {
         p["predictor"]: p["mispredictions"]
@@ -98,7 +115,7 @@ def check_arena(base, fresh, tolerance, messages):
             )
     del tolerance  # the arena ratio uses its own floor; see module docstring
     floor = ARENA_SPEEDUP_TOLERANCE * base["speedup"]
-    if fresh["speedup"] < floor:
+    if same_host and fresh["speedup"] < floor:
         fail(
             messages,
             "arena: map-vs-decode speedup %.2fx below %.2fx"
@@ -128,6 +145,7 @@ def main():
 
     messages = []
     compared = 0
+    other_host = 0
     for baseline_path in baselines:
         checker = CHECKERS.get(baseline_path.name)
         if checker is None:
@@ -141,9 +159,20 @@ def main():
             base = json.load(f)
         with open(fresh_path) as f:
             fresh = json.load(f)
-        checker(base, fresh, args.tolerance, messages)
+        same_host = host_of(base) is not None and host_of(base) == host_of(
+            fresh
+        )
+        checker(base, fresh, args.tolerance, messages, same_host)
         compared += 1
-        print("compared %s against baseline" % baseline_path.name)
+        if same_host:
+            print("compared %s against baseline" % baseline_path.name)
+        else:
+            other_host += 1
+            print(
+                "%s: baseline host %s differs from fresh host %s; "
+                "checked mispredictions only"
+                % (baseline_path.name, host_of(base), host_of(fresh))
+            )
 
     if compared == 0:
         print("skip: no fresh artifacts to compare")
@@ -152,6 +181,9 @@ def main():
         print("REGRESSION: %s" % text)
     if messages:
         return 1
+    if other_host:
+        print("skip: %d artifact(s) from another host" % other_host)
+        return SKIP
     print("ok: %d artifact(s) within tolerance" % compared)
     return 0
 

@@ -117,7 +117,9 @@ class BttReader
     bool next(EdgeInfo &out);
 
   private:
-    bool parseHeader();
+    /** Parses header and graph; @p max_lines bounds the header's node
+     *  and edge counts (what the input can hold). */
+    bool parseHeader(std::uint64_t max_lines);
 
     std::unique_ptr<mbp::compress::InStream> input_;
     std::string error_;

@@ -4,9 +4,12 @@
  */
 #include "cbp5/trace.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 
 namespace cbp5
@@ -30,6 +33,37 @@ appendHex(std::string &out, std::uint64_t v)
     auto res = std::to_chars(buf, buf + sizeof buf, v, 16);
     out += "0x";
     out.append(buf, res.ptr);
+}
+
+/** Bytes of the shortest node or edge line: "node 0 0x0 0\n". */
+constexpr std::uint64_t kMinLineBytes = 13;
+
+/** Worst-case expansion of the supported codecs (deflate, ~1032:1). */
+constexpr std::uint64_t kMaxCodecExpansion = 1032;
+
+/** Lines assumed for an input whose size cannot be read (a pipe, say):
+ *  far more than the node or edge count of any real trace. */
+constexpr std::uint64_t kUnknownSizeLines = std::uint64_t(1) << 20;
+
+/**
+ * Most node or edge lines the file at @p path can hold: its size over
+ * the shortest line, times the codecs' worst-case expansion when
+ * compressed. Bounds the header's counts, so a header that claims more
+ * nodes or edges than the file has cannot size an allocation.
+ */
+std::uint64_t
+inputLineBound(const std::string &path)
+{
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (ec)
+        return kUnknownSizeLines;
+    if (mbp::compress::detectCodec(path) == mbp::compress::Codec::kRaw)
+        return bytes / kMinLineBytes;
+    const std::uint64_t limit =
+        std::numeric_limits<std::uint64_t>::max() / kMaxCodecExpansion;
+    return std::min<std::uint64_t>(bytes, limit) * kMaxCodecExpansion /
+           kMinLineBytes;
 }
 
 /** In-place tokenizer: splits on single spaces. */
@@ -177,7 +211,7 @@ BttReader::BttReader(const std::string &path)
     }
     bool ok = false;
     try {
-        ok = parseHeader();
+        ok = parseHeader(inputLineBound(path));
     } catch (const std::exception &) {
         // std::stoull throws on malformed numbers; surface it as a parse
         // error like any other corruption.
@@ -188,7 +222,7 @@ BttReader::BttReader(const std::string &path)
 }
 
 bool
-BttReader::parseHeader()
+BttReader::parseHeader(std::uint64_t max_lines)
 {
     if (!input_->getLine(line_) || line_ != "BTT v1")
         return false;
@@ -205,6 +239,12 @@ BttReader::parseHeader()
         !read_kv("node_count", node_count) ||
         !read_kv("edge_count", edge_count))
         return false;
+    if (node_count > max_lines || edge_count > max_lines) {
+        error_ = "BTT header claims " + std::to_string(node_count) +
+                 " nodes and " + std::to_string(edge_count) +
+                 " edges, more than the input can hold";
+        return false;
+    }
 
     // Graph parsing in the style of the real BT9 reader: one
     // istringstream per line, std::stoull for numbers, strings by value.

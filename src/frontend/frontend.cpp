@@ -2,10 +2,11 @@
  * @file
  * FrontEnd composition, spec parsing and the frontend simulators.
  *
- * The simulate()/simulateMany() entry points reuse the mbp::detail
- * accounting helpers (instruction windows, metadata/throughput layout,
- * arena resolution) so the frontend documents cannot drift from the
- * conditional simulators' conventions.
+ * The simulate()/simulateMany() entry points read the same column blocks
+ * as the conditional simulators (detail::BlockSource) and reuse their
+ * accounting helpers (instruction windows, metadata/throughput layout),
+ * so the frontend documents cannot drift from the conditional
+ * simulators' conventions.
  */
 #include "mbp/frontend/frontend.hpp"
 
@@ -14,7 +15,6 @@
 #include <utility>
 
 #include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/sbbt/reader.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 
 namespace mbp::frontend
@@ -393,117 +393,11 @@ FrontEnd::storageBits() const
 namespace
 {
 
-/** Loop-level direction accounting (the metrics section's counters). */
-struct DirectionCounts
-{
-    std::uint64_t mispredictions = 0;
-};
-
 /**
- * The frontend hot loop over any trace source. Every branch steps every
- * front end; the hook fires per conditional branch per front end with
- * its roster index, mirroring simulateMany().
+ * The one- and N-front-end simulator. Every branch steps every front
+ * end; the hook fires per conditional branch per front end with its
+ * roster index, after that front end's step, mirroring simulateMany().
  */
-template <TraceSource Source>
-detail::RunWindow
-runFrontEndLoop(const std::vector<FrontEnd *> &front_ends,
-                const SimArgs &args, Source &reader,
-                detail::SiteAccounting &acc,
-                std::vector<DirectionCounts> &direction)
-{
-    const std::uint64_t limit = detail::instrLimit(args);
-    const bool hook = static_cast<bool>(args.prediction_hook);
-    const std::size_t n = front_ends.size();
-    detail::RunWindow window;
-    sbbt::PacketData packet;
-    while (reader.next(packet)) {
-        const Branch &b = packet.branch;
-        window.last_instr = reader.instrNumber();
-        if (window.last_instr > limit)
-            break;
-        const bool measured = window.last_instr > args.warmup_instr;
-        acc.noteBranchSite(b.ip());
-        ++acc.dynamic_branches;
-        if (b.isConditional() && measured)
-            ++acc.dynamic_cond;
-        for (std::size_t k = 0; k < n; ++k) {
-            StepResult r = front_ends[k]->step(b, measured);
-            if (b.isConditional()) {
-                if (hook)
-                    args.prediction_hook(b, r.taken_predicted,
-                                         window.last_instr, measured, k);
-                if (measured && r.taken_predicted != b.isTaken())
-                    ++direction[k].mispredictions;
-            }
-        }
-    }
-    return window;
-}
-
-/** Shared core of the one- and N-front-end documents. */
-template <TraceSource Source>
-json_t
-frontEndCore(const char *kName, const std::vector<FrontEnd *> &front_ends,
-             const SimArgs &args, Source &reader, double load_seconds)
-{
-    for (FrontEnd *fe : front_ends)
-        fe->setTrackOnlyConditional(args.track_only_conditional);
-    detail::SiteAccounting acc;
-    std::vector<DirectionCounts> direction(front_ends.size());
-
-    auto start_time = std::chrono::steady_clock::now();
-    detail::RunWindow window =
-        runFrontEndLoop(front_ends, args, reader, acc, direction);
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    if (!reader.error().empty())
-        return detail::errorResult(kName, args, reader.error());
-
-    const bool exhausted = reader.exhausted();
-    const std::uint64_t simulation_instr = detail::measuredInstr(
-        args, reader.header().instruction_count, exhausted,
-        window.last_instr, detail::instrLimit(args));
-
-    const bool many = front_ends.size() > 1;
-    const auto key = [&](const char *stem, std::size_t k) {
-        std::string name(stem);
-        if (many) {
-            name += '_';
-            name += std::to_string(k);
-        }
-        return name;
-    };
-    json_t result = json_t::object();
-    result["metadata"] =
-        detail::makeMetadata(kName, args, simulation_instr, exhausted,
-                             acc.dynamic_cond, acc.static_branches);
-    json_t metrics = json_t::object();
-    for (std::size_t k = 0; k < front_ends.size(); ++k) {
-        FrontEnd &fe = *front_ends[k];
-        json_t md = fe.metadata_stats();
-        md["storage_bits"] = fe.storageBits();
-        result["metadata"][key("predictor", k)] = std::move(md);
-        metrics[key("mpki", k)] = detail::mpkiOf(
-            direction[k].mispredictions, simulation_instr);
-        metrics[key("mispredictions", k)] = direction[k].mispredictions;
-        metrics[key("accuracy", k)] = detail::accuracyOf(
-            direction[k].mispredictions, acc.dynamic_cond);
-    }
-    detail::Throughput tp{seconds, reader.decompressedBytes(),
-                          reader.prefetchStallSeconds(), load_seconds};
-    detail::addThroughputMetrics(metrics, acc.dynamic_branches, tp);
-    result["metrics"] = std::move(metrics);
-    for (std::size_t k = 0; k < front_ends.size(); ++k) {
-        result[key("predictor_statistics", k)] =
-            front_ends[k]->conditional().execution_stats();
-        result[key("frontend", k)] =
-            front_ends[k]->reportJson(simulation_instr);
-    }
-    return result;
-}
-
 json_t
 runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
          const SimArgs &args)
@@ -515,18 +409,86 @@ runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
         if (fe == nullptr)
             return detail::errorResult(kName, args, "null front end");
     }
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        sbbt::MemTraceCursor cursor(std::move(arena.trace));
-        return frontEndCore(kName, front_ends, args, cursor,
-                            arena.load_seconds);
+    detail::BlockSource source;
+    std::string error;
+    if (!source.open(args, error))
+        return detail::errorResult(kName, args, error);
+    for (FrontEnd *fe : front_ends)
+        fe->setTrackOnlyConditional(args.track_only_conditional);
+
+    const std::size_t n = front_ends.size();
+    const bool hook = static_cast<bool>(args.prediction_hook);
+    detail::RunTotals run(args);
+    std::uint64_t dynamic_cond = 0;
+    std::vector<std::uint64_t> mispredictions(n, 0);
+
+    auto start_time = std::chrono::steady_clock::now();
+    sbbt::BranchColumns block;
+    while (!run.stopped && source.next(block, kKernelBlockBranches)) {
+        const auto [mid, stop] = run.split(block);
+        for (std::size_t i = 0; i < stop; ++i) {
+            const std::uint8_t m = block.meta[i];
+            const Branch b{block.ip[i], block.target[i], OpCode(m & 0x0f),
+                           (m & 0x10) != 0};
+            const bool measured = i >= mid;
+            if (b.isConditional() && measured)
+                ++dynamic_cond;
+            for (std::size_t k = 0; k < n; ++k) {
+                StepResult r = front_ends[k]->step(b, measured);
+                if (b.isConditional()) {
+                    if (hook)
+                        args.prediction_hook(b, r.taken_predicted,
+                                             block.instr[i], measured, k);
+                    if (measured && r.taken_predicted != b.isTaken())
+                        ++mispredictions[k];
+                }
+            }
+        }
     }
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return frontEndCore(kName, front_ends, args, reader, 0.0);
+    auto end_time = std::chrono::steady_clock::now();
+    double seconds =
+        std::chrono::duration<double>(end_time - start_time).count();
+
+    if (!source.error().empty())
+        return detail::errorResult(kName, args, source.error());
+
+    const std::uint64_t simulation_instr =
+        run.simulationInstr(args, source.header());
+    const bool many = n > 1;
+    const auto key = [&](const char *stem, std::size_t k) {
+        std::string name(stem);
+        if (many) {
+            name += '_';
+            name += std::to_string(k);
+        }
+        return name;
+    };
+    json_t result = json_t::object();
+    result["metadata"] =
+        detail::makeMetadata(kName, args, simulation_instr, run.exhausted(),
+                             dynamic_cond, run.static_branches);
+    json_t metrics = json_t::object();
+    for (std::size_t k = 0; k < n; ++k) {
+        FrontEnd &fe = *front_ends[k];
+        json_t md = fe.metadata_stats();
+        md["storage_bits"] = fe.storageBits();
+        result["metadata"][key("predictor", k)] = std::move(md);
+        metrics[key("mpki", k)] =
+            detail::mpkiOf(mispredictions[k], simulation_instr);
+        metrics[key("mispredictions", k)] = mispredictions[k];
+        metrics[key("accuracy", k)] =
+            detail::accuracyOf(mispredictions[k], dynamic_cond);
+    }
+    detail::addThroughputMetrics(metrics, run.dynamic_branches,
+                                 source.throughput(seconds));
+    result["metrics"] = std::move(metrics);
+    for (std::size_t k = 0; k < n; ++k) {
+        result[key("predictor_statistics", k)] =
+            front_ends[k]->conditional().execution_stats();
+        result[key("frontend", k)] =
+            front_ends[k]->reportJson(simulation_instr);
+    }
+    return result;
 }
 
 } // namespace

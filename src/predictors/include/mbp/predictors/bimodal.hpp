@@ -8,6 +8,9 @@
 #define MBP_PREDICTORS_BIMODAL_HPP
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/hash.hpp"
@@ -86,13 +89,16 @@ struct Bimodal : Predictor
 
     /**
      * Counter line a lookup for @p ip will touch — the bimodal index
-     * depends only on the address, so the fused-kernel prefetch
-     * (mbp::KernelPrefetchable) is exact.
+     * depends only on the address, so the block driver's prefetch
+     * (mbp::KernelMultiPrefetch) is exact.
      */
-    const void *
-    prefetchHint(std::uint64_t ip) const
+    std::size_t
+    prefetchHints(std::uint64_t ip, std::span<const void *> out) const
     {
-        return &table[hash(ip)];
+        if (out.empty())
+            return 0;
+        out[0] = &table[hash(ip)];
+        return 1;
     }
 
     std::uint64_t

@@ -9,6 +9,9 @@
 
 #include <array>
 #include <bitset>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/hash.hpp"
@@ -109,13 +112,16 @@ struct Gshare : Predictor
      * Likely counter line of a future lookup for @p ip, hashed with the
      * *current* history — approximate on purpose (the history will have
      * shifted by lookup time), which is fine for a prefetch hint
-     * (mbp::KernelPrefetchable): nearby history values land on nearby
+     * (mbp::KernelMultiPrefetch): nearby history values land on nearby
      * table lines often enough to hide the counter-array miss.
      */
-    const void *
-    prefetchHint(std::uint64_t ip) const
+    std::size_t
+    prefetchHints(std::uint64_t ip, std::span<const void *> out) const
     {
-        return &table[hash(ip)];
+        if (out.empty())
+            return 0;
+        out[0] = &table[hash(ip)];
+        return 1;
     }
 
     std::uint64_t

@@ -1,6 +1,7 @@
 /**
  * @file
- * Decode-once in-memory trace arena.
+ * Decoded traces as struct-of-arrays columns: the decode-once in-memory
+ * arena, and the streaming window that decodes a trace block by block.
  *
  * For cheap predictors (Bimodal/GShare class) the simulator's running
  * time is dominated by trace decode — decompression plus packet decode —
@@ -8,17 +9,17 @@
  * once: one streaming pass decodes the whole trace into a compact
  * struct-of-arrays arena that is immutable afterwards and can be shared
  * across any number of predictors and threads via
- * `std::shared_ptr<const MemTrace>`. A MemTraceCursor then replays the
- * arena through the same `next(PacketData&)` / `instrNumber()` surface as
- * SbbtReader, so the simulator core runs unchanged over either source.
+ * `std::shared_ptr<const MemTrace>`. A TraceWindow decodes the same
+ * columns into one reused block instead, for runs that stream. Both go
+ * through one decode loop (SiteDecoder), and both hand the simulation
+ * kernels (mbp/sim/kernels.hpp) the same thing: BranchColumns blocks.
  *
  * @code
  *   std::string error;
  *   auto trace = sbbt::MemTrace::load("trace.sbbt.flz", {}, &error);
  *   if (!trace) fail(error);
- *   sbbt::MemTraceCursor cursor(trace);   // one per concurrent consumer
- *   sbbt::PacketData p;
- *   while (cursor.next(p)) { ... cursor.instrNumber() ... }
+ *   sbbt::BranchColumns all = trace->columns(0, trace->size());
+ *   for (std::size_t i = 0; i < all.size; ++i) { ... all.ip[i] ... }
  * @endcode
  */
 #ifndef MBP_SBBT_MEM_TRACE_HPP
@@ -26,33 +27,117 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/reader.hpp"
+#include "mbp/utils/flat_hash_map.hpp"
 
 namespace mbp::sbbt
 {
+
+/**
+ * Consecutive decoded branches as struct-of-arrays columns: the unit the
+ * simulation kernels step. Row i of every column describes the same
+ * branch; `size` rows are valid.
+ */
+struct BranchColumns
+{
+    const std::uint64_t *ip = nullptr;
+    const std::uint64_t *target = nullptr;
+    const std::uint64_t *instr = nullptr; //!< 1-based, cumulative
+    const std::uint8_t *meta = nullptr;   //!< bits 0-3 opcode, bit 4 taken
+    const std::uint32_t *site = nullptr;  //!< dense first-seen site ids
+    /** Bit i set: row i is the first execution of its site. */
+    const std::uint64_t *first_seen = nullptr;
+    std::size_t size = 0;
+};
+
+/**
+ * @return How many of the first @p count bits of the bitmap @p bits are
+ *         set: the sites first seen among that many rows.
+ */
+std::uint64_t countFirstSeen(const std::uint64_t *bits, std::size_t count);
+
+/**
+ * The packet-to-column decode loop shared by MemTrace::load and
+ * TraceWindow. It numbers branch sites densely in first-seen order and
+ * counts each site's conditional executions. The site table and the
+ * instruction count persist across decode() calls, so a trace decoded
+ * in pieces gets the same site ids, first-seen bits and totals as one
+ * decoded whole.
+ */
+class SiteDecoder
+{
+  public:
+    /** Writable columns, laid out like BranchColumns. */
+    struct Rows
+    {
+        std::uint64_t *ip;
+        std::uint64_t *target;
+        std::uint64_t *instr;
+        std::uint8_t *meta;
+        std::uint32_t *site;
+        std::uint64_t *first_seen;
+    };
+
+    /**
+     * Decodes @p packets into rows [at, at + packets.size()) of @p rows.
+     * Each 64-row word of the first-seen bitmap is cleared when its first
+     * row is written.
+     *
+     * @return False, with @p error set, when the trace needs 2^32-1 or
+     *         more distinct sites (the site ids are 32-bit).
+     */
+    bool decode(std::span<const PacketData> packets, const Rows &rows,
+                std::size_t at, std::string *error);
+
+    /** @return Distinct sites seen so far. */
+    std::uint32_t
+    numSites() const
+    {
+        return static_cast<std::uint32_t>(site_ips_.size());
+    }
+
+    /** Site id -> address, for every site seen so far. */
+    const std::vector<std::uint64_t> &siteIps() const { return site_ips_; }
+
+    /** Site id -> conditional executions decoded so far. */
+    const std::vector<std::uint64_t> &
+    siteCondOccurrences() const
+    {
+        return site_cond_occ_;
+    }
+
+  private:
+    friend class MemTrace; // moves the site tables into the arena
+
+    util::FlatHashMap<std::uint32_t> site_of_; // ip -> site id + 1
+    std::vector<std::uint64_t> site_ips_;
+    std::vector<std::uint64_t> site_cond_occ_;
+    std::uint64_t instr_ = 0;
+};
 
 /**
  * An immutable, fully decoded SBBT trace resident in memory.
  *
  * Layout is struct-of-arrays: branch IPs, targets, a packed
  * opcode+outcome byte and the 1-based cumulative instruction number of
- * every branch. Instruction gaps are not stored — a cursor recovers them
- * from consecutive instruction numbers — so the arena costs
+ * every branch. Instruction gaps are not stored — they are the
+ * differences of consecutive instruction numbers — so the arena costs
  * kBytesPerBranch per branch regardless of the on-disk codec.
  *
  * The columns are exposed as raw pointers and owned in one of two ways:
  * load() decodes the trace into heap vectors, while mapFile() borrows
  * them zero-copy from a read-only mmap of an SBBT-A sidecar
- * (mbp/sbbt/arena_file.hpp) — same accessors, same cursors, same fused
- * kernels over either backing.
+ * (mbp/sbbt/arena_file.hpp) — same accessors, same kernels over either
+ * backing.
  *
  * Thread safety: a loaded MemTrace is never mutated, so any number of
- * threads may iterate it concurrently, each through its own cursor.
+ * threads may read it concurrently.
  */
 class MemTrace
 {
@@ -182,16 +267,9 @@ class MemTrace
     /**
      * Dense index of branch @p i 's site, assigned in first-seen order
      * (0 .. numSites()-1). Lets per-site accounting use a plain array
-     * where a streaming consumer needs a hash map.
+     * instead of a hash map.
      */
     std::uint32_t siteIndex(std::size_t i) const { return site_index_p_[i]; }
-
-    /**
-     * @return Distinct branch sites among the first @p count branches —
-     * the `num_branch_instructions` a simulation stopping after
-     * @p count branches observes. O(count/64) via a first-seen bitmap.
-     */
-    std::uint64_t staticSitesInPrefix(std::size_t count) const;
 
     /** @return Instruction address of site @p s (s < numSites()). */
     std::uint64_t siteIp(std::uint32_t s) const { return site_ips_p_[s]; }
@@ -208,9 +286,14 @@ class MemTrace
         return site_cond_occ_p_[s];
     }
 
-    // Raw column pointers for the fused block kernels
-    // (mbp/sim/kernels.hpp), which bulk-read the struct-of-arrays
-    // columns instead of materializing per-branch packets.
+    /**
+     * Rows [begin, begin + count) as columns, clamped to size(). The
+     * first-seen bitmap of a slice is addressed by whole 64-bit words,
+     * so @p begin must be a multiple of 64.
+     */
+    BranchColumns columns(std::size_t begin, std::size_t count) const;
+
+    // Raw column pointers, for readers that walk the columns whole.
     const std::uint64_t *ipData() const { return ips_p_; }
     const std::uint64_t *targetData() const { return targets_p_; }
     const std::uint64_t *instrNumData() const { return instr_nums_p_; }
@@ -223,8 +306,6 @@ class MemTrace
     }
 
   private:
-    friend class MemTraceCursor;
-
     /** std::allocator that default-initializes, so resizing a column
      *  leaves the new slots unwritten for the decode to fill, instead of
      *  zeroing them first. */
@@ -271,8 +352,8 @@ class MemTrace
 
     Header header_;
 
-    // Column views — the only pointers the accessors, cursors and fused
-    // kernels read. They alias either the owned vectors below (load())
+    // Column views — the only pointers the accessors and columns()
+    // read. They alias either the owned vectors below (load())
     // or an ArenaMapping (mapFile()).
     const std::uint64_t *ips_p_ = nullptr;
     const std::uint64_t *targets_p_ = nullptr;
@@ -304,84 +385,52 @@ class MemTrace
 };
 
 /**
- * Replays a shared MemTrace with the SbbtReader consumption surface
- * (next/instrNumber/branchesRead/exhausted/...), so simulator code
- * templated over a trace source runs identically on both.
- *
- * Each concurrent consumer needs its own cursor; cursors share the arena.
+ * Streams a trace as a sequence of decoded column blocks in one reused
+ * window, for runs that do not decode the whole trace up front. Every
+ * block goes through the SiteDecoder that MemTrace::load uses, so site
+ * ids, first-seen bits and per-site conditional totals match the arena
+ * of the same trace. Errors follow SbbtReader: every branch before the
+ * error is handed out first.
  */
-class MemTraceCursor
+class TraceWindow
 {
   public:
-    explicit MemTraceCursor(std::shared_ptr<const MemTrace> trace)
-        : trace_(std::move(trace))
-    {
-        if (trace_ == nullptr) {
-            error_ = "null in-memory trace";
-            done_ = true;
-        } else {
-            size_ = trace_->size();
-        }
-    }
-
-    /** @return Whether the cursor has a trace to read. */
-    bool ok() const { return error_.empty(); }
-
-    /** @return "" — a loaded arena has no deferred errors. */
-    const std::string &error() const { return error_; }
-
-    /** @return The trace header. */
-    const Header &header() const { return trace_->header_; }
-
-    /** Advances to the next branch; false at end of arena. */
-    bool
-    next(PacketData &out)
-    {
-        if (pos_ == size_) {
-            done_ = true;
-            return false;
-        }
-        const MemTrace &t = *trace_;
-        out.branch = Branch{t.ips_p_[pos_], t.targets_p_[pos_],
-                            OpCode(t.meta_p_[pos_] & 0xf),
-                            (t.meta_p_[pos_] & 0x10) != 0};
-        const std::uint64_t n = t.instr_nums_p_[pos_];
-        out.instr_gap = static_cast<std::uint32_t>(n - instr_number_ - 1);
-        instr_number_ = n;
-        ++pos_;
-        return true;
-    }
-
-    /** @return 1-based instruction number of the most recent branch. */
-    std::uint64_t instrNumber() const { return instr_number_; }
-
-    /** @return Branches delivered so far. */
-    std::uint64_t branchesRead() const { return pos_; }
+    /** Opens @p path; check reader().ok() afterwards. */
+    TraceWindow(const std::string &path, const ReaderOptions &options,
+                std::size_t capacity);
 
     /**
-     * @return Whether the whole trace was consumed, mirroring
-     *         SbbtReader::exhausted(): true only after next() has
-     *         returned false at the end of the arena.
+     * Decodes the next block of up to capacity branches. Filling stops
+     * after the first branch whose instruction number exceeds @p limit,
+     * so a run that ends there reads no further into the trace.
+     *
+     * @return The block, valid until the next call; empty at end of
+     *         trace or on error (check error()).
      */
-    bool exhausted() const { return done_ && error_.empty(); }
+    BranchColumns next(std::uint64_t limit);
 
-    /** @return Decompressed SBBT bytes of the one decode pass. */
-    std::uint64_t
-    decompressedBytes() const
+    /** @return The first error: the reader's, or a site-id overflow. */
+    const std::string &
+    error() const
     {
-        return trace_ ? trace_->decompressed_bytes_ : 0;
+        return error_.empty() ? reader_.error() : error_;
     }
 
-    /** @return 0 — the arena never stalls on a prefetch thread. */
-    double prefetchStallSeconds() const { return 0.0; }
+    /** @return The underlying reader (header, byte and stall counters). */
+    const SbbtReader &reader() const { return reader_; }
+
+    /** @return The site table of every branch decoded so far. */
+    const SiteDecoder &sites() const { return sites_; }
 
   private:
-    std::shared_ptr<const MemTrace> trace_;
+    SbbtReader reader_;
+    SiteDecoder sites_;
+    std::span<const PacketData> pending_; // decoded, not yet windowed
     std::string error_;
-    std::size_t size_ = 0;
-    std::size_t pos_ = 0;
-    std::uint64_t instr_number_ = 0;
-    bool done_ = false;
+    std::size_t capacity_;
+    std::vector<std::uint64_t> ips_, targets_, instr_nums_, first_seen_;
+    std::vector<std::uint8_t> meta_;
+    std::vector<std::uint32_t> site_index_;
 };
 
 } // namespace mbp::sbbt

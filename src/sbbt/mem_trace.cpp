@@ -51,6 +51,77 @@ inputRowBound(const std::string &path)
 
 } // namespace
 
+std::uint64_t
+countFirstSeen(const std::uint64_t *bits, std::size_t count)
+{
+    std::uint64_t sites = 0;
+    const std::size_t full_words = count / 64;
+    for (std::size_t w = 0; w < full_words; ++w)
+        sites += static_cast<std::uint64_t>(std::popcount(bits[w]));
+    const std::size_t rem = count % 64;
+    if (rem != 0) {
+        const std::uint64_t mask = (std::uint64_t{1} << rem) - 1;
+        sites += static_cast<std::uint64_t>(
+            std::popcount(bits[full_words] & mask));
+    }
+    return sites;
+}
+
+bool
+SiteDecoder::decode(std::span<const PacketData> packets, const Rows &rows,
+                    std::size_t at, std::string *error)
+{
+    constexpr std::size_t kMaxSites =
+        std::numeric_limits<std::uint32_t>::max();
+    // Locals, not reads through @p rows: a call the compiler cannot see
+    // through (the site map's rehash) would otherwise force a reload of
+    // every column pointer per branch.
+    std::uint64_t *const ips = rows.ip;
+    std::uint64_t *const targets = rows.target;
+    std::uint64_t *const instr_nums = rows.instr;
+    std::uint8_t *const meta = rows.meta;
+    std::uint32_t *const site_index = rows.site;
+    std::uint64_t *const first_seen = rows.first_seen;
+    std::uint64_t instr = instr_;
+    std::size_t n = at;
+    for (const PacketData &p : packets) {
+        const Branch &b = p.branch;
+        ips[n] = b.ip();
+        targets[n] = b.target();
+        instr += p.instr_gap + 1;
+        instr_nums[n] = instr;
+        meta[n] = static_cast<std::uint8_t>(b.opcode().bits() |
+                                            (b.isTaken() ? 0x10 : 0));
+        if ((n & 63) == 0)
+            first_seen[n / 64] = 0;
+        // The map stores id + 1, so its default-constructed 0 means "not
+        // seen yet".
+        std::uint32_t &slot = site_of_[b.ip()];
+        if (slot == 0) {
+            if (site_ips_.size() == kMaxSites) {
+                if (error != nullptr)
+                    *error = "trace has 2^32-1 or more distinct branch "
+                             "sites; site index would overflow";
+                return false;
+            }
+            site_ips_.push_back(b.ip());
+            site_cond_occ_.push_back(0);
+            slot = static_cast<std::uint32_t>(site_ips_.size());
+            first_seen[n / 64] |= std::uint64_t{1} << (n & 63);
+        }
+        site_index[n] = slot - 1;
+        // Predictor-independent accounting, paid once at decode: the
+        // per-site conditional-execution totals every whole-trace
+        // collect_most_failed run needs (the kernels then only count
+        // mispredictions in their hot loop).
+        if (b.isConditional())
+            ++site_cond_occ_[slot - 1];
+        ++n;
+    }
+    instr_ = instr;
+    return true;
+}
+
 std::shared_ptr<const MemTrace>
 MemTrace::load(const std::string &path, const ReaderOptions &options,
                std::string *error)
@@ -71,63 +142,24 @@ MemTrace::load(const std::string &path, const ReaderOptions &options,
     trace->header_ = reader.header();
     std::size_t capacity = 0;
     std::size_t n = 0;
+    SiteDecoder sites;
     try {
         capacity = static_cast<std::size_t>(std::min(
             trace->header_.branch_count, inputRowBound(path)));
         trace->resizeColumns(capacity);
-
-        // Site ids are assigned in first-seen order; the map stores id+1
-        // so FlatHashMap's default-constructed 0 means "not seen yet".
-        util::FlatHashMap<std::uint32_t> site_of;
-        constexpr std::uint32_t kMaxSites =
-            std::numeric_limits<std::uint32_t>::max();
-        std::uint64_t instr = 0;
         for (std::span<const PacketData> block = reader.nextBlock();
              !block.empty(); block = reader.nextBlock()) {
             if (n + block.size() > capacity) {
                 capacity = std::max(n + block.size(), capacity * 2);
                 trace->resizeColumns(capacity);
             }
-            std::uint64_t *const ips = trace->ips_.data();
-            std::uint64_t *const targets = trace->targets_.data();
-            std::uint64_t *const instr_nums = trace->instr_nums_.data();
-            std::uint8_t *const meta = trace->meta_.data();
-            std::uint32_t *const site_index = trace->site_index_.data();
-            std::uint64_t *const first_seen = trace->first_seen_.data();
-            for (const PacketData &p : block) {
-                const Branch &b = p.branch;
-                ips[n] = b.ip();
-                targets[n] = b.target();
-                instr += p.instr_gap + 1;
-                instr_nums[n] = instr;
-                meta[n] = static_cast<std::uint8_t>(
-                    b.opcode().bits() | (b.isTaken() ? 0x10 : 0));
-                if ((n & 63) == 0)
-                    first_seen[n / 64] = 0;
-                std::uint32_t &slot = site_of[b.ip()];
-                if (slot == 0) {
-                    if (trace->num_sites_ == kMaxSites) {
-                        if (error != nullptr)
-                            *error = "trace has 2^32-1 or more distinct "
-                                     "branch sites; site index would "
-                                     "overflow";
-                        return nullptr;
-                    }
-                    slot = ++trace->num_sites_;
-                    first_seen[n / 64] |= std::uint64_t{1} << (n & 63);
-                    trace->site_ips_.push_back(b.ip());
-                    trace->site_cond_occ_.push_back(0);
-                }
-                site_index[n] = slot - 1;
-                // Predictor-independent accounting, paid once at decode:
-                // the per-site conditional-execution totals every
-                // full-trace collect_most_failed run needs (the fused
-                // kernels then only count mispredictions in their hot
-                // loop).
-                if (b.isConditional())
-                    ++trace->site_cond_occ_[slot - 1];
-                ++n;
-            }
+            const SiteDecoder::Rows rows{
+                trace->ips_.data(),        trace->targets_.data(),
+                trace->instr_nums_.data(), trace->meta_.data(),
+                trace->site_index_.data(), trace->first_seen_.data()};
+            if (!sites.decode(block, rows, n, error))
+                return nullptr;
+            n += block.size();
         }
         if (reader.error().empty() && n != capacity) {
             trace->resizeColumns(n);
@@ -151,6 +183,9 @@ MemTrace::load(const std::string &path, const ReaderOptions &options,
             *error = reader.error();
         return nullptr;
     }
+    trace->num_sites_ = sites.numSites();
+    trace->site_ips_ = std::move(sites.site_ips_);
+    trace->site_cond_occ_ = std::move(sites.site_cond_occ_);
     trace->adoptOwnedColumns();
     trace->decompressed_bytes_ = reader.decompressedBytes();
     trace->load_seconds_ =
@@ -185,22 +220,15 @@ MemTrace::adoptOwnedColumns()
     size_ = ips_.size();
 }
 
-std::uint64_t
-MemTrace::staticSitesInPrefix(std::size_t count) const
+BranchColumns
+MemTrace::columns(std::size_t begin, std::size_t count) const
 {
-    count = std::min(count, size_);
-    std::uint64_t sites = 0;
-    const std::size_t full_words = count / 64;
-    for (std::size_t w = 0; w < full_words; ++w)
-        sites +=
-            static_cast<std::uint64_t>(std::popcount(first_seen_p_[w]));
-    const std::size_t rem = count % 64;
-    if (rem != 0) {
-        const std::uint64_t mask = (std::uint64_t{1} << rem) - 1;
-        sites += static_cast<std::uint64_t>(
-            std::popcount(first_seen_p_[full_words] & mask));
-    }
-    return sites;
+    begin = std::min(begin, size_);
+    count = std::min(count, size_ - begin);
+    return BranchColumns{ips_p_ + begin,         targets_p_ + begin,
+                         instr_nums_p_ + begin,  meta_p_ + begin,
+                         site_index_p_ + begin,  first_seen_p_ + begin / 64,
+                         count};
 }
 
 std::uint64_t
@@ -231,6 +259,42 @@ MemTrace::memoryBytes() const
            first_seen_.capacity() * sizeof(std::uint64_t) +
            site_ips_.capacity() * sizeof(std::uint64_t) +
            site_cond_occ_.capacity() * sizeof(std::uint64_t);
+}
+
+TraceWindow::TraceWindow(const std::string &path,
+                         const ReaderOptions &options, std::size_t capacity)
+    : reader_(path, options), capacity_(std::max<std::size_t>(capacity, 1)),
+      ips_(capacity_), targets_(capacity_), instr_nums_(capacity_),
+      first_seen_((capacity_ + 63) / 64), meta_(capacity_),
+      site_index_(capacity_)
+{
+}
+
+BranchColumns
+TraceWindow::next(std::uint64_t limit)
+{
+    const SiteDecoder::Rows rows{ips_.data(),        targets_.data(),
+                                 instr_nums_.data(), meta_.data(),
+                                 site_index_.data(), first_seen_.data()};
+    std::size_t n = 0;
+    while (n < capacity_ && error_.empty()) {
+        if (pending_.empty()) {
+            pending_ = reader_.nextBlock();
+            if (pending_.empty())
+                break;
+        }
+        const std::size_t take = std::min(pending_.size(), capacity_ - n);
+        if (!sites_.decode(pending_.first(take), rows, n, &error_))
+            return {};
+        pending_ = pending_.subspan(take);
+        n += take;
+        if (instr_nums_[n - 1] > limit)
+            break;
+    }
+    return BranchColumns{ips_.data(),        targets_.data(),
+                         instr_nums_.data(), meta_.data(),
+                         site_index_.data(), first_seen_.data(),
+                         n};
 }
 
 } // namespace mbp::sbbt

@@ -2,15 +2,14 @@
  * @file
  * Compile-time contracts for the simulator's template surface.
  *
- * The hot loops (simulateCore/simulateManyCore) and the sweep's
- * predictor factories are templates so that the streaming reader, the
- * in-memory arena cursor and (future) devirtualized predictor kernels
- * share one implementation. Duck typing made interface drift fail with
- * pages of template errors deep inside the instantiation; these concepts
- * turn a wrong trace-source or predictor shape into a one-line
- * diagnostic at the call site, and the conformance static_asserts
- * (tests/contracts_test.cpp) pin every roster predictor and both cursor
- * types to the contracts.
+ * The kernels (mbp/sim/kernels.hpp) and the sweep's predictor factories
+ * are templates over the predictor type, so that concrete predictors
+ * and the virtual Predictor base share one implementation. Duck typing
+ * made interface drift fail with pages of template errors deep inside
+ * the instantiation; these concepts turn a wrong predictor shape into a
+ * one-line diagnostic at the call site, and the conformance
+ * static_asserts (tests/contracts_test.cpp) pin every roster predictor
+ * to the contracts.
  */
 #ifndef MBP_SIM_CONCEPTS_HPP
 #define MBP_SIM_CONCEPTS_HPP
@@ -23,39 +22,17 @@
 
 #include "mbp/json/json.hpp"
 #include "mbp/sbbt/branch.hpp"
-#include "mbp/sbbt/format.hpp"
-#include "mbp/sbbt/reader.hpp"
 #include "mbp/sim/predictor.hpp"
 
 namespace mbp
 {
 
 /**
- * The trace-consumption surface shared by sbbt::SbbtReader and
- * sbbt::MemTraceCursor — exactly what simulateCore/simulateManyCore
- * call. next() advances to the next branch packet; instrNumber() is the
- * 1-based instruction number of the branch just delivered; header(),
- * error(), exhausted() and the throughput accessors feed the report.
- */
-template <typename S>
-concept TraceSource = requires(S source, const S const_source,
-                               sbbt::PacketData &packet) {
-    { source.next(packet) } -> std::same_as<bool>;
-    { const_source.instrNumber() } -> std::same_as<std::uint64_t>;
-    { const_source.branchesRead() } -> std::same_as<std::uint64_t>;
-    { const_source.header() } -> std::same_as<const sbbt::Header &>;
-    { const_source.error() } -> std::same_as<const std::string &>;
-    { const_source.exhausted() } -> std::same_as<bool>;
-    { const_source.decompressedBytes() } -> std::same_as<std::uint64_t>;
-    { const_source.prefetchStallSeconds() } -> std::same_as<double>;
-};
-
-/**
  * The behavioural surface of a branch predictor, independent of the
  * Predictor base class: predict/train/track plus the reporting quartet.
  * Satisfied by every roster predictor through its virtual overrides, but
- * deliberately duck-typed so that devirtualized kernels (ROADMAP item 1)
- * can accept concrete predictor types with no vtable at all.
+ * deliberately duck-typed so that the kernels can accept concrete
+ * predictor types with no vtable at all.
  */
 template <typename P>
 concept PredictorLike = requires(P predictor, const P const_predictor,
@@ -82,8 +59,8 @@ concept RosterPredictor = PredictorLike<P> &&
                           !std::is_abstract_v<P>;
 
 /**
- * A sweep/suite predictor factory: a callable producing fresh
- * heap-allocated predictors, one per campaign cell or suite trace.
+ * A sweep predictor factory: a callable producing fresh heap-allocated
+ * predictors, one per campaign cell.
  */
 template <typename F>
 concept PredictorFactory = requires(F factory) {

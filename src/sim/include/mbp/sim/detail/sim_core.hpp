@@ -1,20 +1,16 @@
 /**
  * @file
- * Shared internals of the simulator family: accounting structures, the
- * report builders, and the per-branch hot loops.
+ * Shared internals of the simulator family: where a run's branches come
+ * from (BlockSource), the run-level warmup/limit bookkeeping
+ * (RunTotals), and the report builders.
  *
- * Every simulator flavor — simulate()/compare()/simulateMany() over the
- * streaming reader or the arena cursor, and the fused block kernels of
- * mbp/sim/kernels.hpp — funnels through the helpers in this header, so
- * the output documents and the warmup/limit accounting cannot drift
- * apart between paths. The hot loops are templated on:
- *
- *  - the trace source (mbp::TraceSource),
- *  - the predictor type (the virtual mbp::Predictor base *or* a concrete
- *    PredictorLike type, which devirtualizes predict/train/track), and
- *  - two compile-time booleans, kHook and kCollect, so the
- *    hook-invocation and per-branch-statistics code is absent — not
- *    branched over — in the configurations that do not use it.
+ * Every simulator flavor — simulate()/compare()/simulateMany(), their
+ * fused counterparts in mbp/sim/kernels.hpp, and frontend::simulate() —
+ * reads its trace as a sequence of sbbt::BranchColumns blocks from one
+ * BlockSource and builds its document with the helpers here, so the
+ * output documents and the warmup/limit accounting cannot drift apart
+ * between paths. The loops that step predictors live in kernels.hpp and
+ * kernels.cpp only.
  *
  * This is an internal header: everything in mbp::detail may change
  * between versions. User code should stick to mbp/sim/simulator.hpp and
@@ -38,7 +34,21 @@
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/sim/concepts.hpp"
 #include "mbp/sim/simulator.hpp"
-#include "mbp/utils/flat_hash_map.hpp"
+
+namespace mbp
+{
+
+/**
+ * Branches per kernel block, and the size of the window a streaming run
+ * decodes into. Large enough to amortize the one virtual runBlock() call
+ * per (block x predictor) on the N-predictor path into noise, small
+ * enough that a block's three hot columns (ip + meta + guesses,
+ * 10 B/branch) stay resident in L1d between the predict pass and the
+ * accounting pass.
+ */
+inline constexpr std::size_t kKernelBlockBranches = 4096;
+
+} // namespace mbp
 
 namespace mbp::detail
 {
@@ -59,44 +69,6 @@ struct BranchStat
     std::uint64_t mispredictions_b = 0; // unused by simulate()
 };
 
-/** Branch-site bookkeeping shared by every streaming simulator flavor. */
-struct SiteAccounting
-{
-    std::uint64_t static_branches = 0; // distinct branch IPs (any opcode)
-    std::uint64_t dynamic_cond = 0;    // measured conditional executions
-    std::uint64_t dynamic_branches = 0;
-
-    // Tracks uniqueness of *all* branch sites, including unconditional
-    // ones, which never get a per-branch stats entry otherwise. The
-    // arena kernels skip this map entirely: the site census is
-    // precomputed at decode (sbbt::MemTrace::staticSitesInPrefix).
-    util::FlatHashMap<char> seen_ips;
-
-    void
-    noteBranchSite(std::uint64_t ip)
-    {
-        char &mark = seen_ips[ip];
-        if (mark == 0) {
-            mark = 1;
-            ++static_branches;
-        }
-    }
-};
-
-/** State of a single-predictor simulate() run. */
-struct RunAccounting : SiteAccounting
-{
-    util::FlatHashMap<BranchStat> per_branch;
-    std::uint64_t mispredictions_a = 0;
-};
-
-/** How the hot loop ended: last branch seen, plus any loop-level error. */
-struct RunWindow
-{
-    std::uint64_t last_instr = 0;
-    std::string error;
-};
-
 /** Timing/throughput observability fields of a finished run. */
 struct Throughput
 {
@@ -105,38 +77,6 @@ struct Throughput
     double prefetch_stall_seconds = 0.0;
     double load_seconds = 0.0;
 };
-
-/**
- * The per-branch ranking keys rows by a 32-bit slot (row index + 1);
- * a trace with this many distinct *measured* conditional sites cannot be
- * ranked without corrupting the indexes, so the run fails loudly
- * instead (testable via rowIndexWouldOverflow below).
- */
-inline constexpr std::uint64_t kMaxRankedSites =
-    std::numeric_limits<std::uint32_t>::max();
-
-inline constexpr const char *kSiteOverflowError =
-    "most_failed ranking overflow: 2^32-1 distinct measured branch sites; "
-    "rerun with collect_most_failed disabled";
-
-/** Whether allocating one more ranking row would wrap the 32-bit slot. */
-constexpr bool
-rowIndexWouldOverflow(std::size_t existing_rows)
-{
-    // The slot stores row + 1 (0 is the "no row" sentinel), so the last
-    // representable row index is 2^32 - 2.
-    return existing_rows >= kMaxRankedSites;
-}
-
-/** Whether the flat stats array (stride words per row) would overflow. */
-constexpr bool
-rowAllocWouldOverflow(std::size_t existing_rows, std::size_t stride)
-{
-    if (stride == 0)
-        return false;
-    return existing_rows >
-           std::numeric_limits<std::size_t>::max() / stride - 1;
-}
 
 inline json_t
 makeMetadata(const char *simulator_name, const SimArgs &args,
@@ -184,15 +124,6 @@ accuracyOf(std::uint64_t mispredictions, std::uint64_t executions)
                ? 1.0
                : 1.0 - static_cast<double>(mispredictions) /
                            static_cast<double>(executions);
-}
-
-inline sbbt::ReaderOptions
-readerOptions(const SimArgs &args)
-{
-    sbbt::ReaderOptions options;
-    options.block_packets = args.reader_block_packets;
-    options.prefetch = args.prefetch;
-    return options;
 }
 
 /**
@@ -294,9 +225,7 @@ rankByMispredictions(
 /**
  * Assembles the simulate() document from the finished run's raw counts.
  * @p rows holds the per-branch stats of every measured conditional site
- * with at least one misprediction (any order; ranked here). Shared by
- * the virtual cores and the fused arena kernel so both emit the same
- * document for the same run.
+ * with at least one misprediction (any order; ranked here).
  */
 template <typename P>
 inline json_t
@@ -370,7 +299,7 @@ buildSimulateDoc(const char *kName, P &predictor, const SimArgs &args,
  * per-site stats array with stride 1 + n (occurrences, then one
  * misprediction counter per predictor), @p row_ips the matching site
  * addresses (any order; the ranking below is a total order). @p PPtr is
- * any pointer-like to a predictor shape (Predictor*, BlockKernel*).
+ * a pointer to a predictor shape (BlockKernel*).
  */
 template <typename PPtr>
 inline json_t
@@ -472,45 +401,190 @@ buildManyDoc(const char *kName, const std::vector<PPtr> &predictors,
 }
 
 /**
- * How a run obtains its branches: the streaming reader, or a decode-once
- * arena (requested via in_memory/preloaded, subject to mem_budget).
+ * Run-level bookkeeping shared by every driver: splits each block at the
+ * warmup and instruction-limit boundaries, and accumulates the
+ * predictor-independent totals of the document.
  */
-inline bool
-wantsArena(const SimArgs &args)
+struct RunTotals
 {
-    if (args.preloaded != nullptr)
-        return true;
-    if (!args.in_memory)
-        return false;
-    if (args.mem_budget > 0 &&
-        sbbt::MemTrace::estimateFileBytes(args.trace_path) >
-            args.mem_budget)
-        return false; // streaming fallback, never a failure
-    return true;
-}
+    explicit RunTotals(const SimArgs &args)
+        : limit(instrLimit(args)), warmup(args.warmup_instr)
+    {
+    }
 
-/** A resolved arena: the trace, its decode cost, or the load error. */
-struct ArenaHandle
-{
-    std::shared_ptr<const sbbt::MemTrace> trace;
-    double load_seconds = 0.0;
-    std::string error;
+    /** Rows [0, mid) of a block are warm-up, [mid, stop) measured. */
+    struct Split
+    {
+        std::size_t mid;
+        std::size_t stop;
+    };
+
+    /**
+     * Splits @p block and books its rows inside the limit. A branch past
+     * the limit stops the run; it is still the run's "last seen" branch,
+     * as in a loop that reads it before breaking.
+     */
+    Split
+    split(const sbbt::BranchColumns &block)
+    {
+        const std::uint64_t *instr = block.instr;
+        const std::size_t stop = static_cast<std::size_t>(
+            std::upper_bound(instr, instr + block.size, limit) - instr);
+        const std::size_t mid = static_cast<std::size_t>(
+            std::upper_bound(instr, instr + stop, warmup) - instr);
+        dynamic_branches += stop;
+        static_branches += sbbt::countFirstSeen(block.first_seen, stop);
+        if (stop < block.size) {
+            stopped = true;
+            last_instr = instr[stop];
+        } else if (block.size > 0) {
+            last_instr = instr[block.size - 1];
+        }
+        return {mid, stop};
+    }
+
+    /** @return Whether the run consumed the whole trace. */
+    bool exhausted() const { return !stopped; }
+
+    /** @return The measured instruction count of the finished run. */
+    std::uint64_t
+    simulationInstr(const SimArgs &args, const sbbt::Header &header) const
+    {
+        return measuredInstr(args, header.instruction_count, !stopped,
+                             last_instr, limit);
+    }
+
+    std::uint64_t limit;
+    std::uint64_t warmup;
+    std::uint64_t dynamic_branches = 0; // stepped, warm-up included
+    std::uint64_t static_branches = 0;  // distinct sites stepped
+    std::uint64_t last_instr = 0;
+    bool stopped = false; // a branch past the limit ended the run
 };
 
-inline ArenaHandle
-resolveArena(const SimArgs &args)
+/**
+ * Where a run's branches come from. A decode-once arena (SimArgs::
+ * in_memory or preloaded, within mem_budget) yields slices of itself; any
+ * other run streams the trace through one reused sbbt::TraceWindow of
+ * kKernelBlockBranches branches. Either way the drivers see the same
+ * column blocks, dense site ids and per-site tables.
+ */
+class BlockSource
 {
-    ArenaHandle handle;
-    if (args.preloaded != nullptr) {
-        handle.trace = args.preloaded;
-        return handle; // decode already paid for elsewhere
+  public:
+    /**
+     * Resolves the source of @p args: the arena (decoding it unless
+     * preloaded) or the streaming window.
+     *
+     * @return False, with @p error set, when the trace cannot be opened.
+     */
+    bool
+    open(const SimArgs &args, std::string &error)
+    {
+        limit_ = instrLimit(args);
+        sbbt::ReaderOptions options;
+        options.block_packets = args.reader_block_packets;
+        options.prefetch = args.prefetch;
+        if (args.preloaded != nullptr) {
+            arena_ = args.preloaded; // decode already paid for elsewhere
+            return true;
+        }
+        if (args.in_memory &&
+            (args.mem_budget == 0 ||
+             sbbt::MemTrace::estimateFileBytes(args.trace_path) <=
+                 args.mem_budget)) {
+            arena_ = sbbt::MemTrace::load(args.trace_path, options, &error);
+            if (arena_ == nullptr)
+                return false;
+            load_seconds_ = arena_->loadSeconds();
+            return true;
+        }
+        // Streaming: not asked for an arena, or over budget (a fallback,
+        // never a failure).
+        window_ = std::make_unique<sbbt::TraceWindow>(
+            args.trace_path, options, kKernelBlockBranches);
+        if (!window_->reader().ok()) {
+            error = window_->reader().error();
+            return false;
+        }
+        return true;
     }
-    handle.trace = sbbt::MemTrace::load(args.trace_path,
-                                        readerOptions(args), &handle.error);
-    if (handle.trace != nullptr)
-        handle.load_seconds = handle.trace->loadSeconds();
-    return handle;
-}
+
+    /**
+     * Hands out the next block of at most @p max branches; false at end
+     * of trace or on error. Arena slices start where the previous one
+     * ended, so @p max must be a multiple of 64 (the first-seen bitmap is
+     * sliced by words). A streaming block stops early after the first
+     * branch past the run's instruction limit.
+     */
+    bool
+    next(sbbt::BranchColumns &block, std::size_t max)
+    {
+        if (arena_ != nullptr) {
+            block = arena_->columns(pos_, max);
+            pos_ += block.size;
+        } else {
+            block = window_->next(limit_);
+        }
+        return block.size > 0;
+    }
+
+    /** @return Sites seen so far (the whole trace's, for an arena). */
+    std::uint32_t
+    numSites() const
+    {
+        return arena_ ? arena_->numSites() : window_->sites().numSites();
+    }
+
+    /** Site id -> address. */
+    const std::uint64_t *
+    siteIpData() const
+    {
+        return arena_ ? arena_->siteIpData()
+                      : window_->sites().siteIps().data();
+    }
+
+    /** Site id -> conditional executions of every branch handed out so
+     *  far: the whole-trace totals once a run has drained the trace. */
+    const std::uint64_t *
+    siteCondOccData() const
+    {
+        return arena_ ? arena_->siteCondOccData()
+                      : window_->sites().siteCondOccurrences().data();
+    }
+
+    const sbbt::Header &
+    header() const
+    {
+        return arena_ ? arena_->header() : window_->reader().header();
+    }
+
+    /** @return The deferred streaming error ("" for an arena). */
+    const std::string &
+    error() const
+    {
+        static const std::string kNone;
+        return arena_ ? kNone : window_->error();
+    }
+
+    /** Observability fields of a run that took @p seconds. */
+    Throughput
+    throughput(double seconds) const
+    {
+        if (arena_ != nullptr)
+            return {seconds, arena_->decompressedBytes(), 0.0,
+                    load_seconds_};
+        return {seconds, window_->reader().decompressedBytes(),
+                window_->reader().prefetchStallSeconds(), 0.0};
+    }
+
+  private:
+    std::shared_ptr<const sbbt::MemTrace> arena_;
+    std::size_t pos_ = 0;
+    double load_seconds_ = 0.0;
+    std::unique_ptr<sbbt::TraceWindow> window_;
+    std::uint64_t limit_ = 0;
+};
 
 /**
  * Compile-time-bound predictor calls. The predictor interface methods
@@ -519,9 +593,10 @@ resolveArena(const SimArgs &args)
  * compiler cannot rule out a further-derived object behind the
  * reference. The qualified call `predictor.P::predict(ip)` binds at
  * compile time instead, which is what lets the inliner dissolve a cheap
- * predictor into the loop body. When P is abstract (mbp::Predictor,
- * mbp::BlockKernel) the qualified form would name a pure virtual, so
- * these helpers fall back to normal dispatch.
+ * predictor into the loop body. When P is abstract (mbp::Predictor, as
+ * simulate() and the virtual compare() drive it) the qualified form
+ * would name a pure virtual, so these helpers fall back to normal
+ * dispatch.
  *
  * Contract, inherited by every fused entry point: when P is concrete it
  * must be the *most-derived* type of the object, since overriders in a
@@ -555,244 +630,6 @@ boundTrack(P &predictor, const Branch &branch)
         predictor.track(branch);
     else
         predictor.P::track(branch);
-}
-
-/**
- * The simulate() hot loop over any trace source. kHook/kCollect select
- * the hook-invoking and per-branch-statistics code at compile time: the
- * default fast path (no hook, ranking on) contains no std::function call
- * and no dead branches.
- */
-template <bool kHook, bool kCollect, typename P, TraceSource Source>
-inline RunWindow
-runSimulateLoop(P &predictor, const SimArgs &args, Source &reader,
-                RunAccounting &acc)
-{
-    const std::uint64_t limit = instrLimit(args);
-    RunWindow window;
-    sbbt::PacketData packet;
-    while (reader.next(packet)) {
-        const Branch &b = packet.branch;
-        window.last_instr = reader.instrNumber();
-        if (window.last_instr > limit)
-            break;
-        const bool measured = window.last_instr > args.warmup_instr;
-        acc.noteBranchSite(b.ip());
-        ++acc.dynamic_branches;
-        if (b.isConditional()) {
-            const bool guess = boundPredict(predictor, b.ip());
-            if constexpr (kHook)
-                args.prediction_hook(b, guess, window.last_instr, measured,
-                                     0);
-            if (measured) {
-                ++acc.dynamic_cond;
-                if (guess != b.isTaken())
-                    ++acc.mispredictions_a;
-                if constexpr (kCollect) {
-                    BranchStat &stat = acc.per_branch[b.ip()];
-                    ++stat.occurrences;
-                    if (guess != b.isTaken())
-                        ++stat.mispredictions_a;
-                }
-            }
-            boundTrain(predictor, b);
-        }
-        if (!args.track_only_conditional || b.isConditional())
-            boundTrack(predictor, b);
-    }
-    return window;
-}
-
-/** The simulate() hot loop and report, over any trace source. */
-template <typename P, TraceSource Source>
-json_t
-simulateCore(const char *kName, P &predictor, const SimArgs &args,
-             Source &reader, double load_seconds)
-{
-    RunAccounting acc;
-    const bool hook = static_cast<bool>(args.prediction_hook);
-
-    auto start_time = std::chrono::steady_clock::now();
-    RunWindow window =
-        hook ? (args.collect_most_failed
-                    ? runSimulateLoop<true, true>(predictor, args, reader,
-                                                  acc)
-                    : runSimulateLoop<true, false>(predictor, args, reader,
-                                                   acc))
-             : (args.collect_most_failed
-                    ? runSimulateLoop<false, true>(predictor, args, reader,
-                                                   acc)
-                    : runSimulateLoop<false, false>(predictor, args,
-                                                    reader, acc));
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    if (!reader.error().empty())
-        return errorResult(kName, args, reader.error());
-
-    const bool exhausted = reader.exhausted();
-    std::uint64_t simulation_instr =
-        measuredInstr(args, reader.header().instruction_count, exhausted,
-                      window.last_instr, instrLimit(args));
-
-    std::vector<std::pair<std::uint64_t, BranchStat>> rows;
-    if (args.collect_most_failed) {
-        rows.reserve(acc.per_branch.size());
-        acc.per_branch.forEach(
-            [&](std::uint64_t ip, const BranchStat &stat) {
-                if (stat.mispredictions_a > 0)
-                    rows.emplace_back(ip, stat);
-            });
-    }
-    Throughput tp{seconds, reader.decompressedBytes(),
-                  reader.prefetchStallSeconds(), load_seconds};
-    return buildSimulateDoc(kName, predictor, args, simulation_instr,
-                            exhausted, acc.static_branches,
-                            acc.dynamic_cond, acc.dynamic_branches,
-                            acc.mispredictions_a, std::move(rows), tp);
-}
-
-/**
- * The N-predictor hot loop over any trace source. Misprediction totals
- * are counted unconditionally; only the per-branch ranking rows are
- * gated on kCollect (SimArgs::collect_most_failed), and the hook fires
- * per predictor with its roster index when kHook. @p PPtr is any
- * pointer-like predictor shape (Predictor*, BlockKernel*).
- */
-template <bool kHook, bool kCollect, typename PPtr, TraceSource Source>
-inline RunWindow
-runManyLoop(const std::vector<PPtr> &predictors, const SimArgs &args,
-            Source &reader, SiteAccounting &acc,
-            std::vector<std::uint64_t> &mispredictions,
-            std::vector<std::uint64_t> &rows,
-            std::vector<std::uint64_t> &row_ips)
-{
-    const std::size_t n = predictors.size();
-    const std::size_t stride = 1 + n;
-    const std::uint64_t limit = instrLimit(args);
-
-    // Per-branch stats live in one flat array (stride = 1 + n:
-    // occurrences then one misprediction counter per predictor) indexed
-    // through an ip -> row map, so N predictors cost one hash lookup per
-    // measured branch, same as compare() always did.
-    util::FlatHashMap<std::uint32_t> row_of; // value = row index + 1
-    std::vector<char> guesses(n, 0);
-
-    RunWindow window;
-    sbbt::PacketData packet;
-    while (reader.next(packet)) {
-        const Branch &branch = packet.branch;
-        window.last_instr = reader.instrNumber();
-        if (window.last_instr > limit)
-            break;
-        const bool measured = window.last_instr > args.warmup_instr;
-        acc.noteBranchSite(branch.ip());
-        ++acc.dynamic_branches;
-        if (branch.isConditional()) {
-            for (std::size_t k = 0; k < n; ++k)
-                guesses[k] =
-                    boundPredict(*predictors[k], branch.ip()) ? 1 : 0;
-            if constexpr (kHook) {
-                for (std::size_t k = 0; k < n; ++k)
-                    args.prediction_hook(branch, guesses[k] != 0,
-                                         window.last_instr, measured, k);
-            }
-            if (measured) {
-                ++acc.dynamic_cond;
-                const char taken = branch.isTaken() ? 1 : 0;
-                if constexpr (kCollect) {
-                    std::uint32_t &slot = row_of[branch.ip()];
-                    if (slot == 0) {
-                        if (rowIndexWouldOverflow(row_ips.size()) ||
-                            rowAllocWouldOverflow(row_ips.size(),
-                                                  stride)) {
-                            window.error = kSiteOverflowError;
-                            return window;
-                        }
-                        row_ips.push_back(branch.ip());
-                        rows.resize(rows.size() + stride, 0);
-                        slot = static_cast<std::uint32_t>(row_ips.size());
-                    }
-                    std::uint64_t *row =
-                        rows.data() + std::size_t(slot - 1) * stride;
-                    ++row[0];
-                    for (std::size_t k = 0; k < n; ++k) {
-                        if (guesses[k] != taken) {
-                            ++row[1 + k];
-                            ++mispredictions[k];
-                        }
-                    }
-                } else {
-                    for (std::size_t k = 0; k < n; ++k) {
-                        if (guesses[k] != taken)
-                            ++mispredictions[k];
-                    }
-                }
-            }
-            for (std::size_t k = 0; k < n; ++k)
-                boundTrain(*predictors[k], branch);
-        }
-        if (!args.track_only_conditional || branch.isConditional()) {
-            for (std::size_t k = 0; k < n; ++k)
-                boundTrack(*predictors[k], branch);
-        }
-    }
-    return window;
-}
-
-/**
- * The N-predictor hot loop and report, over any trace source. compare()
- * is this with N == 2 and its historical simulator name; the document
- * layout is compare()'s, generalized.
- */
-template <typename PPtr, TraceSource Source>
-json_t
-simulateManyCore(const char *kName, const std::vector<PPtr> &predictors,
-                 const SimArgs &args, Source &reader, double load_seconds)
-{
-    SiteAccounting acc;
-    std::vector<std::uint64_t> mispredictions(predictors.size(), 0);
-    std::vector<std::uint64_t> rows;
-    std::vector<std::uint64_t> row_ips;
-    const bool hook = static_cast<bool>(args.prediction_hook);
-
-    auto start_time = std::chrono::steady_clock::now();
-    RunWindow window =
-        hook ? (args.collect_most_failed
-                    ? runManyLoop<true, true>(predictors, args, reader,
-                                              acc, mispredictions, rows,
-                                              row_ips)
-                    : runManyLoop<true, false>(predictors, args, reader,
-                                               acc, mispredictions, rows,
-                                               row_ips))
-             : (args.collect_most_failed
-                    ? runManyLoop<false, true>(predictors, args, reader,
-                                               acc, mispredictions, rows,
-                                               row_ips)
-                    : runManyLoop<false, false>(predictors, args, reader,
-                                                acc, mispredictions, rows,
-                                                row_ips));
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    if (!window.error.empty())
-        return errorResult(kName, args, window.error);
-    if (!reader.error().empty())
-        return errorResult(kName, args, reader.error());
-
-    const bool exhausted = reader.exhausted();
-    std::uint64_t simulation_instr =
-        measuredInstr(args, reader.header().instruction_count, exhausted,
-                      window.last_instr, instrLimit(args));
-
-    Throughput tp{seconds, reader.decompressedBytes(),
-                  reader.prefetchStallSeconds(), load_seconds};
-    return buildManyDoc(kName, predictors, args, simulation_instr,
-                        exhausted, acc.static_branches, acc.dynamic_cond,
-                        acc.dynamic_branches, mispredictions, rows,
-                        row_ips, tp);
 }
 
 } // namespace mbp::detail

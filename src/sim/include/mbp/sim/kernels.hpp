@@ -1,48 +1,50 @@
 /**
  * @file
- * Fused batched simulation kernels over the decode-once arena.
+ * The simulation kernels: the only code that steps predictors.
  *
- * The virtual simulators (mbp/sim/simulator.hpp) spend most of a cheap
- * predictor's run on per-branch overhead: the cursor call, three virtual
- * dispatches (predict/train/track) and two hash probes (site census +
- * per-branch ranking). The kernels in this header remove all of it for
- * predictors whose concrete type is known at compile time
- * (mbp::PredictorLike, no vtable required):
+ * Two drivers cover every run. The single-predictor driver
+ * (detail::runSingle, with fusedRange as its loop) serves
+ * simulate() and simulateFused(); the N-predictor block driver
+ * (BlockKernel::runBlock plus a shared accounting pass, kernels.cpp)
+ * serves compare(), simulateMany() and their fused forms. Both read the
+ * run as a sequence of sbbt::BranchColumns blocks from a
+ * detail::BlockSource: slices of a decode-once arena, or one reused
+ * window that streaming decode refills. The predictor type is a template
+ * parameter: a concrete mbp::PredictorLike type inlines
+ * predict/train/track into the loop, while the abstract mbp::Predictor
+ * base — what the virtual entry points pass — keeps virtual dispatch.
  *
- *  - the sbbt::MemTrace struct-of-arrays columns are bulk-read directly,
- *    in fixed-size blocks, instead of materializing per-branch packets;
+ * What the drivers do per branch is what a concrete type buys:
+ *
+ *  - the struct-of-arrays columns are bulk-read, block by block, instead
+ *    of materializing per-branch packets;
  *  - predict/train/track are inlined into the loop body (template
  *    dispatch, zero virtual calls on the single-predictor path and one
  *    per block-x-predictor on the N-predictor path);
- *  - the per-site hash probes become array indexing through the arena's
- *    precomputed dense site ids (MemTrace::siteIndex), the hashing having
- *    been paid once at decode;
+ *  - per-site accounting is array indexing through the dense site ids
+ *    assigned at decode, never a hash probe;
  *  - predictors whose address hash factors into a pure per-site value
  *    (KernelSiteFold) get it memoized once per static site, so the
  *    single-predictor hot loop does no address hashing at all and never
  *    touches the 8-byte ip column;
- *  - warmup and instruction-limit checks leave the loop entirely: the
- *    branch columns are pre-partitioned into [unmeasured) [measured)
- *    ranges by binary search, and each range runs a loop specialized on
- *    its measurement flag;
- *  - on the N-predictor block driver, predictors exposing a
- *    `prefetchHint(ip)` address (KernelPrefetchable) get their counter
- *    lines software-prefetched a fixed distance ahead, covering the
- *    re-warm misses caused by N predictors evicting each other between
- *    blocks; multi-bank predictors (the TAGE family) instead expose
- *    `prefetchHints(ip, span)` (KernelMultiPrefetch) and get one hint
- *    per tagged bank, at a per-predictor distance when they declare one
- *    (P::kPrefetchDistance). (The single-predictor loop deliberately
- *    does not prefetch: its counter lines stay resident on their own,
- *    and the extra hint computation measurably slows the loop.)
+ *  - warmup and instruction-limit checks leave the loop entirely: each
+ *    block is split into [unmeasured) [measured) ranges by binary
+ *    search, and each range runs a loop specialized on its measurement
+ *    flag;
+ *  - on the N-predictor block driver, predictors that can name the
+ *    counter lines of a future lookup (`prefetchHints(ip, span)`,
+ *    KernelMultiPrefetch) get them software-prefetched a fixed distance
+ *    ahead, covering the re-warm misses caused by N predictors evicting
+ *    each other between blocks — one hint for a one-table predictor, one
+ *    per tagged bank for the TAGE family, at a per-predictor distance
+ *    when they declare one (P::kPrefetchDistance). (The single-predictor
+ *    loop deliberately does not prefetch: its counter lines stay resident
+ *    on their own, and the extra hint computation measurably slows the
+ *    loop.)
  *
- * Results are bit-identical to the virtual arena path — same prediction
- * stream, same output document modulo the timing fields; the conformance
- * suite pins this for the whole roster. When SimArgs resolves to the
- * streaming reader instead of an arena (in_memory unset, or mem_budget
- * exceeded), these entry points transparently run the shared streaming
- * core with devirtualized predictor calls, so callers never need a
- * fallback of their own.
+ * Results are bit-identical across predictor types and sources — same
+ * prediction stream, same output document modulo the timing fields; the
+ * conformance suite pins this for the whole roster.
  *
  * @code
  *   Gshare<15, 17> predictor;
@@ -59,8 +61,10 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -75,32 +79,11 @@ namespace mbp
 {
 
 /**
- * Branches per kernel block. Large enough to amortize the one virtual
- * runBlock() call per (block x predictor) on the N-predictor path into
- * noise, small enough that a block's three hot columns (ip + meta +
- * guesses, 10 B/branch) stay resident in L1d between the predict pass
- * and the accounting pass.
- */
-inline constexpr std::size_t kKernelBlockBranches = 4096;
-
-/**
  * Branches of lookahead for the software counter-line prefetch. Far
  * enough ahead to cover a memory access at a few ns per branch of loop
  * work, near enough that the line is not evicted again before use.
  */
 inline constexpr std::size_t kKernelPrefetchDistance = 16;
-
-/**
- * A predictor that can name the counter line a future lookup for @p ip
- * will touch, so the kernels can software-prefetch it ahead of the loop.
- * The address only steers a prefetch: it may be approximate (e.g. Gshare
- * hashes with the *current* history, not the one at lookup time) —
- * correctness never depends on it.
- */
-template <typename P>
-concept KernelPrefetchable = requires(const P &predictor, std::uint64_t ip) {
-    { predictor.prefetchHint(ip) } -> std::convertible_to<const void *>;
-};
 
 /**
  * Upper bound on the addresses one prefetchHints() call may produce.
@@ -110,13 +93,14 @@ concept KernelPrefetchable = requires(const P &predictor, std::uint64_t ip) {
 inline constexpr std::size_t kKernelMaxPrefetchHints = 16;
 
 /**
- * A predictor that touches several counter lines per lookup (one per
- * tagged bank in the TAGE family) and can name them all:
- * `prefetchHints(ip, out)` writes up to out.size() addresses for a
- * future lookup of @p ip and returns how many it wrote. Like
- * prefetchHint, the addresses only steer prefetches and may be
- * approximate — correctness never depends on them. Takes precedence
- * over KernelPrefetchable in the block driver when both are offered.
+ * A predictor that can name the counter lines a future lookup will
+ * touch, so the block driver can software-prefetch them ahead of the
+ * loop: `prefetchHints(ip, out)` writes up to out.size() addresses for a
+ * lookup of @p ip and returns how many it wrote — one for a one-table
+ * predictor, one per tagged bank in the TAGE family. The addresses only
+ * steer prefetches and may be approximate (e.g. Gshare hashes with the
+ * *current* history, not the one at lookup time) — correctness never
+ * depends on them.
  */
 template <typename P>
 concept KernelMultiPrefetch =
@@ -200,21 +184,23 @@ prefetchLine(const void *address)
 #endif
 }
 
-/** Accumulated state of a single-predictor fused run. */
+/** Accumulated state of a single-predictor run. */
 struct FusedRunState
 {
     std::uint64_t dynamic_cond = 0;
     std::uint64_t mispredictions = 0;
-    // Per-site misprediction counters indexed directly by the arena's
-    // dense site id — the only per-site quantity that depends on the
-    // predictor. Occurrence totals and site addresses come from the
-    // arena's decode-time site tables, so the loop's collect work is a
-    // single counter add per measured conditional.
+    // Per-site counters indexed directly by the dense site id. Only the
+    // misprediction counts depend on the predictor; occurrences are
+    // counted here only when the run does not cover the whole trace
+    // (otherwise the decode-time totals serve).
     std::vector<std::uint64_t> site_mis;
+    std::vector<std::uint64_t> site_occ;
+    // Per-site address folds (KernelSiteFold), one per site seen so far.
+    std::vector<std::uint64_t> fold;
 };
 
 /**
- * The fused single-predictor loop over arena branches [begin, end), all
+ * The single-predictor loop over rows [begin, end) of @p block, all
  * sharing one measurement flag. kHook/kCollect/kMeasured specialize the
  * body at compile time: the default fast configuration is pure
  * predict/train/track plus two counter increments per branch.
@@ -227,33 +213,20 @@ struct FusedRunState
  */
 template <typename P, bool kHook, bool kCollect, bool kMeasured>
 inline void
-fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
-           std::size_t begin, std::size_t end, FusedRunState &state)
+fusedRange(P &predictor, const SimArgs &args,
+           const sbbt::BranchColumns &block, std::size_t begin,
+           std::size_t end, FusedRunState &state)
 {
-    const std::uint64_t *ips = trace.ipData();
-    const std::uint64_t *targets = trace.targetData();
-    const std::uint64_t *instr = trace.instrNumData();
-    const std::uint8_t *meta = trace.metaData();
-    const std::uint32_t *sites = trace.siteIndexData();
+    const std::uint64_t *ips = block.ip;
+    const std::uint64_t *targets = block.target;
+    const std::uint64_t *instr = block.instr;
+    const std::uint8_t *meta = block.meta;
+    const std::uint32_t *sites = block.site;
     // A hook may observe the predictor between predict and train, so the
     // fused substitutions only apply on hook-free runs.
     constexpr bool kFusedStep = KernelFusedStep<P> && !kHook;
     constexpr bool kSiteFold = KernelSiteFold<P> && !kHook;
-    // Per-site address folds, evaluated once per static site instead of
-    // once per dynamic branch (KernelSiteFold): a few hundred hashes up
-    // front buy a hot loop with no address hashing at all.
-    std::vector<std::uint64_t> fold;
-    const std::uint64_t *site_fold = nullptr;
-    if constexpr (kSiteFold) {
-        if (begin != end) {
-            const std::uint32_t n = trace.numSites();
-            const std::uint64_t *site_ips = trace.siteIpData();
-            fold.resize(n);
-            for (std::uint32_t s = 0; s < n; ++s)
-                fold[s] = predictor.siteFold(site_ips[s]);
-            site_fold = fold.data();
-        }
-    }
+    const std::uint64_t *site_fold = state.fold.data();
     // Locals, not state members: the counter stores below would
     // otherwise force the compiler to reload them every iteration.
     std::uint64_t dynamic_cond = 0;
@@ -300,103 +273,112 @@ fusedRange(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
     state.mispredictions += total_miss;
 }
 
+/**
+ * Steps @p predictor through every block of @p source up to the
+ * instruction limit. @p count_occ: count per-site occurrences of the
+ * measured window here, because the run does not cover the whole trace.
+ */
 template <typename P, bool kHook, bool kCollect>
 inline void
-fusedRun(P &predictor, const SimArgs &args, const sbbt::MemTrace &trace,
-         std::size_t mid, std::size_t stop, FusedRunState &state)
+fusedRun(P &predictor, const SimArgs &args, BlockSource &source,
+         RunTotals &run, FusedRunState &state, bool count_occ)
 {
-    fusedRange<P, kHook, kCollect, false>(predictor, args, trace, 0, mid,
-                                          state);
-    fusedRange<P, kHook, kCollect, true>(predictor, args, trace, mid,
-                                         stop, state);
+    sbbt::BranchColumns block;
+    while (!run.stopped &&
+           source.next(block, std::numeric_limits<std::size_t>::max())) {
+        const auto [mid, stop] = run.split(block);
+        const std::size_t num_sites = source.numSites();
+        if constexpr (kCollect) {
+            state.site_mis.resize(num_sites);
+            if (count_occ)
+                state.site_occ.resize(num_sites);
+        }
+        // Per-site address folds, evaluated once per static site instead
+        // of once per dynamic branch (KernelSiteFold): a few hundred
+        // hashes up front buy a hot loop with no address hashing at all.
+        if constexpr (KernelSiteFold<P> && !kHook) {
+            const std::uint64_t *site_ips = source.siteIpData();
+            for (std::size_t s = state.fold.size(); s < num_sites; ++s)
+                state.fold.push_back(predictor.siteFold(site_ips[s]));
+        }
+        fusedRange<P, kHook, kCollect, false>(predictor, args, block, 0,
+                                              mid, state);
+        fusedRange<P, kHook, kCollect, true>(predictor, args, block, mid,
+                                             stop, state);
+        if (kCollect && count_occ) {
+            for (std::size_t i = mid; i < stop; ++i)
+                state.site_occ[block.site[i]] += block.meta[i] & 0x01;
+        }
+    }
 }
 
-/** The fused simulate() over a resolved arena: loop plus report. */
+/**
+ * The single-predictor simulate(): resolves the source, runs the loop,
+ * builds the report. P is a concrete PredictorLike type (fused) or the
+ * abstract mbp::Predictor (virtual dispatch).
+ */
 template <typename P>
 json_t
-fusedArenaSimulate(const char *kName, P &predictor, const SimArgs &args,
-                   const std::shared_ptr<const sbbt::MemTrace> &trace,
-                   double load_seconds)
+runSingle(const char *kName, P &predictor, const SimArgs &args)
 {
-    const sbbt::MemTrace &t = *trace;
-    const std::size_t total = t.size();
-    const std::uint64_t limit = instrLimit(args);
-    const std::uint64_t *instr = t.instrNumData();
+    BlockSource source;
+    std::string error;
+    if (!source.open(args, error))
+        return errorResult(kName, args, error);
 
-    // Pre-partition the run: branches [0, stop) fall inside the
-    // instruction limit, branches [mid, stop) inside the measured
-    // window. The loops then carry no per-branch limit or warmup check.
-    const std::size_t stop = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + total, limit) - instr);
-    const std::size_t mid = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + stop, args.warmup_instr) - instr);
-
+    // A run that steps every branch of the trace, all measured, reads
+    // the decode-time per-site occurrence totals; any other counts its
+    // measured window as it goes.
+    const bool count_occ =
+        args.collect_most_failed &&
+        (args.warmup_instr != 0 ||
+         instrLimit(args) != std::numeric_limits<std::uint64_t>::max());
+    RunTotals run(args);
     FusedRunState state;
-    if (args.collect_most_failed)
-        state.site_mis.assign(static_cast<std::size_t>(t.numSites()), 0);
     const bool hook = static_cast<bool>(args.prediction_hook);
 
     auto start_time = std::chrono::steady_clock::now();
     if (hook) {
         if (args.collect_most_failed)
-            fusedRun<P, true, true>(predictor, args, t, mid, stop, state);
+            fusedRun<P, true, true>(predictor, args, source, run, state,
+                                    count_occ);
         else
-            fusedRun<P, true, false>(predictor, args, t, mid, stop, state);
+            fusedRun<P, true, false>(predictor, args, source, run, state,
+                                     count_occ);
     } else {
         if (args.collect_most_failed)
-            fusedRun<P, false, true>(predictor, args, t, mid, stop, state);
+            fusedRun<P, false, true>(predictor, args, source, run, state,
+                                     count_occ);
         else
-            fusedRun<P, false, false>(predictor, args, t, mid, stop,
-                                      state);
-    }
-    // Per-site occurrence totals for the ranking rows. A full-trace run
-    // (the default SimArgs) reads the arena's decode-time totals; a
-    // windowed run re-counts its [mid, stop) slice — predictor-free
-    // column work, kept inside the timed region because the virtual
-    // path pays its equivalent inside the loop.
-    std::vector<std::uint64_t> window_occ;
-    const std::uint64_t *site_occ = nullptr;
-    if (args.collect_most_failed) {
-        if (mid == 0 && stop == total) {
-            site_occ = t.siteCondOccData();
-        } else {
-            window_occ.assign(static_cast<std::size_t>(t.numSites()), 0);
-            const std::uint32_t *sites = t.siteIndexData();
-            const std::uint8_t *meta = t.metaData();
-            for (std::size_t i = mid; i < stop; ++i)
-                window_occ[sites[i]] += meta[i] & 0x01;
-            site_occ = window_occ.data();
-        }
+            fusedRun<P, false, false>(predictor, args, source, run, state,
+                                      count_occ);
     }
     auto end_time = std::chrono::steady_clock::now();
     double seconds =
         std::chrono::duration<double>(end_time - start_time).count();
 
-    // Window accounting mirrors the cursor path exactly: a limit-stopped
-    // run's "last seen" branch is the first one past the limit (the
-    // virtual loop reads it before breaking), an exhausted run's is the
-    // final branch of the trace.
-    const bool exhausted = stop == total;
-    const std::uint64_t last_instr =
-        stop < total ? instr[stop] : (total > 0 ? instr[total - 1] : 0);
-    const std::uint64_t simulation_instr =
-        measuredInstr(args, t.header().instruction_count, exhausted,
-                      last_instr, limit);
+    if (!source.error().empty())
+        return errorResult(kName, args, source.error());
 
     std::vector<std::pair<std::uint64_t, BranchStat>> rows;
     if (args.collect_most_failed) {
-        for (std::uint32_t s = 0; s < t.numSites(); ++s) {
+        const std::uint64_t *site_ips = source.siteIpData();
+        const std::uint64_t *site_occ = count_occ
+                                            ? state.site_occ.data()
+                                            : source.siteCondOccData();
+        for (std::size_t s = 0; s < state.site_mis.size(); ++s) {
             if (state.site_mis[s] > 0)
-                rows.emplace_back(t.siteIp(s),
-                                  BranchStat{site_occ[s],
-                                             state.site_mis[s], 0});
+                rows.emplace_back(site_ips[s],
+                                  BranchStat{site_occ[s], state.site_mis[s],
+                                             0});
         }
     }
-    Throughput tp{seconds, t.decompressedBytes(), 0.0, load_seconds};
-    return buildSimulateDoc(kName, predictor, args, simulation_instr,
-                            exhausted, t.staticSitesInPrefix(stop),
-                            state.dynamic_cond, stop,
-                            state.mispredictions, std::move(rows), tp);
+    return buildSimulateDoc(kName, predictor, args,
+                            run.simulationInstr(args, source.header()),
+                            run.exhausted(), run.static_branches,
+                            state.dynamic_cond, run.dynamic_branches,
+                            state.mispredictions, std::move(rows),
+                            source.throughput(seconds));
 }
 
 } // namespace detail
@@ -404,46 +386,25 @@ fusedArenaSimulate(const char *kName, P &predictor, const SimArgs &args,
 /**
  * Fused drop-in for simulate(): same SimArgs contract, same output
  * document (modulo timing fields), but with @p predictor's concrete type
- * known at compile time so the hot loop carries no virtual dispatch, no
- * packet materialization and no hash probes. P must be the most-derived
- * type of @p predictor: the loop binds predict/train/track at compile
- * time (detail::boundPredict), which would skip overriders in a class
- * further derived from P. When the run resolves to
- * the streaming reader instead of an arena (SimArgs::in_memory unset,
- * or mem_budget exceeded), the shared streaming core runs with
- * devirtualized predictor calls — still a speedup, just without the
- * arena-only batching.
+ * known at compile time so the hot loop carries no virtual dispatch.
+ * P must be the most-derived type of @p predictor: the loop binds
+ * predict/train/track at compile time (detail::boundPredict), which
+ * would skip overriders in a class further derived from P.
  */
 template <PredictorLike P>
 json_t
 simulateFused(P &predictor, const SimArgs &args)
 {
-    const char *kName = detail::kStdSimulatorName;
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        return detail::fusedArenaSimulate(kName, predictor, args,
-                                          arena.trace,
-                                          arena.load_seconds);
-    }
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateCore(kName, predictor, args, reader, 0.0);
+    return detail::runSingle(detail::kStdSimulatorName, predictor, args);
 }
 
 /**
- * Type-erased handle to a fused predictor for the N-predictor kernels:
- * where the virtual simulators pay three dispatches per branch, a
- * BlockKernel pays one — runBlock(), which runs a whole arena block
- * (kKernelBlockBranches branches) through the concrete predictor's
- * inlined predict/train/track and records the prediction bits for the
- * shared accounting pass.
- *
- * The per-branch virtuals exist so the same object can drive the shared
- * streaming core when a run falls back off the arena, and so the report
- * builders can query metadata; deliberately *not* a mbp::Predictor (no
+ * Type-erased handle to a predictor for the N-predictor block driver:
+ * one virtual call per block — runBlock(), which runs a whole block
+ * (up to kKernelBlockBranches branches) through the predictor's
+ * predict/train/track and records the prediction bits for the shared
+ * accounting pass. The other virtuals let the report builder query
+ * metadata; deliberately *not* a mbp::Predictor (no
  * storage_components), so the fused and virtual entry points can never
  * be confused by overload resolution.
  */
@@ -455,26 +416,26 @@ class BlockKernel
     BlockKernel &operator=(const BlockKernel &) = delete;
     virtual ~BlockKernel() = default;
 
-    virtual bool predict(std::uint64_t ip) = 0;
-    virtual void train(const Branch &branch) = 0;
-    virtual void track(const Branch &branch) = 0;
     virtual json_t metadata_stats() const = 0;
     virtual json_t execution_stats() const = 0;
     virtual std::uint64_t storageBits() const = 0;
     virtual bool reportsStorage() const = 0;
 
     /**
-     * Runs arena branches [begin, end) through the predictor —
-     * predict + train on conditionals, track per @p track_all — and
-     * writes each branch's prediction (0/1; 0 for unconditionals) to
-     * @p guesses[i - begin]. @p guesses must hold end - begin bytes.
+     * Runs every row of @p block through the predictor — predict + train
+     * on conditionals, track per @p track_all — and writes each branch's
+     * prediction (0/1; 0 for unconditionals) to @p guesses[i].
+     * @p guesses must hold block.size bytes.
      */
-    virtual void runBlock(const sbbt::MemTrace &trace, std::size_t begin,
-                          std::size_t end, bool track_all,
+    virtual void runBlock(const sbbt::BranchColumns &block, bool track_all,
                           std::uint8_t *guesses) = 0;
 };
 
-/** The one BlockKernel implementation: fuses a concrete PredictorLike. */
+/**
+ * The one BlockKernel implementation. P is a concrete PredictorLike type
+ * (inlined calls) or the abstract mbp::Predictor (virtual calls, how
+ * compare() and simulateMany() run).
+ */
 template <PredictorLike P>
 class FusedKernel final : public BlockKernel
 {
@@ -488,18 +449,6 @@ class FusedKernel final : public BlockKernel
     {
     }
 
-    bool predict(std::uint64_t ip) override
-    {
-        return predictor_->predict(ip);
-    }
-    void train(const Branch &branch) override
-    {
-        predictor_->train(branch);
-    }
-    void track(const Branch &branch) override
-    {
-        predictor_->track(branch);
-    }
     json_t metadata_stats() const override
     {
         return predictor_->metadata_stats();
@@ -518,15 +467,15 @@ class FusedKernel final : public BlockKernel
     }
 
     void
-    runBlock(const sbbt::MemTrace &trace, std::size_t begin,
-             std::size_t end, bool track_all,
+    runBlock(const sbbt::BranchColumns &block, bool track_all,
              std::uint8_t *guesses) override
     {
         P &p = *predictor_;
-        const std::uint64_t *ips = trace.ipData();
-        const std::uint64_t *targets = trace.targetData();
-        const std::uint8_t *meta = trace.metaData();
-        for (std::size_t i = begin; i < end; ++i) {
+        const std::uint64_t *ips = block.ip;
+        const std::uint64_t *targets = block.target;
+        const std::uint8_t *meta = block.meta;
+        const std::size_t end = block.size;
+        for (std::size_t i = 0; i < end; ++i) {
             if constexpr (KernelMultiPrefetch<P>) {
                 const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
                 if (ahead < end) {
@@ -536,10 +485,6 @@ class FusedKernel final : public BlockKernel
                     for (std::size_t h = 0; h < n; ++h)
                         detail::prefetchLine(hints[h]);
                 }
-            } else if constexpr (KernelPrefetchable<P>) {
-                const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
-                if (ahead < end)
-                    detail::prefetchLine(p.prefetchHint(ips[ahead]));
             }
             const std::uint8_t m = meta[i];
             if ((m & 0x01) != 0) {
@@ -554,9 +499,9 @@ class FusedKernel final : public BlockKernel
                     detail::boundTrain(p, b);
                     detail::boundTrack(p, b);
                 }
-                guesses[i - begin] = guess ? 1 : 0;
+                guesses[i] = guess ? 1 : 0;
             } else {
-                guesses[i - begin] = 0;
+                guesses[i] = 0;
                 if (track_all) {
                     const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
                                    (m & 0x10) != 0};
@@ -584,8 +529,7 @@ makeFusedKernel(Args &&...args)
  * Fused drop-in for simulateMany() over pre-built kernels: one pass over
  * the trace feeds all predictors block by block, interleaved so each
  * block's columns are read once while hot. Same output document as
- * simulateMany() (modulo timing fields); streaming runs fall back to the
- * shared core driven through the kernels' per-branch interface.
+ * simulateMany() (modulo timing fields), over an arena or streaming.
  */
 json_t simulateManyFused(const std::vector<BlockKernel *> &kernels,
                          const SimArgs &args);

@@ -182,11 +182,16 @@ struct SimArgs
 
     /**
      * Branch-level observation hook: invoked for every conditional branch
-     * with the prediction just made (before train/track), the 1-based
-     * instruction number of the branch, whether the branch falls in the
-     * measured (post-warmup) window, and the index of the predictor that
-     * made the prediction (0 in simulate(); 0..N-1 per branch in
-     * compare()/simulateMany(), in roster order). Lets external checkers
+     * with the prediction made, the 1-based instruction number of the
+     * branch, whether the branch falls in the measured (post-warmup)
+     * window, and the index of the predictor that made the prediction
+     * (0 in simulate(); 0..N-1 per branch in compare()/simulateMany(), in
+     * roster order). Branches arrive in trace order, each with its
+     * predictors in index order. In simulate() the hook fires right after
+     * predict, before train/track; in compare()/simulateMany() (and their
+     * fused forms) it fires after the whole block's train/track — same
+     * arguments, same order, but a hook that inspects the predictor sees
+     * it already trained. Lets external checkers
      * run in lockstep with the simulation — the conformance tests capture
      * the exact prediction stream through it, and mbp::testkit's
      * metamorphic oracles rebuild per-window misprediction counts from
@@ -237,39 +242,6 @@ json_t compare(Predictor &a, Predictor &b, const SimArgs &args);
  */
 json_t simulateMany(const std::vector<Predictor *> &predictors,
                     const SimArgs &args);
-
-/**
- * Championship-style multi-trace driver: runs a *fresh* predictor (from
- * @p factory) over every trace and aggregates.
- *
- * The returned object has a "traces" array (one simulate() result each,
- * with most_failed trimmed to keep the document small) and a "summary"
- * object with the arithmetic-mean MPKI (the championship metric), total
- * mispredictions/instructions and total simulation time.
- *
- * This lives in the library rather than in user scripts because running
- * the training set is *the* evaluation workflow of the field (§II); user
- * code can still iterate manually for custom aggregation.
- */
-json_t simulateSuite(
-    const std::function<std::unique_ptr<Predictor>()> &factory,
-    const std::vector<std::string> &trace_paths, const SimArgs &base_args);
-
-/**
- * Parallel variant of simulateSuite: traces are distributed over
- * @p num_threads worker threads, each with its own fresh predictor, so
- * the result is bit-identical to the sequential run (modulo
- * `simulation_time` fields). Trace-level parallelism is the natural unit
- * — and something the user can only do because MBPlib is a library that
- * leaves program execution to the caller (paper §VI-B).
- *
- * @param num_threads Worker count (values < 2 fall back to the
- *                    sequential driver).
- */
-json_t simulateSuiteParallel(
-    const std::function<std::unique_ptr<Predictor>()> &factory,
-    const std::vector<std::string> &trace_paths, const SimArgs &base_args,
-    unsigned num_threads);
 
 /**
  * Analytic CPI model from the paper's motivation (§II): an in-order

@@ -1,27 +1,27 @@
 /**
  * @file
- * The N-predictor fused block driver behind simulateManyFused() and
- * compareFused().
+ * The N-predictor block driver behind compare(), simulateMany() and
+ * their fused forms.
  *
- * Per arena block of kKernelBlockBranches branches, each kernel runs the
- * block through its inlined predict/train/track (one virtual runBlock
- * call per block x predictor) and records its prediction bits; a shared
+ * Per block of up to kKernelBlockBranches branches, each kernel runs the
+ * block through its predict/train/track (one virtual runBlock call per
+ * block x predictor) and records its prediction bits; a shared
  * accounting pass then consumes the guess rows — misprediction totals,
- * per-site ranking rows through the arena's dense site ids, and the
- * prediction hook in the exact order the virtual loop fires it
- * (branch-major, predictor index ascending).
+ * per-site ranking rows through the dense site ids, and the prediction
+ * hook, branch-major with the predictor index ascending. The hook
+ * therefore fires after the block's train/track, with the same arguments
+ * in the same order as a per-branch loop would pass them.
  */
 #include "mbp/sim/kernels.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/sbbt/reader.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 
 namespace mbp
@@ -30,7 +30,7 @@ namespace mbp
 namespace
 {
 
-/** Accumulated state of an N-predictor fused run. */
+/** Accumulated state of an N-predictor run. */
 struct FusedManyState
 {
     std::uint64_t dynamic_cond = 0;
@@ -44,24 +44,23 @@ struct FusedManyState
 
 /**
  * The accounting pass over one block's guess rows. kHook/kCollect
- * specialize the body like the core loops do; @p mid is the global index
- * of the first measured branch.
+ * specialize the body like the single-predictor loop does; rows from
+ * @p mid on are measured.
  */
 template <bool kHook, bool kCollect>
 void
-accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
-             std::size_t end, std::size_t mid, std::size_t n,
-             const SimArgs &args,
+accountBlock(const sbbt::BranchColumns &block, std::size_t mid,
+             std::size_t n, const SimArgs &args,
              const std::vector<std::vector<std::uint8_t>> &guesses,
              FusedManyState &state)
 {
-    const std::uint64_t *ips = trace.ipData();
-    const std::uint64_t *targets = trace.targetData();
-    const std::uint64_t *instr = trace.instrNumData();
-    const std::uint8_t *meta = trace.metaData();
-    const std::uint32_t *sites = trace.siteIndexData();
+    const std::uint64_t *ips = block.ip;
+    const std::uint64_t *targets = block.target;
+    const std::uint64_t *instr = block.instr;
+    const std::uint8_t *meta = block.meta;
+    const std::uint32_t *sites = block.site;
     const std::size_t stride = 1 + n;
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < block.size; ++i) {
         const std::uint8_t m = meta[i];
         if ((m & 0x01) == 0)
             continue;
@@ -70,8 +69,8 @@ accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
             const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
                            (m & 0x10) != 0};
             for (std::size_t k = 0; k < n; ++k)
-                args.prediction_hook(b, guesses[k][i - begin] != 0,
-                                     instr[i], measured, k);
+                args.prediction_hook(b, guesses[k][i] != 0, instr[i],
+                                     measured, k);
         }
         if (!measured)
             continue;
@@ -88,14 +87,14 @@ accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
                 state.rows.data() + std::size_t(slot - 1) * stride;
             ++row[0];
             for (std::size_t k = 0; k < n; ++k) {
-                if (guesses[k][i - begin] != taken) {
+                if (guesses[k][i] != taken) {
                     ++row[1 + k];
                     ++state.mispredictions[k];
                 }
             }
         } else {
             for (std::size_t k = 0; k < n; ++k) {
-                if (guesses[k][i - begin] != taken)
+                if (guesses[k][i] != taken)
                     ++state.mispredictions[k];
             }
         }
@@ -103,82 +102,8 @@ accountBlock(const sbbt::MemTrace &trace, std::size_t begin,
 }
 
 json_t
-fusedArenaMany(const char *kName,
-               const std::vector<BlockKernel *> &kernels,
-               const SimArgs &args,
-               const std::shared_ptr<const sbbt::MemTrace> &trace,
-               double load_seconds)
-{
-    const sbbt::MemTrace &t = *trace;
-    const std::size_t n = kernels.size();
-    const std::size_t total = t.size();
-    const std::uint64_t limit = detail::instrLimit(args);
-    const std::uint64_t *instr = t.instrNumData();
-
-    // Same pre-partitioning as the single-predictor kernel: [0, stop)
-    // inside the instruction limit, [mid, stop) measured.
-    const std::size_t stop = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + total, limit) - instr);
-    const std::size_t mid = static_cast<std::size_t>(
-        std::upper_bound(instr, instr + stop, args.warmup_instr) - instr);
-
-    FusedManyState state;
-    state.mispredictions.assign(n, 0);
-    if (args.collect_most_failed)
-        state.site_row.assign(t.numSites(), 0);
-    const bool hook = static_cast<bool>(args.prediction_hook);
-    const bool track_all = !args.track_only_conditional;
-
-    std::vector<std::vector<std::uint8_t>> guesses(
-        n, std::vector<std::uint8_t>(kKernelBlockBranches, 0));
-
-    auto start_time = std::chrono::steady_clock::now();
-    for (std::size_t begin = 0; begin < stop;
-         begin += kKernelBlockBranches) {
-        const std::size_t end =
-            std::min(begin + kKernelBlockBranches, stop);
-        for (std::size_t k = 0; k < n; ++k)
-            kernels[k]->runBlock(t, begin, end, track_all,
-                                 guesses[k].data());
-        if (hook) {
-            if (args.collect_most_failed)
-                accountBlock<true, true>(t, begin, end, mid, n, args,
-                                         guesses, state);
-            else
-                accountBlock<true, false>(t, begin, end, mid, n, args,
-                                          guesses, state);
-        } else {
-            if (args.collect_most_failed)
-                accountBlock<false, true>(t, begin, end, mid, n, args,
-                                          guesses, state);
-            else
-                accountBlock<false, false>(t, begin, end, mid, n, args,
-                                           guesses, state);
-        }
-    }
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    const bool exhausted = stop == total;
-    const std::uint64_t last_instr =
-        stop < total ? instr[stop] : (total > 0 ? instr[total - 1] : 0);
-    const std::uint64_t simulation_instr =
-        detail::measuredInstr(args, t.header().instruction_count,
-                              exhausted, last_instr, limit);
-
-    detail::Throughput tp{seconds, t.decompressedBytes(), 0.0,
-                          load_seconds};
-    return detail::buildManyDoc(kName, kernels, args, simulation_instr,
-                                exhausted, t.staticSitesInPrefix(stop),
-                                state.dynamic_cond, stop,
-                                state.mispredictions, state.rows,
-                                state.row_ips, tp);
-}
-
-json_t
-runFusedMany(const char *kName, const std::vector<BlockKernel *> &kernels,
-             const SimArgs &args)
+runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
+          const SimArgs &args)
 {
     if (kernels.empty())
         return detail::errorResult(kName, args,
@@ -187,20 +112,58 @@ runFusedMany(const char *kName, const std::vector<BlockKernel *> &kernels,
         if (kernel == nullptr)
             return detail::errorResult(kName, args, "null predictor");
     }
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        return fusedArenaMany(kName, kernels, args, arena.trace,
-                              arena.load_seconds);
+    detail::BlockSource source;
+    std::string error;
+    if (!source.open(args, error))
+        return detail::errorResult(kName, args, error);
+
+    const std::size_t n = kernels.size();
+    detail::RunTotals run(args);
+    FusedManyState state;
+    state.mispredictions.assign(n, 0);
+    const bool hook = static_cast<bool>(args.prediction_hook);
+    const bool track_all = !args.track_only_conditional;
+
+    std::vector<std::vector<std::uint8_t>> guesses(
+        n, std::vector<std::uint8_t>(kKernelBlockBranches, 0));
+
+    auto start_time = std::chrono::steady_clock::now();
+    sbbt::BranchColumns block;
+    while (!run.stopped && source.next(block, kKernelBlockBranches)) {
+        const auto [mid, stop] = run.split(block);
+        block.size = stop;
+        for (std::size_t k = 0; k < n; ++k)
+            kernels[k]->runBlock(block, track_all, guesses[k].data());
+        if (args.collect_most_failed)
+            state.site_row.resize(source.numSites(), 0);
+        if (hook) {
+            if (args.collect_most_failed)
+                accountBlock<true, true>(block, mid, n, args, guesses,
+                                         state);
+            else
+                accountBlock<true, false>(block, mid, n, args, guesses,
+                                          state);
+        } else {
+            if (args.collect_most_failed)
+                accountBlock<false, true>(block, mid, n, args, guesses,
+                                          state);
+            else
+                accountBlock<false, false>(block, mid, n, args, guesses,
+                                           state);
+        }
     }
-    // Streaming fallback: the shared core drives the kernels through
-    // their per-branch interface — devirtualized within each call, same
-    // document either way.
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateManyCore(kName, kernels, args, reader, 0.0);
+    auto end_time = std::chrono::steady_clock::now();
+    double seconds =
+        std::chrono::duration<double>(end_time - start_time).count();
+
+    if (!source.error().empty())
+        return detail::errorResult(kName, args, source.error());
+
+    return detail::buildManyDoc(
+        kName, kernels, args, run.simulationInstr(args, source.header()),
+        run.exhausted(), run.static_branches, state.dynamic_cond,
+        run.dynamic_branches, state.mispredictions, state.rows,
+        state.row_ips, source.throughput(seconds));
 }
 
 } // namespace
@@ -209,13 +172,13 @@ json_t
 simulateManyFused(const std::vector<BlockKernel *> &kernels,
                   const SimArgs &args)
 {
-    return runFusedMany(detail::kMultiSimulatorName, kernels, args);
+    return runBlocks(detail::kMultiSimulatorName, kernels, args);
 }
 
 json_t
 compareFused(BlockKernel &a, BlockKernel &b, const SimArgs &args)
 {
-    return runFusedMany(detail::kCompareSimulatorName, {&a, &b}, args);
+    return runBlocks(detail::kCompareSimulatorName, {&a, &b}, args);
 }
 
 } // namespace mbp

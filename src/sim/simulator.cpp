@@ -1,196 +1,54 @@
 /**
  * @file
- * Implementation of the standard, comparison and multi-predictor
- * simulators.
+ * The virtual simulators: simulate(), compare() and simulateMany() over
+ * the runtime mbp::Predictor interface.
  *
- * The hot loops live in mbp/sim/detail/sim_core.hpp, templated over the
- * mbp::TraceSource concept — the SbbtReader consumption surface
- * (next/instrNumber/header/exhausted/error/decompressedBytes/
- * prefetchStallSeconds) — so the streaming reader and the decode-once
- * in-memory arena (sbbt::MemTraceCursor) share one accounting
- * implementation and cannot drift apart. The same header powers the
- * fused compile-time kernels (mbp/sim/kernels.hpp); this translation
- * unit instantiates the loops for the virtual mbp::Predictor base.
+ * They own no loop of their own. simulate() instantiates the
+ * single-predictor driver of mbp/sim/kernels.hpp for the abstract
+ * Predictor base, whose calls then stay virtual (detail::boundPredict);
+ * compare() and simulateMany() wrap each predictor in a
+ * FusedKernel<Predictor> and run the N-predictor block driver. So every
+ * simulator reads the same column blocks, arena or streaming, and
+ * builds the same documents as its fused counterpart.
  */
 #include "mbp/sim/simulator.hpp"
 
-#include <atomic>
-#include <thread>
-#include <utility>
+#include <memory>
 #include <vector>
 
-#include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/sbbt/reader.hpp"
-#include "mbp/sim/concepts.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
+#include "mbp/sim/kernels.hpp"
 
 namespace mbp
 {
 
-// Both shipped trace sources must keep satisfying the contract the
-// simulator cores are constrained on; drift fails right here.
-static_assert(TraceSource<sbbt::SbbtReader>);
-static_assert(TraceSource<sbbt::MemTraceCursor>);
-
-namespace
-{
-
-json_t
-runManyNamed(const char *kName, const std::vector<Predictor *> &predictors,
-             const SimArgs &args)
-{
-    if (predictors.empty())
-        return detail::errorResult(kName, args,
-                                   "no predictors to simulate");
-    for (const Predictor *p : predictors) {
-        if (p == nullptr)
-            return detail::errorResult(kName, args, "null predictor");
-    }
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        sbbt::MemTraceCursor cursor(std::move(arena.trace));
-        return detail::simulateManyCore(kName, predictors, args, cursor,
-                                        arena.load_seconds);
-    }
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateManyCore(kName, predictors, args, reader, 0.0);
-}
-
-} // namespace
-
 json_t
 simulate(Predictor &predictor, const SimArgs &args)
 {
-    const char *kName = detail::kStdSimulatorName;
-    if (detail::wantsArena(args)) {
-        detail::ArenaHandle arena = detail::resolveArena(args);
-        if (arena.trace == nullptr)
-            return detail::errorResult(kName, args, arena.error);
-        sbbt::MemTraceCursor cursor(std::move(arena.trace));
-        return detail::simulateCore(kName, predictor, args, cursor,
-                                    arena.load_seconds);
-    }
-    sbbt::SbbtReader reader(args.trace_path, detail::readerOptions(args));
-    if (!reader.ok())
-        return detail::errorResult(kName, args, reader.error());
-    return detail::simulateCore(kName, predictor, args, reader, 0.0);
+    return detail::runSingle(detail::kStdSimulatorName, predictor, args);
 }
 
 json_t
 compare(Predictor &a, Predictor &b, const SimArgs &args)
 {
-    return runManyNamed(detail::kCompareSimulatorName, {&a, &b}, args);
+    FusedKernel<Predictor> kernel_a(a);
+    FusedKernel<Predictor> kernel_b(b);
+    return compareFused(kernel_a, kernel_b, args);
 }
 
 json_t
 simulateMany(const std::vector<Predictor *> &predictors,
              const SimArgs &args)
 {
-    return runManyNamed(detail::kMultiSimulatorName, predictors, args);
-}
-
-namespace
-{
-
-/** Assembles the suite document from per-trace results, in trace order. */
-json_t
-assembleSuite(std::vector<json_t> results)
-{
-    json_t traces = json_t::array();
-    std::uint64_t total_mispredictions = 0;
-    std::uint64_t total_instructions = 0;
-    std::uint64_t total_cond = 0;
-    double total_time = 0.0;
-    double mpki_sum = 0.0;
-    std::size_t failures = 0;
-    for (json_t &result : results) {
-        if (result.contains("error")) {
-            ++failures;
-            traces.push_back(std::move(result));
-            continue;
-        }
-        const json_t &metrics = *result.find("metrics");
-        total_mispredictions += metrics.find("mispredictions")->asUint();
-        total_time += metrics.find("simulation_time")->asDouble();
-        mpki_sum += metrics.find("mpki")->asDouble();
-        const json_t &md = *result.find("metadata");
-        total_instructions += md.find("simulation_instr")->asUint();
-        total_cond += md.find("num_conditional_branches")->asUint();
-        // Keep the per-trace documents compact: the aggregate consumer
-        // rarely wants every trace's full most_failed listing.
-        json_t compact = json_t::object();
-        compact["metadata"] = *result.find("metadata");
-        compact["metrics"] = *result.find("metrics");
-        traces.push_back(std::move(compact));
+    // A null entry stays null, so the driver reports it.
+    std::vector<std::unique_ptr<BlockKernel>> kernels;
+    std::vector<BlockKernel *> pointers;
+    for (Predictor *p : predictors) {
+        if (p != nullptr)
+            kernels.push_back(std::make_unique<FusedKernel<Predictor>>(*p));
+        pointers.push_back(p != nullptr ? kernels.back().get() : nullptr);
     }
-    std::size_t succeeded = results.size() - failures;
-    json_t out = json_t::object();
-    out["summary"] = json_t::object({
-        {"num_traces", std::uint64_t(results.size())},
-        {"failed_traces", std::uint64_t(failures)},
-        {"amean_mpki", succeeded ? mpki_sum / double(succeeded) : 0.0},
-        {"total_mispredictions", total_mispredictions},
-        {"total_instructions", total_instructions},
-        {"total_conditional_branches", total_cond},
-        {"total_simulation_time", total_time},
-    });
-    out["traces"] = std::move(traces);
-    return out;
-}
-
-} // namespace
-
-json_t
-simulateSuite(const std::function<std::unique_ptr<Predictor>()> &factory,
-              const std::vector<std::string> &trace_paths,
-              const SimArgs &base_args)
-{
-    std::vector<json_t> results;
-    results.reserve(trace_paths.size());
-    for (const std::string &path : trace_paths) {
-        std::unique_ptr<Predictor> predictor = factory();
-        SimArgs args = base_args;
-        args.trace_path = path;
-        results.push_back(simulate(*predictor, args));
-    }
-    return assembleSuite(std::move(results));
-}
-
-json_t
-simulateSuiteParallel(
-    const std::function<std::unique_ptr<Predictor>()> &factory,
-    const std::vector<std::string> &trace_paths, const SimArgs &base_args,
-    unsigned num_threads)
-{
-    if (num_threads < 2 || trace_paths.size() < 2)
-        return simulateSuite(factory, trace_paths, base_args);
-    if (num_threads > trace_paths.size())
-        num_threads = static_cast<unsigned>(trace_paths.size());
-
-    std::vector<json_t> results(trace_paths.size());
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-        while (true) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= trace_paths.size())
-                return;
-            std::unique_ptr<Predictor> predictor = factory();
-            SimArgs args = base_args;
-            args.trace_path = trace_paths[i];
-            results[i] = simulate(*predictor, args);
-        }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t)
-        threads.emplace_back(worker);
-    for (std::thread &thread : threads)
-        thread.join();
-    return assembleSuite(std::move(results));
+    return simulateManyFused(pointers, args);
 }
 
 } // namespace mbp

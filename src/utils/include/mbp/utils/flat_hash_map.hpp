@@ -2,9 +2,9 @@
  * @file
  * A small open-addressing hash map keyed by 64-bit integers.
  *
- * The simulator keeps one entry per static branch to build the most-failed
- * ranking; std::unordered_map's node allocations dominate that path, so the
- * suite uses this flat, linear-probing map instead.
+ * The trace decoder keeps one entry per static branch to number branch
+ * sites (sbbt::SiteDecoder); std::unordered_map's node allocations would
+ * dominate that path, so the suite uses this flat, linear-probing map.
  */
 #ifndef MBP_UTILS_FLAT_HASH_MAP_HPP
 #define MBP_UTILS_FLAT_HASH_MAP_HPP

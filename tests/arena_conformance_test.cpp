@@ -504,14 +504,13 @@ mixedClassTrace()
     return path;
 }
 
-/** Drains @p next into a packet list. */
-template <typename Source>
+/** Drains @p reader into a packet list. */
 std::vector<sbbt::PacketData>
-drain(Source &source)
+drain(sbbt::SbbtReader &reader)
 {
     std::vector<sbbt::PacketData> packets;
     sbbt::PacketData packet;
-    while (source.next(packet))
+    while (reader.next(packet))
         packets.push_back(packet);
     return packets;
 }
@@ -551,16 +550,19 @@ TEST_F(ArenaConformanceTest, NonConditionalClassesRoundTripThroughArena)
     ASSERT_NE(mapped, nullptr) << error;
 
     for (const auto &arena : {decoded, mapped}) {
-        sbbt::MemTraceCursor cursor(arena);
-        const std::vector<sbbt::PacketData> actual = drain(cursor);
-        ASSERT_EQ(actual.size(), expected.size());
+        ASSERT_EQ(arena->size(), expected.size());
+        std::uint64_t previous_instr = 0;
         for (std::size_t i = 0; i < expected.size(); ++i) {
-            EXPECT_EQ(actual[i].branch, expected[i].branch)
+            const Branch actual{arena->ip(i), arena->target(i),
+                                arena->opcode(i), arena->taken(i)};
+            EXPECT_EQ(actual, expected[i].branch)
                 << (arena->mapped() ? "mapped" : "decoded")
                 << " packet " << i;
-            EXPECT_EQ(actual[i].instr_gap, expected[i].instr_gap)
+            EXPECT_EQ(arena->instrNumber(i) - previous_instr - 1,
+                      expected[i].instr_gap)
                 << (arena->mapped() ? "mapped" : "decoded")
                 << " packet " << i;
+            previous_instr = arena->instrNumber(i);
         }
     }
     std::remove(sidecar.c_str());

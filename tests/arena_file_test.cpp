@@ -97,10 +97,10 @@ expectSameArena(const sbbt::MemTrace &a, const sbbt::MemTrace &b)
     EXPECT_EQ(std::memcmp(a.siteCondOccData(), b.siteCondOccData(),
                           a.numSites() * 8),
               0);
-    // The first-seen bitmap is not exposed raw; staticSitesInPrefix
-    // covers it at a few cut points.
+    // The first-seen bitmap, counted at a few cut points.
     for (std::size_t cut : {std::size_t(0), n / 2, n})
-        EXPECT_EQ(a.staticSitesInPrefix(cut), b.staticSitesInPrefix(cut))
+        EXPECT_EQ(sbbt::countFirstSeen(a.columns(0, n).first_seen, cut),
+                  sbbt::countFirstSeen(b.columns(0, n).first_seen, cut))
             << cut;
 }
 
@@ -231,24 +231,23 @@ TEST_F(ArenaFileTest, CursorStreamsIdenticallyOverMappedArena)
     std::string error;
     auto mapped = sbbt::MemTrace::mapFile(arena_path_, &error);
     ASSERT_NE(mapped, nullptr) << error;
-    sbbt::MemTraceCursor a(decoded_);
-    sbbt::MemTraceCursor b(mapped);
-    sbbt::PacketData pa, pb;
-    while (true) {
-        const bool more_a = a.next(pa);
-        const bool more_b = b.next(pb);
-        ASSERT_EQ(more_a, more_b);
-        if (!more_a)
-            break;
-        EXPECT_EQ(pa.branch.ip(), pb.branch.ip());
-        EXPECT_EQ(pa.branch.target(), pb.branch.target());
-        EXPECT_EQ(pa.branch.opcode(), pb.branch.opcode());
-        EXPECT_EQ(pa.branch.isTaken(), pb.branch.isTaken());
-        EXPECT_EQ(pa.instr_gap, pb.instr_gap);
-        EXPECT_EQ(a.instrNumber(), b.instrNumber());
+    ASSERT_EQ(mapped->size(), decoded_->size());
+    // Walk both arenas in the block driver's column slices.
+    constexpr std::size_t kSlice = 4096;
+    for (std::size_t begin = 0; begin < decoded_->size(); begin += kSlice) {
+        const sbbt::BranchColumns a = decoded_->columns(begin, kSlice);
+        const sbbt::BranchColumns b = mapped->columns(begin, kSlice);
+        ASSERT_EQ(a.size, b.size);
+        for (std::size_t i = 0; i < a.size; ++i) {
+            EXPECT_EQ(a.ip[i], b.ip[i]);
+            EXPECT_EQ(a.target[i], b.target[i]);
+            EXPECT_EQ(a.meta[i], b.meta[i]);
+            EXPECT_EQ(a.instr[i], b.instr[i]);
+            EXPECT_EQ(a.site[i], b.site[i]);
+        }
+        EXPECT_EQ(sbbt::countFirstSeen(a.first_seen, a.size),
+                  sbbt::countFirstSeen(b.first_seen, b.size));
     }
-    EXPECT_TRUE(a.exhausted());
-    EXPECT_TRUE(b.exhausted());
 }
 
 TEST_F(ArenaFileTest, ReadArenaHeaderExposesTheFacts)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <random>
 
@@ -123,6 +125,34 @@ TEST(BttReader, DetectsTruncatedSequence)
     EXPECT_FALSE(reader.error().empty());
     std::remove(path.c_str());
     std::remove(cut.c_str());
+}
+
+TEST(BttReader, HeaderCountsAreBoundedByTheInput)
+{
+    // A tiny file whose header claims 2^31 nodes and edges: the reader
+    // must fail without sizing anything by those counts.
+    std::string path = tempPath("inflated.btt");
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    std::fputs("BTT v1\n"
+               "instruction_count 100\n"
+               "branch_count 10\n"
+               "node_count 2147483648\n"
+               "edge_count 2147483648\n"
+               "node 0 0x400000 1\n",
+               f);
+    std::fclose(f);
+    rusage before{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    BttReader reader(path);
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find("more than the input can hold"),
+              std::string::npos)
+        << reader.error();
+    // ru_maxrss is in KiB.
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+    std::remove(path.c_str());
 }
 
 TEST(OpTypeOf, ChampionshipTaxonomy)

@@ -2,10 +2,10 @@
  * @file
  * Conformance coverage for the compile-time contracts
  * (mbp/sim/concepts.hpp): every roster predictor type must satisfy
- * PredictorLike and RosterPredictor, both trace cursor types must
- * satisfy TraceSource, and near-miss shapes must be rejected. Most of
- * this file *is* the test — a contract regression fails the build — and
- * the runtime tests pin the concept-constrained sweep factory helper.
+ * PredictorLike and RosterPredictor, and near-miss shapes must be
+ * rejected. Most of this file *is* the test — a contract regression
+ * fails the build — and the runtime tests pin the concept-constrained
+ * sweep factory helper.
  */
 #include <gtest/gtest.h>
 
@@ -27,8 +27,6 @@
 #include "mbp/predictors/tournament.hpp"
 #include "mbp/predictors/two_level.hpp"
 #include "mbp/predictors/yags.hpp"
-#include "mbp/sbbt/mem_trace.hpp"
-#include "mbp/sbbt/reader.hpp"
 #include "mbp/sim/concepts.hpp"
 #include "mbp/sweep/sweep.hpp"
 
@@ -37,39 +35,6 @@ namespace
 
 using namespace mbp;
 using namespace mbp::pred;
-
-// ---------------------------------------------------------------------------
-// TraceSource: both cursor types, and near-misses rejected.
-
-static_assert(TraceSource<sbbt::SbbtReader>);
-static_assert(TraceSource<sbbt::MemTraceCursor>);
-static_assert(!TraceSource<int>);
-
-/** Looks like a reader but returns the wrong next() type. */
-struct WrongNextType
-{
-    int next(sbbt::PacketData &);
-    std::uint64_t instrNumber() const;
-    std::uint64_t branchesRead() const;
-    const sbbt::Header &header() const;
-    const std::string &error() const;
-    bool exhausted() const;
-    std::uint64_t decompressedBytes() const;
-    double prefetchStallSeconds() const;
-};
-static_assert(!TraceSource<WrongNextType>);
-
-/** Misses the throughput accessors the report needs. */
-struct NoThroughputStats
-{
-    bool next(sbbt::PacketData &);
-    std::uint64_t instrNumber() const;
-    std::uint64_t branchesRead() const;
-    const sbbt::Header &header() const;
-    const std::string &error() const;
-    bool exhausted() const;
-};
-static_assert(!TraceSource<NoThroughputStats>);
 
 // ---------------------------------------------------------------------------
 // PredictorLike / RosterPredictor: the full roster, at the exact

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the fused simulation kernels (mbp/sim/kernels.hpp):
- * block-boundary edge cases of the pre-partitioned loops (warmup ending
+ * block-boundary edge cases of the pre-partitioned loops over every
+ * block source — arena slices and streaming windows — (warmup ending
  * mid-block, instruction limit mid-block and at an exact block boundary,
  * traces shorter than one block), the KernelFusedStep / KernelSiteFold
  * equivalence contracts, and the variadic simulateManyFused() /
@@ -13,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mbp/predictors/batage.hpp"
@@ -22,6 +26,7 @@
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/predictors/tage.hpp"
 #include "mbp/predictors/tage_scl.hpp"
+#include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/simulator.hpp"
 #include "test_tmp.hpp"
@@ -32,16 +37,16 @@ namespace
 {
 
 // The dispatch-selection contracts, pinned at compile time: table
-// predictors offer the fused single-step (Gshare also the per-site
-// fold), and the TAGE family offers the fused step plus the multi-bank
-// prefetch form — but never the per-site fold, since its table indexes
-// depend on the live history.
+// predictors offer the fused single-step, the per-site fold and a
+// one-line prefetch hint, and the TAGE family offers the fused step plus
+// one prefetch hint per bank — but never the per-site fold, since its
+// table indexes depend on the live history.
 static_assert(KernelFusedStep<pred::Bimodal<16>>);
 static_assert(KernelSiteFold<pred::Bimodal<16>>);
 static_assert(KernelFusedStep<pred::Gshare<15, 17>>);
 static_assert(KernelSiteFold<pred::Gshare<15, 17>>);
-static_assert(KernelPrefetchable<pred::Gshare<15, 17>>);
-static_assert(!KernelMultiPrefetch<pred::Gshare<15, 17>>);
+static_assert(KernelMultiPrefetch<pred::Bimodal<16>>);
+static_assert(KernelMultiPrefetch<pred::Gshare<15, 17>>);
 static_assert(KernelFusedStep<pred::Tage>);
 static_assert(KernelFusedStep<pred::Batage>);
 static_assert(KernelFusedStep<pred::TageScl>);
@@ -51,7 +56,6 @@ static_assert(!KernelSiteFold<pred::TageScl>);
 static_assert(KernelMultiPrefetch<pred::Tage>);
 static_assert(KernelMultiPrefetch<pred::Batage>);
 static_assert(KernelMultiPrefetch<pred::TageScl>);
-static_assert(!KernelPrefetchable<pred::Tage>);
 // Per-predictor prefetch distance: declared by the TAGE family, the
 // global default for everything else.
 static_assert(kernelPrefetchDistanceOf<pred::Tage>() ==
@@ -116,38 +120,81 @@ writeKernelTrace(const std::string &name, std::size_t num_branches)
     return path;
 }
 
+using SimRun = std::function<json_t(const SimArgs &)>;
+
 /**
- * Runs Gshare fused and virtual over @p args (plus a hooked fused pass
- * for the prediction stream) and expects identical results.
+ * The conditional prediction stream of a hooked run: one byte per
+ * (branch, predictor), 'T'/'N' shifted by the predictor index.
+ */
+std::string
+predictionStream(SimArgs args, const SimRun &run)
+{
+    std::string bytes;
+    args.prediction_hook = [&bytes](const Branch &, bool p, std::uint64_t,
+                                    bool, std::size_t k) {
+        bytes.push_back(static_cast<char>((p ? 'T' : 'N') + 32 * k));
+    };
+    run(args);
+    return bytes;
+}
+
+/**
+ * Runs Gshare fused and virtual, alone and compared against Bimodal,
+ * over @p base from every block source — the decoded arena, and
+ * streaming windows fed by reader blocks that match the 4096-branch
+ * window or do not (1000 packets) — and expects every document and
+ * prediction stream to equal the virtual arena run's.
  */
 void
 expectFusedMatchesVirtual(const SimArgs &base)
 {
-    pred::Gshare<15, 17> fused_pred;
-    pred::Gshare<15, 17> virtual_pred;
-    json_t fused_doc = simulateFused(fused_pred, base);
-    json_t virtual_doc = simulate(virtual_pred, base);
-    ASSERT_FALSE(fused_doc.contains("error")) << fused_doc.dump(2);
-    ASSERT_FALSE(virtual_doc.contains("error")) << virtual_doc.dump(2);
-    EXPECT_EQ(scrubTiming(fused_doc).dump(2),
-              scrubTiming(virtual_doc).dump(2));
+    const std::vector<std::vector<std::pair<const char *, SimRun>>> families =
+        {{{"simulate",
+           [](const SimArgs &a) {
+               pred::Gshare<15, 17> p;
+               return simulate(p, a);
+           }},
+          {"simulateFused",
+           [](const SimArgs &a) {
+               pred::Gshare<15, 17> p;
+               return simulateFused(p, a);
+           }}},
+         {{"compare",
+           [](const SimArgs &a) {
+               pred::Gshare<15, 17> p;
+               pred::Bimodal<12> q;
+               return compare(p, q, a);
+           }},
+          {"compareFused", [](const SimArgs &a) {
+               pred::Gshare<15, 17> p;
+               pred::Bimodal<12> q;
+               return compareFused(p, q, a);
+           }}}};
 
-    std::string fused_bytes, virtual_bytes;
-    SimArgs fused_args = base;
-    SimArgs virtual_args = base;
-    fused_args.prediction_hook = [&fused_bytes](const Branch &, bool p,
-                                                std::uint64_t, bool) {
-        fused_bytes.push_back(p ? 'T' : 'N');
-    };
-    virtual_args.prediction_hook = [&virtual_bytes](const Branch &, bool p,
-                                                    std::uint64_t, bool) {
-        virtual_bytes.push_back(p ? 'T' : 'N');
-    };
-    pred::Gshare<15, 17> hooked_fused;
-    pred::Gshare<15, 17> hooked_virtual;
-    simulateFused(hooked_fused, fused_args);
-    simulate(hooked_virtual, virtual_args);
-    EXPECT_EQ(fused_bytes, virtual_bytes);
+    SimArgs arena = base;
+    arena.in_memory = true;
+    SimArgs stream = base;
+    stream.in_memory = false;
+    SimArgs ragged = stream;
+    ragged.reader_block_packets = 1000;
+    const std::vector<std::pair<const char *, SimArgs>> sources = {
+        {"arena", arena}, {"stream", stream}, {"ragged-stream", ragged}};
+
+    for (const auto &family : families) {
+        const SimRun &reference_run = family.front().second;
+        const json_t reference = reference_run(arena);
+        ASSERT_FALSE(reference.contains("error")) << reference.dump(2);
+        const std::string reference_doc = scrubTiming(reference).dump(2);
+        const std::string reference_stream =
+            predictionStream(arena, reference_run);
+        for (const auto &[source, args] : sources) {
+            for (const auto &[name, run] : family) {
+                SCOPED_TRACE(std::string(source) + " " + name);
+                EXPECT_EQ(scrubTiming(run(args)).dump(2), reference_doc);
+                EXPECT_EQ(predictionStream(args, run), reference_stream);
+            }
+        }
+    }
 }
 
 class KernelBoundaryTest : public testing::Test
@@ -239,6 +286,58 @@ TEST_F(KernelBoundaryTest, CollectDisabledMatchesToo)
     a.warmup_instr = 10 * (kKernelBlockBranches + 1000) + 5;
     a.collect_most_failed = false;
     expectFusedMatchesVirtual(a);
+}
+
+TEST(KernelStreamingError, HookSeesEveryBranchBeforeTheError)
+{
+    // A raw trace cut mid-packet, past the first streaming window: every
+    // driver hands the hook each whole packet's conditional branch, then
+    // returns the reader's error — the same document an arena run gives.
+    std::string path = writeKernelTrace("kernel_cut.sbbt",
+                                        2 * kKernelBlockBranches + 2048);
+    constexpr std::size_t kWhole = kKernelBlockBranches + 1000;
+    std::filesystem::resize_file(
+        path, sbbt::kHeaderSize + kWhole * sbbt::kPacketSize + 7);
+    std::size_t conditionals = 0;
+    {
+        sbbt::SbbtReader reader(path);
+        sbbt::PacketData packet;
+        while (reader.next(packet))
+            conditionals += packet.branch.isConditional() ? 1 : 0;
+        ASSERT_EQ(reader.branchesRead(), kWhole);
+        ASSERT_NE(reader.error(), "");
+    }
+    SimArgs args;
+    args.trace_path = path;
+    SimArgs arena = args;
+    arena.in_memory = true;
+    const std::vector<std::pair<const char *, SimRun>> runs = {
+        {"simulate",
+         [](const SimArgs &a) {
+             pred::Gshare<15, 17> p;
+             return simulate(p, a);
+         }},
+        {"simulateFused",
+         [](const SimArgs &a) {
+             pred::Gshare<15, 17> p;
+             return simulateFused(p, a);
+         }},
+        {"compare", [](const SimArgs &a) {
+             pred::Gshare<15, 17> p;
+             pred::Bimodal<12> q;
+             return compare(p, q, a);
+         }}};
+    for (const auto &[name, run] : runs) {
+        SCOPED_TRACE(name);
+        const json_t doc = run(args);
+        ASSERT_TRUE(doc.contains("error"));
+        EXPECT_FALSE(doc.contains("metrics"));
+        EXPECT_EQ(doc.dump(2), run(arena).dump(2));
+        const std::size_t per_branch = std::string(name) == "compare" ? 2 : 1;
+        EXPECT_EQ(predictionStream(args, run).size(),
+                  conditionals * per_branch);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(KernelShortTrace, TraceShorterThanOneBlock)

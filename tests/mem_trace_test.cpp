@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the decode-once in-memory trace arena: a loaded
- * MemTrace must replay, through MemTraceCursor, the exact packet stream
+ * Unit tests for the decoded-column traces: a loaded MemTrace, walked
+ * through its column slices, must replay the exact packet stream
  * SbbtReader delivers from the same file — same branches, same gaps,
- * same instruction numbers, same exhaustion semantics — plus the sizing
+ * same instruction numbers — and a TraceWindow must hand out the same
+ * columns, site ids and site tables block by block; plus the sizing
  * helpers the memory-budgeted cache relies on.
  */
 #include "mbp/sbbt/mem_trace.hpp"
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -155,61 +157,37 @@ TEST(MemTrace, CursorReplaysReaderStreamInLockstep)
     auto trace = sbbt::MemTrace::load(path, {}, &error);
     ASSERT_NE(trace, nullptr) << error;
 
+    // Walk the arena the way the block driver does — in column slices of
+    // kSlice rows — in lockstep with the reader.
+    constexpr std::size_t kSlice = 4096;
     sbbt::SbbtReader reader(path);
     ASSERT_TRUE(reader.ok()) << reader.error();
-    sbbt::MemTraceCursor cursor(trace);
-    ASSERT_TRUE(cursor.ok());
-
-    sbbt::PacketData from_file, from_arena;
-    while (true) {
-        const bool file_more = reader.next(from_file);
-        const bool arena_more = cursor.next(from_arena);
-        ASSERT_EQ(file_more, arena_more);
-        if (!file_more)
-            break;
-        EXPECT_EQ(from_arena.branch, from_file.branch);
-        EXPECT_EQ(from_arena.instr_gap, from_file.instr_gap);
-        EXPECT_EQ(cursor.instrNumber(), reader.instrNumber());
-        EXPECT_EQ(cursor.branchesRead(), reader.branchesRead());
+    sbbt::PacketData packet;
+    std::uint64_t previous_instr = 0;
+    std::uint64_t sites = 0;
+    std::size_t begin = 0;
+    for (sbbt::BranchColumns slice = trace->columns(0, kSlice);
+         slice.size > 0; slice = trace->columns(begin, kSlice)) {
+        for (std::size_t i = 0; i < slice.size; ++i) {
+            ASSERT_TRUE(reader.next(packet));
+            const Branch &b = packet.branch;
+            EXPECT_EQ(slice.ip[i], b.ip());
+            EXPECT_EQ(slice.target[i], b.target());
+            EXPECT_EQ(OpCode(slice.meta[i] & 0x0f), b.opcode());
+            EXPECT_EQ((slice.meta[i] & 0x10) != 0, b.isTaken());
+            EXPECT_EQ(slice.instr[i], reader.instrNumber());
+            EXPECT_EQ(slice.instr[i] - previous_instr - 1, packet.instr_gap);
+            EXPECT_EQ(slice.site[i], trace->siteIndex(begin + i));
+            previous_instr = slice.instr[i];
+        }
+        sites += sbbt::countFirstSeen(slice.first_seen, slice.size);
+        begin += slice.size;
     }
+    EXPECT_FALSE(reader.next(packet));
     EXPECT_EQ(reader.error(), "");
-    EXPECT_TRUE(reader.exhausted());
-    EXPECT_TRUE(cursor.exhausted());
-    EXPECT_EQ(cursor.branchesRead(), reader.branchesRead());
+    EXPECT_EQ(begin, trace->size());
+    EXPECT_EQ(sites, trace->numSites());
     std::remove(path.c_str());
-}
-
-TEST(MemTrace, CursorExhaustedOnlyAfterFailingNext)
-{
-    const std::string path = writeTrace("mem_exhaust.sbbt", 93, 5'000);
-    auto trace = sbbt::MemTrace::load(path);
-    ASSERT_NE(trace, nullptr);
-    ASSERT_GT(trace->size(), 0u);
-
-    // Mirror SbbtReader: consuming the last packet does not flip
-    // exhausted(); only the next() that returns false does. This is what
-    // lets the simulator's instruction-limit break distinguish "stopped
-    // early" from "trace fully consumed" identically on both sources.
-    sbbt::MemTraceCursor cursor(trace);
-    sbbt::PacketData packet;
-    for (std::size_t i = 0; i < trace->size(); ++i) {
-        ASSERT_TRUE(cursor.next(packet));
-        EXPECT_FALSE(cursor.exhausted());
-    }
-    EXPECT_FALSE(cursor.next(packet));
-    EXPECT_TRUE(cursor.exhausted());
-    std::remove(path.c_str());
-}
-
-TEST(MemTrace, NullCursorReportsErrorNotExhaustion)
-{
-    sbbt::MemTraceCursor cursor(nullptr);
-    EXPECT_FALSE(cursor.ok());
-    EXPECT_NE(cursor.error(), "");
-    sbbt::PacketData packet;
-    EXPECT_FALSE(cursor.next(packet));
-    EXPECT_FALSE(cursor.exhausted()); // an error is not a clean end
-    EXPECT_EQ(cursor.decompressedBytes(), 0u);
 }
 
 TEST(MemTrace, IndependentCursorsShareOneArena)
@@ -218,21 +196,20 @@ TEST(MemTrace, IndependentCursorsShareOneArena)
     auto trace = sbbt::MemTrace::load(path);
     ASSERT_NE(trace, nullptr);
 
-    // Several threads replay the same arena concurrently, each through
-    // its own cursor; every replay must see the full identical stream.
+    // Several threads walk the same arena concurrently, each with its own
+    // position; every walk must see the full identical stream.
     // (This test doubles as the MemTrace workout under MBP_SANITIZE=thread.)
     constexpr int kThreads = 4;
     std::vector<std::uint64_t> checksums(kThreads, 0);
     std::vector<std::thread> threads;
     for (int w = 0; w < kThreads; ++w) {
         threads.emplace_back([&, w] {
-            sbbt::MemTraceCursor cursor(trace);
-            sbbt::PacketData packet;
+            const sbbt::BranchColumns all =
+                trace->columns(0, trace->size());
             std::uint64_t sum = 0;
-            while (cursor.next(packet))
-                sum += packet.branch.ip() + packet.instr_gap +
-                       (packet.branch.isTaken() ? 1 : 0);
-            checksums[w] = cursor.exhausted() ? sum : 0;
+            for (std::size_t i = 0; i < all.size; ++i)
+                sum += all.ip[i] + all.instr[i] + (all.meta[i] >> 4);
+            checksums[w] = sum;
         });
     }
     for (auto &thread : threads)
@@ -240,6 +217,93 @@ TEST(MemTrace, IndependentCursorsShareOneArena)
     EXPECT_NE(checksums[0], 0u);
     for (int w = 1; w < kThreads; ++w)
         EXPECT_EQ(checksums[w], checksums[0]);
+    std::remove(path.c_str());
+}
+
+TEST(TraceWindow, HandsOutTheArenaBlockByBlock)
+{
+    const std::string path = writeTrace("window.sbbt", 96, 120'000);
+    auto trace = sbbt::MemTrace::load(path);
+    ASSERT_NE(trace, nullptr);
+    ASSERT_GT(trace->size(), 3 * 1000u);
+
+    // A reader block of 1000 packets never lines up with the window, so
+    // windows are stitched from several reader blocks.
+    for (std::size_t reader_block : {std::size_t(1000), std::size_t(4096)}) {
+        SCOPED_TRACE(reader_block);
+        sbbt::TraceWindow window(path, {.block_packets = reader_block},
+                                 4096);
+        ASSERT_TRUE(window.reader().ok());
+        std::size_t pos = 0;
+        std::uint64_t sites = 0;
+        for (sbbt::BranchColumns block = window.next(UINT64_MAX);
+             block.size > 0; block = window.next(UINT64_MAX)) {
+            EXPECT_LE(block.size, 4096u);
+            for (std::size_t i = 0; i < block.size; ++i) {
+                ASSERT_LT(pos + i, trace->size());
+                EXPECT_EQ(block.ip[i], trace->ip(pos + i));
+                EXPECT_EQ(block.target[i], trace->target(pos + i));
+                EXPECT_EQ(block.instr[i], trace->instrNumber(pos + i));
+                EXPECT_EQ(block.meta[i], trace->metaData()[pos + i]);
+                EXPECT_EQ(block.site[i], trace->siteIndex(pos + i));
+            }
+            sites += sbbt::countFirstSeen(block.first_seen, block.size);
+            pos += block.size;
+        }
+        EXPECT_EQ(window.error(), "");
+        EXPECT_EQ(pos, trace->size());
+        EXPECT_EQ(sites, trace->numSites());
+        ASSERT_EQ(window.sites().numSites(), trace->numSites());
+        for (std::uint32_t s = 0; s < trace->numSites(); ++s) {
+            EXPECT_EQ(window.sites().siteIps()[s], trace->siteIp(s));
+            EXPECT_EQ(window.sites().siteCondOccurrences()[s],
+                      trace->siteCondOccurrences(s));
+        }
+        EXPECT_EQ(window.reader().decompressedBytes(),
+                  trace->decompressedBytes());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceWindow, StopsReadingAfterTheFirstBranchPastTheLimit)
+{
+    const std::string path = writeTrace("window_limit.sbbt", 97, 120'000);
+    auto trace = sbbt::MemTrace::load(path);
+    ASSERT_NE(trace, nullptr);
+    ASSERT_GT(trace->size(), 5000u);
+
+    // With 1000-packet reader blocks, the window's first fill takes the
+    // reader block holding branch 1500 and stops there: the limit is
+    // crossed, so the next reader block is never decoded.
+    const std::uint64_t limit = trace->instrNumber(1500);
+    sbbt::TraceWindow window(path, {.block_packets = 1000}, 4096);
+    const sbbt::BranchColumns block = window.next(limit);
+    EXPECT_EQ(block.size, 2000u);
+    EXPECT_GT(block.instr[block.size - 1], limit);
+    EXPECT_EQ(window.reader().branchesRead(), 2000u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceWindow, SurfacesAnErrorAfterEveryBranchBeforeIt)
+{
+    // A raw trace cut mid-packet: every whole packet is handed out, then
+    // the window ends with the reader's error.
+    const std::string path = writeTrace("window_cut.sbbt", 98, 60'000);
+    std::uint64_t branches = 0;
+    {
+        sbbt::SbbtReader reader(path);
+        branches = reader.header().branch_count;
+    }
+    const std::uint64_t keep = sbbt::kHeaderSize +
+                               (branches / 2) * sbbt::kPacketSize + 5;
+    std::filesystem::resize_file(path, keep);
+    sbbt::TraceWindow window(path, {}, 4096);
+    std::uint64_t seen = 0;
+    for (sbbt::BranchColumns block = window.next(UINT64_MAX);
+         block.size > 0; block = window.next(UINT64_MAX))
+        seen += block.size;
+    EXPECT_EQ(seen, branches / 2);
+    EXPECT_NE(window.error(), "");
     std::remove(path.c_str());
 }
 
@@ -338,8 +402,11 @@ TEST(MemTrace, UnsizedInputGrowsTheColumnsPastTheFirstReserve)
         ASSERT_EQ(grown->instrNumber(i), expected->instrNumber(i)) << i;
         ASSERT_EQ(grown->siteIndex(i), expected->siteIndex(i)) << i;
     }
-    EXPECT_EQ(grown->staticSitesInPrefix(grown->size()),
-              expected->staticSitesInPrefix(expected->size()));
+    EXPECT_EQ(sbbt::countFirstSeen(
+                  grown->columns(0, grown->size()).first_seen, grown->size()),
+              sbbt::countFirstSeen(
+                  expected->columns(0, expected->size()).first_seen,
+                  expected->size()));
     std::remove(fifo.c_str());
     std::remove(gz.c_str());
     std::remove(path.c_str());

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the extended simulation APIs: the multi-trace suite driver
- * and the stats-collection switch.
+ * Tests for the extended simulation APIs: the stats-collection switch
+ * and compare()'s warmup/limit accounting.
  */
 #include "mbp/sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
 
 #include "mbp/predictors/bimodal.hpp"
 #include "mbp/predictors/gshare.hpp"
@@ -40,78 +39,6 @@ writeTrace(const std::string &name, std::uint64_t seed,
 
 } // namespace
 
-TEST(SimulateSuite, AggregatesAcrossTraces)
-{
-    std::vector<std::string> traces = {
-        writeTrace("suite_a.sbbt", 1, 200'000),
-        writeTrace("suite_b.sbbt", 2, 300'000),
-        writeTrace("suite_c.sbbt", 3, 150'000),
-    };
-    SimArgs args;
-    json_t result = simulateSuite(
-        [] { return std::make_unique<pred::Gshare<12, 14>>(); }, traces,
-        args);
-
-    const json_t &summary = *result.find("summary");
-    EXPECT_EQ(summary.find("num_traces")->asUint(), 3u);
-    EXPECT_EQ(summary.find("failed_traces")->asUint(), 0u);
-    EXPECT_EQ(result.find("traces")->size(), 3u);
-
-    // The aggregate equals the per-trace numbers.
-    double mpki_sum = 0.0;
-    std::uint64_t misp = 0, instr = 0;
-    for (const auto &trace : result.find("traces")->elements()) {
-        mpki_sum += trace.find("metrics")->find("mpki")->asDouble();
-        misp += trace.find("metrics")->find("mispredictions")->asUint();
-        instr += trace.find("metadata")->find("simulation_instr")->asUint();
-    }
-    EXPECT_DOUBLE_EQ(summary.find("amean_mpki")->asDouble(),
-                     mpki_sum / 3.0);
-    EXPECT_EQ(summary.find("total_mispredictions")->asUint(), misp);
-    EXPECT_EQ(summary.find("total_instructions")->asUint(), instr);
-    EXPECT_GT(instr, 600'000u);
-
-    // Each trace got a *fresh* predictor: re-running a single trace alone
-    // gives the same mispredictions as in the suite run.
-    pred::Gshare<12, 14> fresh;
-    SimArgs single;
-    single.trace_path = traces[1];
-    json_t alone = simulate(fresh, single);
-    EXPECT_EQ((*result.find("traces"))[1]
-                  .find("metrics")
-                  ->find("mispredictions")
-                  ->asUint(),
-              alone.find("metrics")->find("mispredictions")->asUint());
-
-    for (const auto &t : traces)
-        std::remove(t.c_str());
-}
-
-TEST(SimulateSuite, ReportsPerTraceErrors)
-{
-    std::vector<std::string> traces = {
-        writeTrace("suite_ok.sbbt", 5, 100'000),
-        "/nonexistent/missing.sbbt",
-    };
-    json_t result = simulateSuite(
-        [] { return std::make_unique<pred::Bimodal<12>>(); }, traces,
-        SimArgs{});
-    EXPECT_EQ(result.find("summary")->find("failed_traces")->asUint(), 1u);
-    EXPECT_TRUE((*result.find("traces"))[1].contains("error"));
-    std::remove(traces[0].c_str());
-}
-
-TEST(SimulateSuite, SuiteDocumentsAreCompact)
-{
-    std::vector<std::string> traces = {
-        writeTrace("suite_compact.sbbt", 9, 100'000)};
-    json_t result = simulateSuite(
-        [] { return std::make_unique<pred::Bimodal<12>>(); }, traces,
-        SimArgs{});
-    EXPECT_FALSE((*result.find("traces"))[0].contains("most_failed"));
-    std::remove(traces[0].c_str());
-}
-
 TEST(CollectMostFailed, DisablingDropsRankingButKeepsMetrics)
 {
     std::string path = writeTrace("nostats.sbbt", 11, 300'000);
@@ -135,50 +62,6 @@ TEST(CollectMostFailed, DisablingDropsRankingButKeepsMetrics)
     EXPECT_FALSE(lean.contains("most_failed"));
     EXPECT_FALSE(lean.find("metrics")->contains("num_most_failed_branches"));
     std::remove(path.c_str());
-}
-
-TEST(SimulateSuiteParallel, MatchesSequentialResults)
-{
-    std::vector<std::string> traces;
-    for (int i = 0; i < 5; ++i)
-        traces.push_back(writeTrace("par_" + std::to_string(i) + ".sbbt",
-                                    std::uint64_t(100 + i), 150'000));
-    auto factory = [] { return std::make_unique<pred::Gshare<12, 14>>(); };
-    json_t serial = simulateSuite(factory, traces, SimArgs{});
-    json_t parallel = simulateSuiteParallel(factory, traces, SimArgs{}, 4);
-
-    const json_t &ss = *serial.find("summary");
-    const json_t &ps = *parallel.find("summary");
-    EXPECT_EQ(ss.find("total_mispredictions")->asUint(),
-              ps.find("total_mispredictions")->asUint());
-    EXPECT_EQ(ss.find("total_instructions")->asUint(),
-              ps.find("total_instructions")->asUint());
-    EXPECT_DOUBLE_EQ(ss.find("amean_mpki")->asDouble(),
-                     ps.find("amean_mpki")->asDouble());
-    // Per-trace results arrive in trace order in both drivers.
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        EXPECT_EQ((*serial.find("traces"))[i]
-                      .find("metrics")
-                      ->find("mispredictions")
-                      ->asUint(),
-                  (*parallel.find("traces"))[i]
-                      .find("metrics")
-                      ->find("mispredictions")
-                      ->asUint())
-            << i;
-    }
-    for (const auto &t : traces)
-        std::remove(t.c_str());
-}
-
-TEST(SimulateSuiteParallel, OneThreadFallsBackToSequential)
-{
-    std::vector<std::string> traces = {
-        writeTrace("par_single.sbbt", 77, 100'000)};
-    auto factory = [] { return std::make_unique<pred::Bimodal<12>>(); };
-    json_t result = simulateSuiteParallel(factory, traces, SimArgs{}, 1);
-    EXPECT_EQ(result.find("summary")->find("num_traces")->asUint(), 1u);
-    std::remove(traces[0].c_str());
 }
 
 TEST(Compare, MatchesIndependentSimulateRunsWithWarmup)

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <vector>
 
 #include "mbp/sbbt/writer.hpp"
@@ -596,29 +595,6 @@ TEST(PredictionHookAdapter, AdaptsBothSignatures)
     ASSERT_TRUE(static_cast<bool>(legacy));
     legacy(cond(0x1000, true), true, 1, true, 3);
     EXPECT_TRUE(legacy_called);
-}
-
-// The most_failed ranking keys rows by a 32-bit slot; a trace with
-// 2^32-1 distinct measured sites must fail the run loudly instead of
-// wrapping. The guard predicates are constexpr so the boundary is
-// pinned at compile time (the full condition cannot be built in a
-// test: it needs four billion distinct branch addresses).
-static_assert(detail::rowIndexWouldOverflow(detail::kMaxRankedSites));
-static_assert(detail::rowIndexWouldOverflow(detail::kMaxRankedSites + 1));
-static_assert(!detail::rowIndexWouldOverflow(detail::kMaxRankedSites - 1));
-static_assert(!detail::rowIndexWouldOverflow(0));
-static_assert(detail::rowAllocWouldOverflow(
-    std::numeric_limits<std::size_t>::max() / 4, 8));
-static_assert(!detail::rowAllocWouldOverflow(1'000'000, 8));
-static_assert(!detail::rowAllocWouldOverflow(
-    std::numeric_limits<std::size_t>::max(), 0));
-
-TEST(SimulateMany, SiteOverflowErrorMessageNamesTheRemedy)
-{
-    // The error string callers will see tells them how to proceed.
-    EXPECT_NE(std::string(detail::kSiteOverflowError)
-                  .find("collect_most_failed"),
-              std::string::npos);
 }
 
 TEST(Analytic, PaperMotivationNumbers)
