@@ -17,8 +17,9 @@ checked on two axes:
   regression (the fused kernels sit at 2x+, so a 15% ratio drop is a
   code change, not weather). The arena artifact's single cold-vs-warm
   wall-clock ratio is far noisier than the kernels' rows (each the
-  median ratio of 5 adjacent virtual/fused run pairs), so it uses the
-  wider ``ARENA_SPEEDUP_TOLERANCE`` floor instead.
+  median ratio of at least 9 adjacent virtual/fused run pairs, timed in
+  thread CPU time), so it uses the wider ``ARENA_SPEEDUP_TOLERANCE``
+  floor instead.
 * **Speeds compare only on the same host**: every artifact records the
   host and build it ran on (its ``fingerprint``: nproc, CPU model,
   compiler, build type, sanitizers). When the baseline's fingerprint

@@ -424,7 +424,7 @@ runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
 
     auto start_time = std::chrono::steady_clock::now();
     sbbt::BranchColumns block;
-    while (!run.stopped && source.next(block, kKernelBlockBranches)) {
+    while (!run.stopped && source.next(block)) {
         const auto [mid, stop] = run.split(block);
         for (std::size_t i = 0; i < stop; ++i) {
             const std::uint8_t m = block.meta[i];

@@ -2,15 +2,15 @@
  * @file
  * Shared internals of the simulator family: where a run's branches come
  * from (BlockSource), the run-level warmup/limit bookkeeping
- * (RunTotals), and the report builders.
+ * (RunTotals) and the document helpers.
  *
- * Every simulator flavor — simulate()/compare()/simulateMany(), their
- * fused counterparts in mbp/sim/kernels.hpp, and frontend::simulate() —
- * reads its trace as a sequence of sbbt::BranchColumns blocks from one
- * BlockSource and builds its document with the helpers here, so the
- * output documents and the warmup/limit accounting cannot drift apart
- * between paths. The loops that step predictors live in kernels.hpp and
- * kernels.cpp only.
+ * Every simulator — simulate()/compare()/simulateMany(), their fused
+ * counterparts in mbp/sim/kernels.hpp, and frontend::simulate() — reads
+ * its trace as a sequence of sbbt::BranchColumns blocks from one
+ * BlockSource and books it through RunTotals, so the warmup/limit
+ * accounting and the document layout cannot drift apart between paths.
+ * One loop steps conditional predictors (FusedKernel::runBlock in
+ * kernels.hpp, driven from kernels.cpp); the front end has its own.
  *
  * This is an internal header: everything in mbp::detail may change
  * between versions. User code should stick to mbp/sim/simulator.hpp and
@@ -20,14 +20,11 @@
 #define MBP_SIM_DETAIL_SIM_CORE_HPP
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "mbp/json/json.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
@@ -41,10 +38,8 @@ namespace mbp
 /**
  * Branches per kernel block, and the size of the window a streaming run
  * decodes into. Large enough to amortize the one virtual runBlock() call
- * per (block x predictor) on the N-predictor path into noise, small
- * enough that a block's three hot columns (ip + meta + guesses,
- * 10 B/branch) stay resident in L1d between the predict pass and the
- * accounting pass.
+ * per (block x kernel) into noise, small enough that N kernels sharing a
+ * block read its columns while they are still in cache.
  */
 inline constexpr std::size_t kKernelBlockBranches = 4096;
 
@@ -60,14 +55,6 @@ inline constexpr const char *kStdSimulatorName = "MBPlib std simulator";
 inline constexpr const char *kCompareSimulatorName =
     "MBPlib comparison simulator";
 inline constexpr const char *kMultiSimulatorName = "MBPlib multi simulator";
-
-/** Per-static-branch accounting for the most_failed ranking. */
-struct BranchStat
-{
-    std::uint64_t occurrences = 0; // measured conditional executions
-    std::uint64_t mispredictions_a = 0;
-    std::uint64_t mispredictions_b = 0; // unused by simulate()
-};
 
 /** Timing/throughput observability fields of a finished run. */
 struct Throughput
@@ -205,202 +192,6 @@ reportsStorageOf(const P &predictor)
 }
 
 /**
- * Sorts the (ip, stats) rows by primary misprediction count, with the ip
- * as a deterministic tie break. Callers pass only rows with
- * mispredictions_a > 0; the order is then a total order regardless of
- * which container (hash map or dense site array) produced the rows, so
- * every path ranks identically.
- */
-inline void
-rankByMispredictions(
-    std::vector<std::pair<std::uint64_t, BranchStat>> &rows)
-{
-    std::sort(rows.begin(), rows.end(), [](const auto &x, const auto &y) {
-        if (x.second.mispredictions_a != y.second.mispredictions_a)
-            return x.second.mispredictions_a > y.second.mispredictions_a;
-        return x.first < y.first; // deterministic tie break
-    });
-}
-
-/**
- * Assembles the simulate() document from the finished run's raw counts.
- * @p rows holds the per-branch stats of every measured conditional site
- * with at least one misprediction (any order; ranked here).
- */
-template <typename P>
-inline json_t
-buildSimulateDoc(const char *kName, P &predictor, const SimArgs &args,
-                 std::uint64_t simulation_instr, bool exhausted,
-                 std::uint64_t static_branches, std::uint64_t dynamic_cond,
-                 std::uint64_t dynamic_branches,
-                 std::uint64_t mispredictions,
-                 std::vector<std::pair<std::uint64_t, BranchStat>> rows,
-                 const Throughput &tp)
-{
-    json_t result = json_t::object();
-    result["metadata"] = makeMetadata(kName, args, simulation_instr,
-                                      exhausted, dynamic_cond,
-                                      static_branches);
-    result["metadata"]["predictor"] = predictor.metadata_stats();
-    // Budget accounting: a design that reports its storage — via a
-    // non-zero storageBits() or a declared (possibly zero-total)
-    // component tree — gets the number, including a true 0 for
-    // storage-free designs; one that reports nothing gets an explicit
-    // null so "unreported" can never be mistaken for "zero-cost".
-    if (reportsStorageOf(predictor))
-        result["metadata"]["predictor"]["storage_bits"] =
-            predictor.storageBits();
-    else
-        result["metadata"]["predictor"]["storage_bits"] = nullptr;
-    json_t metrics = json_t::object({
-        {"mpki", mpkiOf(mispredictions, simulation_instr)},
-        {"mispredictions", mispredictions},
-        {"accuracy", accuracyOf(mispredictions, dynamic_cond)},
-    });
-
-    // Rank branches; num_most_failed_branches is the minimum number of
-    // branches that account, on their own, for half of the mispredictions.
-    // Without per-branch collection the ranking has no data, so both the
-    // metric and the most_failed section are omitted entirely rather than
-    // reported as a misleading hard zero.
-    json_t most_failed = json_t::array();
-    if (args.collect_most_failed) {
-        rankByMispredictions(rows);
-        std::uint64_t half = (mispredictions + 1) / 2;
-        std::uint64_t running = 0;
-        std::size_t num_most_failed = 0;
-        while (num_most_failed < rows.size() && running < half)
-            running += rows[num_most_failed++].second.mispredictions_a;
-        for (std::size_t i = 0;
-             i < std::min(num_most_failed, args.most_failed_cap); ++i) {
-            const auto &[ip, stat] = rows[i];
-            most_failed.push_back(json_t::object({
-                {"ip", ip},
-                {"occurrences", stat.occurrences},
-                {"mpki", mpkiOf(stat.mispredictions_a, simulation_instr)},
-                {"accuracy",
-                 accuracyOf(stat.mispredictions_a, stat.occurrences)},
-            }));
-        }
-        metrics["num_most_failed_branches"] =
-            std::uint64_t(num_most_failed);
-    }
-
-    addThroughputMetrics(metrics, dynamic_branches, tp);
-    result["metrics"] = std::move(metrics);
-    result["predictor_statistics"] = predictor.execution_stats();
-    if (args.collect_most_failed)
-        result["most_failed"] = std::move(most_failed);
-    return result;
-}
-
-/**
- * Assembles the compare()/simulateMany() document. @p rows is the flat
- * per-site stats array with stride 1 + n (occurrences, then one
- * misprediction counter per predictor), @p row_ips the matching site
- * addresses (any order; the ranking below is a total order). @p PPtr is
- * a pointer to a predictor shape (BlockKernel*).
- */
-template <typename PPtr>
-inline json_t
-buildManyDoc(const char *kName, const std::vector<PPtr> &predictors,
-             const SimArgs &args, std::uint64_t simulation_instr,
-             bool exhausted, std::uint64_t static_branches,
-             std::uint64_t dynamic_cond, std::uint64_t dynamic_branches,
-             const std::vector<std::uint64_t> &mispredictions,
-             const std::vector<std::uint64_t> &rows,
-             const std::vector<std::uint64_t> &row_ips,
-             const Throughput &tp)
-{
-    const std::size_t n = predictors.size();
-    const std::size_t stride = 1 + n;
-
-    // Rank by the spread in mispredictions (max − min across predictors):
-    // the branches whose predictability changed the most between designs.
-    // For two predictors this is exactly compare()'s absolute difference.
-    auto spreadOf = [&](const std::uint64_t *row) {
-        std::uint64_t lo = row[1], hi = row[1];
-        for (std::size_t k = 1; k < n; ++k) {
-            lo = std::min(lo, row[1 + k]);
-            hi = std::max(hi, row[1 + k]);
-        }
-        return hi - lo;
-    };
-
-    json_t most_failed = json_t::array();
-    if (args.collect_most_failed) {
-        std::vector<std::uint32_t> ranked;
-        ranked.reserve(row_ips.size());
-        for (std::uint32_t r = 0; r < row_ips.size(); ++r) {
-            if (spreadOf(rows.data() + std::size_t(r) * stride) > 0)
-                ranked.push_back(r);
-        }
-        std::sort(ranked.begin(), ranked.end(),
-                  [&](std::uint32_t x, std::uint32_t y) {
-                      std::uint64_t dx =
-                          spreadOf(rows.data() + std::size_t(x) * stride);
-                      std::uint64_t dy =
-                          spreadOf(rows.data() + std::size_t(y) * stride);
-                      if (dx != dy)
-                          return dx > dy;
-                      return row_ips[x] < row_ips[y];
-                  });
-        for (std::size_t i = 0;
-             i < std::min(ranked.size(), args.most_failed_cap); ++i) {
-            const std::uint64_t *row =
-                rows.data() + std::size_t(ranked[i]) * stride;
-            json_t entry = json_t::object({
-                {"ip", row_ips[ranked[i]]},
-                {"occurrences", row[0]},
-            });
-            for (std::size_t k = 0; k < n; ++k)
-                entry["mpki_" + std::to_string(k)] =
-                    mpkiOf(row[1 + k], simulation_instr);
-            if (n == 2) {
-                entry["mpki_diff"] = mpkiOf(row[1], simulation_instr) -
-                                     mpkiOf(row[2], simulation_instr);
-            } else {
-                entry["mpki_spread"] =
-                    mpkiOf(spreadOf(row), simulation_instr);
-            }
-            most_failed.push_back(std::move(entry));
-        }
-    }
-
-    json_t result = json_t::object();
-    result["metadata"] = makeMetadata(kName, args, simulation_instr,
-                                      exhausted, dynamic_cond,
-                                      static_branches);
-    for (std::size_t k = 0; k < n; ++k) {
-        json_t md = predictors[k]->metadata_stats();
-        // Same unreported-vs-zero-cost distinction as simulate().
-        if (reportsStorageOf(*predictors[k]))
-            md["storage_bits"] = predictors[k]->storageBits();
-        else
-            md["storage_bits"] = nullptr;
-        result["metadata"]["predictor_" + std::to_string(k)] =
-            std::move(md);
-    }
-    json_t metrics = json_t::object();
-    for (std::size_t k = 0; k < n; ++k)
-        metrics["mpki_" + std::to_string(k)] =
-            mpkiOf(mispredictions[k], simulation_instr);
-    for (std::size_t k = 0; k < n; ++k)
-        metrics["mispredictions_" + std::to_string(k)] = mispredictions[k];
-    for (std::size_t k = 0; k < n; ++k)
-        metrics["accuracy_" + std::to_string(k)] =
-            accuracyOf(mispredictions[k], dynamic_cond);
-    addThroughputMetrics(metrics, dynamic_branches, tp);
-    result["metrics"] = std::move(metrics);
-    for (std::size_t k = 0; k < n; ++k)
-        result["predictor_statistics_" + std::to_string(k)] =
-            predictors[k]->execution_stats();
-    if (args.collect_most_failed)
-        result["most_failed"] = std::move(most_failed);
-    return result;
-}
-
-/**
  * Run-level bookkeeping shared by every driver: splits each block at the
  * warmup and instruction-limit boundaries, and accumulates the
  * predictor-independent totals of the document.
@@ -428,10 +219,20 @@ struct RunTotals
     split(const sbbt::BranchColumns &block)
     {
         const std::uint64_t *instr = block.instr;
-        const std::size_t stop = static_cast<std::size_t>(
-            std::upper_bound(instr, instr + block.size, limit) - instr);
-        const std::size_t mid = static_cast<std::size_t>(
-            std::upper_bound(instr, instr + stop, warmup) - instr);
+        // Rows [0, n) up to @p bound. The ends are checked first: most
+        // blocks lie wholly on one side, and a binary search is a chain
+        // of dependent loads into a column the kernels never read (it
+        // cost a bimodal run ~5% in cache misses at 4096-row blocks).
+        const auto upTo = [instr](std::size_t n, std::uint64_t bound) {
+            if (n == 0 || instr[0] > bound)
+                return std::size_t{0};
+            if (instr[n - 1] <= bound)
+                return n;
+            return static_cast<std::size_t>(
+                std::upper_bound(instr, instr + n, bound) - instr);
+        };
+        const std::size_t stop = upTo(block.size, limit);
+        const std::size_t mid = upTo(stop, warmup);
         dynamic_branches += stop;
         static_branches += sbbt::countFirstSeen(block.first_seen, stop);
         if (stop < block.size) {
@@ -511,17 +312,17 @@ class BlockSource
     }
 
     /**
-     * Hands out the next block of at most @p max branches; false at end
-     * of trace or on error. Arena slices start where the previous one
-     * ended, so @p max must be a multiple of 64 (the first-seen bitmap is
-     * sliced by words). A streaming block stops early after the first
-     * branch past the run's instruction limit.
+     * Hands out the next block of at most kKernelBlockBranches branches
+     * (a multiple of 64, as arena slices need: the first-seen bitmap is
+     * sliced by words); false at end of trace or on error. A streaming
+     * block stops early after the first branch past the run's
+     * instruction limit.
      */
     bool
-    next(sbbt::BranchColumns &block, std::size_t max)
+    next(sbbt::BranchColumns &block)
     {
         if (arena_ != nullptr) {
-            block = arena_->columns(pos_, max);
+            block = arena_->columns(pos_, kKernelBlockBranches);
             pos_ += block.size;
         } else {
             block = window_->next(limit_);
@@ -585,6 +386,17 @@ class BlockSource
     std::unique_ptr<sbbt::TraceWindow> window_;
     std::uint64_t limit_ = 0;
 };
+
+/** Best-effort read prefetch of the cache line holding @p address. */
+inline void
+prefetchLine(const void *address)
+{
+#if defined(__GNUC__)
+    __builtin_prefetch(address, 0, 3);
+#else
+    (void)address;
+#endif
+}
 
 /**
  * Compile-time-bound predictor calls. The predictor interface methods

@@ -1,46 +1,45 @@
 /**
  * @file
- * The simulation kernels: the only code that steps predictors.
+ * The simulation kernels: the only code that steps conditional
+ * predictors.
  *
- * Two drivers cover every run. The single-predictor driver
- * (detail::runSingle, with fusedRange as its loop) serves
- * simulate() and simulateFused(); the N-predictor block driver
- * (BlockKernel::runBlock plus a shared accounting pass, kernels.cpp)
- * serves compare(), simulateMany() and their fused forms. Both read the
- * run as a sequence of sbbt::BranchColumns blocks from a
- * detail::BlockSource: slices of a decode-once arena, or one reused
- * window that streaming decode refills. The predictor type is a template
- * parameter: a concrete mbp::PredictorLike type inlines
- * predict/train/track into the loop, while the abstract mbp::Predictor
- * base — what the virtual entry points pass — keeps virtual dispatch.
+ * One driver (src/sim/kernels.cpp) serves every run: simulate() and
+ * simulateFused() are its one-kernel case, compare(), simulateMany() and
+ * their fused forms its N-kernel case. It reads the run as a sequence of
+ * sbbt::BranchColumns blocks from a detail::BlockSource (slices of a
+ * decode-once arena, or one reused window that streaming decode
+ * refills) and hands each block to every kernel's
+ * BlockKernel::runBlock, the one loop that steps a predictor. The
+ * predictor type is a template parameter of FusedKernel: a concrete
+ * mbp::PredictorLike type inlines predict/train/track into the loop,
+ * while the abstract mbp::Predictor base — what the virtual entry points
+ * pass — keeps virtual dispatch.
  *
- * What the drivers do per branch is what a concrete type buys:
+ * What the loop does per branch is what a concrete type buys:
  *
  *  - the struct-of-arrays columns are bulk-read, block by block, instead
  *    of materializing per-branch packets;
- *  - predict/train/track are inlined into the loop body (template
- *    dispatch, zero virtual calls on the single-predictor path and one
- *    per block-x-predictor on the N-predictor path);
- *  - per-site accounting is array indexing through the dense site ids
- *    assigned at decode, never a hash probe;
+ *  - predict/train/track are inlined into the loop body, with one
+ *    virtual runBlock() call per block x kernel;
+ *  - the counts are taken inside the loop, into the kernel's
+ *    KernelTally: per-site mispredictions are array indexing through the
+ *    dense site ids assigned at decode, never a hash probe;
  *  - predictors whose address hash factors into a pure per-site value
- *    (KernelSiteFold) get it memoized once per static site, so the
- *    single-predictor hot loop does no address hashing at all and never
- *    touches the 8-byte ip column;
- *  - warmup and instruction-limit checks leave the loop entirely: each
- *    block is split into [unmeasured) [measured) ranges by binary
- *    search, and each range runs a loop specialized on its measurement
- *    flag;
- *  - on the N-predictor block driver, predictors that can name the
- *    counter lines of a future lookup (`prefetchHints(ip, span)`,
+ *    (KernelSiteFold) get it memoized once per static site, so the loop
+ *    does no address hashing at all;
+ *  - warmup checks leave the loop entirely: the driver splits each block
+ *    into [unmeasured) [measured) ranges by binary search, and each
+ *    range runs a loop specialized on its measurement flag;
+ *  - when more than one kernel shares a block, predictors that can name
+ *    the counter lines of a future lookup (`prefetchHints(ip, span)`,
  *    KernelMultiPrefetch) get them software-prefetched a fixed distance
- *    ahead, covering the re-warm misses caused by N predictors evicting
- *    each other between blocks — one hint for a one-table predictor, one
- *    per tagged bank for the TAGE family, at a per-predictor distance
- *    when they declare one (P::kPrefetchDistance). (The single-predictor
- *    loop deliberately does not prefetch: its counter lines stay resident
- *    on their own, and the extra hint computation measurably slows the
- *    loop.)
+ *    ahead, covering the re-warm misses of kernels evicting each other
+ *    between blocks. A lone kernel's lines stay resident, and there the
+ *    hint computation measurably slows the loop.
+ *
+ * The prediction hook never runs inside the loop: a hooked run has each
+ * kernel write its guesses, and the driver replays the hook after the
+ * block's train/track, branch-major with the predictor index ascending.
  *
  * Results are bit-identical across predictor types and sources — same
  * prediction stream, same output document modulo the timing fields; the
@@ -57,20 +56,16 @@
 #ifndef MBP_SIM_KERNELS_HPP
 #define MBP_SIM_KERNELS_HPP
 
-#include <algorithm>
-#include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
-#include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mbp/json/json.hpp"
-#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/concepts.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 #include "mbp/sim/simulator.hpp"
@@ -87,20 +82,19 @@ inline constexpr std::size_t kKernelPrefetchDistance = 16;
 
 /**
  * Upper bound on the addresses one prefetchHints() call may produce.
- * Bounds the block driver's stack buffer; predictors with more banks
- * than this simply hint their first kKernelMaxPrefetchHints ones.
+ * Bounds the loop's stack buffer; predictors with more banks than this
+ * simply hint their first kKernelMaxPrefetchHints ones.
  */
 inline constexpr std::size_t kKernelMaxPrefetchHints = 16;
 
 /**
  * A predictor that can name the counter lines a future lookup will
- * touch, so the block driver can software-prefetch them ahead of the
- * loop: `prefetchHints(ip, out)` writes up to out.size() addresses for a
- * lookup of @p ip and returns how many it wrote — one for a one-table
- * predictor, one per tagged bank in the TAGE family. The addresses only
- * steer prefetches and may be approximate (e.g. Gshare hashes with the
- * *current* history, not the one at lookup time) — correctness never
- * depends on them.
+ * touch, so the loop can software-prefetch them ahead: `prefetchHints(ip,
+ * out)` writes up to out.size() addresses for a lookup of @p ip and
+ * returns how many it wrote — one for a one-table predictor, one per
+ * tagged bank in the TAGE family. The addresses only steer prefetches and
+ * may be approximate (e.g. Gshare hashes with the *current* history, not
+ * the one at lookup time) — correctness never depends on them.
  */
 template <typename P>
 concept KernelMultiPrefetch =
@@ -111,8 +105,8 @@ concept KernelMultiPrefetch =
     };
 
 /**
- * The prefetch lookahead the block driver uses for @p P: the predictor's
- * own `P::kPrefetchDistance` when it declares one (multi-bank predictors
+ * The prefetch lookahead for @p P: the predictor's own
+ * `P::kPrefetchDistance` when it declares one (multi-bank predictors
  * issue many hints per step, so a shorter distance keeps them resident),
  * else the global kKernelPrefetchDistance.
  */
@@ -139,11 +133,9 @@ kernelPrefetchDistanceOf()
  * work (the counter slot is computed once) and skips materializing the
  * Branch packet entirely on the conditional path.
  *
- * The single-predictor kernel substitutes the fused step only when no
- * prediction hook is installed, because a hook is entitled to observe
- * the predictor between the calls; the N-predictor block driver always
- * may, since its hooks are replayed from recorded guesses after the
- * block runs.
+ * The loop substitutes it on every run, hooked or not: the prediction
+ * hook fires only after the whole block's train/track, so nothing can
+ * observe the predictor between the three calls.
  */
 template <typename P>
 concept KernelFusedStep = requires(P &p, std::uint64_t ip, bool taken) {
@@ -154,12 +146,11 @@ concept KernelFusedStep = requires(P &p, std::uint64_t ip, bool taken) {
  * A fused-step predictor whose address hash factors into a pure per-site
  * component: `siteFold(ip)` must depend on nothing but @p ip, and
  * `fusedStepFolded(siteFold(ip), taken)` must be *exactly*
- * `fusedStep(ip, taken)`. The single-predictor kernel then evaluates
- * `siteFold` once per static branch site (through the arena's dense site
- * ids) instead of once per dynamic branch — for table predictors this
- * removes the whole address hash from the hot loop, which stops reading
- * the 8-byte ip column entirely and indexes a tiny per-site fold table
- * instead.
+ * `fusedStep(ip, taken)`. The loop then evaluates `siteFold` once per
+ * static branch site (through the dense site ids) instead of once per
+ * dynamic branch — for table predictors this removes the whole address
+ * hash from the hot loop, which indexes a tiny per-site fold table
+ * instead of hashing the 8-byte ip column.
  */
 template <typename P>
 concept KernelSiteFold =
@@ -170,241 +161,39 @@ concept KernelSiteFold =
         { p.fusedStepFolded(folded, taken) } -> std::convertible_to<bool>;
     };
 
-namespace detail
+/**
+ * One block as the driver hands it to every kernel of a run: rows
+ * [0, columns.size) lie inside the instruction limit, rows [0, mid) are
+ * warm-up.
+ */
+struct KernelBlock
 {
+    sbbt::BranchColumns columns;
+    std::size_t mid = 0;
+    const std::uint64_t *site_ips = nullptr; // site id -> address
+    std::size_t num_sites = 0;               // sites seen so far
+    bool track_all = true; // track unconditionals (!track_only_conditional)
+    bool collect = false;  // count mispredictions per site
+    bool prefetch = false; // prefetch counter lines (kernels share blocks)
+    // Hooked runs only: where the kernel writes each conditional row's
+    // prediction (0/1) for the driver's hook replay.
+    std::uint8_t *guesses = nullptr;
+};
 
-/** Best-effort read prefetch of the cache line holding @p address. */
-inline void
-prefetchLine(const void *address)
-{
-#if defined(__GNUC__)
-    __builtin_prefetch(address, 0, 3);
-#else
-    (void)address;
-#endif
-}
-
-/** Accumulated state of a single-predictor run. */
-struct FusedRunState
+/** One kernel's counts over the measured conditionals of a run. */
+struct KernelTally
 {
     std::uint64_t dynamic_cond = 0;
     std::uint64_t mispredictions = 0;
-    // Per-site counters indexed directly by the dense site id. Only the
-    // misprediction counts depend on the predictor; occurrences are
-    // counted here only when the run does not cover the whole trace
-    // (otherwise the decode-time totals serve).
-    std::vector<std::uint64_t> site_mis;
-    std::vector<std::uint64_t> site_occ;
-    // Per-site address folds (KernelSiteFold), one per site seen so far.
-    std::vector<std::uint64_t> fold;
+    std::vector<std::uint64_t> site_mis; // by dense site id (collect)
+    std::vector<std::uint64_t> fold;     // KernelSiteFold memo, by site id
 };
 
 /**
- * The single-predictor loop over rows [begin, end) of @p block, all
- * sharing one measurement flag. kHook/kCollect/kMeasured specialize the
- * body at compile time: the default fast configuration is pure
- * predict/train/track plus two counter increments per branch.
- *
- * Deliberately no software prefetch here: a single predictor's counter
- * lines stay cache-resident between touches of the same site, so an
- * extra per-branch hint computation only slows the loop down (measured
- * ~+1 ns/branch); the N-predictor block driver, where predictors evict
- * each other between blocks, is where prefetch pays (FusedKernel).
- */
-template <typename P, bool kHook, bool kCollect, bool kMeasured>
-inline void
-fusedRange(P &predictor, const SimArgs &args,
-           const sbbt::BranchColumns &block, std::size_t begin,
-           std::size_t end, FusedRunState &state)
-{
-    const std::uint64_t *ips = block.ip;
-    const std::uint64_t *targets = block.target;
-    const std::uint64_t *instr = block.instr;
-    const std::uint8_t *meta = block.meta;
-    const std::uint32_t *sites = block.site;
-    // A hook may observe the predictor between predict and train, so the
-    // fused substitutions only apply on hook-free runs.
-    constexpr bool kFusedStep = KernelFusedStep<P> && !kHook;
-    constexpr bool kSiteFold = KernelSiteFold<P> && !kHook;
-    const std::uint64_t *site_fold = state.fold.data();
-    // Locals, not state members: the counter stores below would
-    // otherwise force the compiler to reload them every iteration.
-    std::uint64_t dynamic_cond = 0;
-    std::uint64_t total_miss = 0;
-    std::uint64_t *site_mis = state.site_mis.data();
-    const bool track_all = !args.track_only_conditional;
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::uint8_t m = meta[i];
-        if ((m & 0x01) != 0) { // conditional
-            const bool taken = (m & 0x10) != 0;
-            bool guess;
-            if constexpr (kSiteFold)
-                guess = predictor.fusedStepFolded(site_fold[sites[i]],
-                                                  taken);
-            else if constexpr (kFusedStep)
-                guess = predictor.fusedStep(ips[i], taken);
-            else
-                guess = detail::boundPredict(predictor, ips[i]);
-            if constexpr (kHook) {
-                const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                               taken};
-                args.prediction_hook(b, guess, instr[i], kMeasured, 0);
-            }
-            if constexpr (kMeasured) {
-                ++dynamic_cond;
-                const bool miss = guess != taken;
-                total_miss += miss ? 1 : 0;
-                if constexpr (kCollect)
-                    site_mis[sites[i]] += miss ? 1 : 0;
-            }
-            if constexpr (!kFusedStep) {
-                const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                               taken};
-                detail::boundTrain(predictor, b);
-                detail::boundTrack(predictor, b); // conditionals: always
-            }
-        } else if (track_all) {
-            const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                           (m & 0x10) != 0};
-            detail::boundTrack(predictor, b);
-        }
-    }
-    state.dynamic_cond += dynamic_cond;
-    state.mispredictions += total_miss;
-}
-
-/**
- * Steps @p predictor through every block of @p source up to the
- * instruction limit. @p count_occ: count per-site occurrences of the
- * measured window here, because the run does not cover the whole trace.
- */
-template <typename P, bool kHook, bool kCollect>
-inline void
-fusedRun(P &predictor, const SimArgs &args, BlockSource &source,
-         RunTotals &run, FusedRunState &state, bool count_occ)
-{
-    sbbt::BranchColumns block;
-    while (!run.stopped &&
-           source.next(block, std::numeric_limits<std::size_t>::max())) {
-        const auto [mid, stop] = run.split(block);
-        const std::size_t num_sites = source.numSites();
-        if constexpr (kCollect) {
-            state.site_mis.resize(num_sites);
-            if (count_occ)
-                state.site_occ.resize(num_sites);
-        }
-        // Per-site address folds, evaluated once per static site instead
-        // of once per dynamic branch (KernelSiteFold): a few hundred
-        // hashes up front buy a hot loop with no address hashing at all.
-        if constexpr (KernelSiteFold<P> && !kHook) {
-            const std::uint64_t *site_ips = source.siteIpData();
-            for (std::size_t s = state.fold.size(); s < num_sites; ++s)
-                state.fold.push_back(predictor.siteFold(site_ips[s]));
-        }
-        fusedRange<P, kHook, kCollect, false>(predictor, args, block, 0,
-                                              mid, state);
-        fusedRange<P, kHook, kCollect, true>(predictor, args, block, mid,
-                                             stop, state);
-        if (kCollect && count_occ) {
-            for (std::size_t i = mid; i < stop; ++i)
-                state.site_occ[block.site[i]] += block.meta[i] & 0x01;
-        }
-    }
-}
-
-/**
- * The single-predictor simulate(): resolves the source, runs the loop,
- * builds the report. P is a concrete PredictorLike type (fused) or the
- * abstract mbp::Predictor (virtual dispatch).
- */
-template <typename P>
-json_t
-runSingle(const char *kName, P &predictor, const SimArgs &args)
-{
-    BlockSource source;
-    std::string error;
-    if (!source.open(args, error))
-        return errorResult(kName, args, error);
-
-    // A run that steps every branch of the trace, all measured, reads
-    // the decode-time per-site occurrence totals; any other counts its
-    // measured window as it goes.
-    const bool count_occ =
-        args.collect_most_failed &&
-        (args.warmup_instr != 0 ||
-         instrLimit(args) != std::numeric_limits<std::uint64_t>::max());
-    RunTotals run(args);
-    FusedRunState state;
-    const bool hook = static_cast<bool>(args.prediction_hook);
-
-    auto start_time = std::chrono::steady_clock::now();
-    if (hook) {
-        if (args.collect_most_failed)
-            fusedRun<P, true, true>(predictor, args, source, run, state,
-                                    count_occ);
-        else
-            fusedRun<P, true, false>(predictor, args, source, run, state,
-                                     count_occ);
-    } else {
-        if (args.collect_most_failed)
-            fusedRun<P, false, true>(predictor, args, source, run, state,
-                                     count_occ);
-        else
-            fusedRun<P, false, false>(predictor, args, source, run, state,
-                                      count_occ);
-    }
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    if (!source.error().empty())
-        return errorResult(kName, args, source.error());
-
-    std::vector<std::pair<std::uint64_t, BranchStat>> rows;
-    if (args.collect_most_failed) {
-        const std::uint64_t *site_ips = source.siteIpData();
-        const std::uint64_t *site_occ = count_occ
-                                            ? state.site_occ.data()
-                                            : source.siteCondOccData();
-        for (std::size_t s = 0; s < state.site_mis.size(); ++s) {
-            if (state.site_mis[s] > 0)
-                rows.emplace_back(site_ips[s],
-                                  BranchStat{site_occ[s], state.site_mis[s],
-                                             0});
-        }
-    }
-    return buildSimulateDoc(kName, predictor, args,
-                            run.simulationInstr(args, source.header()),
-                            run.exhausted(), run.static_branches,
-                            state.dynamic_cond, run.dynamic_branches,
-                            state.mispredictions, std::move(rows),
-                            source.throughput(seconds));
-}
-
-} // namespace detail
-
-/**
- * Fused drop-in for simulate(): same SimArgs contract, same output
- * document (modulo timing fields), but with @p predictor's concrete type
- * known at compile time so the hot loop carries no virtual dispatch.
- * P must be the most-derived type of @p predictor: the loop binds
- * predict/train/track at compile time (detail::boundPredict), which
- * would skip overriders in a class further derived from P.
- */
-template <PredictorLike P>
-json_t
-simulateFused(P &predictor, const SimArgs &args)
-{
-    return detail::runSingle(detail::kStdSimulatorName, predictor, args);
-}
-
-/**
- * Type-erased handle to a predictor for the N-predictor block driver:
- * one virtual call per block — runBlock(), which runs a whole block
- * (up to kKernelBlockBranches branches) through the predictor's
- * predict/train/track and records the prediction bits for the shared
- * accounting pass. The other virtuals let the report builder query
- * metadata; deliberately *not* a mbp::Predictor (no
+ * Type-erased handle to a predictor for the driver: one virtual call per
+ * block — runBlock(), which steps the predictor through the block and
+ * counts its measured conditionals. The other virtuals let the report
+ * builder query metadata; deliberately *not* a mbp::Predictor (no
  * storage_components), so the fused and virtual entry points can never
  * be confused by overload resolution.
  */
@@ -423,18 +212,16 @@ class BlockKernel
 
     /**
      * Runs every row of @p block through the predictor — predict + train
-     * on conditionals, track per @p track_all — and writes each branch's
-     * prediction (0/1; 0 for unconditionals) to @p guesses[i].
-     * @p guesses must hold block.size bytes.
+     * + track on conditionals, track on the rest per block.track_all —
+     * and adds the measured rows to @p tally (a fresh one per run).
      */
-    virtual void runBlock(const sbbt::BranchColumns &block, bool track_all,
-                          std::uint8_t *guesses) = 0;
+    virtual void runBlock(const KernelBlock &block, KernelTally &tally) = 0;
 };
 
 /**
  * The one BlockKernel implementation. P is a concrete PredictorLike type
- * (inlined calls) or the abstract mbp::Predictor (virtual calls, how
- * compare() and simulateMany() run).
+ * (inlined calls) or the abstract mbp::Predictor (virtual calls, how the
+ * virtual entry points run).
  */
 template <PredictorLike P>
 class FusedKernel final : public BlockKernel
@@ -467,18 +254,70 @@ class FusedKernel final : public BlockKernel
     }
 
     void
-    runBlock(const sbbt::BranchColumns &block, bool track_all,
-             std::uint8_t *guesses) override
+    runBlock(const KernelBlock &block, KernelTally &tally) override
+    {
+        // Per-site address folds, evaluated once per static site instead
+        // of once per dynamic branch: a few hundred hashes up front buy a
+        // hot loop with no address hashing at all.
+        if constexpr (KernelSiteFold<P>) {
+            for (std::size_t s = tally.fold.size(); s < block.num_sites; ++s)
+                tally.fold.push_back(predictor_->siteFold(block.site_ips[s]));
+        }
+        if (block.collect)
+            tally.site_mis.resize(block.num_sites);
+        // Runtime flags -> compile-time loop variants.
+        const auto with = [](bool flag, auto next) {
+            flag ? next(std::true_type{}) : next(std::false_type{});
+        };
+        with(block.collect, [&](auto collect) {
+            with(block.guesses != nullptr, [&](auto hook) {
+                const auto both = [&](auto prefetch) {
+                    constexpr bool kC = decltype(collect)::value;
+                    constexpr bool kH = decltype(hook)::value;
+                    constexpr bool kP = decltype(prefetch)::value;
+                    steps<false, kC, kH, kP>(block, 0, block.mid, tally);
+                    steps<true, kC, kH, kP>(block, block.mid,
+                                            block.columns.size, tally);
+                };
+                if constexpr (KernelMultiPrefetch<P>)
+                    with(block.prefetch, both);
+                else
+                    both(std::false_type{});
+            });
+        });
+    }
+
+  private:
+    /**
+     * The loop over rows [begin, end), all sharing one measured flag.
+     * Each variant is its own function with every call it can see
+     * inlined: left to the inliner's budget, runBlock's up to sixteen
+     * variants stopped inlining the predictor's step into some of them
+     * (fused GShare ran at 0.6x).
+     */
+    template <bool kMeasured, bool kCollect, bool kHook, bool kPrefetch>
+    [[gnu::noinline, gnu::flatten]] void
+    steps(const KernelBlock &block, std::size_t begin, std::size_t end,
+          KernelTally &tally)
     {
         P &p = *predictor_;
-        const std::uint64_t *ips = block.ip;
-        const std::uint64_t *targets = block.target;
-        const std::uint8_t *meta = block.meta;
-        const std::size_t end = block.size;
-        for (std::size_t i = 0; i < end; ++i) {
-            if constexpr (KernelMultiPrefetch<P>) {
+        const sbbt::BranchColumns &c = block.columns;
+        const std::uint64_t *ips = c.ip;
+        const std::uint64_t *targets = c.target;
+        const std::uint8_t *meta = c.meta;
+        const std::uint32_t *sites = c.site;
+        const std::uint64_t *site_fold = tally.fold.data();
+        std::uint64_t *site_mis = tally.site_mis.data();
+        std::uint8_t *guesses = block.guesses;
+        const bool track_all = block.track_all;
+        // Locals, not tally members: the counter stores below would
+        // otherwise force the compiler to reload them every iteration.
+        std::uint64_t dynamic_cond = 0;
+        std::uint64_t total_miss = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            if constexpr (kPrefetch) {
                 const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
-                if (ahead < end) {
+                if (ahead < c.size) {
                     const void *hints[kKernelMaxPrefetchHints];
                     const std::size_t n = p.prefetchHints(
                         ips[ahead], std::span<const void *>(hints));
@@ -487,34 +326,64 @@ class FusedKernel final : public BlockKernel
                 }
             }
             const std::uint8_t m = meta[i];
-            if ((m & 0x01) != 0) {
+            if ((m & 0x01) != 0) { // conditional
                 const bool taken = (m & 0x10) != 0;
                 bool guess;
-                if constexpr (KernelFusedStep<P>) {
+                if constexpr (KernelSiteFold<P>) {
+                    guess = p.fusedStepFolded(site_fold[sites[i]], taken);
+                } else if constexpr (KernelFusedStep<P>) {
                     guess = p.fusedStep(ips[i], taken);
                 } else {
                     guess = detail::boundPredict(p, ips[i]);
                     const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
                                    taken};
                     detail::boundTrain(p, b);
-                    detail::boundTrack(p, b);
+                    detail::boundTrack(p, b); // conditionals: always
                 }
-                guesses[i] = guess ? 1 : 0;
-            } else {
-                guesses[i] = 0;
-                if (track_all) {
-                    const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
-                                   (m & 0x10) != 0};
-                    detail::boundTrack(p, b);
+                if constexpr (kHook)
+                    guesses[i] = guess ? 1 : 0;
+                if constexpr (kMeasured) {
+                    ++dynamic_cond;
+                    const bool miss = guess != taken;
+                    total_miss += miss ? 1 : 0;
+                    if constexpr (kCollect)
+                        site_mis[sites[i]] += miss ? 1 : 0;
                 }
+            } else if (track_all) {
+                const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
+                               (m & 0x10) != 0};
+                detail::boundTrack(p, b);
             }
         }
+        tally.dynamic_cond += dynamic_cond;
+        tally.mispredictions += total_miss;
     }
 
-  private:
     std::unique_ptr<P> owned_; // empty in the borrowing mode
     P *predictor_;
 };
+
+namespace detail
+{
+/** simulate() over one kernel: the driver's one-kernel case. */
+json_t simulateKernel(BlockKernel &kernel, const SimArgs &args);
+} // namespace detail
+
+/**
+ * Fused drop-in for simulate(): same SimArgs contract, same output
+ * document (modulo timing fields), but with @p predictor's concrete type
+ * known at compile time so the hot loop carries no virtual dispatch.
+ * P must be the most-derived type of @p predictor: the loop binds
+ * predict/train/track at compile time (detail::boundPredict), which
+ * would skip overriders in a class further derived from P.
+ */
+template <PredictorLike P>
+json_t
+simulateFused(P &predictor, const SimArgs &args)
+{
+    FusedKernel<P> kernel(predictor);
+    return detail::simulateKernel(kernel, args);
+}
 
 /** Heap-builds a fused kernel owning a fresh @p P (factory helper). */
 template <PredictorLike P, typename... Args>

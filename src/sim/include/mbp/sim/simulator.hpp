@@ -187,17 +187,17 @@ struct SimArgs
      * window, and the index of the predictor that made the prediction
      * (0 in simulate(); 0..N-1 per branch in compare()/simulateMany(), in
      * roster order). Branches arrive in trace order, each with its
-     * predictors in index order. In simulate() the hook fires right after
-     * predict, before train/track; in compare()/simulateMany() (and their
-     * fused forms) it fires after the whole block's train/track — same
-     * arguments, same order, but a hook that inspects the predictor sees
-     * it already trained. Lets external checkers
-     * run in lockstep with the simulation — the conformance tests capture
-     * the exact prediction stream through it, and mbp::testkit's
-     * metamorphic oracles rebuild per-window misprediction counts from
-     * it. Accepts both the canonical 5-argument signature and the legacy
-     * 4-argument one (see PredictionHook). Leave empty (the default) for
-     * zero overhead beyond one branch per event.
+     * predictors in index order. In every entry point (simulate(),
+     * compare(), simulateMany() and their fused forms) the hook fires
+     * after the train/track of the whole block of up to
+     * kKernelBlockBranches branches that holds the branch, so a hook
+     * that inspects a predictor sees it already trained on that block.
+     * Lets external checkers follow the simulation's prediction stream —
+     * the conformance tests capture it exactly through the hook, and
+     * mbp::testkit's metamorphic oracles rebuild per-window misprediction
+     * counts from it. Accepts both the canonical 5-argument signature and
+     * the legacy 4-argument one (see PredictionHook). Leave empty (the
+     * default) and the loop writes no guesses at all.
      */
     PredictionHook prediction_hook;
 };

@@ -3,13 +3,12 @@
  * The virtual simulators: simulate(), compare() and simulateMany() over
  * the runtime mbp::Predictor interface.
  *
- * They own no loop of their own. simulate() instantiates the
- * single-predictor driver of mbp/sim/kernels.hpp for the abstract
- * Predictor base, whose calls then stay virtual (detail::boundPredict);
- * compare() and simulateMany() wrap each predictor in a
- * FusedKernel<Predictor> and run the N-predictor block driver. So every
- * simulator reads the same column blocks, arena or streaming, and
- * builds the same documents as its fused counterpart.
+ * They own no loop of their own: each wraps its predictors in
+ * FusedKernel<Predictor>, whose calls stay virtual
+ * (detail::boundPredict), and runs the one driver of
+ * mbp/sim/kernels.hpp. So every simulator reads the same column blocks,
+ * arena or streaming, and builds the same documents as its fused
+ * counterpart.
  */
 #include "mbp/sim/simulator.hpp"
 
@@ -25,7 +24,8 @@ namespace mbp
 json_t
 simulate(Predictor &predictor, const SimArgs &args)
 {
-    return detail::runSingle(detail::kStdSimulatorName, predictor, args);
+    FusedKernel<Predictor> kernel(predictor);
+    return detail::simulateKernel(kernel, args);
 }
 
 json_t

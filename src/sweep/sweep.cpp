@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <thread>
@@ -92,14 +94,29 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         }
         campaign.traces.push_back(path.asString());
     }
-    auto uintField = [&](const char *key, std::uint64_t &field) {
-        if (const json_t *v = spec.find(key)) {
-            if (!v->isNumber()) {
-                error = std::string("\"") + key + "\" must be a number";
-                return false;
-            }
-            field = v->asUint();
+    // A count: an integer in [0, max]. An integral double (1e6) counts;
+    // a negative, fractional or larger number is an error naming the key.
+    auto uintField = [&](const char *key, std::uint64_t &field,
+                         std::uint64_t max =
+                             std::numeric_limits<std::uint64_t>::max()) {
+        const json_t *v = spec.find(key);
+        if (v == nullptr)
+            return true;
+        bool ok = false;
+        if (v->type() == json_t::Type::kUint) {
+            ok = true;
+        } else if (v->type() == json_t::Type::kInt) {
+            ok = v->asInt() >= 0;
+        } else if (v->type() == json_t::Type::kDouble) {
+            const double d = v->asDouble();
+            ok = d >= 0.0 && d < 0x1p64 && std::floor(d) == d;
         }
+        if (!ok || v->asUint() > max) {
+            error = std::string("\"") + key +
+                    "\" must be an integer from 0 to " + std::to_string(max);
+            return false;
+        }
+        field = v->asUint();
         return true;
     };
     if (!uintField("warmup_instr", campaign.base_args.warmup_instr) ||
@@ -119,13 +136,10 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         }
         campaign.base_args.collect_most_failed = v->asBool();
     }
-    if (const json_t *v = spec.find("jobs")) {
-        if (!v->isNumber()) {
-            error = "\"jobs\" must be a number";
-            return false;
-        }
-        campaign.jobs = static_cast<unsigned>(v->asUint());
-    }
+    std::uint64_t jobs = campaign.jobs;
+    if (!uintField("jobs", jobs, std::numeric_limits<unsigned>::max()))
+        return false;
+    campaign.jobs = static_cast<unsigned>(jobs);
     if (const json_t *v = spec.find("in_memory")) {
         if (!v->isBool()) {
             error = "\"in_memory\" must be a bool";

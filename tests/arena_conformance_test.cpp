@@ -12,11 +12,12 @@
  *
  * The fused kernels (mbp/sim/kernels.hpp) are held to the same bar
  * against the virtual arena path: per roster predictor, byte-identical
- * prediction streams and identical documents modulo timing — both with a
- * hook installed (which forces the kernels onto the separate
- * predict/train/track calls) and hook-free (which engages the fused-step
- * and per-site-fold fast paths, pinned through the misprediction totals
- * and per-site ranking rows of the document).
+ * prediction streams and identical documents modulo timing, both with a
+ * hook installed and hook-free. Both run the fused-step and per-site-fold
+ * fast paths (the hook is replayed after each block, so it never changes
+ * the step the kernel runs); the hooked runs pin them byte by byte, the
+ * hook-free ones through the misprediction totals and per-site ranking
+ * rows of the document.
  */
 #include <gtest/gtest.h>
 
@@ -389,10 +390,10 @@ TEST_F(ArenaConformanceTest, EveryRosterPredictorFusedMatchesVirtual)
 
 TEST_F(ArenaConformanceTest, EveryRosterPredictorFusedHookFreeJsonMatches)
 {
-    // Hook-free is the configuration the fused-step and per-site-fold
-    // fast paths actually run in; the document's misprediction totals
-    // and per-site ranking rows then pin the whole prediction stream
-    // (any divergent guess changes a per-site misprediction count).
+    // Hook-free is the configuration runs take by default (no guesses
+    // written); the document's misprediction totals and per-site
+    // ranking rows then pin the whole prediction stream (any divergent
+    // guess changes a per-site misprediction count).
     for (const std::string &name : pred::rosterNames()) {
         auto virtual_pred = pred::makeByName(name);
         ASSERT_NE(virtual_pred, nullptr) << name;

@@ -572,6 +572,43 @@ TEST(SimulateMany, LegacyFourArgHookSeesEveryStream)
     std::remove(path.c_str());
 }
 
+TEST(PredictionHook, FiresAfterTheBlockIsTrainedInEveryEntryPoint)
+{
+    // One rule for every entry point: the hook fires after the whole
+    // block's train/track, so a hook that inspects the predictor sees
+    // every branch of the (here: only) block already trained.
+    auto path = writeTrace("hook_timing.sbbt", {
+        {cond(0x1000, true), 1},
+        {Branch{0x1010, 0x2000, OpCode::jump(), true}, 1},
+        {cond(0x1020, false), 1},
+        {cond(0x1040, true), 1},
+    });
+    ScriptedPredictor single({true});
+    std::vector<std::size_t> seen;
+    SimArgs args;
+    args.trace_path = path;
+    args.prediction_hook = [&](const Branch &, bool, std::uint64_t, bool,
+                               std::size_t) {
+        seen.push_back(single.trained.size());
+    };
+    json_t result = simulate(single, args);
+    ASSERT_FALSE(result.contains("error")) << result.dump(2);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{3, 3, 3}));
+
+    ScriptedPredictor a({true});
+    ScriptedPredictor b({false});
+    std::vector<std::pair<std::size_t, std::size_t>> seen_many;
+    args.prediction_hook = [&](const Branch &, bool, std::uint64_t, bool,
+                               std::size_t) {
+        seen_many.emplace_back(a.trained.size(), b.trained.size());
+    };
+    result = simulateMany({&a, &b}, args);
+    ASSERT_FALSE(result.contains("error")) << result.dump(2);
+    EXPECT_EQ(seen_many,
+              (std::vector<std::pair<std::size_t, std::size_t>>(6, {3, 3})));
+    std::remove(path.c_str());
+}
+
 TEST(PredictionHookAdapter, AdaptsBothSignatures)
 {
     PredictionHook empty;

@@ -319,6 +319,35 @@ TEST(CampaignFromJson, RejectsBadSpecs)
         R"({"predictors": ["gshare"], "traces": ["a"], "jobs": "many"})");
     ASSERT_TRUE(bad_jobs.has_value());
     EXPECT_FALSE(sweep::campaignFromJson(*bad_jobs, campaign, error));
+
+    // Counts are integers in range: a negative number must not wrap to
+    // 2^64 - 1, a fraction must not truncate, and jobs must not wrap to
+    // 0 (= hardware concurrency).
+    const auto specWith = [](const std::string &member) {
+        return json_t::parse(
+            R"({"predictors": ["gshare"], "traces": ["a"], )" + member +
+            "}");
+    };
+    for (const std::string member :
+         {R"("warmup_instr": -1)", R"("sim_instr": 2.9)",
+          R"("sim_instr": -0.5)", R"("jobs": -1)",
+          R"("jobs": 4294967296)", R"("jobs": 1.5)",
+          R"("mem_budget": -1)", R"("mem_budget": 1e30)"}) {
+        error.clear();
+        auto spec = specWith(member);
+        ASSERT_TRUE(spec.has_value()) << member;
+        EXPECT_FALSE(sweep::campaignFromJson(*spec, campaign, error))
+            << member;
+        const std::string key = member.substr(0, member.find(':'));
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    auto edges = specWith(
+        R"("jobs": 4294967295, "warmup_instr": 1e6, "sim_instr": 0)");
+    ASSERT_TRUE(edges.has_value());
+    ASSERT_TRUE(sweep::campaignFromJson(*edges, campaign, error)) << error;
+    EXPECT_EQ(campaign.jobs, 4294967295u);
+    EXPECT_EQ(campaign.base_args.warmup_instr, 1000000u);
+    EXPECT_EQ(campaign.base_args.sim_instr, 0u);
 }
 
 TEST_F(SweepTest, CsvHasOneRowPerCell)
