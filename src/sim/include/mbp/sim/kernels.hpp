@@ -4,12 +4,12 @@
  * predictors.
  *
  * One driver (src/sim/kernels.cpp) serves every run: simulate() and
- * simulateFused() are its one-kernel case, compare(), simulateMany() and
- * their fused forms its N-kernel case. It reads the run as a sequence of
- * sbbt::BranchColumns blocks from a detail::BlockSource (slices of a
- * decode-once arena, or one reused window that streaming decode
- * refills) and hands each block to every kernel's
- * BlockKernel::runBlock, the one loop that steps a predictor. The
+ * simulateFused() are its one-kernel case, compare(), simulateMany(),
+ * their fused forms and detail::simulateEach its N-kernel case. It
+ * reads the run as a sequence of sbbt::BranchColumns blocks from a
+ * detail::BlockSource (slices of a decode-once arena, or one reused
+ * window that streaming decode refills) and hands each block to every
+ * kernel's BlockKernel::runBlock, the one loop that steps a predictor. The
  * predictor type is a template parameter of FusedKernel: a concrete
  * mbp::PredictorLike type inlines predict/train/track into the loop,
  * while the abstract mbp::Predictor base — what the virtual entry points
@@ -58,6 +58,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <tuple>
@@ -367,6 +368,26 @@ namespace detail
 {
 /** simulate() over one kernel: the driver's one-kernel case. */
 json_t simulateKernel(BlockKernel &kernel, const SimArgs &args);
+
+/**
+ * simulate() over each of @p kernels in one pass over the trace: entry
+ * k is the document simulateKernel(*kernels[k], args) gives, except for
+ * the timing fields. Entry k's `simulation_time` (and so its
+ * `branches_per_second`) is the time kernel k spent stepping plus an
+ * even share of the pass's decode and bookkeeping, so the entries' times
+ * sum to the pass's; `decompressed_bytes`, `prefetch_stall_seconds` and
+ * `trace_load_seconds` are the pass's. The prediction hook sees each
+ * kernel's index within @p kernels. A kernel that throws is retired from
+ * the pass and its entry becomes exceptionResult(); the others run on.
+ * An open or trace error gives every kernel still in the pass
+ * simulateKernel()'s error document.
+ */
+std::vector<json_t> simulateEach(const std::vector<BlockKernel *> &kernels,
+                                 const SimArgs &args);
+
+/** The error object of a run that threw @p failure:
+ *  {"error": "exception: <what()>"}. */
+json_t exceptionResult(std::exception_ptr failure);
 } // namespace detail
 
 /**

@@ -2,7 +2,9 @@
  * @file
  * The driver behind every conditional simulator: simulate() and
  * simulateFused() are its one-kernel case, compare(), simulateMany() and
- * their fused forms its N-kernel case.
+ * their fused forms its N-kernel case, and detail::simulateEach (a
+ * streaming sweep's pass) its N-kernel case with one simulate() document
+ * per kernel.
  *
  * Per block of up to kKernelBlockBranches branches, the driver books the
  * warmup/limit split (detail::RunTotals) and calls each kernel's
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <string>
 #include <utility>
@@ -34,22 +37,29 @@ namespace
 /** A finished run, as the document builders read it. */
 struct RunDoc
 {
+    RunDoc(const char *simulator, const SimArgs &run_args, std::size_t n)
+        : name(simulator), args(run_args), tallies(n), kernel_seconds(n),
+          retired(n)
+    {
+    }
+
     const char *name;
     const SimArgs &args;
-    std::uint64_t simulation_instr;
-    bool exhausted;
-    std::uint64_t static_branches;
-    std::uint64_t dynamic_cond;
-    std::uint64_t dynamic_branches;
-    std::size_t num_sites;         // entries of every tally's site_mis
-    const std::uint64_t *site_ips; // site id -> address
-    const std::uint64_t *site_occ; // site id -> measured occurrences
+    std::string error; // open or trace error: the run has no counts
+    std::uint64_t simulation_instr = 0;
+    bool exhausted = false;
+    std::uint64_t static_branches = 0;
+    std::uint64_t dynamic_branches = 0;
+    const std::uint64_t *site_ips = nullptr; // site id -> address
+    const std::uint64_t *site_occ = nullptr; // site id -> measured occurrences
     detail::Throughput tp;
+    std::vector<KernelTally> tallies;
+    // Per kernel: the time spent in its own runBlock calls (only
+    // Stepping::kEach times them; 0 otherwise).
+    std::vector<double> kernel_seconds;
+    // Per kernel: what it threw when the run retired it (null: ran on).
+    std::vector<std::exception_ptr> retired;
 };
-
-using DocBuilder = json_t (*)(const RunDoc &,
-                              const std::vector<BlockKernel *> &,
-                              const std::vector<KernelTally> &);
 
 /** A site in a most_failed ranking. */
 struct RankedSite
@@ -59,13 +69,14 @@ struct RankedSite
     std::uint32_t site;
 };
 
-/** The sites whose @p key is non-zero, ranked; a total order. */
+/** The first @p num_sites sites whose @p key is non-zero, ranked; a
+ *  total order. */
 template <typename Key>
 std::vector<RankedSite>
-rankSites(const RunDoc &run, Key key)
+rankSites(const RunDoc &run, std::size_t num_sites, Key key)
 {
     std::vector<RankedSite> ranked;
-    for (std::uint32_t s = 0; s < run.num_sites; ++s) {
+    for (std::uint32_t s = 0; s < num_sites; ++s) {
         if (const std::uint64_t k = key(s); k > 0)
             ranked.push_back({k, run.site_ips[s], s});
     }
@@ -95,23 +106,41 @@ predictorMetadata(const BlockKernel &kernel)
     return md;
 }
 
-/** The simulate() document. */
+/**
+ * Kernel @p k's part of @p run's throughput: the time spent in its own
+ * runBlock calls plus an even share of the rest of the run (decode,
+ * bookkeeping, the hook), so that the kernels' times sum to the run's.
+ * A one-kernel run's is the run's own, timed or not.
+ */
+detail::Throughput
+throughputOf(const RunDoc &run, std::size_t k)
+{
+    double stepping = 0.0;
+    for (const double seconds : run.kernel_seconds)
+        stepping += seconds;
+    detail::Throughput tp = run.tp;
+    tp.seconds = run.kernel_seconds[k] +
+                 (run.tp.seconds - stepping) /
+                     static_cast<double>(run.kernel_seconds.size());
+    return tp;
+}
+
+/** The simulate() document of kernel @p k of @p run. */
 json_t
-simulateDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
-            const std::vector<KernelTally> &tallies)
+simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
 {
     const SimArgs &args = run.args;
-    const KernelTally &tally = tallies[0];
+    const KernelTally &tally = run.tallies[k];
     json_t result = json_t::object();
     result["metadata"] = detail::makeMetadata(
         run.name, args, run.simulation_instr, run.exhausted,
-        run.dynamic_cond, run.static_branches);
-    result["metadata"]["predictor"] = predictorMetadata(*kernels[0]);
+        tally.dynamic_cond, run.static_branches);
+    result["metadata"]["predictor"] = predictorMetadata(kernel);
     json_t metrics = json_t::object({
         {"mpki", detail::mpkiOf(tally.mispredictions, run.simulation_instr)},
         {"mispredictions", tally.mispredictions},
         {"accuracy",
-         detail::accuracyOf(tally.mispredictions, run.dynamic_cond)},
+         detail::accuracyOf(tally.mispredictions, tally.dynamic_cond)},
     });
 
     // num_most_failed_branches is the minimum number of branches that
@@ -121,8 +150,9 @@ simulateDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
     // reported as a misleading hard zero.
     json_t most_failed = json_t::array();
     if (args.collect_most_failed) {
-        const auto ranked = rankSites(
-            run, [&](std::uint32_t s) { return tally.site_mis[s]; });
+        const auto ranked =
+            rankSites(run, tally.site_mis.size(),
+                      [&](std::uint32_t s) { return tally.site_mis[s]; });
         const std::uint64_t half = (tally.mispredictions + 1) / 2;
         std::uint64_t running = 0;
         std::size_t num_most_failed = 0;
@@ -142,9 +172,10 @@ simulateDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
             std::uint64_t(num_most_failed);
     }
 
-    detail::addThroughputMetrics(metrics, run.dynamic_branches, run.tp);
+    detail::addThroughputMetrics(metrics, run.dynamic_branches,
+                                 throughputOf(run, k));
     result["metrics"] = std::move(metrics);
-    result["predictor_statistics"] = kernels[0]->execution_stats();
+    result["predictor_statistics"] = kernel.execution_stats();
     if (args.collect_most_failed)
         result["most_failed"] = std::move(most_failed);
     return result;
@@ -152,10 +183,10 @@ simulateDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
 
 /** The compare()/simulateMany() document. */
 json_t
-manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
-        const std::vector<KernelTally> &tallies)
+manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels)
 {
     const SimArgs &args = run.args;
+    const std::vector<KernelTally> &tallies = run.tallies;
     const std::size_t n = kernels.size();
     const std::uint64_t instr = run.simulation_instr;
 
@@ -164,14 +195,16 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
     // For two predictors this is exactly compare()'s absolute difference.
     json_t most_failed = json_t::array();
     if (args.collect_most_failed) {
-        const auto ranked = rankSites(run, [&](std::uint32_t s) {
+        const auto siteSpread = [&](std::uint32_t s) {
             std::uint64_t lo = tallies[0].site_mis[s], hi = lo;
             for (const KernelTally &t : tallies) {
                 lo = std::min(lo, t.site_mis[s]);
                 hi = std::max(hi, t.site_mis[s]);
             }
             return hi - lo;
-        });
+        };
+        const auto ranked =
+            rankSites(run, tallies[0].site_mis.size(), siteSpread);
         for (std::size_t i = 0;
              i < std::min(ranked.size(), args.most_failed_cap); ++i) {
             const auto [spread, ip, s] = ranked[i];
@@ -194,9 +227,9 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
     }
 
     json_t result = json_t::object();
-    result["metadata"] =
-        detail::makeMetadata(run.name, args, instr, run.exhausted,
-                             run.dynamic_cond, run.static_branches);
+    result["metadata"] = detail::makeMetadata(
+        run.name, args, instr, run.exhausted, tallies[0].dynamic_cond,
+        run.static_branches);
     for (std::size_t k = 0; k < n; ++k)
         result["metadata"]["predictor_" + std::to_string(k)] =
             predictorMetadata(*kernels[k]);
@@ -209,7 +242,8 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
             tallies[k].mispredictions;
     for (std::size_t k = 0; k < n; ++k)
         metrics["accuracy_" + std::to_string(k)] =
-            detail::accuracyOf(tallies[k].mispredictions, run.dynamic_cond);
+            detail::accuracyOf(tallies[k].mispredictions,
+                               tallies[k].dynamic_cond);
     detail::addThroughputMetrics(metrics, run.dynamic_branches, run.tp);
     result["metrics"] = std::move(metrics);
     for (std::size_t k = 0; k < n; ++k)
@@ -222,11 +256,13 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels,
 
 /**
  * Fires the prediction hook for every conditional row of @p block,
- * branch-major with the kernel index ascending; kernel k's guesses start
- * at @p guesses + k * kKernelBlockBranches.
+ * branch-major with the kernel index ascending, for every kernel not
+ * retired; kernel k's guesses start at @p guesses + k *
+ * kKernelBlockBranches.
  */
 void
-replayHook(const SimArgs &args, const KernelBlock &block, std::size_t n,
+replayHook(const SimArgs &args, const KernelBlock &block,
+           const std::vector<std::exception_ptr> &retired,
            const std::uint8_t *guesses)
 {
     const sbbt::BranchColumns &c = block.columns;
@@ -236,29 +272,54 @@ replayHook(const SimArgs &args, const KernelBlock &block, std::size_t n,
             continue;
         const Branch b{c.ip[i], c.target[i], OpCode(m & 0x0f),
                        (m & 0x10) != 0};
-        for (std::size_t k = 0; k < n; ++k)
-            args.prediction_hook(b, guesses[k * kKernelBlockBranches + i] != 0,
-                                 c.instr[i], i >= block.mid, k);
+        for (std::size_t k = 0; k < retired.size(); ++k) {
+            if (!retired[k])
+                args.prediction_hook(
+                    b, guesses[k * kKernelBlockBranches + i] != 0,
+                    c.instr[i], i >= block.mid, k);
+        }
     }
 }
 
-json_t
-runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
-          const SimArgs &args, DocBuilder build)
+/** How runBlocks steps its kernels. */
+enum class Stepping
 {
-    if (kernels.empty())
-        return detail::errorResult(kName, args,
-                                   "no predictors to simulate");
+    /** One run over all of them (simulate(), compare(), simulateMany()):
+     *  a kernel that throws ends the run, and kernels that share a block
+     *  prefetch their counter lines. */
+    kJoined,
+    /** Independent runs that share the trace's blocks (a streaming
+     *  sweep's pass): a kernel that throws is retired alone, and none
+     *  prefetches, since in a pass the hints cost the TAGE family more
+     *  than they hide (EXPERIMENTS.md, "One pass per streamed trace"). */
+    kEach,
+};
+
+/**
+ * Steps @p kernels through the run of @p args block by block and returns
+ * what @p build makes of the finished run, or of one that could not open
+ * or read its trace (run.error says why). Under Stepping::kEach each
+ * kernel's runBlock calls are timed, and a kernel that throws is
+ * retired, its exception kept in run.retired, and the others run on — to
+ * the end of the trace, or until none is left.
+ */
+template <typename Build>
+auto
+runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
+          const SimArgs &args, Stepping stepping, Build build)
+{
+    const std::size_t n = kernels.size();
+    RunDoc run(kName, args, n);
+    if (n == 0)
+        run.error = "no predictors to simulate";
     for (const BlockKernel *kernel : kernels) {
         if (kernel == nullptr)
-            return detail::errorResult(kName, args, "null predictor");
+            run.error = "null predictor";
     }
     detail::BlockSource source;
-    std::string error;
-    if (!source.open(args, error))
-        return detail::errorResult(kName, args, error);
+    if (!run.error.empty() || !source.open(args, run.error))
+        return build(run);
 
-    const std::size_t n = kernels.size();
     const bool hook = static_cast<bool>(args.prediction_hook);
     // A run that steps every branch of the trace, all measured, reads
     // the decode-time per-site occurrence totals; any other counts its
@@ -267,8 +328,7 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
         args.collect_most_failed &&
         (args.warmup_instr != 0 ||
          detail::instrLimit(args) != std::numeric_limits<std::uint64_t>::max());
-    detail::RunTotals run(args);
-    std::vector<KernelTally> tallies(n);
+    detail::RunTotals totals(args);
     std::vector<std::uint64_t> site_occ;
     std::vector<std::uint8_t> guesses(hook ? n * kKernelBlockBranches : 0);
     KernelBlock block;
@@ -276,19 +336,36 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
     block.collect = args.collect_most_failed;
     // Kernels sharing a block evict each other's counter lines between
     // blocks; a lone kernel's stay resident.
-    block.prefetch = n > 1;
+    block.prefetch = stepping == Stepping::kJoined && n > 1;
 
+    std::size_t live = n;
     auto start_time = std::chrono::steady_clock::now();
-    while (!run.stopped && source.next(block.columns)) {
-        const auto [mid, stop] = run.split(block.columns);
+    while (live > 0 && !totals.stopped && source.next(block.columns)) {
+        const auto [mid, stop] = totals.split(block.columns);
         block.columns.size = stop;
         block.mid = mid;
         block.site_ips = source.siteIpData();
         block.num_sites = source.numSites();
         for (std::size_t k = 0; k < n; ++k) {
+            if (run.retired[k])
+                continue;
             if (hook)
                 block.guesses = guesses.data() + k * kKernelBlockBranches;
-            kernels[k]->runBlock(block, tallies[k]);
+            if (stepping == Stepping::kJoined) {
+                kernels[k]->runBlock(block, run.tallies[k]);
+                continue;
+            }
+            const auto kernel_start = std::chrono::steady_clock::now();
+            try {
+                kernels[k]->runBlock(block, run.tallies[k]);
+            } catch (...) {
+                run.retired[k] = std::current_exception();
+                --live;
+            }
+            run.kernel_seconds[k] += std::chrono::duration<double>(
+                                         std::chrono::steady_clock::now() -
+                                         kernel_start)
+                                         .count();
         }
         if (count_occ) {
             site_occ.resize(block.num_sites);
@@ -297,27 +374,37 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
                     block.columns.meta[i] & 0x01;
         }
         if (hook)
-            replayHook(args, block, n, guesses.data());
+            replayHook(args, block, run.retired, guesses.data());
     }
     auto end_time = std::chrono::steady_clock::now();
     double seconds =
         std::chrono::duration<double>(end_time - start_time).count();
 
-    if (!source.error().empty())
-        return detail::errorResult(kName, args, source.error());
+    run.error = source.error();
+    run.simulation_instr = totals.simulationInstr(args, source.header());
+    run.exhausted = totals.exhausted();
+    run.static_branches = totals.static_branches;
+    run.dynamic_branches = totals.dynamic_branches;
+    run.site_ips = source.siteIpData();
+    run.site_occ = count_occ ? site_occ.data() : source.siteCondOccData();
+    run.tp = source.throughput(seconds);
+    return build(run);
+}
 
-    const RunDoc doc{kName,
-                     args,
-                     run.simulationInstr(args, source.header()),
-                     run.exhausted(),
-                     run.static_branches,
-                     tallies[0].dynamic_cond,
-                     run.dynamic_branches,
-                     tallies[0].site_mis.size(),
-                     source.siteIpData(),
-                     count_occ ? site_occ.data() : source.siteCondOccData(),
-                     source.throughput(seconds)};
-    return build(doc, kernels, tallies);
+/** One document over all of @p kernels, stepped as one run: @p doc's,
+ *  or the error result of a run that failed. */
+template <typename Doc>
+json_t
+runJoined(const char *kName, const std::vector<BlockKernel *> &kernels,
+          const SimArgs &args, Doc doc)
+{
+    return runBlocks(kName, kernels, args, Stepping::kJoined,
+                     [&](const RunDoc &run) {
+                         return run.error.empty()
+                                    ? doc(run)
+                                    : detail::errorResult(kName, args,
+                                                          run.error);
+                     });
 }
 
 } // namespace
@@ -325,22 +412,68 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
 json_t
 detail::simulateKernel(BlockKernel &kernel, const SimArgs &args)
 {
-    return runBlocks(detail::kStdSimulatorName, {&kernel}, args,
-                     simulateDoc);
+    return runJoined(kStdSimulatorName, {&kernel}, args,
+                     [&](const RunDoc &run) {
+                         return simulateDoc(run, 0, kernel);
+                     });
+}
+
+std::vector<json_t>
+detail::simulateEach(const std::vector<BlockKernel *> &kernels,
+                     const SimArgs &args)
+{
+    return runBlocks(
+        kStdSimulatorName, kernels, args, Stepping::kEach,
+        [&](const RunDoc &run) {
+            std::vector<json_t> docs;
+            docs.reserve(kernels.size());
+            for (std::size_t k = 0; k < kernels.size(); ++k) {
+                if (run.retired[k]) {
+                    docs.push_back(exceptionResult(run.retired[k]));
+                } else if (!run.error.empty()) {
+                    docs.push_back(errorResult(run.name, args, run.error));
+                } else {
+                    try {
+                        docs.push_back(simulateDoc(run, k, *kernels[k]));
+                    } catch (...) {
+                        docs.push_back(
+                            exceptionResult(std::current_exception()));
+                    }
+                }
+            }
+            return docs;
+        });
+}
+
+json_t
+detail::exceptionResult(std::exception_ptr failure)
+{
+    std::string what = "unknown exception";
+    try {
+        std::rethrow_exception(failure);
+    } catch (const std::exception &e) {
+        what = e.what();
+    } catch (...) {
+    }
+    return json_t::object({{"error", "exception: " + what}});
 }
 
 json_t
 simulateManyFused(const std::vector<BlockKernel *> &kernels,
                   const SimArgs &args)
 {
-    return runBlocks(detail::kMultiSimulatorName, kernels, args, manyDoc);
+    return runJoined(
+        detail::kMultiSimulatorName, kernels, args,
+        [&](const RunDoc &run) { return manyDoc(run, kernels); });
 }
 
 json_t
 compareFused(BlockKernel &a, BlockKernel &b, const SimArgs &args)
 {
-    return runBlocks(detail::kCompareSimulatorName, {&a, &b}, args,
-                     manyDoc);
+    const std::vector<BlockKernel *> kernels{&a, &b};
+    return runJoined(
+        detail::kCompareSimulatorName, kernels, args,
+        [&](const RunDoc &run) { return manyDoc(run, kernels); });
 }
 
 } // namespace mbp

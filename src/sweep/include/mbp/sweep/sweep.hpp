@@ -20,9 +20,11 @@
  * Results are collected in deterministic grid order (predictor-major)
  * and are bit-identical to serial per-cell simulate() runs, except for
  * the throughput observability fields (`simulation_time`,
- * `branches_per_second`, `prefetch_stall_seconds`), which measure the
- * run itself. A failing cell (unreadable trace, unknown predictor)
- * becomes an error object in place; it never aborts the campaign.
+ * `branches_per_second`, `decompressed_bytes`, `prefetch_stall_seconds`,
+ * `trace_load_seconds`), which measure the run itself. A failing cell
+ * (unreadable trace, unknown predictor, a predictor or factory that
+ * throws) becomes an error object in place; it never aborts the
+ * campaign.
  */
 #ifndef MBP_SWEEP_SWEEP_HPP
 #define MBP_SWEEP_SWEEP_HPP
@@ -77,6 +79,10 @@ effectiveJobs(unsigned requested, unsigned hardware)
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &fn);
 
+/** The most workers a campaign may ask for: `mbp_sweep --jobs` and the
+ *  JSON spec's "jobs" key both reject larger values. */
+inline constexpr unsigned kMaxJobs = 4096;
+
 /** One predictor column of the campaign grid. */
 struct PredictorSpec
 {
@@ -86,20 +92,22 @@ struct PredictorSpec
      * Factory producing a *fresh* instance per cell. Must be callable
      * concurrently. A null factory (or one returning null) marks every
      * cell of this predictor as failed with an "unknown predictor"
-     * error, mirroring the CLI's roster lookup.
+     * error, mirroring the CLI's roster lookup; one that throws fails
+     * just its own cells with an "exception: ..." error.
      */
     std::function<std::unique_ptr<Predictor>()> make;
     /**
-     * Optional fused runner: a complete simulateFused() run
-     * (mbp/sim/kernels.hpp) over a fresh instance of the same
-     * configuration `make` builds. When present — makeSpec() and the
-     * roster-name campaign parser always set it — run() uses it instead
-     * of the virtual simulate() unless Campaign::fused is disabled, so
-     * cells run through the devirtualized compile-time kernel. Results
+     * Optional fused factory: a fresh block kernel (mbp/sim/kernels.hpp)
+     * over an instance of the same configuration `make` builds, with the
+     * predictor's concrete type known at compile time. When present —
+     * makeSpec() and the roster-name campaign parser always set it —
+     * run() steps it instead of a virtual FusedKernel<Predictor> over
+     * make()'s instance, unless Campaign::fused is disabled. Results
      * are bit-identical either way (the conformance suite pins this);
-     * only throughput changes.
+     * only throughput changes. The same rules as for `make` apply: a
+     * null result is an unknown predictor, a throw fails its own cells.
      */
-    std::function<json_t(const SimArgs &)> run_fused;
+    std::function<std::unique_ptr<BlockKernel>()> make_kernel;
 };
 
 /**
@@ -126,10 +134,7 @@ makeSpec(std::string name, Args... args)
     PredictorSpec spec;
     spec.name = std::move(name);
     spec.make = [args...] { return std::make_unique<P>(args...); };
-    spec.run_fused = [args...](const SimArgs &sim_args) {
-        auto predictor = std::make_unique<P>(args...);
-        return simulateFused(*predictor, sim_args);
-    };
+    spec.make_kernel = [args...] { return makeFusedKernel<P>(args...); };
     return spec;
 }
 
@@ -143,15 +148,18 @@ struct Campaign
      *  the campaign-level knobs below) and any caller-set values are
      *  ignored. */
     SimArgs base_args;
-    /** Default worker count (0 = hardware concurrency); run() callers
-     *  and the CLI's --jobs override it. */
+    /** Default worker count (0 = hardware concurrency, at most
+     *  kMaxJobs); run() callers and the CLI's --jobs override it. */
     unsigned jobs = 0;
     /**
      * Decode each trace once into a shared in-memory arena (the
-     * TraceCache) instead of re-streaming it per predictor cell — the
-     * decode-once pipeline this module exists for, and the default.
-     * Disable (`--streaming`) to reproduce the per-cell streaming
-     * behavior of previous releases.
+     * TraceCache) that every predictor cell of the trace steps through
+     * on its own — the default. Disable (`--streaming`) to hold no
+     * arena at all: each trace is then streamed in passes that each
+     * step several of its predictors together, block by block — one
+     * pass for all of them, except on the traces of a last, partial
+     * round of workers (see run()).
+     * Front-end campaigns stream each cell on its own instead.
      */
     bool in_memory = true;
     /**
@@ -162,7 +170,7 @@ struct Campaign
     std::uint64_t mem_budget = kDefaultMemBudget;
     /**
      * Run cells through the fused compile-time kernels
-     * (PredictorSpec::run_fused) when available, the default. Disable
+     * (PredictorSpec::make_kernel) when available, the default. Disable
      * (`--no-fused`, or `"fused": false` in the JSON spec) to force the
      * virtual simulate() everywhere — useful for A/B measurement; the
      * results themselves are bit-identical.
@@ -208,17 +216,21 @@ struct Campaign
  *     "sim_instr": 10000000,                       // optional
  *     "track_only_conditional": false,             // optional
  *     "collect_most_failed": true,                 // optional
- *     "jobs": 8,                                   // optional
+ *     "jobs": 8,                                   // optional, <= 4096
  *     "in_memory": true,                           // optional
  *     "mem_budget": 1073741824,                    // optional, bytes
+ *     "fused": true,                               // optional
  *     "arena_cache": false,                        // optional
- *     "arena_cache_dir": "/path/to/store"          // optional
+ *     "arena_cache_dir": "/path/to/store",         // optional
+ *     "frontend": "btb-sets=512,ras=32"            // optional, or a bool
  *   }
  * @endcode
  *
  * Predictor names are resolved against the roster (mbp::pred). Unknown
  * names fail the parse (rather than every cell at run time) so a typo
- * is caught before hours of simulation.
+ * is caught before hours of simulation; so do an invalid "frontend"
+ * spec string and a count out of range (a negative or fractional
+ * number, or "jobs" above kMaxJobs).
  *
  * @return Whether the spec was well formed; on failure @p error says why.
  */
@@ -246,13 +258,33 @@ bool campaignFromJson(const json_t &spec, Campaign &out,
  *     once every trace's arena has been released; `peak_resident_bytes`
  *     is the most the cache held at once.
  *
- * Cells are *scheduled* in waves of `jobs` traces, predictor-major
- * inside a wave: the wave's first `jobs` cells decode distinct traces in
- * parallel, the rest of the wave shares their arenas, and the cell that
- * finishes a trace's last predictor releases its arena
- * (TraceCache::release). With one worker this is trace-major order.
- * Cells are *reported* in the same predictor-major grid order as
- * always.
+ * How cells are *scheduled* depends on the campaign:
+ *
+ *  - In-memory and front-end campaigns run one work item per cell, in
+ *    waves of `jobs` traces, predictor-major inside a wave: the wave's
+ *    first `jobs` cells decode distinct traces in parallel, the rest of
+ *    the wave shares their arenas, and the cell that finishes a trace's
+ *    last predictor releases its arena (TraceCache::release). With one
+ *    worker this is trace-major order.
+ *  - A streaming campaign (in_memory off, no front end) runs one work
+ *    item per *pass*, which streams its trace once and steps every
+ *    predictor it holds through each block (detail::simulateEach).
+ *    Each trace listing is one pass over all P predictors, except the
+ *    r = T mod jobs listings of a last, partial round of workers (all
+ *    T listings when T < jobs): those are read in
+ *    g = min(P, ceil(jobs / r)) passes each, with the predictors dealt
+ *    round-robin, so the last round still has a pass for every worker.
+ *    A cell's `simulation_time` (and so `branches_per_second`) is its
+ *    kernel's own stepping time plus an even share of the pass's
+ *    decode and bookkeeping, so a pass's cells sum to the pass's time;
+ *    `prefetch_stall_seconds` is the pass's. A predictor that throws
+ *    is retired from its pass and fails only its own cell.
+ *
+ * On every path a base_args.prediction_hook sees the predictor's index
+ * in Campaign::predictors.
+ *
+ * Either way cells are *reported* in the same predictor-major grid
+ * order as always.
  */
 json_t run(const Campaign &campaign, unsigned jobs = 0);
 

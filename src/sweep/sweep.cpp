@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string_view>
 #include <thread>
 
@@ -85,7 +86,7 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         campaign.predictors.push_back(
             {roster_name,
              [roster_name] { return pred::makeByName(roster_name); },
-             pred::fusedRunnerByName(roster_name)});
+             [roster_name] { return pred::fusedKernelByName(roster_name); }});
     }
     for (const json_t &path : traces->elements()) {
         if (!path.isString()) {
@@ -137,7 +138,7 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         campaign.base_args.collect_most_failed = v->asBool();
     }
     std::uint64_t jobs = campaign.jobs;
-    if (!uintField("jobs", jobs, std::numeric_limits<unsigned>::max()))
+    if (!uintField("jobs", jobs, kMaxJobs))
         return false;
     campaign.jobs = static_cast<unsigned>(jobs);
     if (const json_t *v = spec.find("in_memory")) {
@@ -203,6 +204,29 @@ errorCell(const std::string &message)
     return json_t::object({{"error", message}});
 }
 
+json_t
+unknownPredictor(const PredictorSpec &spec)
+{
+    return errorCell("unknown predictor '" + spec.name + "'");
+}
+
+/**
+ * A fresh kernel for one cell of @p spec: the spec's fused kernel when
+ * the campaign runs fused kernels and the spec has a factory for one,
+ * else a virtual FusedKernel<Predictor> owning make()'s instance. Null
+ * for an unknown predictor; throws whatever the factory throws.
+ */
+std::unique_ptr<BlockKernel>
+makeKernel(const Campaign &campaign, const PredictorSpec &spec)
+{
+    if (campaign.fused && spec.make_kernel)
+        return spec.make_kernel();
+    std::unique_ptr<Predictor> instance = spec.make ? spec.make() : nullptr;
+    if (instance == nullptr)
+        return nullptr;
+    return std::make_unique<FusedKernel<Predictor>>(std::move(instance));
+}
+
 /** Per-predictor rollup rows of the aggregate section. */
 struct PredictorRollup
 {
@@ -245,82 +269,162 @@ run(const Campaign &campaign, unsigned jobs)
             frontend_error = "invalid frontend spec: " + spec_error;
     }
 
-    // Cells left to finish per trace; the cell that finishes a trace's
-    // last one releases its arena. A path listed twice is one cache entry,
-    // so its listings share the first one's counter.
-    std::vector<std::size_t> counter_of(num_traces);
-    std::vector<std::atomic<std::size_t>> cells_left(num_traces);
-    std::map<std::string_view, std::size_t> first_listing;
-    for (std::size_t t = 0; t < num_traces; ++t) {
-        counter_of[t] =
-            first_listing.emplace(campaign.traces[t], t).first->second;
-        cells_left[counter_of[t]] += num_predictors;
-    }
-
     std::vector<json_t> cell_results(num_cells);
-    auto start_time = std::chrono::steady_clock::now();
-    // Work indices walk the grid in waves of used_jobs traces,
-    // predictor-major inside a wave: the wave's first cells decode its
-    // traces concurrently, one per worker, and its remaining cells share
-    // those arenas. With one worker this is plain trace-major order.
-    // Each result lands in the predictor-major slot the report (and its
-    // consumers) have always used.
-    const std::size_t wave_cells = std::size_t(used_jobs) * num_predictors;
-    parallelFor(num_cells, used_jobs, [&](std::size_t i) {
-        const std::size_t first_trace = i / wave_cells * used_jobs;
-        const std::size_t wave_traces = std::min<std::size_t>(
-            used_jobs, num_traces - first_trace);
-        const std::size_t t = first_trace + i % wave_cells % wave_traces;
-        const std::size_t p = i % wave_cells / wave_traces;
-        const PredictorSpec &spec = campaign.predictors[p];
-        const std::string &trace = campaign.traces[t];
-        SimArgs args = campaign.base_args;
-        args.trace_path = trace;
-        args.in_memory = false;
-        args.preloaded = nullptr;
-        json_t result;
-        // Front-end cells drive the virtual Predictor interface; the
-        // fused conditional-only kernels never apply to them.
-        const bool use_fused = !campaign.frontend && campaign.fused &&
-                               spec.run_fused != nullptr;
-        std::unique_ptr<Predictor> instance =
-            use_fused ? nullptr : (spec.make ? spec.make() : nullptr);
-        if (!use_fused && instance == nullptr) {
-            result = errorCell("unknown predictor '" + spec.name + "'");
-        } else if (campaign.frontend && !frontend_error.empty()) {
-            result = errorCell(frontend_error);
-        } else {
-            try {
-                if (campaign.in_memory) {
-                    // A null arena (budget fallback or decode failure)
-                    // simply streams; a corrupt trace then surfaces its
-                    // error through the streaming reader, same as before
-                    // this cache existed.
-                    args.preloaded = cache.acquire(trace, decode_options);
-                }
-                if (campaign.frontend) {
-                    frontend::FrontEnd front_end(std::move(instance),
-                                                 frontend_config);
-                    result = frontend::simulate(front_end, args);
-                } else {
-                    result = use_fused ? spec.run_fused(args)
-                                       : simulate(*instance, args);
-                }
-            } catch (const std::exception &e) {
-                result = errorCell(std::string("exception: ") + e.what());
-            }
-        }
+    const auto place = [&](std::size_t p, std::size_t t, json_t result) {
         json_t cell = json_t::object({
-            {"predictor", spec.name},
-            {"trace", trace},
+            {"predictor", campaign.predictors[p].name},
+            {"trace", campaign.traces[t]},
         });
         cell["result"] = std::move(result);
         cell_results[p * num_traces + t] = std::move(cell);
+    };
+    // The arguments of a run over trace t whose kernel k is the campaign's
+    // predictor predictors[k]: a campaign's prediction hook sees that
+    // index, not the kernel's index within the run.
+    const auto cellArgs = [&](std::size_t t,
+                              std::vector<std::size_t> predictors) {
+        SimArgs args = campaign.base_args;
+        args.trace_path = campaign.traces[t];
+        args.in_memory = false;
         args.preloaded = nullptr;
-        if (cells_left[counter_of[t]].fetch_sub(1) == 1 &&
-            campaign.in_memory)
-            cache.release(trace, decode_options);
-    });
+        if (args.prediction_hook) {
+            args.prediction_hook =
+                [hook = campaign.base_args.prediction_hook,
+                 predictors = std::move(predictors)](
+                    const Branch &branch, bool predicted,
+                    std::uint64_t instr_number, bool measured,
+                    std::size_t k) {
+                    hook(branch, predicted, instr_number, measured,
+                         predictors[k]);
+                };
+        }
+        return args;
+    };
+    auto start_time = std::chrono::steady_clock::now();
+    if (!campaign.in_memory && !campaign.frontend) {
+        // Streaming holds no arena to share, so a trace's predictors share
+        // its blocks instead: each trace runs as one pass that streams it
+        // once and steps all of its predictors. Only the traces of a last,
+        // partial round of workers (all of them when there are fewer
+        // traces than workers) are split into tail_passes passes each,
+        // which deal the predictors round-robin, so that the last round
+        // still has a pass for every worker.
+        const std::size_t whole = num_traces - num_traces % used_jobs;
+        const std::size_t tail = num_traces - whole;
+        const std::size_t tail_passes =
+            tail == 0 ? 1
+                      : std::min<std::size_t>(
+                            num_predictors, (used_jobs + tail - 1) / tail);
+        parallelFor(
+            whole + tail * tail_passes, used_jobs, [&](std::size_t i) {
+                const bool split = i >= whole;
+                const std::size_t t =
+                    split ? whole + (i - whole) / tail_passes : i;
+                const std::size_t stride = split ? tail_passes : 1;
+                std::vector<std::size_t> members;
+                std::vector<std::unique_ptr<BlockKernel>> kernels;
+                for (std::size_t p = split ? (i - whole) % tail_passes : 0;
+                     p < num_predictors; p += stride) {
+                    const PredictorSpec &spec = campaign.predictors[p];
+                    std::unique_ptr<BlockKernel> kernel;
+                    try {
+                        kernel = makeKernel(campaign, spec);
+                    } catch (...) {
+                        place(p, t,
+                              detail::exceptionResult(
+                                  std::current_exception()));
+                        continue;
+                    }
+                    if (kernel == nullptr) {
+                        place(p, t, unknownPredictor(spec));
+                        continue;
+                    }
+                    members.push_back(p);
+                    kernels.push_back(std::move(kernel));
+                }
+                if (kernels.empty())
+                    return;
+                std::vector<BlockKernel *> pass;
+                for (const auto &kernel : kernels)
+                    pass.push_back(kernel.get());
+                std::vector<json_t> docs;
+                try {
+                    docs = detail::simulateEach(pass, cellArgs(t, members));
+                } catch (...) {
+                    docs.assign(pass.size(), detail::exceptionResult(
+                                                 std::current_exception()));
+                }
+                for (std::size_t k = 0; k < members.size(); ++k)
+                    place(members[k], t, std::move(docs[k]));
+            });
+    } else {
+        // Cells left to finish per trace; the cell that finishes a trace's
+        // last one releases its arena. A path listed twice is one cache
+        // entry, so its listings share the first one's counter.
+        std::vector<std::size_t> counter_of(num_traces);
+        std::vector<std::atomic<std::size_t>> cells_left(num_traces);
+        std::map<std::string_view, std::size_t> first_listing;
+        for (std::size_t t = 0; t < num_traces; ++t) {
+            counter_of[t] =
+                first_listing.emplace(campaign.traces[t], t).first->second;
+            cells_left[counter_of[t]] += num_predictors;
+        }
+        // Work indices walk the grid in waves of used_jobs traces,
+        // predictor-major inside a wave: the wave's first cells decode its
+        // traces concurrently, one per worker, and its remaining cells
+        // share those arenas. With one worker this is plain trace-major
+        // order.
+        const std::size_t wave_cells =
+            std::size_t(used_jobs) * num_predictors;
+        parallelFor(num_cells, used_jobs, [&](std::size_t i) {
+            const std::size_t first_trace = i / wave_cells * used_jobs;
+            const std::size_t wave_traces = std::min<std::size_t>(
+                used_jobs, num_traces - first_trace);
+            const std::size_t t = first_trace + i % wave_cells % wave_traces;
+            const std::size_t p = i % wave_cells / wave_traces;
+            const PredictorSpec &spec = campaign.predictors[p];
+            const std::string &trace = campaign.traces[t];
+            SimArgs args = cellArgs(t, {p});
+            json_t result;
+            try {
+                // Front-end cells drive the virtual Predictor interface;
+                // the conditional-only kernels never apply to them.
+                std::unique_ptr<Predictor> instance;
+                std::unique_ptr<BlockKernel> kernel;
+                if (campaign.frontend)
+                    instance = spec.make ? spec.make() : nullptr;
+                else
+                    kernel = makeKernel(campaign, spec);
+                if (instance == nullptr && kernel == nullptr) {
+                    result = unknownPredictor(spec);
+                } else if (!frontend_error.empty()) {
+                    result = errorCell(frontend_error);
+                } else {
+                    if (campaign.in_memory) {
+                        // A null arena (budget fallback or decode
+                        // failure) simply streams; a corrupt trace then
+                        // surfaces its error through the streaming
+                        // reader, same as before this cache existed.
+                        args.preloaded = cache.acquire(trace, decode_options);
+                    }
+                    if (kernel != nullptr) {
+                        result = detail::simulateKernel(*kernel, args);
+                    } else {
+                        frontend::FrontEnd front_end(std::move(instance),
+                                                     frontend_config);
+                        result = frontend::simulate(front_end, args);
+                    }
+                }
+            } catch (...) {
+                result = detail::exceptionResult(std::current_exception());
+            }
+            place(p, t, std::move(result));
+            args.preloaded = nullptr;
+            if (cells_left[counter_of[t]].fetch_sub(1) == 1 &&
+                campaign.in_memory)
+                cache.release(trace, decode_options);
+        });
+    }
     auto end_time = std::chrono::steady_clock::now();
     double wall =
         std::chrono::duration<double>(end_time - start_time).count();

@@ -14,9 +14,13 @@
  *   mbp_sweep list
  *
  * Traces are decoded once into shared in-memory arenas by default
- * (--in-memory); --streaming restores the per-cell streaming reader of
- * previous releases, and --mem-budget caps the arena cache (oversized
- * traces stream instead — the campaign never fails on budget).
+ * (--in-memory), and --mem-budget caps the arena cache (oversized traces
+ * stream instead — the campaign never fails on budget). --streaming holds
+ * no arena: each trace is streamed once per pass, and a pass steps all of
+ * its predictors block by block (more than one pass per trace only for
+ * the traces of a last, partial round of --jobs workers). A cell's
+ * simulation_time, in the JSON and in the CSV, is then its predictor's
+ * own stepping time plus an even share of the pass's decode.
  *
  * --arena-cache[=DIR] additionally persists each decoded arena as an
  * SBBT-A sidecar in a content-addressed store (DIR, or $MBP_ARENA_CACHE,
@@ -36,7 +40,7 @@
  *
  * The campaign JSON spec (see README "Parallel sweeps"):
  *   {"predictors": ["gshare", ...], "traces": ["a.sbbt.flz", ...],
- *    "warmup_instr": 0, "sim_instr": 10000000, "jobs": 8,
+ *    "warmup_instr": 0, "sim_instr": 10000000, "jobs": 8 (<= 4096),
  *    "in_memory": true, "mem_budget": 1073741824, "fused": true,
  *    "frontend": "btb-sets=512,ras=32"}
  */
@@ -151,7 +155,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             const char *v = value("--jobs");
             if (!v || !tools::parseCount(v, jobs) || jobs == 0 ||
-                jobs > 4096) {
+                jobs > sweep::kMaxJobs) {
                 std::fprintf(stderr, "invalid --jobs value\n");
                 return usage(argv[0]);
             }
@@ -237,7 +241,7 @@ main(int argc, char **argv)
             }
             campaign.predictors.push_back(
                 {name, [name] { return pred::makeByName(name); },
-                 pred::fusedRunnerByName(name)});
+                 [name] { return pred::fusedKernelByName(name); }});
         }
         campaign.traces = tools::splitCommaList(traces_arg);
         if (campaign.predictors.empty() || campaign.traces.empty())

@@ -119,6 +119,14 @@ TEST(MakeSpec, ProducesFreshInstancesPerCall)
     EXPECT_NE(a.get(), b.get());
     using RosterGshare = Gshare<15, 17>;
     EXPECT_EQ(a->storageBits(), RosterGshare().storageBits());
+    // The fused factory builds the same configuration, fresh per call.
+    ASSERT_TRUE(spec.make_kernel != nullptr);
+    std::unique_ptr<BlockKernel> ka = spec.make_kernel();
+    std::unique_ptr<BlockKernel> kb = spec.make_kernel();
+    ASSERT_NE(ka, nullptr);
+    ASSERT_NE(kb, nullptr);
+    EXPECT_NE(ka.get(), kb.get());
+    EXPECT_EQ(ka->storageBits(), RosterGshare().storageBits());
 }
 
 TEST(MakeSpec, ForwardsConstructorArgumentsByValue)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -19,8 +20,10 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "mbp/predictors/bimodal.hpp"
 #include "mbp/predictors/gshare.hpp"
@@ -57,9 +60,10 @@ sweep::PredictorSpec
 rosterSpec(const std::string &name)
 {
     // Match campaignFromJson: both the virtual factory and the fused
-    // runner, so these tests cover the path production campaigns take.
+    // kernel factory, so these tests cover the path production campaigns
+    // take.
     return {name, [name] { return pred::makeByName(name); },
-            pred::fusedRunnerByName(name)};
+            [name] { return pred::fusedKernelByName(name); }};
 }
 
 } // namespace
@@ -246,22 +250,31 @@ TEST_F(SweepTest, FailedCellsDoNotAbortTheCampaign)
 
 TEST_F(SweepTest, ManyWorkersOnSmallGridIsSafe)
 {
-    // More workers than cells plus repeated runs: the TSan workout.
+    // More workers than cells plus repeated runs, in memory and
+    // streaming (where 16 workers split each trace into three passes):
+    // the TSan workout.
     sweep::Campaign campaign;
     campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
                            rosterSpec("two-level")};
     campaign.traces = traces_;
-    json_t first = sweep::run(campaign, 16);
-    json_t second = sweep::run(campaign, 2);
+    const json_t first = sweep::run(campaign, 16);
     const json_t &cells_a = *first.find("cells");
-    const json_t &cells_b = *second.find("cells");
-    ASSERT_EQ(cells_a.size(), cells_b.size());
-    for (std::size_t i = 0; i < cells_a.size(); ++i) {
-        EXPECT_EQ(*cells_a[i].find("result")->find("metrics")
-                       ->find("mispredictions"),
-                  *cells_b[i].find("result")->find("metrics")
-                       ->find("mispredictions"))
-            << i;
+    for (const bool in_memory : {true, false}) {
+        for (const unsigned jobs : {16u, 2u}) {
+            SCOPED_TRACE((in_memory ? "in-memory, jobs " : "streaming, jobs ") +
+                         std::to_string(jobs));
+            campaign.in_memory = in_memory;
+            const json_t second = sweep::run(campaign, jobs);
+            const json_t &cells_b = *second.find("cells");
+            ASSERT_EQ(cells_a.size(), cells_b.size());
+            for (std::size_t i = 0; i < cells_a.size(); ++i) {
+                EXPECT_EQ(*cells_a[i].find("result")->find("metrics")
+                               ->find("mispredictions"),
+                          *cells_b[i].find("result")->find("metrics")
+                               ->find("mispredictions"))
+                    << i;
+            }
+        }
     }
 }
 
@@ -321,8 +334,9 @@ TEST(CampaignFromJson, RejectsBadSpecs)
     EXPECT_FALSE(sweep::campaignFromJson(*bad_jobs, campaign, error));
 
     // Counts are integers in range: a negative number must not wrap to
-    // 2^64 - 1, a fraction must not truncate, and jobs must not wrap to
-    // 0 (= hardware concurrency).
+    // 2^64 - 1, a fraction must not truncate, and jobs must neither wrap
+    // to 0 (= hardware concurrency) nor exceed the bound mbp_sweep --jobs
+    // has. Parsing only: no campaign starts with these worker counts.
     const auto specWith = [](const std::string &member) {
         return json_t::parse(
             R"({"predictors": ["gshare"], "traces": ["a"], )" + member +
@@ -331,7 +345,8 @@ TEST(CampaignFromJson, RejectsBadSpecs)
     for (const std::string member :
          {R"("warmup_instr": -1)", R"("sim_instr": 2.9)",
           R"("sim_instr": -0.5)", R"("jobs": -1)",
-          R"("jobs": 4294967296)", R"("jobs": 1.5)",
+          R"("jobs": 4294967296)", R"("jobs": 4294967295)",
+          R"("jobs": 4097)", R"("jobs": 1.5)",
           R"("mem_budget": -1)", R"("mem_budget": 1e30)"}) {
         error.clear();
         auto spec = specWith(member);
@@ -342,10 +357,10 @@ TEST(CampaignFromJson, RejectsBadSpecs)
         EXPECT_NE(error.find(key), std::string::npos) << error;
     }
     auto edges = specWith(
-        R"("jobs": 4294967295, "warmup_instr": 1e6, "sim_instr": 0)");
+        R"("jobs": 4096, "warmup_instr": 1e6, "sim_instr": 0)");
     ASSERT_TRUE(edges.has_value());
     ASSERT_TRUE(sweep::campaignFromJson(*edges, campaign, error)) << error;
-    EXPECT_EQ(campaign.jobs, 4294967295u);
+    EXPECT_EQ(campaign.jobs, sweep::kMaxJobs);
     EXPECT_EQ(campaign.base_args.warmup_instr, 1000000u);
     EXPECT_EQ(campaign.base_args.sim_instr, 0u);
 }
@@ -922,6 +937,26 @@ scrubTiming(const json_t &value)
     return value;
 }
 
+/** The cells of @p campaign as serial per-cell simulate() runs give
+ *  them, in grid order: an oracle that runs no sweep at all. */
+json_t
+serialCells(const sweep::Campaign &campaign)
+{
+    json_t cells = json_t::array();
+    for (const sweep::PredictorSpec &spec : campaign.predictors) {
+        for (const std::string &trace : campaign.traces) {
+            SimArgs args = campaign.base_args;
+            args.trace_path = trace;
+            std::unique_ptr<Predictor> predictor = spec.make();
+            json_t cell =
+                json_t::object({{"predictor", spec.name}, {"trace", trace}});
+            cell["result"] = simulate(*predictor, args);
+            cells.push_back(std::move(cell));
+        }
+    }
+    return cells;
+}
+
 /** Five traces of unequal length: no job count from 2 to 4 divides
  *  them, so every multi-worker sweep over them ends in a short wave. */
 std::vector<std::string>
@@ -947,29 +982,51 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
         largest_arena = std::max(largest_arena, arena->memoryBytes());
     }
     const std::string store = mbp::test::tempDir() + "/wave_store";
-    // Five traces give tail waves of 1 (2 and 4 jobs) and 2 (3 jobs);
-    // three traces give a tail of 1 (2 jobs) and a single short wave
-    // (4 jobs, more workers than traces).
-    for (const std::size_t num_traces : {std::size_t(5), std::size_t(3)}) {
+    // Five traces give tail waves of 1 (2 and 4 jobs) and 2 (3 jobs), and
+    // one pass per trace at every job count; three traces give a tail of
+    // 1 (2 jobs), a single short wave and two passes per trace (4 jobs,
+    // more workers than traces). The sim_instr window, streamed only,
+    // stops every pass inside a block.
+    struct Shape
+    {
+        std::size_t num_traces;
+        std::uint64_t warmup_instr;
+        std::uint64_t sim_instr;
+        std::vector<std::string> sources;
+    };
+    const std::uint64_t kUnlimited = SimArgs{}.sim_instr;
+    const std::vector<Shape> shapes = {
+        {5, 10'000, kUnlimited, {"streaming", "in-memory", "store"}},
+        {3, 10'000, kUnlimited, {"streaming", "in-memory", "store"}},
+        {5, 5'000, 30'001, {"streaming"}},
+        {3, 5'000, 30'001, {"streaming"}},
+    };
+    for (const Shape &shape : shapes) {
         sweep::Campaign campaign;
         campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
                                rosterSpec("two-level")};
-        campaign.traces.assign(all.begin(), all.begin() + num_traces);
-        campaign.base_args.warmup_instr = 10'000;
-        campaign.in_memory = false;
-        campaign.fused = false;
-        const json_t streaming = sweep::run(campaign, 1);
-        const json_t &expected = *streaming.find("cells");
+        campaign.traces.assign(all.begin(), all.begin() + shape.num_traces);
+        campaign.base_args.warmup_instr = shape.warmup_instr;
+        campaign.base_args.sim_instr = shape.sim_instr;
         // Every source, with fused and virtual predictors, at every job
-        // count gives the serial streaming virtual run's documents.
+        // count gives the documents of serial per-cell simulate() runs.
+        const json_t expected = serialCells(campaign);
+        std::uint64_t expected_branches = 0;
+        for (std::size_t i = 0; i < expected.size(); ++i)
+            expected_branches += expected[i]
+                                     .find("result")
+                                     ->find("metrics")
+                                     ->find("dynamic_branches")
+                                     ->asUint();
         std::vector<std::tuple<std::string, bool, unsigned>> runs;
-        for (const char *source : {"streaming", "in-memory", "store"})
+        for (const std::string &source : shape.sources)
             for (const bool fused : {false, true})
                 for (const unsigned jobs : {1u, 2u, 3u, 4u})
                     runs.emplace_back(source, fused, jobs);
         for (const auto &[source, fused, jobs] : runs) {
-            SCOPED_TRACE("traces " + std::to_string(num_traces) + ", " +
-                         source + (fused ? " fused" : " virtual") +
+            SCOPED_TRACE("traces " + std::to_string(shape.num_traces) +
+                         ", sim_instr " + std::to_string(shape.sim_instr) +
+                         ", " + source + (fused ? " fused" : " virtual") +
                          ", jobs " + std::to_string(jobs));
             campaign.in_memory = source != "streaming";
             campaign.arena_cache = source == "store";
@@ -990,19 +1047,17 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
             }
             const json_t &aggregate = *result.find("aggregate");
             EXPECT_EQ(aggregate.find("dynamic_branches")->asUint(), branches);
-            EXPECT_EQ(
-                aggregate.find("dynamic_branches")->asUint(),
-                streaming.find("aggregate")->find("dynamic_branches")
-                    ->asUint());
+            EXPECT_EQ(aggregate.find("dynamic_branches")->asUint(),
+                      expected_branches);
             if (source != "in-memory")
                 continue;
 
             // Decode-once holds in every wave shape, and every arena is
             // released once its last cell is done.
             const json_t &cache = *aggregate.find("trace_cache");
-            EXPECT_EQ(cache.find("misses")->asUint(), num_traces);
+            EXPECT_EQ(cache.find("misses")->asUint(), shape.num_traces);
             EXPECT_EQ(cache.find("hits")->asUint(),
-                      num_traces * (campaign.predictors.size() - 1));
+                      shape.num_traces * (campaign.predictors.size() - 1));
             EXPECT_EQ(cache.find("failed_waits")->asUint(), 0u);
             EXPECT_EQ(cache.find("resident_bytes")->asUint(), 0u);
             EXPECT_GT(cache.find("peak_resident_bytes")->asUint(), 0u);
@@ -1016,6 +1071,166 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
     }
     for (const std::string &path : all)
         std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** Throws from train() once it has trained 1000 branches. */
+class ThrowsInTrain final : public Predictor
+{
+  public:
+    bool predict(std::uint64_t ip) override { return (ip >> 2 & 1) != 0; }
+    void
+    train(const Branch &) override
+    {
+        if (++trained_ > 1000)
+            throw std::runtime_error("train failed");
+    }
+    void track(const Branch &) override {}
+
+  private:
+    std::uint64_t trained_ = 0;
+};
+
+} // namespace
+
+TEST_F(SweepTest, AThrowingPredictorFailsOnlyItsOwnCells)
+{
+    // A factory that throws used to escape the cell and abort the
+    // process. It, and a predictor that throws mid-trace, must fail only
+    // their own cells, streamed in passes or run per cell, fused or
+    // virtual; the cells beside them are those of serial simulate() runs.
+    const sweep::PredictorSpec bad_factory{
+        "bad-factory",
+        []() -> std::unique_ptr<Predictor> {
+            throw std::runtime_error("bad config");
+        },
+        []() -> std::unique_ptr<BlockKernel> {
+            throw std::runtime_error("bad config");
+        }};
+    const sweep::PredictorSpec bad_train{
+        "bad-train", [] { return std::make_unique<ThrowsInTrain>(); },
+        [] { return makeFusedKernel<ThrowsInTrain>(); }};
+    sweep::Campaign good;
+    good.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+    good.traces = traces_;
+    good.base_args.warmup_instr = 5'000;
+    const json_t expected = serialCells(good);
+
+    const std::vector<std::pair<sweep::PredictorSpec, std::string>> cases = {
+        {bad_factory, "exception: bad config"},
+        {bad_train, "exception: train failed"},
+    };
+    for (const auto &[bad, message] : cases) {
+        sweep::Campaign campaign = good;
+        campaign.predictors = {good.predictors[0], bad, good.predictors[1]};
+        std::vector<std::tuple<bool, bool, unsigned>> runs;
+        for (const bool in_memory : {false, true})
+            for (const bool fused : {false, true})
+                for (const unsigned jobs : {1u, 4u})
+                    runs.emplace_back(in_memory, fused, jobs);
+        for (const auto &[in_memory, fused, jobs] : runs) {
+            SCOPED_TRACE(bad.name + (in_memory ? " in-memory" : " streaming") +
+                         (fused ? " fused" : " virtual") + ", jobs " +
+                         std::to_string(jobs));
+            campaign.in_memory = in_memory;
+            campaign.fused = fused;
+            const json_t result = sweep::run(campaign, jobs);
+            const json_t &cells = *result.find("cells");
+            ASSERT_EQ(cells.size(), 9u);
+            for (std::size_t t = 0; t < 3; ++t) {
+                EXPECT_EQ(scrubTiming(cells[t]).dump(2),
+                          scrubTiming(expected[t]).dump(2));
+                EXPECT_EQ(scrubTiming(cells[6 + t]).dump(2),
+                          scrubTiming(expected[3 + t]).dump(2));
+                const json_t &failed = *cells[3 + t].find("result");
+                ASSERT_TRUE(failed.contains("error")) << t;
+                EXPECT_EQ(failed.find("error")->asString(), message);
+            }
+            EXPECT_EQ(result.find("aggregate")->find("failed_cells")->asUint(),
+                      3u);
+        }
+    }
+}
+
+TEST_F(SweepTest, CampaignHookSeesEachPredictorsCampaignIndex)
+{
+    // A run numbers its kernels from 0, and a streaming pass holds
+    // several, dealt across passes when workers outnumber traces. A
+    // campaign's hook must still see each predictor's index in the
+    // campaign, so that its guesses map back to their cells: predictor
+    // p's hook calls and wrong guesses are its cells' conditional
+    // branches and mispredictions.
+    sweep::Campaign campaign;
+    campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
+                           rosterSpec("tage")};
+    campaign.traces = traces_;
+    const json_t expected = serialCells(campaign);
+    for (const bool in_memory : {false, true}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(in_memory ? "in-memory" : "streaming") +
+                         ", jobs " + std::to_string(jobs));
+            std::array<std::atomic<std::uint64_t>, 3> calls{};
+            std::array<std::atomic<std::uint64_t>, 3> wrong{};
+            std::atomic<std::uint64_t> out_of_range{0};
+            campaign.in_memory = in_memory;
+            campaign.base_args.prediction_hook =
+                [&](const Branch &branch, bool predicted, std::uint64_t,
+                    bool, std::size_t p) {
+                    if (p >= calls.size()) {
+                        ++out_of_range;
+                        return;
+                    }
+                    ++calls[p];
+                    wrong[p] += predicted != branch.isTaken();
+                };
+            sweep::run(campaign, jobs);
+            EXPECT_EQ(out_of_range.load(), 0u);
+            for (std::size_t p = 0; p < 3; ++p) {
+                std::uint64_t conditionals = 0;
+                std::uint64_t mispredictions = 0;
+                for (std::size_t t = 0; t < traces_.size(); ++t) {
+                    const json_t &doc =
+                        *expected[p * traces_.size() + t].find("result");
+                    conditionals += doc.find("metadata")
+                                        ->find("num_conditional_branches")
+                                        ->asUint();
+                    mispredictions +=
+                        doc.find("metrics")->find("mispredictions")->asUint();
+                }
+                EXPECT_EQ(calls[p].load(), conditionals) << p;
+                EXPECT_EQ(wrong[p].load(), mispredictions) << p;
+            }
+        }
+    }
+}
+
+TEST_F(SweepTest, StreamingPassCellsSplitThePassTime)
+{
+    // A cell of a streaming pass reports its own kernel's stepping time
+    // plus an even share of the pass's decode. On one worker the passes
+    // run one after another inside the campaign's wall time, so the
+    // cells sum to no more than it; reporting the whole pass's time in
+    // every cell would read about P times as much.
+    sweep::Campaign campaign;
+    campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
+                           rosterSpec("tage")};
+    campaign.traces = traces_;
+    campaign.in_memory = false;
+    const json_t result = sweep::run(campaign, 1);
+    double cell_seconds = 0.0;
+    for (const json_t &cell : result.find("cells")->elements()) {
+        const double seconds = cell.find("result")
+                                   ->find("metrics")
+                                   ->find("simulation_time")
+                                   ->asDouble();
+        EXPECT_GT(seconds, 0.0);
+        cell_seconds += seconds;
+    }
+    EXPECT_LE(cell_seconds, result.find("aggregate")
+                                ->find("wall_time_seconds")
+                                ->asDouble());
 }
 
 TEST(SweepWaves, ADuplicatedPathIsReleasedAfterItsLastListing)
