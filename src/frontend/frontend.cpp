@@ -2,19 +2,20 @@
  * @file
  * FrontEnd composition, spec parsing and the frontend simulators.
  *
- * The simulate()/simulateMany() entry points read the same column blocks
- * as the conditional simulators (detail::BlockSource) and reuse their
- * accounting helpers (instruction windows, metadata/throughput layout),
- * so the frontend documents cannot drift from the conditional
- * simulators' conventions.
+ * The simulate()/simulateMany() entry points run on the library's one
+ * block driver (detail::runJoined in mbp/sim/kernels.hpp): each FrontEnd
+ * steps through the same column blocks as the conditional simulators in
+ * a FrontEndKernel, and the frontend document is built from the driver's
+ * finished-run record with the same accounting helpers (instruction
+ * windows, metadata/throughput layout), so the frontend documents cannot
+ * drift from the conditional simulators' conventions.
  */
 #include "mbp/frontend/frontend.hpp"
 
 #include <charconv>
-#include <chrono>
+#include <memory>
 #include <utility>
 
-#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 
 namespace mbp::frontend
@@ -211,7 +212,7 @@ FrontEnd::FrontEnd(std::unique_ptr<Predictor> conditional,
 }
 
 StepResult
-FrontEnd::step(const Branch &branch, bool measured)
+FrontEnd::step(const Branch &branch, bool measured, bool track_all)
 {
     const std::uint64_t ip = branch.ip();
     StepResult result;
@@ -255,7 +256,7 @@ FrontEnd::step(const Branch &branch, bool measured)
     // 4. Updates (every execution, warm-up included).
     if (branch.isConditional())
         conditional_->train(branch);
-    if (!track_only_conditional_ || branch.isConditional())
+    if (track_all || branch.isConditional())
         conditional_->track(branch);
     if (branch.isTaken()) {
         if (branch.isRet()) {
@@ -390,17 +391,38 @@ FrontEnd::storageBits() const
     return storage_components()->totalBits();
 }
 
+void
+FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
+{
+    const sbbt::BranchColumns &c = block.columns;
+    for (std::size_t i = 0; i < c.size; ++i) {
+        const std::uint8_t m = c.meta[i];
+        const Branch b{c.ip[i], c.target[i], OpCode(m & 0x0f),
+                       (m & 0x10) != 0};
+        const bool measured = i >= block.mid;
+        const StepResult r = front_end_->step(b, measured, block.track_all);
+        if (!b.isConditional())
+            continue;
+        if (block.guesses != nullptr)
+            block.guesses[i] = r.taken_predicted ? 1 : 0;
+        if (measured) {
+            ++tally.dynamic_cond;
+            tally.mispredictions += r.taken_predicted != b.isTaken() ? 1 : 0;
+        }
+    }
+}
+
 namespace
 {
 
 /**
- * The one- and N-front-end simulator. Every branch steps every front
- * end; the hook fires per conditional branch per front end with its
- * roster index, after that front end's step, mirroring simulateMany().
+ * The one- and N-front-end simulator: the block driver over one
+ * FrontEndKernel per front end, and the frontend document of the
+ * finished run (suffixed keys when there is more than one).
  */
 json_t
-runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
-         const SimArgs &args)
+simulateFrontEnds(const char *kName, const std::vector<FrontEnd *> &front_ends,
+                  const SimArgs &args)
 {
     if (front_ends.empty())
         return detail::errorResult(kName, args,
@@ -409,86 +431,55 @@ runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
         if (fe == nullptr)
             return detail::errorResult(kName, args, "null front end");
     }
-    detail::BlockSource source;
-    std::string error;
-    if (!source.open(args, error))
-        return detail::errorResult(kName, args, error);
-    for (FrontEnd *fe : front_ends)
-        fe->setTrackOnlyConditional(args.track_only_conditional);
+    std::vector<std::unique_ptr<FrontEndKernel>> owned;
+    std::vector<BlockKernel *> kernels;
+    for (FrontEnd *fe : front_ends) {
+        owned.push_back(std::make_unique<FrontEndKernel>(*fe));
+        kernels.push_back(owned.back().get());
+    }
+    // No per-site ranking here, so the driver need not count a window's
+    // per-site occurrences.
+    SimArgs run_args = args;
+    run_args.collect_most_failed = false;
 
-    const std::size_t n = front_ends.size();
-    const bool hook = static_cast<bool>(args.prediction_hook);
-    detail::RunTotals run(args);
-    std::uint64_t dynamic_cond = 0;
-    std::vector<std::uint64_t> mispredictions(n, 0);
-
-    auto start_time = std::chrono::steady_clock::now();
-    sbbt::BranchColumns block;
-    while (!run.stopped && source.next(block)) {
-        const auto [mid, stop] = run.split(block);
-        for (std::size_t i = 0; i < stop; ++i) {
-            const std::uint8_t m = block.meta[i];
-            const Branch b{block.ip[i], block.target[i], OpCode(m & 0x0f),
-                           (m & 0x10) != 0};
-            const bool measured = i >= mid;
-            if (b.isConditional() && measured)
-                ++dynamic_cond;
-            for (std::size_t k = 0; k < n; ++k) {
-                StepResult r = front_ends[k]->step(b, measured);
-                if (b.isConditional()) {
-                    if (hook)
-                        args.prediction_hook(b, r.taken_predicted,
-                                             block.instr[i], measured, k);
-                    if (measured && r.taken_predicted != b.isTaken())
-                        ++mispredictions[k];
-                }
+    const auto doc = [&](const detail::RunDoc &run) {
+        const std::size_t n = front_ends.size();
+        const auto key = [&](const char *stem, std::size_t k) {
+            std::string name(stem);
+            if (n > 1) {
+                name += '_';
+                name += std::to_string(k);
             }
+            return name;
+        };
+        const std::uint64_t instr = run.simulation_instr;
+        const std::uint64_t dynamic_cond = run.tallies[0].dynamic_cond;
+        json_t result = json_t::object();
+        result["metadata"] =
+            detail::makeMetadata(kName, args, instr, run.exhausted,
+                                 dynamic_cond, run.static_branches);
+        json_t metrics = json_t::object();
+        for (std::size_t k = 0; k < n; ++k) {
+            FrontEnd &fe = *front_ends[k];
+            json_t md = fe.metadata_stats();
+            md["storage_bits"] = fe.storageBits();
+            result["metadata"][key("predictor", k)] = std::move(md);
+            const std::uint64_t mis = run.tallies[k].mispredictions;
+            metrics[key("mpki", k)] = detail::mpkiOf(mis, instr);
+            metrics[key("mispredictions", k)] = mis;
+            metrics[key("accuracy", k)] =
+                detail::accuracyOf(mis, dynamic_cond);
         }
-    }
-    auto end_time = std::chrono::steady_clock::now();
-    double seconds =
-        std::chrono::duration<double>(end_time - start_time).count();
-
-    if (!source.error().empty())
-        return detail::errorResult(kName, args, source.error());
-
-    const std::uint64_t simulation_instr =
-        run.simulationInstr(args, source.header());
-    const bool many = n > 1;
-    const auto key = [&](const char *stem, std::size_t k) {
-        std::string name(stem);
-        if (many) {
-            name += '_';
-            name += std::to_string(k);
+        detail::addThroughputMetrics(metrics, run.dynamic_branches, run.tp);
+        result["metrics"] = std::move(metrics);
+        for (std::size_t k = 0; k < n; ++k) {
+            result[key("predictor_statistics", k)] =
+                front_ends[k]->conditional().execution_stats();
+            result[key("frontend", k)] = front_ends[k]->reportJson(instr);
         }
-        return name;
+        return result;
     };
-    json_t result = json_t::object();
-    result["metadata"] =
-        detail::makeMetadata(kName, args, simulation_instr, run.exhausted(),
-                             dynamic_cond, run.static_branches);
-    json_t metrics = json_t::object();
-    for (std::size_t k = 0; k < n; ++k) {
-        FrontEnd &fe = *front_ends[k];
-        json_t md = fe.metadata_stats();
-        md["storage_bits"] = fe.storageBits();
-        result["metadata"][key("predictor", k)] = std::move(md);
-        metrics[key("mpki", k)] =
-            detail::mpkiOf(mispredictions[k], simulation_instr);
-        metrics[key("mispredictions", k)] = mispredictions[k];
-        metrics[key("accuracy", k)] =
-            detail::accuracyOf(mispredictions[k], dynamic_cond);
-    }
-    detail::addThroughputMetrics(metrics, run.dynamic_branches,
-                                 source.throughput(seconds));
-    result["metrics"] = std::move(metrics);
-    for (std::size_t k = 0; k < n; ++k) {
-        result[key("predictor_statistics", k)] =
-            front_ends[k]->conditional().execution_stats();
-        result[key("frontend", k)] =
-            front_ends[k]->reportJson(simulation_instr);
-    }
-    return result;
+    return detail::runJoined(kName, kernels, run_args, doc);
 }
 
 } // namespace
@@ -496,14 +487,14 @@ runNamed(const char *kName, const std::vector<FrontEnd *> &front_ends,
 json_t
 simulate(FrontEnd &front_end, const SimArgs &args)
 {
-    return runNamed(kFrontEndSimulatorName, {&front_end}, args);
+    return simulateFrontEnds(kFrontEndSimulatorName, {&front_end}, args);
 }
 
 json_t
 simulateMany(const std::vector<FrontEnd *> &front_ends,
              const SimArgs &args)
 {
-    return runNamed(kFrontEndMultiSimulatorName, front_ends, args);
+    return simulateFrontEnds(kFrontEndMultiSimulatorName, front_ends, args);
 }
 
 } // namespace mbp::frontend

@@ -17,6 +17,10 @@
  * document (metadata / metrics / predictor_statistics) and add a
  * "frontend" section: per-class counts and target mispredictions,
  * MPKI-style rollups, and the BTB/RAS/indirect structure statistics.
+ * They run on the library's one block driver (mbp/sim/kernels.hpp),
+ * each FrontEnd wrapped in a FrontEndKernel, so trace reading, the
+ * warm-up/limit window and the prediction hook follow the conditional
+ * simulators' rules.
  *
  * Everything here is deterministic and is replayed branch-for-branch by
  * the naive reference oracles in mbp::testkit (frontend_ref.hpp) under
@@ -36,6 +40,7 @@
 #include "mbp/frontend/indirect.hpp"
 #include "mbp/frontend/ras.hpp"
 #include "mbp/json/json.hpp"
+#include "mbp/sim/kernels.hpp"
 #include "mbp/sim/predictor.hpp"
 #include "mbp/sim/simulator.hpp"
 
@@ -170,22 +175,18 @@ class FrontEnd
      *  3. accounting (when @p measured): class count, direction
      *     misprediction (conditional only), target misprediction (taken
      *     executions whose predicted target != actual);
-     *  4. update: train/track the conditional predictor; taken returns
-     *     pop the RAS; taken calls push ip + 4; taken non-return
-     *     branches update the BTB; taken indirect non-return branches
-     *     update the indirect table; a mispredicted conditional pushes a
-     *     corruption entry when the model is on; the outcome shifts into
-     *     the indirect path history.
+     *  4. update: train the conditional predictor on conditional
+     *     branches and track it on every branch (on conditional ones
+     *     only when @p track_all is false, the SimArgs::
+     *     track_only_conditional convention); taken returns pop the RAS;
+     *     taken calls push ip + 4; taken non-return branches update the
+     *     BTB; taken indirect non-return branches update the indirect
+     *     table; a mispredicted conditional pushes a corruption entry
+     *     when the model is on; the outcome shifts into the indirect path
+     *     history.
      */
-    StepResult step(const Branch &branch, bool measured);
-
-    /** Forward only conditional branches to the conditional predictor's
-     *  track(), mirroring SimArgs::track_only_conditional. */
-    void
-    setTrackOnlyConditional(bool value)
-    {
-        track_only_conditional_ = value;
-    }
+    StepResult step(const Branch &branch, bool measured,
+                    bool track_all = true);
 
     const FrontEndConfig &config() const { return config_; }
     const Btb &btb() const { return btb_; }
@@ -227,8 +228,38 @@ class FrontEnd
     Btb btb_;
     Ras ras_;
     IndirectTarget indirect_;
-    bool track_only_conditional_ = false;
     std::array<ClassCounts, kNumBranchClasses> counts_{};
+};
+
+/**
+ * A FrontEnd as a kernel of the block driver: runBlock() calls
+ * FrontEnd::step() on every row, with the block's warm-up split and
+ * track rule, and counts the measured conditionals and direction
+ * mispredictions into the tally. The front end must outlive the kernel.
+ */
+class FrontEndKernel final : public BlockKernel
+{
+  public:
+    explicit FrontEndKernel(FrontEnd &front_end) : front_end_(&front_end) {}
+
+    json_t metadata_stats() const override
+    {
+        return front_end_->metadata_stats();
+    }
+    json_t execution_stats() const override
+    {
+        return front_end_->conditional().execution_stats();
+    }
+    std::uint64_t storageBits() const override
+    {
+        return front_end_->storageBits();
+    }
+    bool reportsStorage() const override { return true; }
+
+    void runBlock(const KernelBlock &block, KernelTally &tally) override;
+
+  private:
+    FrontEnd *front_end_;
 };
 
 /**
@@ -241,9 +272,11 @@ class FrontEnd
  *
  * Honors SimArgs trace selection (trace_path / in_memory / mem_budget /
  * preloaded), warmup_instr / sim_instr windows, track_only_conditional
- * and prediction_hook (fired per conditional branch with the direction
- * guess). collect_most_failed is ignored: the per-class breakdown, not
- * a per-site ranking, is this simulator's observability surface.
+ * and prediction_hook, fired per conditional branch with the direction
+ * guess under the one rule of SimArgs::prediction_hook: after the whole
+ * block's steps, branch-major with the front-end index ascending.
+ * collect_most_failed is ignored: the per-class breakdown, not a
+ * per-site ranking, is this simulator's observability surface.
  */
 json_t simulate(FrontEnd &front_end, const SimArgs &args);
 

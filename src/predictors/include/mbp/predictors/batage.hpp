@@ -22,14 +22,13 @@
  *
  * Storage follows the TAGE fast path (mbp/predictors/tage_arena.hpp): all
  * tagged tables share one flat 64-byte-aligned arena of packed 4-byte
- * entries, and fusedStep() / prefetchHints() implement the fused kernel
- * contracts with the hit set carried as a 64-bit mask.
+ * entries, and fusedStep() implements the fused kernel contract
+ * (KernelFusedStep) with the hit set carried as a 64-bit mask.
  */
 #ifndef MBP_PREDICTORS_BATAGE_HPP
 #define MBP_PREDICTORS_BATAGE_HPP
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "mbp/predictors/tage.hpp" // TageTableSpec, Tage::Config::geometric
@@ -61,9 +60,6 @@ class Batage : public Predictor
                                 int tag_bits = 10);
     };
 
-    /** Prefetch lookahead for the kernels' block driver (see Tage). */
-    static constexpr std::size_t kPrefetchDistance = 8;
-
     /** @throw std::invalid_argument on geometry the packed entry layout
      *  cannot hold (see validateTaggedGeometry; also counter_max > 255). */
     explicit Batage(Config config = Config::geometric());
@@ -78,10 +74,6 @@ class Batage : public Predictor
      * outcome @p taken, returning the prediction.
      */
     bool fusedStep(std::uint64_t ip, bool taken);
-
-    /** One prefetch address per tagged bank (KernelMultiPrefetch). */
-    std::size_t prefetchHints(std::uint64_t ip,
-                              std::span<const void *> out) const;
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/hash.hpp"
@@ -85,20 +84,6 @@ struct Bimodal : Predictor
         const bool guess = counter >= 0;
         counter.sumOrSub(taken);
         return guess;
-    }
-
-    /**
-     * Counter line a lookup for @p ip will touch — the bimodal index
-     * depends only on the address, so the block driver's prefetch
-     * (mbp::KernelMultiPrefetch) is exact.
-     */
-    std::size_t
-    prefetchHints(std::uint64_t ip, std::span<const void *> out) const
-    {
-        if (out.empty())
-            return 0;
-        out[0] = &table[hash(ip)];
-        return 1;
     }
 
     std::uint64_t

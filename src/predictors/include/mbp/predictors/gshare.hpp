@@ -11,7 +11,6 @@
 #include <bitset>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/hash.hpp"
@@ -106,22 +105,6 @@ struct Gshare : Predictor
         ghist <<= 1;
         ghist[0] = taken;
         return guess;
-    }
-
-    /**
-     * Likely counter line of a future lookup for @p ip, hashed with the
-     * *current* history — approximate on purpose (the history will have
-     * shifted by lookup time), which is fine for a prefetch hint
-     * (mbp::KernelMultiPrefetch): nearby history values land on nearby
-     * table lines often enough to hide the counter-array miss.
-     */
-    std::size_t
-    prefetchHints(std::uint64_t ip, std::span<const void *> out) const
-    {
-        if (out.empty())
-            return 0;
-        out[0] = &table[hash(ip)];
-        return 1;
     }
 
     std::uint64_t

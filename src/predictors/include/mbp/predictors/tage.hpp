@@ -17,18 +17,16 @@
  * Storage-wise all tagged tables live in one flat, 64-byte-aligned arena
  * of packed 4-byte entries (mbp/predictors/tage_arena.hpp), and the
  * predictor offers the fused fast path the kernels consume
- * (KernelFusedStep / KernelMultiPrefetch in mbp/sim/kernels.hpp):
- * fusedStep() runs predict+train+track as one pass that computes each
- * table's index/tag once and keeps the whole lookup in registers, and
- * prefetchHints() names one counter line per tagged bank for the block
- * driver's software prefetch. Both are exactly equivalent to the virtual
- * path — the conformance suite pins the identity for the full roster.
+ * (KernelFusedStep in mbp/sim/kernels.hpp): fusedStep() runs
+ * predict+train+track as one pass that computes each table's index/tag
+ * once and keeps the whole lookup in registers. It is exactly equivalent
+ * to the virtual path — the conformance suite pins the identity for the
+ * full roster.
  */
 #ifndef MBP_PREDICTORS_TAGE_HPP
 #define MBP_PREDICTORS_TAGE_HPP
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "mbp/predictors/tage_arena.hpp"
@@ -64,13 +62,6 @@ class Tage : public Predictor
                                 int tag_bits = 10);
     };
 
-    /**
-     * Prefetch lookahead for the kernels' block driver: with one hint per
-     * tagged bank each step already covers several lines, so a shorter
-     * distance than the single-hint default keeps the hints alive in L1.
-     */
-    static constexpr std::size_t kPrefetchDistance = 8;
-
     /** @throw std::invalid_argument on geometry the packed entry layout
      *  cannot hold (tag wider than 16 bits, counters wider than 8, more
      *  than 64 tables). */
@@ -88,15 +79,6 @@ class Tage : public Predictor
      * selects provider/alternate branchlessly from it.
      */
     bool fusedStep(std::uint64_t ip, bool taken);
-
-    /**
-     * Writes up to out.size() prefetch addresses — one per tagged bank —
-     * for a future lookup of @p ip (KernelMultiPrefetch). Computed with
-     * the *current* history folds, so the lines are approximate;
-     * correctness never depends on them.
-     */
-    std::size_t prefetchHints(std::uint64_t ip,
-                              std::span<const void *> out) const;
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;

@@ -15,7 +15,6 @@
 #define MBP_PREDICTORS_TAGE_SCL_HPP
 
 #include <array>
-#include <span>
 #include <vector>
 
 #include "mbp/predictors/loop.hpp"
@@ -152,16 +151,6 @@ class TageScl : public Predictor
         advanceScHistory(outcome);
         return prediction;
     }
-
-    /** One prefetch address per TAGE bank (KernelMultiPrefetch). */
-    std::size_t
-    prefetchHints(std::uint64_t ip, std::span<const void *> out) const
-    {
-        return tage_.prefetchHints(ip, out);
-    }
-
-    /** Prefetch lookahead for the kernels' block driver (see Tage). */
-    static constexpr std::size_t kPrefetchDistance = Tage::kPrefetchDistance;
 
     json_t
     metadata_stats() const override

@@ -458,35 +458,6 @@ Tage::fusedStep(std::uint64_t ip, bool taken)
     return lv.prediction;
 }
 
-std::size_t
-Tage::prefetchHints(std::uint64_t ip, std::span<const void *> out) const
-{
-    // One line per tagged bank, indexed with the *current* folds — the
-    // history advances before the actual lookup, so this is approximate
-    // by design (see KernelMultiPrefetch).
-    std::uint64_t base_fold[2 * kMaxTaggedTables];
-    std::uint64_t path_fold[2 * kMaxTaggedTables];
-    const std::uint64_t base = ip >> 2;
-    const std::uint64_t path = path_.value();
-    const std::size_t num_widths = fold_widths_.size();
-    for (std::size_t w = 0; w < num_widths; ++w) {
-        base_fold[w] = XorFold(base, fold_widths_[w]);
-        path_fold[w] = XorFold(path, fold_widths_[w]);
-    }
-    const std::size_t n = std::min(out.size(), banks_.size());
-    const PackedTageEntry *entries = arena_.data();
-    for (std::size_t t = 0; t < n; ++t) {
-        const Bank &bank = banks_[t];
-        const std::uint64_t idx =
-            (base_fold[bank.idx_width_slot] ^
-             folds_.value(3 * static_cast<int>(t)) ^
-             path_fold[bank.idx_width_slot]) &
-            bank.index_mask;
-        out[t] = entries + bank.offset + idx;
-    }
-    return n;
-}
-
 json_t
 Tage::metadata_stats() const
 {

@@ -9,8 +9,8 @@
  * its trace as a sequence of sbbt::BranchColumns blocks from one
  * BlockSource and books it through RunTotals, so the warmup/limit
  * accounting and the document layout cannot drift apart between paths.
- * One loop steps conditional predictors (FusedKernel::runBlock in
- * kernels.hpp, driven from kernels.cpp); the front end has its own.
+ * One driver (runBlocks in kernels.cpp) hands the blocks to every
+ * kernel, the front end's included.
  *
  * This is an internal header: everything in mbp::detail may change
  * between versions. User code should stick to mbp/sim/simulator.hpp and
@@ -386,17 +386,6 @@ class BlockSource
     std::unique_ptr<sbbt::TraceWindow> window_;
     std::uint64_t limit_ = 0;
 };
-
-/** Best-effort read prefetch of the cache line holding @p address. */
-inline void
-prefetchLine(const void *address)
-{
-#if defined(__GNUC__)
-    __builtin_prefetch(address, 0, 3);
-#else
-    (void)address;
-#endif
-}
 
 /**
  * Compile-time-bound predictor calls. The predictor interface methods

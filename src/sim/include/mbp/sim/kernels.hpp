@@ -1,19 +1,21 @@
 /**
  * @file
- * The simulation kernels: the only code that steps conditional
- * predictors.
+ * The simulation kernels and the one driver that steps them.
  *
  * One driver (src/sim/kernels.cpp) serves every run: simulate() and
  * simulateFused() are its one-kernel case, compare(), simulateMany(),
- * their fused forms and detail::simulateEach its N-kernel case. It
- * reads the run as a sequence of sbbt::BranchColumns blocks from a
+ * their fused forms and detail::simulateEach its N-kernel case, and
+ * frontend::simulate()/simulateMany() run through it too, each FrontEnd
+ * wrapped in a BlockKernel of the front end's own (detail::runJoined).
+ * It reads the run as a sequence of sbbt::BranchColumns blocks from a
  * detail::BlockSource (slices of a decode-once arena, or one reused
  * window that streaming decode refills) and hands each block to every
- * kernel's BlockKernel::runBlock, the one loop that steps a predictor. The
- * predictor type is a template parameter of FusedKernel: a concrete
- * mbp::PredictorLike type inlines predict/train/track into the loop,
- * while the abstract mbp::Predictor base — what the virtual entry points
- * pass — keeps virtual dispatch.
+ * kernel's BlockKernel::runBlock. FusedKernel::runBlock is the one loop
+ * that steps a roster predictor on its own (the front end's kernel steps
+ * a whole FrontEnd per row). The predictor type is a template
+ * parameter of FusedKernel: a concrete mbp::PredictorLike type inlines
+ * predict/train/track into the loop, while the abstract mbp::Predictor
+ * base — what the virtual entry points pass — keeps virtual dispatch.
  *
  * What the loop does per branch is what a concrete type buys:
  *
@@ -29,13 +31,13 @@
  *    does no address hashing at all;
  *  - warmup checks leave the loop entirely: the driver splits each block
  *    into [unmeasured) [measured) ranges by binary search, and each
- *    range runs a loop specialized on its measurement flag;
- *  - when more than one kernel shares a block, predictors that can name
- *    the counter lines of a future lookup (`prefetchHints(ip, span)`,
- *    KernelMultiPrefetch) get them software-prefetched a fixed distance
- *    ahead, covering the re-warm misses of kernels evicting each other
- *    between blocks. A lone kernel's lines stay resident, and there the
- *    hint computation measurably slows the loop.
+ *    range runs a loop specialized on its measurement flag.
+ *
+ * The loop issues no software prefetch. The TAGE family's default
+ * tagged tables are 32 KiB, so its kernels are bound by computation,
+ * and counter-line hints computed a fixed distance ahead slowed the
+ * multi-kernel runs they were measured on (EXPERIMENTS.md, "One driver,
+ * no counter-line hints").
  *
  * The prediction hook never runs inside the loop: a hooked run has each
  * kernel write its guesses, and the driver replays the hook after the
@@ -59,8 +61,9 @@
 #include <concepts>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
-#include <span>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -73,56 +76,6 @@
 
 namespace mbp
 {
-
-/**
- * Branches of lookahead for the software counter-line prefetch. Far
- * enough ahead to cover a memory access at a few ns per branch of loop
- * work, near enough that the line is not evicted again before use.
- */
-inline constexpr std::size_t kKernelPrefetchDistance = 16;
-
-/**
- * Upper bound on the addresses one prefetchHints() call may produce.
- * Bounds the loop's stack buffer; predictors with more banks than this
- * simply hint their first kKernelMaxPrefetchHints ones.
- */
-inline constexpr std::size_t kKernelMaxPrefetchHints = 16;
-
-/**
- * A predictor that can name the counter lines a future lookup will
- * touch, so the loop can software-prefetch them ahead: `prefetchHints(ip,
- * out)` writes up to out.size() addresses for a lookup of @p ip and
- * returns how many it wrote — one for a one-table predictor, one per
- * tagged bank in the TAGE family. The addresses only steer prefetches and
- * may be approximate (e.g. Gshare hashes with the *current* history, not
- * the one at lookup time) — correctness never depends on them.
- */
-template <typename P>
-concept KernelMultiPrefetch =
-    requires(const P &predictor, std::uint64_t ip,
-             std::span<const void *> out) {
-        { predictor.prefetchHints(ip, out) }
-            -> std::convertible_to<std::size_t>;
-    };
-
-/**
- * The prefetch lookahead for @p P: the predictor's own
- * `P::kPrefetchDistance` when it declares one (multi-bank predictors
- * issue many hints per step, so a shorter distance keeps them resident),
- * else the global kKernelPrefetchDistance.
- */
-template <typename P>
-consteval std::size_t
-kernelPrefetchDistanceOf()
-{
-    if constexpr (requires {
-                      { P::kPrefetchDistance } ->
-                          std::convertible_to<std::size_t>;
-                  })
-        return P::kPrefetchDistance;
-    else
-        return kKernelPrefetchDistance;
-}
 
 /**
  * A predictor whose whole per-conditional-branch sequence can run as a
@@ -175,7 +128,6 @@ struct KernelBlock
     std::size_t num_sites = 0;               // sites seen so far
     bool track_all = true; // track unconditionals (!track_only_conditional)
     bool collect = false;  // count mispredictions per site
-    bool prefetch = false; // prefetch counter lines (kernels share blocks)
     // Hooked runs only: where the kernel writes each conditional row's
     // prediction (0/1) for the driver's hook replay.
     std::uint8_t *guesses = nullptr;
@@ -272,18 +224,11 @@ class FusedKernel final : public BlockKernel
         };
         with(block.collect, [&](auto collect) {
             with(block.guesses != nullptr, [&](auto hook) {
-                const auto both = [&](auto prefetch) {
-                    constexpr bool kC = decltype(collect)::value;
-                    constexpr bool kH = decltype(hook)::value;
-                    constexpr bool kP = decltype(prefetch)::value;
-                    steps<false, kC, kH, kP>(block, 0, block.mid, tally);
-                    steps<true, kC, kH, kP>(block, block.mid,
-                                            block.columns.size, tally);
-                };
-                if constexpr (KernelMultiPrefetch<P>)
-                    with(block.prefetch, both);
-                else
-                    both(std::false_type{});
+                constexpr bool kC = decltype(collect)::value;
+                constexpr bool kH = decltype(hook)::value;
+                steps<false, kC, kH>(block, 0, block.mid, tally);
+                steps<true, kC, kH>(block, block.mid, block.columns.size,
+                                    tally);
             });
         });
     }
@@ -292,11 +237,11 @@ class FusedKernel final : public BlockKernel
     /**
      * The loop over rows [begin, end), all sharing one measured flag.
      * Each variant is its own function with every call it can see
-     * inlined: left to the inliner's budget, runBlock's up to sixteen
-     * variants stopped inlining the predictor's step into some of them
-     * (fused GShare ran at 0.6x).
+     * inlined: left to the inliner's budget, runBlock's variants stopped
+     * inlining the predictor's step into some of them (fused GShare ran
+     * at 0.6x).
      */
-    template <bool kMeasured, bool kCollect, bool kHook, bool kPrefetch>
+    template <bool kMeasured, bool kCollect, bool kHook>
     [[gnu::noinline, gnu::flatten]] void
     steps(const KernelBlock &block, std::size_t begin, std::size_t end,
           KernelTally &tally)
@@ -316,16 +261,6 @@ class FusedKernel final : public BlockKernel
         std::uint64_t dynamic_cond = 0;
         std::uint64_t total_miss = 0;
         for (std::size_t i = begin; i < end; ++i) {
-            if constexpr (kPrefetch) {
-                const std::size_t ahead = i + kernelPrefetchDistanceOf<P>();
-                if (ahead < c.size) {
-                    const void *hints[kKernelMaxPrefetchHints];
-                    const std::size_t n = p.prefetchHints(
-                        ips[ahead], std::span<const void *>(hints));
-                    for (std::size_t h = 0; h < n; ++h)
-                        detail::prefetchLine(hints[h]);
-                }
-            }
             const std::uint8_t m = meta[i];
             if ((m & 0x01) != 0) { // conditional
                 const bool taken = (m & 0x10) != 0;
@@ -366,6 +301,44 @@ class FusedKernel final : public BlockKernel
 
 namespace detail
 {
+/** A finished run of the driver, as the document builders read it. */
+struct RunDoc
+{
+    RunDoc(const char *simulator, const SimArgs &run_args, std::size_t n)
+        : name(simulator), args(run_args), tallies(n), kernel_seconds(n),
+          retired(n)
+    {
+    }
+
+    const char *name;
+    const SimArgs &args;
+    std::string error; // open or trace error: the run has no counts
+    std::uint64_t simulation_instr = 0;
+    bool exhausted = false;
+    std::uint64_t static_branches = 0;
+    std::uint64_t dynamic_branches = 0;
+    const std::uint64_t *site_ips = nullptr; // site id -> address
+    const std::uint64_t *site_occ = nullptr; // site id -> measured occurrences
+    Throughput tp;
+    std::vector<KernelTally> tallies;
+    // Per kernel: the time spent in its own runBlock calls (only a
+    // simulateEach pass times them; 0 otherwise).
+    std::vector<double> kernel_seconds;
+    // Per kernel: what it threw when the run retired it (null: ran on).
+    std::vector<std::exception_ptr> retired;
+};
+
+/**
+ * Steps @p kernels through the run of @p args block by block, as one run
+ * (a kernel that throws ends it), and returns what @p doc makes of the
+ * finished run — or errorResult(@p name, ...) for a run that could not
+ * open or read its trace. Every entry point but simulateEach is this
+ * call with its own document builder.
+ */
+json_t runJoined(const char *name, const std::vector<BlockKernel *> &kernels,
+                 const SimArgs &args,
+                 const std::function<json_t(const RunDoc &)> &doc);
+
 /** simulate() over one kernel: the driver's one-kernel case. */
 json_t simulateKernel(BlockKernel &kernel, const SimArgs &args);
 

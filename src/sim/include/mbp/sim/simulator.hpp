@@ -188,7 +188,9 @@ struct SimArgs
      * (0 in simulate(); 0..N-1 per branch in compare()/simulateMany(), in
      * roster order). Branches arrive in trace order, each with its
      * predictors in index order. In every entry point (simulate(),
-     * compare(), simulateMany() and their fused forms) the hook fires
+     * compare(), simulateMany(), their fused forms, and
+     * frontend::simulate()/simulateMany() with the front ends' direction
+     * guesses) the hook fires
      * after the train/track of the whole block of up to
      * kKernelBlockBranches branches that holds the branch, so a hook
      * that inspects a predictor sees it already trained on that block.

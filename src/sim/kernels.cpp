@@ -1,10 +1,11 @@
 /**
  * @file
- * The driver behind every conditional simulator: simulate() and
- * simulateFused() are its one-kernel case, compare(), simulateMany() and
- * their fused forms its N-kernel case, and detail::simulateEach (a
- * streaming sweep's pass) its N-kernel case with one simulate() document
- * per kernel.
+ * The one driver in the library: simulate() and simulateFused() are its
+ * one-kernel case, compare(), simulateMany() and their fused forms its
+ * N-kernel case, detail::simulateEach (a streaming sweep's pass) its
+ * N-kernel case with one simulate() document per kernel, and
+ * frontend::simulate()/simulateMany() reach it through
+ * detail::runJoined with a document builder of their own.
  *
  * Per block of up to kKernelBlockBranches branches, the driver books the
  * warmup/limit split (detail::RunTotals) and calls each kernel's
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -34,32 +36,7 @@ namespace mbp
 namespace
 {
 
-/** A finished run, as the document builders read it. */
-struct RunDoc
-{
-    RunDoc(const char *simulator, const SimArgs &run_args, std::size_t n)
-        : name(simulator), args(run_args), tallies(n), kernel_seconds(n),
-          retired(n)
-    {
-    }
-
-    const char *name;
-    const SimArgs &args;
-    std::string error; // open or trace error: the run has no counts
-    std::uint64_t simulation_instr = 0;
-    bool exhausted = false;
-    std::uint64_t static_branches = 0;
-    std::uint64_t dynamic_branches = 0;
-    const std::uint64_t *site_ips = nullptr; // site id -> address
-    const std::uint64_t *site_occ = nullptr; // site id -> measured occurrences
-    detail::Throughput tp;
-    std::vector<KernelTally> tallies;
-    // Per kernel: the time spent in its own runBlock calls (only
-    // Stepping::kEach times them; 0 otherwise).
-    std::vector<double> kernel_seconds;
-    // Per kernel: what it threw when the run retired it (null: ran on).
-    std::vector<std::exception_ptr> retired;
-};
+using detail::RunDoc;
 
 /** A site in a most_failed ranking. */
 struct RankedSite
@@ -284,14 +261,12 @@ replayHook(const SimArgs &args, const KernelBlock &block,
 /** How runBlocks steps its kernels. */
 enum class Stepping
 {
-    /** One run over all of them (simulate(), compare(), simulateMany()):
-     *  a kernel that throws ends the run, and kernels that share a block
-     *  prefetch their counter lines. */
+    /** One run over all of them (every entry point but simulateEach): a
+     *  kernel that throws ends the run. */
     kJoined,
     /** Independent runs that share the trace's blocks (a streaming
-     *  sweep's pass): a kernel that throws is retired alone, and none
-     *  prefetches, since in a pass the hints cost the TAGE family more
-     *  than they hide (EXPERIMENTS.md, "One pass per streamed trace"). */
+     *  sweep's pass): each kernel's runBlock calls are timed, and a
+     *  kernel that throws is retired alone. */
     kEach,
 };
 
@@ -334,9 +309,6 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
     KernelBlock block;
     block.track_all = !args.track_only_conditional;
     block.collect = args.collect_most_failed;
-    // Kernels sharing a block evict each other's counter lines between
-    // blocks; a lone kernel's stay resident.
-    block.prefetch = stepping == Stepping::kJoined && n > 1;
 
     std::size_t live = n;
     auto start_time = std::chrono::steady_clock::now();
@@ -391,23 +363,20 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
     return build(run);
 }
 
-/** One document over all of @p kernels, stepped as one run: @p doc's,
- *  or the error result of a run that failed. */
-template <typename Doc>
+} // namespace
+
 json_t
-runJoined(const char *kName, const std::vector<BlockKernel *> &kernels,
-          const SimArgs &args, Doc doc)
+detail::runJoined(const char *name, const std::vector<BlockKernel *> &kernels,
+                  const SimArgs &args,
+                  const std::function<json_t(const RunDoc &)> &doc)
 {
-    return runBlocks(kName, kernels, args, Stepping::kJoined,
+    return runBlocks(name, kernels, args, Stepping::kJoined,
                      [&](const RunDoc &run) {
                          return run.error.empty()
                                     ? doc(run)
-                                    : detail::errorResult(kName, args,
-                                                          run.error);
+                                    : errorResult(name, args, run.error);
                      });
 }
-
-} // namespace
 
 json_t
 detail::simulateKernel(BlockKernel &kernel, const SimArgs &args)
@@ -462,7 +431,7 @@ json_t
 simulateManyFused(const std::vector<BlockKernel *> &kernels,
                   const SimArgs &args)
 {
-    return runJoined(
+    return detail::runJoined(
         detail::kMultiSimulatorName, kernels, args,
         [&](const RunDoc &run) { return manyDoc(run, kernels); });
 }
@@ -471,7 +440,7 @@ json_t
 compareFused(BlockKernel &a, BlockKernel &b, const SimArgs &args)
 {
     const std::vector<BlockKernel *> kernels{&a, &b};
-    return runJoined(
+    return detail::runJoined(
         detail::kCompareSimulatorName, kernels, args,
         [&](const RunDoc &run) { return manyDoc(run, kernels); });
 }

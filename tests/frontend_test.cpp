@@ -514,4 +514,19 @@ TEST_F(FrontEndSimTest, SimulateManySuffixesSections)
                                  ->asUint();
     EXPECT_EQ(t0, t1);
     EXPECT_EQ(t0, events_->size());
+
+    // No front end, or a null one, is an error document, not a run.
+    const auto errorDoc = [&](const char *message) {
+        return json_t::object({
+            {"metadata",
+             json_t::object({{"simulator", kFrontEndMultiSimulatorName},
+                             {"version", kMbpVersion},
+                             {"trace", *trace_path_}})},
+            {"error", message},
+        });
+    };
+    EXPECT_EQ(frontend::simulateMany({}, args).dump(2),
+              errorDoc("no front ends to simulate").dump(2));
+    EXPECT_EQ(frontend::simulateMany({&a, nullptr}, args).dump(2),
+              errorDoc("null front end").dump(2));
 }

@@ -18,9 +18,11 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "mbp/frontend/frontend.hpp"
 #include "mbp/predictors/batage.hpp"
 #include "mbp/predictors/bimodal.hpp"
 #include "mbp/predictors/gshare.hpp"
@@ -37,31 +39,22 @@ namespace
 {
 
 // The dispatch-selection contracts, pinned at compile time: table
-// predictors offer the fused single-step, the per-site fold and a
-// one-line prefetch hint, and the TAGE family offers the fused step plus
-// one prefetch hint per bank — but never the per-site fold, since its
-// table indexes depend on the live history.
+// predictors offer the fused single-step and the per-site fold, and the
+// TAGE family offers the fused step but never the per-site fold, since
+// its table indexes depend on the live history.
 static_assert(KernelFusedStep<pred::Bimodal<16>>);
 static_assert(KernelSiteFold<pred::Bimodal<16>>);
 static_assert(KernelFusedStep<pred::Gshare<15, 17>>);
 static_assert(KernelSiteFold<pred::Gshare<15, 17>>);
-static_assert(KernelMultiPrefetch<pred::Bimodal<16>>);
-static_assert(KernelMultiPrefetch<pred::Gshare<15, 17>>);
 static_assert(KernelFusedStep<pred::Tage>);
 static_assert(KernelFusedStep<pred::Batage>);
 static_assert(KernelFusedStep<pred::TageScl>);
 static_assert(!KernelSiteFold<pred::Tage>);
 static_assert(!KernelSiteFold<pred::Batage>);
 static_assert(!KernelSiteFold<pred::TageScl>);
-static_assert(KernelMultiPrefetch<pred::Tage>);
-static_assert(KernelMultiPrefetch<pred::Batage>);
-static_assert(KernelMultiPrefetch<pred::TageScl>);
-// Per-predictor prefetch distance: declared by the TAGE family, the
-// global default for everything else.
-static_assert(kernelPrefetchDistanceOf<pred::Tage>() ==
-              pred::Tage::kPrefetchDistance);
-static_assert(kernelPrefetchDistanceOf<pred::Gshare<15, 17>>() ==
-              kKernelPrefetchDistance);
+// The front end's adapter stays instantiable: a new pure virtual on
+// BlockKernel breaks the build here, not a test at run time.
+static_assert(!std::is_abstract_v<frontend::FrontEndKernel>);
 
 /** Timing metrics: the only fields allowed to differ fused vs virtual. */
 bool

@@ -10,8 +10,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "mbp/frontend/frontend.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/sim/detail/sim_core.hpp"
 #include "test_tmp.hpp"
@@ -606,6 +609,40 @@ TEST(PredictionHook, FiresAfterTheBlockIsTrainedInEveryEntryPoint)
     ASSERT_FALSE(result.contains("error")) << result.dump(2);
     EXPECT_EQ(seen_many,
               (std::vector<std::pair<std::size_t, std::size_t>>(6, {3, 3})));
+
+    // The front end runs on the same driver, under the same rule.
+    auto owned = std::make_unique<ScriptedPredictor>(std::vector<bool>{true});
+    ScriptedPredictor &inner = *owned;
+    frontend::FrontEnd front_end(std::move(owned));
+    seen.clear();
+    args.prediction_hook = [&](const Branch &, bool, std::uint64_t, bool,
+                               std::size_t) {
+        seen.push_back(inner.trained.size());
+    };
+    result = frontend::simulate(front_end, args);
+    ASSERT_FALSE(result.contains("error")) << result.dump(2);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{3, 3, 3}));
+
+    auto owned_a = std::make_unique<ScriptedPredictor>(std::vector<bool>{true});
+    auto owned_b =
+        std::make_unique<ScriptedPredictor>(std::vector<bool>{false});
+    ScriptedPredictor &inner_a = *owned_a;
+    ScriptedPredictor &inner_b = *owned_b;
+    frontend::FrontEnd front_a(std::move(owned_a));
+    frontend::FrontEnd front_b(std::move(owned_b));
+    seen_many.clear();
+    std::vector<std::size_t> indices;
+    args.prediction_hook = [&](const Branch &, bool, std::uint64_t, bool,
+                               std::size_t index) {
+        seen_many.emplace_back(inner_a.trained.size(),
+                               inner_b.trained.size());
+        indices.push_back(index);
+    };
+    result = frontend::simulateMany({&front_a, &front_b}, args);
+    ASSERT_FALSE(result.contains("error")) << result.dump(2);
+    EXPECT_EQ(seen_many,
+              (std::vector<std::pair<std::size_t, std::size_t>>(6, {3, 3})));
+    EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 0, 1, 0, 1}));
     std::remove(path.c_str());
 }
 

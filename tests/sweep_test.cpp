@@ -25,6 +25,7 @@
 #include <tuple>
 #include <utility>
 
+#include "mbp/frontend/frontend.hpp"
 #include "mbp/predictors/bimodal.hpp"
 #include "mbp/predictors/gshare.hpp"
 #include "mbp/predictors/roster.hpp"
@@ -950,7 +951,17 @@ serialCells(const sweep::Campaign &campaign)
             std::unique_ptr<Predictor> predictor = spec.make();
             json_t cell =
                 json_t::object({{"predictor", spec.name}, {"trace", trace}});
-            cell["result"] = simulate(*predictor, args);
+            if (campaign.frontend) {
+                frontend::FrontEndConfig config;
+                std::string error;
+                EXPECT_TRUE(frontend::parseFrontEndSpec(
+                    campaign.frontend_spec, config, error))
+                    << error;
+                frontend::FrontEnd front_end(std::move(predictor), config);
+                cell["result"] = frontend::simulate(front_end, args);
+            } else {
+                cell["result"] = simulate(*predictor, args);
+            }
             cells.push_back(std::move(cell));
         }
     }
@@ -1099,8 +1110,9 @@ TEST_F(SweepTest, AThrowingPredictorFailsOnlyItsOwnCells)
 {
     // A factory that throws used to escape the cell and abort the
     // process. It, and a predictor that throws mid-trace, must fail only
-    // their own cells, streamed in passes or run per cell, fused or
-    // virtual; the cells beside them are those of serial simulate() runs.
+    // their own cells, streamed in passes or run per cell, fused,
+    // virtual or in front ends; the cells beside them are those of
+    // serial simulate() (or frontend::simulate()) runs.
     const sweep::PredictorSpec bad_factory{
         "bad-factory",
         []() -> std::unique_ptr<Predictor> {
@@ -1116,7 +1128,10 @@ TEST_F(SweepTest, AThrowingPredictorFailsOnlyItsOwnCells)
     good.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
     good.traces = traces_;
     good.base_args.warmup_instr = 5'000;
-    const json_t expected = serialCells(good);
+    sweep::Campaign good_frontend = good;
+    good_frontend.frontend = true;
+    const json_t expected_cells = serialCells(good);
+    const json_t expected_frontend = serialCells(good_frontend);
 
     const std::vector<std::pair<sweep::PredictorSpec, std::string>> cases = {
         {bad_factory, "exception: bad config"},
@@ -1125,17 +1140,23 @@ TEST_F(SweepTest, AThrowingPredictorFailsOnlyItsOwnCells)
     for (const auto &[bad, message] : cases) {
         sweep::Campaign campaign = good;
         campaign.predictors = {good.predictors[0], bad, good.predictors[1]};
-        std::vector<std::tuple<bool, bool, unsigned>> runs;
+        std::vector<std::tuple<bool, bool, bool, unsigned>> runs;
         for (const bool in_memory : {false, true})
-            for (const bool fused : {false, true})
-                for (const unsigned jobs : {1u, 4u})
-                    runs.emplace_back(in_memory, fused, jobs);
-        for (const auto &[in_memory, fused, jobs] : runs) {
+            for (const unsigned jobs : {1u, 4u}) {
+                for (const bool fused : {false, true})
+                    runs.emplace_back(false, in_memory, fused, jobs);
+                runs.emplace_back(true, in_memory, false, jobs);
+            }
+        for (const auto &[front_ends, in_memory, fused, jobs] : runs) {
             SCOPED_TRACE(bad.name + (in_memory ? " in-memory" : " streaming") +
-                         (fused ? " fused" : " virtual") + ", jobs " +
-                         std::to_string(jobs));
+                         (front_ends ? " frontend"
+                                     : (fused ? " fused" : " virtual")) +
+                         ", jobs " + std::to_string(jobs));
+            campaign.frontend = front_ends;
             campaign.in_memory = in_memory;
             campaign.fused = fused;
+            const json_t &expected =
+                front_ends ? expected_frontend : expected_cells;
             const json_t result = sweep::run(campaign, jobs);
             const json_t &cells = *result.find("cells");
             ASSERT_EQ(cells.size(), 9u);
