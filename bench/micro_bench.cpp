@@ -17,6 +17,8 @@
 
 #include "bench_predictors.hpp"
 #include "mbp/compress/flz.hpp"
+#include "mbp/predictors/tage.hpp"
+#include "mbp/predictors/tagged_history.hpp"
 #include "mbp/compress/streams.hpp"
 #include "mbp/sbbt/format.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
@@ -25,7 +27,6 @@
 #include "mbp/tracegen/generator.hpp"
 #include "mbp/utils/flat_hash_map.hpp"
 #include "mbp/utils/hash.hpp"
-#include "mbp/utils/history.hpp"
 
 namespace
 {
@@ -333,67 +334,49 @@ BM_XorFold(benchmark::State &state)
 }
 BENCHMARK(BM_XorFold);
 
+/**
+ * Phase 1 of the TAGE-family block kernels (TaggedHistory::indexRows) for
+ * the default 8-bank geometry: every bank's flat index and tag for each
+ * conditional row of a 512-row chunk, and the history pushes of its
+ * rows, over the event buffer's branches. Items are rows. Arg 0 runs
+ * indexRows() (the AVX2 loop where the host has it), arg 1 the scalar
+ * reference loop.
+ */
 void
-BM_FoldedHistoryUpdate(benchmark::State &state)
+BM_TaggedHistoryIndexRows(benchmark::State &state)
 {
-    FoldedHistory fold(130, 11);
-    bool bit = false;
+    const auto &events = eventBuffer();
+    std::vector<std::uint64_t> ips;
+    std::vector<std::uint8_t> meta;
+    for (const auto &ev : events) {
+        ips.push_back(ev.branch.ip());
+        meta.push_back(static_cast<std::uint8_t>(
+            ev.branch.opcode().bits() | (ev.branch.isTaken() ? 0x10 : 0)));
+    }
+    sbbt::BranchColumns columns;
+    columns.ip = ips.data();
+    columns.meta = meta.data();
+    columns.size = ips.size();
+    pred::TaggedHistory history("tage", pred::Tage::Config::geometric().tables,
+                                14);
+    const bool scalar = state.range(0) != 0;
+    state.SetLabel(scalar ? "scalar"
+                          : (history.vectorized() ? "avx2" : "scalar"));
+    constexpr std::size_t kChunk = pred::TaggedHistory::kChunkRows;
+    const std::size_t chunks = columns.size / kChunk;
+    std::size_t chunk = 0;
     for (auto _ : state) {
-        fold.update(bit, !bit);
-        bit = !bit;
-        benchmark::DoNotOptimize(fold.value());
+        const std::size_t begin = chunk * kChunk;
+        benchmark::DoNotOptimize(
+            scalar ? history.indexRowsScalar(columns, begin, begin + kChunk,
+                                             true)
+                   : history.indexRows(columns, begin, begin + kChunk, true));
+        chunk = chunk + 1 == chunks ? 0 : chunk + 1;
     }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kChunk));
 }
-BENCHMARK(BM_FoldedHistoryUpdate);
-
-// The TAGE-family per-branch fold advance, both layouts: 24 scattered
-// FoldedHistory objects (the seed layout — 3 folds per tagged bank for
-// the default 8-bank geometry) versus one FoldedHistorySet pass over
-// parallel arrays (with a SIMD specialization where the host supports
-// it). One iteration = one branch's worth of fold updates, so the two
-// counters are directly comparable.
-void
-BM_FoldedHistoryBankUpdate(benchmark::State &state)
-{
-    const int lengths[] = {4, 7, 13, 23, 41, 73, 130, 232};
-    GlobalHistory ghist(232);
-    std::vector<FoldedHistory> folds;
-    for (int length : lengths) {
-        folds.emplace_back(length, 10);
-        folds.emplace_back(length, 10);
-        folds.emplace_back(length, 9);
-    }
-    bool bit = false;
-    for (auto _ : state) {
-        for (FoldedHistory &fold : folds)
-            fold.update(bit, ghist[fold.length() - 1]);
-        ghist.push(bit);
-        bit = !bit;
-        benchmark::DoNotOptimize(folds.back().value());
-    }
-}
-BENCHMARK(BM_FoldedHistoryBankUpdate);
-
-void
-BM_FoldedHistorySetUpdate(benchmark::State &state)
-{
-    const int lengths[] = {4, 7, 13, 23, 41, 73, 130, 232};
-    GlobalHistory ghist(232);
-    FoldedHistorySet set;
-    for (int length : lengths) {
-        set.add(length, 10);
-        set.add(length, 10);
-        set.add(length, 9);
-    }
-    bool bit = false;
-    for (auto _ : state) {
-        set.update(bit, ghist.words());
-        ghist.push(bit);
-        bit = !bit;
-        benchmark::DoNotOptimize(set.value(23));
-    }
-}
-BENCHMARK(BM_FoldedHistorySetUpdate);
+BENCHMARK(BM_TaggedHistoryIndexRows)->Arg(0)->Arg(1);
 
 void
 BM_FlatHashMapUpsert(benchmark::State &state)

@@ -6,11 +6,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
 #include "mbp/utils/bits.hpp"
-#include "mbp/utils/hash.hpp"
 
 namespace mbp::pred
 {
@@ -27,57 +25,18 @@ Batage::Config::geometric(int num_tables, int min_hist, int max_hist,
     return config;
 }
 
-namespace
-{
-
-int
-maxHistoryLength(const Batage::Config &config)
-{
-    int longest = 1;
-    for (const TageTableSpec &spec : config.tables)
-        longest = std::max(longest, spec.history_len);
-    return longest;
-}
-
-} // namespace
-
 Batage::Batage(Config config)
     : config_(std::move(config)),
+      history_("batage", config_.tables, config_.log_bimodal_size),
       bimodal_(std::size_t(1) << config_.log_bimodal_size),
-      ghist_(maxHistoryLength(config_)), path_(4, 8)
+      arena_(history_.numEntries())
 {
     if (config_.counter_max < 1 || config_.counter_max > 255)
         throw std::invalid_argument(
             "batage: counter_max out of [1, 255] (packed 8-bit dual "
             "counter halves)");
-    validateTaggedGeometry("batage", config_.tables);
-    arena_ = TaggedTableArena<PackedDualEntry>(config_.tables);
-    banks_.reserve(config_.tables.size());
-    auto widthSlot = [this](int width) {
-        for (std::size_t i = 0; i < fold_widths_.size(); ++i) {
-            if (fold_widths_[i] == width)
-                return static_cast<std::uint8_t>(i);
-        }
-        fold_widths_.push_back(width);
-        return static_cast<std::uint8_t>(fold_widths_.size() - 1);
-    };
-    for (std::size_t t = 0; t < config_.tables.size(); ++t) {
-        const TageTableSpec &spec = config_.tables[t];
-        Bank bank;
-        bank.spec = spec;
-        bank.offset = arena_.table(t).offset;
-        bank.index_mask = arena_.table(t).index_mask;
-        bank.tag_mask =
-            static_cast<std::uint16_t>(util::maskBits(spec.tag_bits));
-        bank.idx_width_slot = widthSlot(spec.log_size);
-        bank.tag_width_slot = widthSlot(spec.tag_bits);
-        folds_.add(spec.history_len, spec.log_size);
-        folds_.add(spec.history_len, spec.tag_bits);
-        folds_.add(spec.history_len, spec.tag_bits - 1);
-        banks_.push_back(bank);
-    }
-    lookup_.flat.resize(banks_.size());
-    lookup_.tag.resize(banks_.size());
+    lookup_.flat.resize(history_.numBanks());
+    lookup_.tag.resize(history_.numBanks());
 }
 
 bool
@@ -119,48 +78,41 @@ Batage::bump(PackedDualEntry &e, bool outcome) const
     e.setNumNotTaken(outcome ? other : same);
 }
 
+Batage::Resolved
+Batage::resolve(const std::uint32_t *flat, std::uint64_t hits,
+                std::uint32_t bimodal) const
+{
+    const PackedDualEntry *entries = arena_.data();
+    Resolved r;
+    r.bimodal = bimodal;
+    r.hits = hits;
+
+    // Pick the most confident entry among the base and all hits; on equal
+    // confidence the longer history wins (scan shortest to longest and
+    // replace unless strictly worse).
+    PackedDualEntry best = bimodal_[bimodal];
+    for (std::uint64_t m = r.hits; m != 0; m &= m - 1) {
+        const int t = std::countr_zero(m);
+        const PackedDualEntry e = entries[flat[static_cast<std::size_t>(t)]];
+        if (!confidenceBetter(best, e)) {
+            best = e;
+            r.provider = t;
+        }
+    }
+    r.prediction = best.numTaken() >= best.numNotTaken();
+    return r;
+}
+
 void
 Batage::computeLookup(std::uint64_t ip)
 {
     lookup_.ip = ip;
     lookup_.valid = true;
-    lookup_.hits = 0;
-    const std::uint64_t base = ip >> 2;
-    const std::uint64_t path = path_.value();
-    const PackedDualEntry *entries = arena_.data();
-    for (std::size_t t = 0; t < banks_.size(); ++t) {
-        const Bank &bank = banks_[t];
-        const int fs = 3 * static_cast<int>(t);
-        std::uint64_t idx = XorFold(base, bank.spec.log_size) ^
-                            folds_.value(fs) ^
-                            XorFold(path, bank.spec.log_size);
-        lookup_.flat[t] =
-            bank.offset + static_cast<std::uint32_t>(idx & bank.index_mask);
-        std::uint64_t tag = XorFold(base, bank.spec.tag_bits) ^
-                            folds_.value(fs + 1) ^
-                            (folds_.value(fs + 2) << 1);
-        lookup_.tag[t] = static_cast<std::uint16_t>(tag & bank.tag_mask);
-        lookup_.hits |=
-            std::uint64_t(entries[lookup_.flat[t]].tag() == lookup_.tag[t])
-            << t;
-    }
-
-    // Pick the most confident entry among the base and all hits; on equal
-    // confidence the longer history wins (scan shortest to longest and
-    // replace unless strictly worse).
-    PackedDualEntry best =
-        bimodal_[XorFold(ip >> 2, config_.log_bimodal_size)];
-    lookup_.provider = -1;
-    for (std::uint64_t m = lookup_.hits; m != 0; m &= m - 1) {
-        const int t = std::countr_zero(m);
-        const PackedDualEntry e =
-            entries[lookup_.flat[static_cast<std::size_t>(t)]];
-        if (!confidenceBetter(best, e)) {
-            best = e;
-            lookup_.provider = t;
-        }
-    }
-    lookup_.prediction = best.numTaken() >= best.numNotTaken();
+    history_.lookup(ip, lookup_.flat.data(), lookup_.tag.data());
+    lookup_.resolved = resolve(
+        lookup_.flat.data(),
+        history_.hits(arena_.data(), lookup_.flat.data(), lookup_.tag.data()),
+        history_.bimodalIndex(ip));
 }
 
 bool
@@ -168,14 +120,15 @@ Batage::predict(std::uint64_t ip)
 {
     if (!lookup_.valid || lookup_.ip != ip)
         computeLookup(ip);
-    return lookup_.prediction;
+    return lookup_.resolved.prediction;
 }
 
 void
-Batage::applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv)
+Batage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
+                   const Resolved &lv, bool outcome)
 {
     const bool mispredicted = lv.prediction != outcome;
-    const int num_tables = static_cast<int>(banks_.size());
+    const int num_tables = static_cast<int>(history_.numBanks());
     PackedDualEntry *entries = arena_.data();
 
     // Cascade update (the dual counters double as both prediction and
@@ -188,12 +141,12 @@ Batage::applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv)
         // Longest history first: peel the highest set bit.
         const int t = static_cast<int>(std::bit_width(m)) - 1;
         m ^= std::uint64_t(1) << t;
-        PackedDualEntry &e = entries[lv.flat[static_cast<std::size_t>(t)]];
+        PackedDualEntry &e = entries[flat[static_cast<std::size_t>(t)]];
         bump(e, outcome);
         cascade = !isHighConfidence(e);
     }
     if (cascade)
-        bump(bimodal_[XorFold(ip >> 2, config_.log_bimodal_size)], outcome);
+        bump(bimodal_[lv.bimodal], outcome);
 
     // Controlled Allocation Throttling: allocate on mispredictions in a
     // longer-history table, with probability shrinking as cat_ grows.
@@ -215,7 +168,7 @@ Batage::applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv)
             int victim = -1;
             for (int t = start; t < num_tables; ++t) {
                 PackedDualEntry &e =
-                    entries[lv.flat[static_cast<std::size_t>(t)]];
+                    entries[flat[static_cast<std::size_t>(t)]];
                 if (!isHighConfidence(e)) {
                     victim = t;
                     break;
@@ -237,8 +190,8 @@ Batage::applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv)
             // allocation slows until decay frees room.
             if (victim >= 0) {
                 const std::size_t uv = static_cast<std::size_t>(victim);
-                PackedDualEntry &e = entries[lv.flat[uv]];
-                e.setTag(lv.tag[uv]);
+                PackedDualEntry &e = entries[flat[uv]];
+                e.setTag(tags[uv]);
                 e.setNumTaken(outcome ? 1 : 0);
                 e.setNumNotTaken(outcome ? 0 : 1);
                 ++stat_allocations_;
@@ -255,101 +208,53 @@ Batage::train(const Branch &b)
 {
     if (!lookup_.valid || lookup_.ip != b.ip())
         computeLookup(b.ip());
-    const LookupView lv{lookup_.flat.data(), lookup_.tag.data(),
-                        lookup_.hits, lookup_.provider, lookup_.prediction};
-    applyTrain(b.ip(), b.isTaken(), lv);
+    applyTrain(lookup_.flat.data(), lookup_.tag.data(), lookup_.resolved,
+               b.isTaken());
     lookup_.valid = false;
-}
-
-void
-Batage::advanceHistory(std::uint64_t ip, bool taken)
-{
-    // One pass over the fold set's parallel arrays (see Tage).
-    folds_.update(taken, ghist_.words());
-    ghist_.push(taken);
-    path_.push(ip);
 }
 
 void
 Batage::track(const Branch &b)
 {
-    advanceHistory(b.ip(), b.isTaken());
+    history_.push(b.ip(), b.isTaken());
     lookup_.valid = false;
 }
 
-bool
-Batage::fusedStep(std::uint64_t ip, bool taken)
+void
+Batage::indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
+                  std::size_t end, bool track_all)
 {
-    // Lookup in registers; folds computed once per distinct width.
-    std::uint64_t base_fold[2 * kMaxTaggedTables];
-    std::uint64_t path_fold[2 * kMaxTaggedTables];
-    const std::uint64_t base = ip >> 2;
-    const std::uint64_t path = path_.value();
-    const std::size_t num_widths = fold_widths_.size();
-    for (std::size_t w = 0; w < num_widths; ++w) {
-        base_fold[w] = XorFold(base, fold_widths_[w]);
-        path_fold[w] = XorFold(path, fold_widths_[w]);
-    }
-
-    std::uint32_t flat[kMaxTaggedTables];
-    std::uint16_t tags[kMaxTaggedTables];
-    std::uint64_t hits = 0;
-    const std::size_t num_tables = banks_.size();
-    const PackedDualEntry *entries = arena_.data();
-    for (std::size_t t = 0; t < num_tables; ++t) {
-        const Bank &bank = banks_[t];
-        const int fs = 3 * static_cast<int>(t);
-        const std::uint64_t idx =
-            (base_fold[bank.idx_width_slot] ^ folds_.value(fs) ^
-             path_fold[bank.idx_width_slot]) &
-            bank.index_mask;
-        const std::uint32_t f =
-            bank.offset + static_cast<std::uint32_t>(idx);
-        const std::uint16_t tag = static_cast<std::uint16_t>(
-            (base_fold[bank.tag_width_slot] ^ folds_.value(fs + 1) ^
-             (folds_.value(fs + 2) << 1)) &
-            bank.tag_mask);
-        flat[t] = f;
-        tags[t] = tag;
-        hits |= std::uint64_t(entries[f].tag() == tag) << t;
-    }
-
-    PackedDualEntry best =
-        bimodal_[XorFold(ip >> 2, config_.log_bimodal_size)];
-    int provider = -1;
-    for (std::uint64_t m = hits; m != 0; m &= m - 1) {
-        const int t = std::countr_zero(m);
-        const PackedDualEntry e = entries[flat[static_cast<std::size_t>(t)]];
-        if (!confidenceBetter(best, e)) {
-            best = e;
-            provider = t;
-        }
-    }
-    const bool prediction = best.numTaken() >= best.numNotTaken();
-
-    const LookupView lv{flat, tags, hits, provider, prediction};
-    applyTrain(ip, taken, lv);
-    advanceHistory(ip, taken);
     lookup_.valid = false;
-    return prediction;
+    history_.indexRows(columns, begin, end, track_all);
+}
+
+bool
+Batage::stepIndexed(std::size_t j, std::uint64_t, bool taken)
+{
+    const std::uint32_t *flat = history_.flat(j);
+    const std::uint16_t *tags = history_.tags(j);
+    const Resolved r =
+        resolve(flat, history_.hits(arena_.data(), j), history_.bimodal(j));
+    applyTrain(flat, tags, r, taken);
+    return r.prediction;
 }
 
 json_t
 Batage::metadata_stats() const
 {
     json_t tables = json_t::array();
-    for (const Bank &bank : banks_) {
+    for (const TageTableSpec &spec : config_.tables) {
         tables.push_back(json_t::object({
-            {"log_size", bank.spec.log_size},
-            {"history_length", bank.spec.history_len},
-            {"tag_bits", bank.spec.tag_bits},
+            {"log_size", spec.log_size},
+            {"history_length", spec.history_len},
+            {"tag_bits", spec.tag_bits},
         }));
     }
     return json_t::object({
         {"name", "MBPlib BATAGE"},
         {"log_bimodal_size", config_.log_bimodal_size},
         {"counter_max", config_.counter_max},
-        {"num_tagged_tables", std::uint64_t(banks_.size())},
+        {"num_tagged_tables", std::uint64_t(config_.tables.size())},
         {"tables", tables},
     });
 }
@@ -362,11 +267,11 @@ Batage::storageBits() const
     std::uint64_t bits =
         (std::uint64_t(1) << config_.log_bimodal_size) *
         std::uint64_t(dual_bits);
-    for (const Bank &bank : banks_) {
-        bits += (std::uint64_t(1) << bank.spec.log_size) *
-                std::uint64_t(dual_bits + bank.spec.tag_bits);
+    for (const TageTableSpec &spec : config_.tables) {
+        bits += (std::uint64_t(1) << spec.log_size) *
+                std::uint64_t(dual_bits + spec.tag_bits);
     }
-    bits += std::uint64_t(ghist_.capacity()) + 32 + 16 /* cat */;
+    bits += std::uint64_t(history_.historyBits()) + 32 + 16 /* cat */;
     return bits;
 }
 
@@ -380,15 +285,15 @@ Batage::storage_components() const
     parts.push_back(ComponentInfo::table(
         "bimodal", std::uint64_t(1) << config_.log_bimodal_size,
         dual_bits));
-    for (std::size_t t = 0; t < banks_.size(); ++t) {
-        const TageTableSpec &spec = banks_[t].spec;
+    for (std::size_t t = 0; t < config_.tables.size(); ++t) {
+        const TageTableSpec &spec = config_.tables[t];
         parts.push_back(ComponentInfo::table(
             "tagged_table_" + std::to_string(t),
             std::uint64_t(1) << spec.log_size,
             dual_bits + std::uint64_t(spec.tag_bits)));
     }
     parts.push_back(ComponentInfo::reg(
-        "global_history", std::uint64_t(ghist_.capacity())));
+        "global_history", std::uint64_t(history_.historyBits())));
     parts.push_back(ComponentInfo::reg("path_history", 32));
     parts.push_back(ComponentInfo::reg("cat_counter", 16));
     return ComponentInfo::composite("batage", std::move(parts));

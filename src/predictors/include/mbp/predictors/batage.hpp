@@ -22,8 +22,9 @@
  *
  * Storage follows the TAGE fast path (mbp/predictors/tage_arena.hpp): all
  * tagged tables share one flat 64-byte-aligned arena of packed 4-byte
- * entries, and fusedStep() implements the fused kernel contract
- * (KernelFusedStep) with the hit set carried as a 64-bit mask.
+ * entries, the history half is the family's TaggedHistory, and the
+ * block kernels step it in two phases like TAGE (KernelTwoPhase), with
+ * the hit set carried as a 64-bit mask.
  */
 #ifndef MBP_PREDICTORS_BATAGE_HPP
 #define MBP_PREDICTORS_BATAGE_HPP
@@ -32,8 +33,9 @@
 #include <vector>
 
 #include "mbp/predictors/tage.hpp" // TageTableSpec, Tage::Config::geometric
+#include "mbp/predictors/tagged_history.hpp"
+#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/predictor.hpp"
-#include "mbp/utils/history.hpp"
 #include "mbp/utils/lfsr.hpp"
 
 namespace mbp::pred
@@ -68,12 +70,20 @@ class Batage : public Predictor
     void train(const Branch &b) override;
     void track(const Branch &b) override;
 
-    /**
-     * Fused conditional-branch step (KernelFusedStep): exactly
-     * predict(ip); train(b); track(b) for a conditional branch with
-     * outcome @p taken, returning the prediction.
-     */
-    bool fusedStep(std::uint64_t ip, bool taken);
+    /** Rows one indexRows() call covers at most (KernelTwoPhase). */
+    static constexpr std::size_t kIndexRows = TaggedHistory::kChunkRows;
+
+    /** Phase 1 (KernelTwoPhase); see Tage::indexRows. */
+    void indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
+                   std::size_t end, bool track_all);
+
+    /** Phase 2 for the @p j -th conditional row of the last indexRows()
+     *  chunk: exactly predict(ip); train(b); track(b) for it, returning
+     *  the prediction. */
+    bool stepIndexed(std::size_t j, std::uint64_t ip, bool taken);
+
+    /** Phase 2 of track() for a row that is not conditional: nothing. */
+    void trackIndexed(const Branch &) {}
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
@@ -81,17 +91,13 @@ class Batage : public Predictor
     std::optional<ComponentInfo> storage_components() const override;
 
   private:
-    /** Per-table metadata over the flat entry arena. The bank's three
-     *  history folds live in folds_ at slots 3t / 3t+1 / 3t+2 (see
-     *  Tage::Bank). */
-    struct Bank
+    /** A lookup's outcome beside the banks' flat indexes and tags. */
+    struct Resolved
     {
-        TageTableSpec spec;
-        std::uint32_t offset = 0;
-        std::uint32_t index_mask = 0;
-        std::uint16_t tag_mask = 0;
-        std::uint8_t idx_width_slot = 0; //!< fold_widths_ slot of log_size
-        std::uint8_t tag_width_slot = 0; //!< fold_widths_ slot of tag_bits
+        std::uint64_t hits = 0; //!< bit t set = table t tag-matched
+        int provider = -1;      //!< chosen table, -1 = bimodal base
+        bool prediction = false;
+        std::uint32_t bimodal = 0; //!< the bimodal base's index
     };
 
     struct Lookup
@@ -99,25 +105,17 @@ class Batage : public Predictor
         std::uint64_t ip = ~std::uint64_t(0);
         std::vector<std::uint32_t> flat; //!< per-table flat arena index
         std::vector<std::uint16_t> tag;
-        std::uint64_t hits = 0; //!< bit t set = table t tag-matched
-        int provider = -1;      //!< chosen table, -1 = bimodal base
-        bool prediction = false;
+        Resolved resolved;
         bool valid = false;
     };
 
-    /** Lookup state as the update step consumes it (see Tage). */
-    struct LookupView
-    {
-        const std::uint32_t *flat;
-        const std::uint16_t *tag;
-        std::uint64_t hits;
-        int provider;
-        bool prediction;
-    };
-
     void computeLookup(std::uint64_t ip);
-    void applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv);
-    void advanceHistory(std::uint64_t ip, bool taken);
+    /** The most confident of the base and the hits, for a branch whose
+     *  banks index @p flat, of which @p hits matched its tags. */
+    Resolved resolve(const std::uint32_t *flat, std::uint64_t hits,
+                     std::uint32_t bimodal) const;
+    void applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
+                    const Resolved &r, bool outcome);
     /** Dual-counter update rule with decay at saturation. */
     void bump(PackedDualEntry &e, bool outcome) const;
     /** Confidence rank: lower is better; cross-multiplied comparison. */
@@ -126,13 +124,9 @@ class Batage : public Predictor
     bool isHighConfidence(PackedDualEntry e) const;
 
     Config config_;
+    TaggedHistory history_; //!< first: validates before the tables size
     std::vector<PackedDualEntry> bimodal_; //!< dual counters, tag unused
     TaggedTableArena<PackedDualEntry> arena_;
-    std::vector<Bank> banks_;
-    std::vector<int> fold_widths_; //!< distinct index/tag fold widths
-    FoldedHistorySet folds_;       //!< 3 folds per bank, slots 3t + k
-    GlobalHistory ghist_;
-    PathHistory path_;
     Lfsr rng_;
     Lookup lookup_;
     int cat_ = 0;

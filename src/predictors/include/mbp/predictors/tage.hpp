@@ -16,12 +16,14 @@
  *
  * Storage-wise all tagged tables live in one flat, 64-byte-aligned arena
  * of packed 4-byte entries (mbp/predictors/tage_arena.hpp), and the
- * predictor offers the fused fast path the kernels consume
- * (KernelFusedStep in mbp/sim/kernels.hpp): fusedStep() runs
- * predict+train+track as one pass that computes each table's index/tag
- * once and keeps the whole lookup in registers. It is exactly equivalent
- * to the virtual path — the conformance suite pins the identity for the
- * full roster.
+ * history half — global and path histories, bank folds, bank geometry —
+ * is the family's shared TaggedHistory (mbp/predictors/tagged_history.hpp).
+ * The block kernels step the predictor in two phases
+ * (KernelTwoPhase in mbp/sim/kernels.hpp): indexRows() computes every
+ * bank's index and tag for a chunk of rows from the trace alone, then
+ * stepIndexed() runs predict+train per conditional row on the tables.
+ * Both are exactly equivalent to the virtual path — the conformance
+ * suite pins the identity for the full roster.
  */
 #ifndef MBP_PREDICTORS_TAGE_HPP
 #define MBP_PREDICTORS_TAGE_HPP
@@ -30,8 +32,9 @@
 #include <vector>
 
 #include "mbp/predictors/tage_arena.hpp"
+#include "mbp/predictors/tagged_history.hpp"
+#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/predictor.hpp"
-#include "mbp/utils/history.hpp"
 #include "mbp/utils/lfsr.hpp"
 #include "mbp/utils/sat_counter.hpp"
 
@@ -64,21 +67,35 @@ class Tage : public Predictor
 
     /** @throw std::invalid_argument on geometry the packed entry layout
      *  cannot hold (tag wider than 16 bits, counters wider than 8, more
-     *  than 64 tables). */
+     *  than 64 tables) or out of the bounds of validateTaggedGeometry. */
     explicit Tage(Config config = Config::geometric());
 
     bool predict(std::uint64_t ip) override;
     void train(const Branch &b) override;
     void track(const Branch &b) override;
 
+    /** Rows one indexRows() call covers at most (KernelTwoPhase). */
+    static constexpr std::size_t kIndexRows = TaggedHistory::kChunkRows;
+
     /**
-     * Fused conditional-branch step (KernelFusedStep): exactly
-     * predict(ip); train(b); track(b) for a conditional branch with
-     * outcome @p taken, returning the prediction. One pass computes every
-     * table's index and tag, collects the hits into a bitmask, and
-     * selects provider/alternate branchlessly from it.
+     * Phase 1 (KernelTwoPhase): every bank's index and tag for the
+     * conditional rows of [@p begin, @p end), and the history pushes of
+     * the rows track() would see (TaggedHistory::indexRows).
      */
-    bool fusedStep(std::uint64_t ip, bool taken);
+    void indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
+                   std::size_t end, bool track_all);
+
+    /**
+     * Phase 2 for the @p j -th conditional row of the last indexRows()
+     * chunk, with outcome @p taken: exactly predict(ip); train(b);
+     * track(b) for that branch — its history push was phase 1's.
+     * Returns the prediction.
+     */
+    bool stepIndexed(std::size_t j, std::uint64_t ip, bool taken);
+
+    /** Phase 2 of track() for a row that is not conditional: nothing,
+     *  since its history push was phase 1's. */
+    void trackIndexed(const Branch &) {}
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
@@ -86,53 +103,36 @@ class Tage : public Predictor
     std::optional<ComponentInfo> storage_components() const override;
 
   private:
-    /** Per-table metadata over the flat entry arena. The bank's three
-     *  history folds live in folds_ at slots 3t / 3t+1 / 3t+2
-     *  (index fold, tag fold, width-minus-one tag fold). */
-    struct Bank
+    /** A lookup's outcome: what the update step needs beside the banks'
+     *  flat indexes and tags. */
+    struct Resolved
     {
-        TageTableSpec spec;
-        std::uint32_t offset = 0;     //!< flat index of the bank's entry 0
-        std::uint32_t index_mask = 0; //!< (1 << log_size) - 1
-        std::uint16_t tag_mask = 0;   //!< (1 << tag_bits) - 1
-        std::uint8_t idx_width_slot = 0; //!< fold_widths_ slot of log_size
-        std::uint8_t tag_width_slot = 0; //!< fold_widths_ slot of tag_bits
+        int provider = -1; //!< table index of the longest hit, -1 = base
+        int alt = -1;      //!< next hit, -1 = base
+        bool provider_pred = false;
+        bool alt_pred = false;
+        bool prediction = false;
+        bool provider_is_weak = false; //!< newly-allocated heuristic
+        std::uint32_t bimodal = 0;     //!< the bimodal base's index
     };
 
     /** Everything predict() computes that train() needs again. */
     struct Lookup
     {
         std::uint64_t ip = ~std::uint64_t(0);
-        int provider = -1; //!< table index of the longest hit, -1 = base
-        int alt = -1;      //!< next hit, -1 = base
         std::vector<std::uint32_t> flat; //!< per-table flat arena index
         std::vector<std::uint16_t> tag;  //!< per-table computed tag
-        bool provider_pred = false;
-        bool alt_pred = false;
-        bool prediction = false;
-        bool provider_is_weak = false; //!< newly-allocated heuristic
+        Resolved resolved;
         bool valid = false;
     };
 
-    /** A lookup result as the update step consumes it — either borrowed
-     *  from the memoized Lookup (virtual path) or carried on the stack
-     *  (fused path), so train() and fusedStep() share one update body. */
-    struct LookupView
-    {
-        const std::uint32_t *flat;
-        const std::uint16_t *tag;
-        int provider;
-        int alt;
-        bool provider_pred;
-        bool alt_pred;
-        bool prediction;
-        bool provider_is_weak;
-    };
-
     void computeLookup(std::uint64_t ip);
-    void applyTrain(std::uint64_t ip, bool outcome, const LookupView &lv);
-    void advanceHistory(std::uint64_t ip, bool taken);
-    std::size_t bimodalIndex(std::uint64_t ip) const;
+    /** Provider, alternate and prediction from the tables, for a branch
+     *  whose banks index @p flat, of which @p hits matched its tags. */
+    Resolved resolve(const std::uint32_t *flat, std::uint64_t hits,
+                     std::uint32_t bimodal) const;
+    void applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
+                    const Resolved &r, bool outcome);
     int ctrMax() const { return (1 << (config_.counter_bits - 1)) - 1; }
     int ctrMin() const { return -(1 << (config_.counter_bits - 1)); }
     int uMax() const { return (1 << config_.useful_bits) - 1; }
@@ -160,13 +160,9 @@ class Tage : public Predictor
     }
 
     Config config_;
+    TaggedHistory history_; //!< first: validates before the tables size
     std::vector<SatCounter<2>> bimodal_;
     TaggedTableArena<PackedTageEntry> arena_;
-    std::vector<Bank> banks_;
-    std::vector<int> fold_widths_; //!< distinct index/tag fold widths
-    FoldedHistorySet folds_;       //!< 3 folds per bank, slots 3t + k
-    GlobalHistory ghist_;
-    PathHistory path_;
     Lfsr rng_;
     Lookup lookup_;
     SatCounter<4> use_alt_on_na_; //!< chooser for newly allocated entries

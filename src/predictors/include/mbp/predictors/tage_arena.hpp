@@ -8,10 +8,9 @@
  * The seed implementation kept a `std::vector<Entry>` per table inside a
  * `std::vector<Table>` — two dependent pointer loads per entry touch, and
  * table storage scattered across separate heap blocks. The arena removes
- * both: an entry access is `data[offset + (index & mask)]` on one
- * allocation whose base is cache-line aligned, which is also what lets
- * the fused kernels carry a whole lookup (per-table flat indexes + tags)
- * in registers and prefetch per-bank lines ahead of the block loop.
+ * both: an entry access is `data[flat]` on one allocation whose base is
+ * cache-line aligned, where the flat index (table offset + index) comes
+ * from the predictor's TaggedHistory, which owns the bank geometry.
  *
  * Entries are packed into fixed 32-bit bitfields (tag in the low half,
  * two 8-bit counter payloads in the high half). The packing imposes hard
@@ -150,70 +149,81 @@ static_assert(std::is_trivially_copyable_v<PackedDualEntry>);
 inline constexpr std::size_t kMaxTaggedTables = 64;
 
 /**
- * Validates a tagged-table geometry against the packed-entry limits.
+ * Entries all tagged tables of a predictor may hold together: a flat
+ * index is 32 bits, and the bound keeps the arena at 1 GiB of packed
+ * entries (one table of the largest log_size).
+ */
+inline constexpr std::uint64_t kMaxTaggedEntries = std::uint64_t(1) << 28;
+
+/**
+ * The longest global history a tagged table may fold. The history ring
+ * the predictor keeps is sized by the longest table, so this bounds it
+ * (at 512 bytes); published TAGE geometries stay below 3000 bits.
+ */
+inline constexpr int kMaxHistoryLength = 4096;
+
+/**
+ * Validates a TAGE-family geometry against the packed-entry limits and
+ * the bounds above, before anything is allocated: the tagged tables
+ * @p specs and the bimodal base of 2^@p log_bimodal_size entries.
  * Throws std::invalid_argument naming the offending field. @p kind is
  * the predictor name used in the message.
  */
 inline void
 validateTaggedGeometry(const char *kind,
-                       const std::vector<TageTableSpec> &specs)
+                       const std::vector<TageTableSpec> &specs,
+                       int log_bimodal_size)
 {
+    const std::string name(kind);
+    if (log_bimodal_size < 1 || log_bimodal_size > 28)
+        throw std::invalid_argument(name +
+                                    ": log_bimodal_size out of [1, 28]");
     if (specs.empty())
-        throw std::invalid_argument(std::string(kind) +
+        throw std::invalid_argument(name +
                                     ": at least one tagged table required");
     if (specs.size() > kMaxTaggedTables)
         throw std::invalid_argument(
-            std::string(kind) + ": at most 64 tagged tables (the fused "
-                                "lookup's hit bitmask is 64 bits)");
+            name + ": at most 64 tagged tables (the fused lookup's hit "
+                   "bitmask is 64 bits)");
+    std::uint64_t entries = 0;
     for (const TageTableSpec &spec : specs) {
         if (spec.log_size < 1 || spec.log_size > 28)
-            throw std::invalid_argument(std::string(kind) +
+            throw std::invalid_argument(name +
                                         ": table log_size out of [1, 28]");
-        if (spec.history_len < 1)
-            throw std::invalid_argument(std::string(kind) +
-                                        ": table history_len must be >= 1");
+        if (spec.history_len < 1 || spec.history_len > kMaxHistoryLength)
+            throw std::invalid_argument(
+                name + ": table history_len out of [1, " +
+                std::to_string(kMaxHistoryLength) + "]");
         if (spec.tag_bits < 2 || spec.tag_bits > PackedTageEntry::kTagBits)
             throw std::invalid_argument(
-                std::string(kind) +
-                ": table tag_bits out of [2, 16] (the packed entry's tag "
-                "field is 16 bits)");
+                name + ": table tag_bits out of [2, 16] (the packed "
+                       "entry's tag field is 16 bits)");
+        entries += std::uint64_t(1) << spec.log_size;
     }
+    if (entries > kMaxTaggedEntries)
+        throw std::invalid_argument(
+            name + ": tables' log_size sum to more than 2^28 entries");
 }
 
 /**
  * One contiguous, 64-byte-aligned allocation holding every tagged table
- * of a predictor, plus the per-table offset/index-mask metadata to
- * address it. Entries are zero-initialized (== default entry state).
+ * of a predictor; which entries belong to which table is the bank
+ * geometry's business (TaggedHistory). Entries are zero-initialized
+ * (== default entry state).
  */
 template <typename EntryT>
 class TaggedTableArena
 {
   public:
-    /** Offset/mask pair addressing one table inside the arena. */
-    struct TableRef
-    {
-        std::uint32_t offset = 0;     //!< flat index of the table's entry 0
-        std::uint32_t index_mask = 0; //!< (1 << log_size) - 1
-    };
-
     TaggedTableArena() = default;
 
-    /** Builds the arena for @p specs (validate first; this only sizes). */
-    explicit TaggedTableArena(const std::vector<TageTableSpec> &specs)
+    /** Allocates @p entries zeroed entries (validate the geometry first:
+     *  this only sizes). */
+    explicit TaggedTableArena(std::uint32_t entries) : size_(entries)
     {
-        tables_.reserve(specs.size());
-        std::uint64_t total = 0;
-        for (const TageTableSpec &spec : specs) {
-            const std::uint64_t entries = std::uint64_t(1) << spec.log_size;
-            tables_.push_back(
-                {static_cast<std::uint32_t>(total),
-                 static_cast<std::uint32_t>(entries - 1)});
-            total += entries;
-        }
-        size_ = static_cast<std::uint32_t>(total);
-        void *block = ::operator new(total * sizeof(EntryT),
+        void *block = ::operator new(std::size_t(entries) * sizeof(EntryT),
                                      std::align_val_t{kAlignment});
-        std::memset(block, 0, total * sizeof(EntryT));
+        std::memset(block, 0, std::size_t(entries) * sizeof(EntryT));
         data_.reset(static_cast<EntryT *>(block));
     }
 
@@ -230,12 +240,6 @@ class TaggedTableArena
     /** @return Total entries across all tables. */
     std::uint32_t size() const { return size_; }
 
-    const TableRef &
-    table(std::size_t t) const
-    {
-        return tables_[t];
-    }
-
   private:
     static constexpr std::size_t kAlignment = 64;
 
@@ -249,7 +253,6 @@ class TaggedTableArena
     };
 
     std::unique_ptr<EntryT[], AlignedDelete> data_;
-    std::vector<TableRef> tables_;
     std::uint32_t size_ = 0;
 };
 

@@ -19,6 +19,7 @@
 
 #include "mbp/predictors/loop.hpp"
 #include "mbp/predictors/tage.hpp"
+#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/history.hpp"
 
@@ -95,18 +96,31 @@ class TageScl : public Predictor
         tage_.track(b);
     }
 
+    /** Rows one indexRows() call covers at most (KernelTwoPhase). */
+    static constexpr std::size_t kIndexRows = Tage::kIndexRows;
+
+    /** Phase 1 (KernelTwoPhase): the TAGE core's history work for the
+     *  chunk (Tage::indexRows); the corrector's history and the loop
+     *  predictor stay in phase 2. */
+    void
+    indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
+              std::size_t end, bool track_all)
+    {
+        tage_.indexRows(columns, begin, end, track_all);
+    }
+
     /**
-     * Fused conditional-branch step (KernelFusedStep): exactly
-     * predict(ip); train(b); track(b) for a conditional branch with
-     * outcome @p taken. The TAGE core runs its own fused pass; loop and
-     * corrector state is disjoint from it, so their updates commute with
-     * the hoisted TAGE step.
+     * Phase 2 for the @p j -th conditional row of the last indexRows()
+     * chunk: exactly predict(ip); train(b); track(b) for a conditional
+     * branch with outcome @p taken. The TAGE core steps its tables
+     * first; loop and corrector state is disjoint from it, so their
+     * updates commute with the hoisted TAGE step.
      */
     bool
-    fusedStep(std::uint64_t ip, bool taken)
+    stepIndexed(std::size_t j, std::uint64_t ip, bool taken)
     {
         const bool outcome = taken;
-        const bool tage_pred = tage_.fusedStep(ip, taken);
+        const bool tage_pred = tage_.stepIndexed(j, ip, taken);
         const bool loop_conf = loop_.isConfident(ip);
         const bool loop_pred = loop_conf ? loop_.predict(ip) : false;
 
@@ -147,10 +161,14 @@ class TageScl : public Predictor
                 sc_tables_[t][scIndex(ip, t, tage_pred)].sumOrSub(outcome);
         }
 
-        // track() minus the TAGE part.
+        // track() minus the TAGE part (phase 1 pushed its history).
         advanceScHistory(outcome);
         return prediction;
     }
+
+    /** Phase 2 of track() for a row that is not conditional: the
+     *  corrector's history (the TAGE core's push was phase 1's). */
+    void trackIndexed(const Branch &b) { advanceScHistory(b.isTaken()); }
 
     json_t
     metadata_stats() const override

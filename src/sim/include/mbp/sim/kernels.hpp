@@ -29,15 +29,23 @@
  *  - predictors whose address hash factors into a pure per-site value
  *    (KernelSiteFold) get it memoized once per static site, so the loop
  *    does no address hashing at all;
+ *  - predictors whose history depends on the trace alone
+ *    (KernelTwoPhase: the TAGE family) do that history work for a chunk
+ *    of rows at a time, vectorized across their banks, before the loop
+ *    steps their tables row by row;
  *  - warmup checks leave the loop entirely: the driver splits each block
  *    into [unmeasured) [measured) ranges by binary search, and each
  *    range runs a loop specialized on its measurement flag.
  *
  * The loop issues no software prefetch. The TAGE family's default
- * tagged tables are 32 KiB, so its kernels are bound by computation,
- * and counter-line hints computed a fixed distance ahead slowed the
- * multi-kernel runs they were measured on (EXPERIMENTS.md, "One driver,
- * no counter-line hints").
+ * tagged tables are 32 KiB, and counter-line hints computed a fixed
+ * distance ahead slowed the multi-kernel runs they were measured on
+ * (EXPERIMENTS.md, "One driver, no counter-line hints"). What its steps
+ * were bound by was the history work: about two thirds of a per-branch
+ * step folded the global and path histories and computed the banks'
+ * indexes and tags, all of it determined by the trace, which is why the
+ * family steps in two phases (EXPERIMENTS.md, "Two-phase TAGE-family
+ * kernels").
  *
  * The prediction hook never runs inside the loop: a hooked run has each
  * kernel write its guesses, and the driver replays the hook after the
@@ -58,6 +66,7 @@
 #ifndef MBP_SIM_KERNELS_HPP
 #define MBP_SIM_KERNELS_HPP
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <exception>
@@ -113,6 +122,37 @@ concept KernelSiteFold =
              bool taken) {
         { cp.siteFold(ip) } -> std::convertible_to<std::uint64_t>;
         { p.fusedStepFolded(folded, taken) } -> std::convertible_to<bool>;
+    };
+
+/**
+ * A predictor whose step splits into a history phase that the trace alone
+ * determines and a table phase — the TAGE family, whose every bank index
+ * and tag depends only on outcomes and addresses already in the trace.
+ * The loop hands it a block in chunks of at most `P::kIndexRows` rows:
+ *
+ *  - `indexRows(columns, begin, end, track_all)` (phase 1) does the
+ *    history work of rows [begin, end): it computes each conditional
+ *    row's lookup into the predictor's scratch, and advances the
+ *    history over every conditional row, and over the others when
+ *    track_all — what track() would see;
+ *  - `stepIndexed(j, ip, taken)` (phase 2) must then be *exactly*
+ *    predict(ip), train(b), track(b) for the chunk's j-th conditional
+ *    row b, minus the history work phase 1 did;
+ *  - `trackIndexed(b)` must be exactly track(b), minus that work, for a
+ *    row that is not conditional (called only when track_all).
+ *
+ * The loop substitutes it on every run, hooked or not, for the same
+ * reason as KernelFusedStep: nothing observes the predictor inside a
+ * block.
+ */
+template <typename P>
+concept KernelTwoPhase =
+    requires(P &p, const sbbt::BranchColumns &columns, std::size_t row,
+             std::uint64_t ip, bool flag, const Branch &b) {
+        { P::kIndexRows } -> std::convertible_to<std::size_t>;
+        p.indexRows(columns, row, row, flag);
+        { p.stepIndexed(row, ip, flag) } -> std::convertible_to<bool>;
+        p.trackIndexed(b);
     };
 
 /**
@@ -260,12 +300,25 @@ class FusedKernel final : public BlockKernel
         // otherwise force the compiler to reload them every iteration.
         std::uint64_t dynamic_cond = 0;
         std::uint64_t total_miss = 0;
+        // A two-phase predictor: where its next chunk starts, and the
+        // conditional rows of the current one stepped so far.
+        [[maybe_unused]] std::size_t chunk_end = begin;
+        [[maybe_unused]] std::size_t indexed = 0;
         for (std::size_t i = begin; i < end; ++i) {
+            if constexpr (KernelTwoPhase<P>) {
+                if (i == chunk_end) { // the chunk's history work first
+                    chunk_end = std::min(end, i + std::size_t(P::kIndexRows));
+                    p.indexRows(c, i, chunk_end, track_all);
+                    indexed = 0;
+                }
+            }
             const std::uint8_t m = meta[i];
             if ((m & 0x01) != 0) { // conditional
                 const bool taken = (m & 0x10) != 0;
                 bool guess;
-                if constexpr (KernelSiteFold<P>) {
+                if constexpr (KernelTwoPhase<P>) {
+                    guess = p.stepIndexed(indexed++, ips[i], taken);
+                } else if constexpr (KernelSiteFold<P>) {
                     guess = p.fusedStepFolded(site_fold[sites[i]], taken);
                 } else if constexpr (KernelFusedStep<P>) {
                     guess = p.fusedStep(ips[i], taken);
@@ -288,7 +341,10 @@ class FusedKernel final : public BlockKernel
             } else if (track_all) {
                 const Branch b{ips[i], targets[i], OpCode(m & 0x0f),
                                (m & 0x10) != 0};
-                detail::boundTrack(p, b);
+                if constexpr (KernelTwoPhase<P>)
+                    p.trackIndexed(b);
+                else
+                    detail::boundTrack(p, b);
             }
         }
         tally.dynamic_cond += dynamic_cond;

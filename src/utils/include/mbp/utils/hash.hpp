@@ -24,15 +24,16 @@ namespace mbp
 constexpr std::uint64_t
 XorFold(std::uint64_t value, int width)
 {
-    // Fixed trip count on purpose: chunks past the top set bit fold in
-    // zeros, so the result matches the natural while-(value) loop, but
-    // the loop fully unrolls (and stays branch-free) whenever width is a
-    // compile-time constant — this hash runs twice per simulated branch,
-    // and a data-dependent exit costs a hard-to-predict branch there.
-    std::uint64_t folded = 0;
-    for (int shift = 0; shift < 64; shift += width)
-        folded ^= (value >> shift) & util::maskBits(width);
-    return folded;
+    // Folds by doubling: after the step with shift s, bits [k*width,
+    // (k+1)*width) hold the XOR of s/width consecutive chunks starting at
+    // chunk k, so once s reaches 64 the low chunk holds them all (chunks
+    // past bit 63 are zeros). ceil(log2(64 / width)) shift-xor steps
+    // instead of one mask-shift-xor per chunk; the loop unrolls when
+    // width is a compile-time constant, and its trip count depends on
+    // width alone, so a runtime width's loop branch predicts.
+    for (int shift = width; shift < 64; shift <<= 1)
+        value ^= value >> shift;
+    return value & util::maskBits(width);
 }
 
 /**

@@ -14,17 +14,6 @@
 #include "mbp/utils/bits.hpp"
 #include "mbp/utils/hash.hpp"
 
-// FoldedHistorySet carries a runtime-dispatched AVX2 specialization of its
-// update loop (same arithmetic, four folds per step). The target attribute
-// lets a baseline -O3 build emit it without enabling AVX2 globally; the
-// scalar loop remains the portable fallback and the reference semantics.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MBP_FOLDED_SET_AVX2 1
-#include <immintrin.h>
-#else
-#define MBP_FOLDED_SET_AVX2 0
-#endif
-
 namespace mbp
 {
 
@@ -176,132 +165,6 @@ class FoldedHistory
     int width_ = 1;
     int out_pos_ = 0;
     std::uint64_t folded_ = 0;
-};
-
-/**
- * A set of FoldedHistory instances advanced together — the TAGE-family
- * case, where every branch updates 3 folds per tagged table (index + two
- * tag folds, 24 folds for the default 8-table geometry). Semantically
- * identical to updating each FoldedHistory separately; the difference is
- * layout: all per-fold state lives in parallel uint64 arrays, so the
- * per-branch update is one tight loop over contiguous memory instead of
- * two dozen scattered object updates (measured ~40% of the TAGE-family
- * fused step before the change).
- *
- * The evicted bit of each fold is read directly from the backing words
- * of the GlobalHistory (GlobalHistory::words()), so update() wants the
- * history *before* the corresponding push, exactly like
- * FoldedHistory::update's evicted parameter.
- */
-class FoldedHistorySet
-{
-  public:
-    /** Registers a fold of the newest @p length bits into @p width bits.
-     *  @return The fold's slot for value(). */
-    int
-    add(int length, int width)
-    {
-        assert(length >= 1 && width >= 1 && width < 64);
-        folded_.push_back(0);
-        shr_.push_back(static_cast<std::uint64_t>(width - 1));
-        mask_.push_back(util::maskBits(width));
-        out_pos_.push_back(static_cast<std::uint64_t>(length % width));
-        word_.push_back(static_cast<std::uint64_t>(length - 1) / 64);
-        bit_.push_back(static_cast<std::uint64_t>(length - 1) % 64);
-        return static_cast<int>(folded_.size()) - 1;
-    }
-
-    /** @return The current folded value of slot @p slot. */
-    std::uint64_t
-    value(int slot) const
-    {
-        return folded_[static_cast<std::size_t>(slot)];
-    }
-
-    /**
-     * Advances every fold after a history push: @p inserted is the bit
-     * just pushed, @p history_words the GlobalHistory backing words
-     * *before* the push (each fold reads its own evicted bit from them).
-     */
-    void
-    update(bool inserted, const std::uint64_t *history_words)
-    {
-#if MBP_FOLDED_SET_AVX2
-        if (avx2_) {
-            updateAvx2(inserted, history_words);
-            return;
-        }
-#endif
-        updateScalar(inserted, history_words, 0);
-    }
-
-    /** Clears every fold. */
-    void
-    reset()
-    {
-        for (auto &v : folded_)
-            v = 0;
-    }
-
-  private:
-    void
-    updateScalar(bool inserted, const std::uint64_t *history_words,
-                 std::size_t first)
-    {
-        const std::uint64_t ins = inserted ? 1 : 0;
-        const std::size_t n = folded_.size();
-        for (std::size_t i = first; i < n; ++i) {
-            std::uint64_t v = folded_[i];
-            v = ((v << 1) | (v >> shr_[i])) & mask_[i];
-            v ^= ins;
-            v ^= ((history_words[word_[i]] >> bit_[i]) & 1) << out_pos_[i];
-            folded_[i] = v;
-        }
-    }
-
-#if MBP_FOLDED_SET_AVX2
-    /** The scalar loop, four folds per iteration (AVX2 variable shifts +
-     *  a gather for the evicted bits). Same arithmetic, same results. */
-    __attribute__((target("avx2"))) void
-    updateAvx2(bool inserted, const std::uint64_t *history_words)
-    {
-        const std::size_t n = folded_.size();
-        const __m256i ins = _mm256_set1_epi64x(inserted ? 1 : 0);
-        const __m256i one = _mm256_set1_epi64x(1);
-        std::size_t i = 0;
-        for (; i + 4 <= n; i += 4) {
-#define MBP_FOLDED_SET_LOAD(a)                                             \
-    _mm256_loadu_si256(reinterpret_cast<const __m256i *>((a).data() + i))
-            __m256i v = MBP_FOLDED_SET_LOAD(folded_);
-            v = _mm256_and_si256(
-                _mm256_or_si256(
-                    _mm256_slli_epi64(v, 1),
-                    _mm256_srlv_epi64(v, MBP_FOLDED_SET_LOAD(shr_))),
-                MBP_FOLDED_SET_LOAD(mask_));
-            v = _mm256_xor_si256(v, ins);
-            const __m256i w = _mm256_i64gather_epi64(
-                reinterpret_cast<const long long *>(history_words),
-                MBP_FOLDED_SET_LOAD(word_), 8);
-            const __m256i ev = _mm256_and_si256(
-                _mm256_srlv_epi64(w, MBP_FOLDED_SET_LOAD(bit_)), one);
-            v = _mm256_xor_si256(
-                v, _mm256_sllv_epi64(ev, MBP_FOLDED_SET_LOAD(out_pos_)));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(folded_.data() + i), v);
-#undef MBP_FOLDED_SET_LOAD
-        }
-        updateScalar(inserted, history_words, i);
-    }
-
-    bool avx2_ = __builtin_cpu_supports("avx2");
-#endif
-
-    std::vector<std::uint64_t> folded_;
-    std::vector<std::uint64_t> shr_;     //!< width - 1 (rotate amount)
-    std::vector<std::uint64_t> mask_;    //!< maskBits(width)
-    std::vector<std::uint64_t> out_pos_; //!< length % width
-    std::vector<std::uint64_t> word_;    //!< (length - 1) / 64
-    std::vector<std::uint64_t> bit_;     //!< (length - 1) % 64
 };
 
 /**

@@ -5,7 +5,8 @@
  * block source — arena slices and streaming windows — (warmup ending
  * mid-block, instruction limit mid-block and at an exact block boundary,
  * traces shorter than one block), the KernelFusedStep / KernelSiteFold
- * equivalence contracts, and the variadic simulateManyFused() /
+ * equivalence contracts and which predictors step in two phases
+ * (KernelTwoPhase), and the variadic simulateManyFused() /
  * compareFused() entry points. Whole-roster conformance against the
  * virtual path lives in arena_conformance_test.
  */
@@ -40,18 +41,19 @@ namespace
 
 // The dispatch-selection contracts, pinned at compile time: table
 // predictors offer the fused single-step and the per-site fold, and the
-// TAGE family offers the fused step but never the per-site fold, since
-// its table indexes depend on the live history.
+// TAGE family steps in two phases — its history work, which the trace
+// alone determines, then its tables — and has no per-branch fused step.
 static_assert(KernelFusedStep<pred::Bimodal<16>>);
 static_assert(KernelSiteFold<pred::Bimodal<16>>);
 static_assert(KernelFusedStep<pred::Gshare<15, 17>>);
 static_assert(KernelSiteFold<pred::Gshare<15, 17>>);
-static_assert(KernelFusedStep<pred::Tage>);
-static_assert(KernelFusedStep<pred::Batage>);
-static_assert(KernelFusedStep<pred::TageScl>);
-static_assert(!KernelSiteFold<pred::Tage>);
-static_assert(!KernelSiteFold<pred::Batage>);
-static_assert(!KernelSiteFold<pred::TageScl>);
+static_assert(!KernelTwoPhase<pred::Gshare<15, 17>>);
+static_assert(KernelTwoPhase<pred::Tage>);
+static_assert(KernelTwoPhase<pred::Batage>);
+static_assert(KernelTwoPhase<pred::TageScl>);
+static_assert(!KernelFusedStep<pred::Tage>);
+static_assert(!KernelFusedStep<pred::Batage>);
+static_assert(!KernelFusedStep<pred::TageScl>);
 // The front end's adapter stays instantiable: a new pure virtual on
 // BlockKernel breaks the build here, not a test at run time.
 static_assert(!std::is_abstract_v<frontend::FrontEndKernel>);

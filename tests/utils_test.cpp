@@ -153,6 +153,25 @@ TEST(XorFold, FoldsChunks)
     EXPECT_EQ(XorFold(0, 13), 0u);
 }
 
+TEST(XorFold, MatchesChunkReference)
+{
+    // XorFold folds by doubling; it must equal the XOR of every
+    // width-bit chunk of the value, for every width it accepts.
+    Lfsr rng(5);
+    for (int width = 1; width <= 63; ++width) {
+        for (int i = 0; i < 300; ++i) {
+            const std::uint64_t value =
+                i == 0 ? ~std::uint64_t(0) : rng.next() >> (i % 64);
+            std::uint64_t chunks = 0;
+            for (int shift = 0; shift < 64; shift += width)
+                chunks ^= (value >> shift) & util::maskBits(width);
+            ASSERT_EQ(XorFold(value, width), chunks)
+                << "width " << width << " value " << value;
+        }
+    }
+    static_assert(XorFold(0xabcd, 8) == (0xabu ^ 0xcdu));
+}
+
 TEST(XorFold, ResultAlwaysInRange)
 {
     Lfsr rng(3);
