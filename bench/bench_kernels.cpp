@@ -4,13 +4,16 @@
  *
  * Replays one arena-resident trace through representative roster
  * predictors twice per configuration — the virtual simulate() versus the
- * fused compile-time kernel (mbp::simulateFused, via the roster's fused
- * registry) — and writes `BENCH_kernels.json` (path from argv[1],
- * default ./BENCH_kernels.json) with branches/second for both paths,
- * with and without per-branch collection, so the devirtualization
- * speedup is a diffable artifact of every CI run. A run's rate is the
- * document's `dynamic_branches` over the thread CPU time of the call
- * (CLOCK_THREAD_CPUTIME_ID), document building included.
+ * fused compile-time kernel (mbp::pred::fusedKernelByName stepped by
+ * mbp::detail::simulateKernel) — and writes `BENCH_kernels.json` (path
+ * from argv[1], default ./BENCH_kernels.json) with branches/second for
+ * both paths, with and without per-branch collection, so the
+ * devirtualization speedup is a diffable artifact of every CI run. A
+ * sample's rate is the documents' `dynamic_branches` over the thread CPU
+ * time of the calls (CLOCK_THREAD_CPUTIME_ID), document building
+ * included; a sample repeats whole runs over the same arena until it has
+ * lasted kMinSampleSeconds, so that the cheap predictors' few-millisecond
+ * runs are not timed one at a time.
  *
  * Functional checks, enforced with exit code 1:
  *   - both paths produce identical misprediction counts and measured
@@ -23,7 +26,6 @@
  *     real speedups are reported in the JSON for trend tracking.
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <memory>
@@ -34,6 +36,7 @@
 #include "host_fingerprint.hpp"
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sbbt/mem_trace.hpp"
+#include "mbp/sim/kernels.hpp"
 #include "mbp/sim/simulator.hpp"
 #include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/generator.hpp"
@@ -44,16 +47,17 @@ namespace
 /** Loose fail-if-slower floor; see the file comment. */
 constexpr double kSanityRatio = 0.6;
 
-/** Virtual/fused run pairs per configuration, at least. */
+/** Virtual/fused sample pairs per configuration. */
 constexpr int kReps = 9;
 
 /**
- * Pairs continue past kReps until a configuration has been timed for
- * this long: a cheap predictor's run over the bench trace takes only a
- * few milliseconds, and the median of a handful of such pairs swings
- * with millisecond-scale host jitter.
+ * The thread CPU time a sample lasts at least. One run of Bimodal or
+ * GShare over the bench trace takes 3–6 ms, short enough that timer
+ * granularity, cache warm-up and host jitter moved single-run rates by
+ * about ±20%; the TAGE family's runs already last longer than this, so
+ * each of their samples is one run.
  */
-constexpr double kMinRowSeconds = 0.5;
+constexpr double kMinSampleSeconds = 0.05;
 
 /** One configuration's throughput on both paths. */
 struct Measurement
@@ -90,40 +94,58 @@ median(std::vector<double> values)
 }
 
 /**
+ * One sample of @p name's virtual (@p fused false) or fused path: whole
+ * runs over @p args, each on a fresh instance, until they have taken
+ * kMinSampleSeconds of thread CPU time. @return The last run's document
+ * (every run's is the same but for timing); @p bps receives the rate
+ * over all of them.
+ */
+mbp::json_t
+sample(const std::string &name, bool fused, const mbp::SimArgs &args,
+       double &bps)
+{
+    mbp::json_t result;
+    double cpu_seconds = 0.0;
+    std::uint64_t branches = 0;
+    do {
+        if (fused) {
+            auto kernel = mbp::pred::fusedKernelByName(name);
+            const double t0 = threadCpuSeconds();
+            result = mbp::detail::simulateKernel(*kernel, args);
+            cpu_seconds += threadCpuSeconds() - t0;
+        } else {
+            auto predictor = mbp::pred::makeByName(name);
+            const double t0 = threadCpuSeconds();
+            result = mbp::simulate(*predictor, args);
+            cpu_seconds += threadCpuSeconds() - t0;
+        }
+        if (result.contains("error"))
+            return result;
+        branches +=
+            result.find("metrics")->find("dynamic_branches")->asUint();
+    } while (cpu_seconds < kMinSampleSeconds);
+    bps = static_cast<double>(branches) / cpu_seconds;
+    return result;
+}
+
+/**
  * Runs the virtual and the fused path of @p name in adjacent pairs,
- * alternating which goes first: kReps pairs, or more until
- * kMinRowSeconds have passed. A host that drifts in speed (other
- * tenants, frequency changes) then slows both runs of a pair alike, and
- * the median pair ratio ignores the pairs it splits.
+ * alternating which goes first: kReps pairs of samples. A host that
+ * drifts in speed (other tenants, frequency changes) then slows both
+ * samples of a pair alike, and the median pair ratio ignores the pairs
+ * it splits.
  */
 Measurement
 measure(const std::string &name, const mbp::SimArgs &args)
 {
     Measurement m;
     std::vector<double> bps[2], ratios;
-    const auto start = std::chrono::steady_clock::now();
-    const auto elapsed = [&start] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-    for (int rep = 0; rep < kReps || elapsed() < kMinRowSeconds; ++rep) {
+    for (int rep = 0; rep < kReps; ++rep) {
         double pair_bps[2] = {0.0, 0.0};
         for (int k = 0; k < 2; ++k) {
             const int path = (rep + k) % 2; // 0 virtual, 1 fused
-            mbp::json_t result;
-            double cpu_seconds = 0.0;
-            if (path == 1) {
-                const auto runner = mbp::pred::fusedRunnerByName(name);
-                const double t0 = threadCpuSeconds();
-                result = runner(args);
-                cpu_seconds = threadCpuSeconds() - t0;
-            } else {
-                auto predictor = mbp::pred::makeByName(name);
-                const double t0 = threadCpuSeconds();
-                result = mbp::simulate(*predictor, args);
-                cpu_seconds = threadCpuSeconds() - t0;
-            }
+            const mbp::json_t result =
+                sample(name, path == 1, args, pair_bps[path]);
             if (result.contains("error")) {
                 std::fprintf(stderr, "%s (%s): %s\n", name.c_str(),
                              path == 1 ? "fused" : "virtual",
@@ -131,15 +153,8 @@ measure(const std::string &name, const mbp::SimArgs &args)
                 m.failed = true;
                 return m;
             }
-            const mbp::json_t &metrics = *result.find("metrics");
-            pair_bps[path] =
-                cpu_seconds > 0.0
-                    ? static_cast<double>(
-                          metrics.find("dynamic_branches")->asUint()) /
-                          cpu_seconds
-                    : 0.0;
             m.mispredictions[path] =
-                metrics.find("mispredictions")->asUint();
+                result.find("metrics")->find("mispredictions")->asUint();
             m.simulation_instr[path] = result.find("metadata")
                                            ->find("simulation_instr")
                                            ->asUint();

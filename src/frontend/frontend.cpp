@@ -2,13 +2,14 @@
  * @file
  * FrontEnd composition, spec parsing and the frontend simulators.
  *
- * The simulate()/simulateMany() entry points run on the library's one
- * block driver (detail::runJoined in mbp/sim/kernels.hpp): each FrontEnd
- * steps through the same column blocks as the conditional simulators in
- * a FrontEndKernel, and the frontend document is built from the driver's
- * finished-run record with the same accounting helpers (instruction
- * windows, metadata/throughput layout), so the frontend documents cannot
- * drift from the conditional simulators' conventions.
+ * The simulate()/simulateMany()/simulateEach() entry points run on the
+ * library's one block driver (detail::runJoined/runEach in
+ * mbp/sim/kernels.hpp): each FrontEnd steps through the same column
+ * blocks as the conditional simulators in a FrontEndKernel, and the
+ * frontend document is built from the driver's finished-run record with
+ * the same accounting helpers (instruction windows, metadata/throughput
+ * layout), so the frontend documents cannot drift from the conditional
+ * simulators' conventions.
  */
 #include "mbp/frontend/frontend.hpp"
 
@@ -416,10 +417,76 @@ namespace
 {
 
 /**
- * The one- and N-front-end simulator: the block driver over one
- * FrontEndKernel per front end, and the frontend document of the
- * finished run (suffixed keys when there is more than one).
+ * The frontend document of @p run's front ends first .. first + count
+ * (its kernels are @p front_ends): simulate()'s layout for one, keys
+ * suffixed _0, _1, ... for more (simulateMany()).
  */
+json_t
+frontEndDoc(const detail::RunDoc &run, const SimArgs &args,
+            const std::vector<FrontEnd *> &front_ends, std::size_t first,
+            std::size_t count)
+{
+    const auto key = [&](const char *stem, std::size_t i) {
+        std::string name(stem);
+        if (count > 1) {
+            name += '_';
+            name += std::to_string(i);
+        }
+        return name;
+    };
+    const std::uint64_t instr = run.simulation_instr;
+    json_t result = json_t::object();
+    result["metadata"] = detail::makeMetadata(
+        run.name, args, instr, run.exhausted,
+        run.tallies[first].dynamic_cond, run.static_branches);
+    json_t metrics = json_t::object();
+    for (std::size_t i = 0; i < count; ++i) {
+        FrontEnd &fe = *front_ends[first + i];
+        json_t md = fe.metadata_stats();
+        md["storage_bits"] = fe.storageBits();
+        result["metadata"][key("predictor", i)] = std::move(md);
+        const KernelTally &tally = run.tallies[first + i];
+        metrics[key("mpki", i)] = detail::mpkiOf(tally.mispredictions, instr);
+        metrics[key("mispredictions", i)] = tally.mispredictions;
+        metrics[key("accuracy", i)] =
+            detail::accuracyOf(tally.mispredictions, tally.dynamic_cond);
+    }
+    detail::addThroughputMetrics(
+        metrics, run.dynamic_branches,
+        count == 1 ? detail::throughputOf(run, first) : run.tp);
+    result["metrics"] = std::move(metrics);
+    for (std::size_t i = 0; i < count; ++i) {
+        FrontEnd &fe = *front_ends[first + i];
+        result[key("predictor_statistics", i)] =
+            fe.conditional().execution_stats();
+        result[key("frontend", i)] = fe.reportJson(instr);
+    }
+    return result;
+}
+
+/** The block driver's input for @p front_ends (none null): one
+ *  FrontEndKernel each, and no per-site ranking, which the frontend
+ *  documents do not carry. */
+struct DriverInput
+{
+    DriverInput(const std::vector<FrontEnd *> &front_ends,
+                const SimArgs &run_args)
+        : args(run_args)
+    {
+        args.collect_most_failed = false;
+        for (FrontEnd *fe : front_ends) {
+            owned.push_back(std::make_unique<FrontEndKernel>(*fe));
+            kernels.push_back(owned.back().get());
+        }
+    }
+
+    SimArgs args;
+    std::vector<std::unique_ptr<FrontEndKernel>> owned;
+    std::vector<BlockKernel *> kernels;
+};
+
+/** The one- and N-front-end simulator: one joined run of the block
+ *  driver, and the frontend document of the finished run. */
 json_t
 simulateFrontEnds(const char *kName, const std::vector<FrontEnd *> &front_ends,
                   const SimArgs &args)
@@ -431,55 +498,11 @@ simulateFrontEnds(const char *kName, const std::vector<FrontEnd *> &front_ends,
         if (fe == nullptr)
             return detail::errorResult(kName, args, "null front end");
     }
-    std::vector<std::unique_ptr<FrontEndKernel>> owned;
-    std::vector<BlockKernel *> kernels;
-    for (FrontEnd *fe : front_ends) {
-        owned.push_back(std::make_unique<FrontEndKernel>(*fe));
-        kernels.push_back(owned.back().get());
-    }
-    // No per-site ranking here, so the driver need not count a window's
-    // per-site occurrences.
-    SimArgs run_args = args;
-    run_args.collect_most_failed = false;
-
-    const auto doc = [&](const detail::RunDoc &run) {
-        const std::size_t n = front_ends.size();
-        const auto key = [&](const char *stem, std::size_t k) {
-            std::string name(stem);
-            if (n > 1) {
-                name += '_';
-                name += std::to_string(k);
-            }
-            return name;
-        };
-        const std::uint64_t instr = run.simulation_instr;
-        const std::uint64_t dynamic_cond = run.tallies[0].dynamic_cond;
-        json_t result = json_t::object();
-        result["metadata"] =
-            detail::makeMetadata(kName, args, instr, run.exhausted,
-                                 dynamic_cond, run.static_branches);
-        json_t metrics = json_t::object();
-        for (std::size_t k = 0; k < n; ++k) {
-            FrontEnd &fe = *front_ends[k];
-            json_t md = fe.metadata_stats();
-            md["storage_bits"] = fe.storageBits();
-            result["metadata"][key("predictor", k)] = std::move(md);
-            const std::uint64_t mis = run.tallies[k].mispredictions;
-            metrics[key("mpki", k)] = detail::mpkiOf(mis, instr);
-            metrics[key("mispredictions", k)] = mis;
-            metrics[key("accuracy", k)] =
-                detail::accuracyOf(mis, dynamic_cond);
-        }
-        detail::addThroughputMetrics(metrics, run.dynamic_branches, run.tp);
-        result["metrics"] = std::move(metrics);
-        for (std::size_t k = 0; k < n; ++k) {
-            result[key("predictor_statistics", k)] =
-                front_ends[k]->conditional().execution_stats();
-            result[key("frontend", k)] = front_ends[k]->reportJson(instr);
-        }
-        return result;
-    };
-    return detail::runJoined(kName, kernels, run_args, doc);
+    const DriverInput in(front_ends, args);
+    return detail::runJoined(
+        kName, in.kernels, in.args, [&](const detail::RunDoc &run) {
+            return frontEndDoc(run, args, front_ends, 0, front_ends.size());
+        });
 }
 
 } // namespace
@@ -495,6 +518,17 @@ simulateMany(const std::vector<FrontEnd *> &front_ends,
              const SimArgs &args)
 {
     return simulateFrontEnds(kFrontEndMultiSimulatorName, front_ends, args);
+}
+
+std::vector<json_t>
+simulateEach(const std::vector<FrontEnd *> &front_ends, const SimArgs &args)
+{
+    const DriverInput in(front_ends, args);
+    return detail::runEach(
+        kFrontEndSimulatorName, in.kernels, in.args,
+        [&](const detail::RunDoc &run, std::size_t k) {
+            return frontEndDoc(run, args, front_ends, k, 1);
+        });
 }
 
 } // namespace mbp::frontend

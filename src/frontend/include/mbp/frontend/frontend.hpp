@@ -289,6 +289,14 @@ json_t simulate(FrontEnd &front_end, const SimArgs &args);
 json_t simulateMany(const std::vector<FrontEnd *> &front_ends,
                     const SimArgs &args);
 
+/**
+ * simulate() over each of @p front_ends (none null) in one pass over the
+ * trace (a sweep's pass): entry k is simulate(*front_ends[k], args)'s
+ * document but for the timing fields, as in detail::simulateEach().
+ */
+std::vector<json_t> simulateEach(const std::vector<FrontEnd *> &front_ends,
+                                 const SimArgs &args);
+
 } // namespace mbp::frontend
 
 #endif // MBP_FRONTEND_FRONTEND_HPP

@@ -7,8 +7,8 @@
  *
  * Every roster entry is registered twice: as a virtual mbp::Predictor
  * factory (makeByName) and as its fused compile-time instantiation
- * (fusedRunnerByName / fusedKernelByName, see mbp/sim/kernels.hpp), so
- * tools pick the devirtualized kernels automatically by the same name.
+ * (fusedKernelByName, see mbp/sim/kernels.hpp), so tools pick the
+ * devirtualized kernels automatically by the same name.
  */
 #ifndef MBP_PREDICTORS_ROSTER_HPP
 #define MBP_PREDICTORS_ROSTER_HPP
@@ -29,7 +29,7 @@ namespace mbp::pred
 /**
  * A complete fused simulate() run over a fresh instance of some roster
  * predictor: behaves exactly like mbp::simulate(*makeByName(name), args)
- * but through the compile-time kernel (mbp::simulateFused).
+ * but through the compile-time kernel: a fresh fusedKernelByName(name).
  */
 using FusedRunner = std::function<json_t(const SimArgs &)>;
 

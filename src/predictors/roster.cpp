@@ -3,9 +3,9 @@
  * Predictor registry implementation.
  *
  * Each entry is described once, by a factory lambda returning the
- * concrete type; entryOf() derives the virtual factory and both fused
- * registrations from it, so a configuration can never differ between the
- * virtual and fused paths.
+ * concrete type; entryOf() derives the virtual factory and the fused
+ * kernel factory from it, so a configuration can never differ between
+ * the virtual and fused paths.
  */
 #include "mbp/predictors/roster.hpp"
 
@@ -24,7 +24,6 @@ struct Entry
 {
     const char *name;
     std::function<std::unique_ptr<Predictor>()> make;
-    FusedRunner fused_run;
     std::function<std::unique_ptr<BlockKernel>()> fused_kernel;
 };
 
@@ -36,10 +35,6 @@ entryOf(const char *name, MakeFn make_fn)
     return Entry{
         name,
         make_fn,
-        [make_fn](const SimArgs &args) {
-            std::unique_ptr<P> predictor = make_fn();
-            return simulateFused(*predictor, args);
-        },
         [make_fn]() -> std::unique_ptr<BlockKernel> {
             return std::make_unique<FusedKernel<P>>(make_fn());
         },
@@ -116,7 +111,11 @@ FusedRunner
 fusedRunnerByName(const std::string &name)
 {
     const Entry *entry = findEntry(name);
-    return entry != nullptr ? entry->fused_run : FusedRunner{};
+    if (entry == nullptr)
+        return {};
+    return [entry](const SimArgs &args) {
+        return mbp::detail::simulateKernel(*entry->fused_kernel(), args);
+    };
 }
 
 std::unique_ptr<BlockKernel>

@@ -4,9 +4,9 @@
  *
  * One driver (src/sim/kernels.cpp) serves every run: simulate() and
  * simulateFused() are its one-kernel case, compare(), simulateMany(),
- * their fused forms and detail::simulateEach its N-kernel case, and
- * frontend::simulate()/simulateMany() run through it too, each FrontEnd
- * wrapped in a BlockKernel of the front end's own (detail::runJoined).
+ * their fused forms and detail::simulateEach its N-kernel case, and the
+ * front end's simulators run through it too, each FrontEnd wrapped in a
+ * BlockKernel of the front end's own (detail::runJoined/runEach).
  * It reads the run as a sequence of sbbt::BranchColumns blocks from a
  * detail::BlockSource (slices of a decode-once arena, or one reused
  * window that streaming decode refills) and hands each block to every
@@ -377,8 +377,7 @@ struct RunDoc
     const std::uint64_t *site_occ = nullptr; // site id -> measured occurrences
     Throughput tp;
     std::vector<KernelTally> tallies;
-    // Per kernel: the time spent in its own runBlock calls (only a
-    // simulateEach pass times them; 0 otherwise).
+    // Per kernel: the time spent in its own runBlock calls.
     std::vector<double> kernel_seconds;
     // Per kernel: what it threw when the run retired it (null: ran on).
     std::vector<std::exception_ptr> retired;
@@ -388,28 +387,43 @@ struct RunDoc
  * Steps @p kernels through the run of @p args block by block, as one run
  * (a kernel that throws ends it), and returns what @p doc makes of the
  * finished run — or errorResult(@p name, ...) for a run that could not
- * open or read its trace. Every entry point but simulateEach is this
- * call with its own document builder.
+ * open or read its trace. Every entry point but runEach's is this call
+ * with its own document builder.
  */
 json_t runJoined(const char *name, const std::vector<BlockKernel *> &kernels,
                  const SimArgs &args,
                  const std::function<json_t(const RunDoc &)> &doc);
 
+/**
+ * Kernel @p k's part of @p run's throughput: the time spent in its own
+ * runBlock calls plus an even share of the rest of the run (decode,
+ * bookkeeping, the hook), so that the kernels' times sum to the run's.
+ * A one-kernel run's is the run's own, timed or not.
+ */
+Throughput throughputOf(const RunDoc &run, std::size_t k);
+
+/**
+ * Steps @p kernels through one pass over the trace of @p args, as
+ * independent runs that share its blocks, and returns @p doc(run, k) for
+ * each kernel k. A kernel that throws is retired, its entry becomes
+ * exceptionResult(), and the others run on. An open or trace error gives
+ * every kernel still in the pass errorResult(@p name, ...).
+ */
+std::vector<json_t>
+runEach(const char *name, const std::vector<BlockKernel *> &kernels,
+        const SimArgs &args,
+        const std::function<json_t(const RunDoc &, std::size_t)> &doc);
+
 /** simulate() over one kernel: the driver's one-kernel case. */
 json_t simulateKernel(BlockKernel &kernel, const SimArgs &args);
 
 /**
- * simulate() over each of @p kernels in one pass over the trace: entry
- * k is the document simulateKernel(*kernels[k], args) gives, except for
- * the timing fields. Entry k's `simulation_time` (and so its
- * `branches_per_second`) is the time kernel k spent stepping plus an
- * even share of the pass's decode and bookkeeping, so the entries' times
- * sum to the pass's; `decompressed_bytes`, `prefetch_stall_seconds` and
- * `trace_load_seconds` are the pass's. The prediction hook sees each
- * kernel's index within @p kernels. A kernel that throws is retired from
- * the pass and its entry becomes exceptionResult(); the others run on.
- * An open or trace error gives every kernel still in the pass
- * simulateKernel()'s error document.
+ * simulate() over each of @p kernels in one pass over the trace
+ * (runEach): entry k is simulateKernel(*kernels[k], args)'s document,
+ * except for the timing fields: its `simulation_time` is
+ * throughputOf(run, k), and `decompressed_bytes`,
+ * `prefetch_stall_seconds` and `trace_load_seconds` are the pass's. The
+ * prediction hook sees each kernel's index within @p kernels.
  */
 std::vector<json_t> simulateEach(const std::vector<BlockKernel *> &kernels,
                                  const SimArgs &args);

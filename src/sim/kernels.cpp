@@ -2,10 +2,10 @@
  * @file
  * The one driver in the library: simulate() and simulateFused() are its
  * one-kernel case, compare(), simulateMany() and their fused forms its
- * N-kernel case, detail::simulateEach (a streaming sweep's pass) its
- * N-kernel case with one simulate() document per kernel, and
- * frontend::simulate()/simulateMany() reach it through
- * detail::runJoined with a document builder of their own.
+ * N-kernel case, detail::simulateEach (a sweep's pass) its N-kernel
+ * case with one simulate() document per kernel, and the front end's
+ * simulators reach it through detail::runJoined/runEach with document
+ * builders of their own.
  *
  * Per block of up to kKernelBlockBranches branches, the driver books the
  * warmup/limit split (detail::RunTotals) and calls each kernel's
@@ -83,25 +83,6 @@ predictorMetadata(const BlockKernel &kernel)
     return md;
 }
 
-/**
- * Kernel @p k's part of @p run's throughput: the time spent in its own
- * runBlock calls plus an even share of the rest of the run (decode,
- * bookkeeping, the hook), so that the kernels' times sum to the run's.
- * A one-kernel run's is the run's own, timed or not.
- */
-detail::Throughput
-throughputOf(const RunDoc &run, std::size_t k)
-{
-    double stepping = 0.0;
-    for (const double seconds : run.kernel_seconds)
-        stepping += seconds;
-    detail::Throughput tp = run.tp;
-    tp.seconds = run.kernel_seconds[k] +
-                 (run.tp.seconds - stepping) /
-                     static_cast<double>(run.kernel_seconds.size());
-    return tp;
-}
-
 /** The simulate() document of kernel @p k of @p run. */
 json_t
 simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
@@ -150,7 +131,7 @@ simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
     }
 
     detail::addThroughputMetrics(metrics, run.dynamic_branches,
-                                 throughputOf(run, k));
+                                 detail::throughputOf(run, k));
     result["metrics"] = std::move(metrics);
     result["predictor_statistics"] = kernel.execution_stats();
     if (args.collect_most_failed)
@@ -261,22 +242,21 @@ replayHook(const SimArgs &args, const KernelBlock &block,
 /** How runBlocks steps its kernels. */
 enum class Stepping
 {
-    /** One run over all of them (every entry point but simulateEach): a
-     *  kernel that throws ends the run. */
+    /** One run over all of them (runJoined): a kernel that throws ends
+     *  the run. */
     kJoined,
-    /** Independent runs that share the trace's blocks (a streaming
-     *  sweep's pass): each kernel's runBlock calls are timed, and a
-     *  kernel that throws is retired alone. */
+    /** Independent runs that share the trace's blocks (runEach, a sweep
+     *  pass): a kernel that throws is retired alone. */
     kEach,
 };
 
 /**
  * Steps @p kernels through the run of @p args block by block and returns
  * what @p build makes of the finished run, or of one that could not open
- * or read its trace (run.error says why). Under Stepping::kEach each
- * kernel's runBlock calls are timed, and a kernel that throws is
- * retired, its exception kept in run.retired, and the others run on — to
- * the end of the trace, or until none is left.
+ * or read its trace (run.error says why). Each kernel's runBlock calls
+ * are timed. Under Stepping::kEach a kernel that throws is retired, its
+ * exception kept in run.retired, and the others run on — to the end of
+ * the trace, or until none is left.
  */
 template <typename Build>
 auto
@@ -323,14 +303,12 @@ runBlocks(const char *kName, const std::vector<BlockKernel *> &kernels,
                 continue;
             if (hook)
                 block.guesses = guesses.data() + k * kKernelBlockBranches;
-            if (stepping == Stepping::kJoined) {
-                kernels[k]->runBlock(block, run.tallies[k]);
-                continue;
-            }
             const auto kernel_start = std::chrono::steady_clock::now();
             try {
                 kernels[k]->runBlock(block, run.tallies[k]);
             } catch (...) {
+                if (stepping == Stepping::kJoined)
+                    throw;
                 run.retired[k] = std::current_exception();
                 --live;
             }
@@ -387,23 +365,36 @@ detail::simulateKernel(BlockKernel &kernel, const SimArgs &args)
                      });
 }
 
+detail::Throughput
+detail::throughputOf(const RunDoc &run, std::size_t k)
+{
+    double stepping = 0.0;
+    for (const double seconds : run.kernel_seconds)
+        stepping += seconds;
+    Throughput tp = run.tp;
+    tp.seconds = run.kernel_seconds[k] +
+                 (run.tp.seconds - stepping) /
+                     static_cast<double>(run.kernel_seconds.size());
+    return tp;
+}
+
 std::vector<json_t>
-detail::simulateEach(const std::vector<BlockKernel *> &kernels,
-                     const SimArgs &args)
+detail::runEach(const char *name, const std::vector<BlockKernel *> &kernels,
+                const SimArgs &args,
+                const std::function<json_t(const RunDoc &, std::size_t)> &doc)
 {
     return runBlocks(
-        kStdSimulatorName, kernels, args, Stepping::kEach,
-        [&](const RunDoc &run) {
+        name, kernels, args, Stepping::kEach, [&](const RunDoc &run) {
             std::vector<json_t> docs;
             docs.reserve(kernels.size());
             for (std::size_t k = 0; k < kernels.size(); ++k) {
                 if (run.retired[k]) {
                     docs.push_back(exceptionResult(run.retired[k]));
                 } else if (!run.error.empty()) {
-                    docs.push_back(errorResult(run.name, args, run.error));
+                    docs.push_back(errorResult(name, args, run.error));
                 } else {
                     try {
-                        docs.push_back(simulateDoc(run, k, *kernels[k]));
+                        docs.push_back(doc(run, k));
                     } catch (...) {
                         docs.push_back(
                             exceptionResult(std::current_exception()));
@@ -412,6 +403,16 @@ detail::simulateEach(const std::vector<BlockKernel *> &kernels,
             }
             return docs;
         });
+}
+
+std::vector<json_t>
+detail::simulateEach(const std::vector<BlockKernel *> &kernels,
+                     const SimArgs &args)
+{
+    return runEach(kStdSimulatorName, kernels, args,
+                   [&](const RunDoc &run, std::size_t k) {
+                       return simulateDoc(run, k, *kernels[k]);
+                   });
 }
 
 json_t

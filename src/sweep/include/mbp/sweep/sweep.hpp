@@ -99,13 +99,11 @@ struct PredictorSpec
     /**
      * Optional fused factory: a fresh block kernel (mbp/sim/kernels.hpp)
      * over an instance of the same configuration `make` builds, with the
-     * predictor's concrete type known at compile time. When present —
-     * makeSpec() and the roster-name campaign parser always set it —
-     * run() steps it instead of a virtual FusedKernel<Predictor> over
-     * make()'s instance, unless Campaign::fused is disabled. Results
-     * are bit-identical either way (the conformance suite pins this);
-     * only throughput changes. The same rules as for `make` apply: a
-     * null result is an unknown predictor, a throw fails its own cells.
+     * predictor's concrete type known at compile time. When present
+     * (makeSpec() and campaignFromJson set it) run() steps it instead of
+     * a virtual FusedKernel<Predictor> over make()'s instance, unless
+     * Campaign::fused is disabled; only throughput changes. The rules
+     * of `make` apply.
      */
     std::function<std::unique_ptr<BlockKernel>()> make_kernel;
 };
@@ -155,11 +153,8 @@ struct Campaign
      * Decode each trace once into a shared in-memory arena (the
      * TraceCache) that every predictor cell of the trace steps through
      * on its own — the default. Disable (`--streaming`) to hold no
-     * arena at all: each trace is then streamed in passes that each
-     * step several of its predictors together, block by block — one
-     * pass for all of them, except on the traces of a last, partial
-     * round of workers (see run()).
-     * Front-end campaigns stream each cell on its own instead.
+     * arena at all: each trace is then streamed in passes that step
+     * several of its predictors together (see run()).
      */
     bool in_memory = true;
     /**
@@ -191,11 +186,11 @@ struct Campaign
     std::string arena_cache_dir;
     /**
      * Compose every predictor into a front end (mbp::frontend): each
-     * cell wraps a fresh conditional-predictor instance into a FrontEnd
-     * configured by frontend_spec and runs frontend::simulate() instead
-     * of the conditional-only pipeline. The fused kernels do not apply
-     * to front-end cells (the FrontEnd drives the virtual Predictor
-     * interface); `fused` is ignored when this is set. Enabled by the
+     * cell wraps a fresh make() instance into a FrontEnd configured by
+     * frontend_spec, and its document is frontend::simulate()'s. An
+     * invalid spec (possible in a campaign built in code) fails every
+     * cell with "invalid frontend spec: ...". `fused` is ignored: the
+     * FrontEnd drives the virtual Predictor interface. Enabled by the
      * CLI's `--frontend[=SPEC]` or the JSON `"frontend"` key (a spec
      * string, or `true` for the default configuration).
      */
@@ -258,33 +253,26 @@ bool campaignFromJson(const json_t &spec, Campaign &out,
  *     once every trace's arena has been released; `peak_resident_bytes`
  *     is the most the cache held at once.
  *
- * How cells are *scheduled* depends on the campaign:
+ * Cells are *scheduled* as one list of passes. A pass reads one trace
+ * once and steps each predictor it holds through every block
+ * (detail::simulateEach, or frontend::simulateEach). The list walks the
+ * traces in waves of `jobs`, pass-major inside a wave, so that a wave's
+ * first passes read distinct traces, one per worker; with one worker
+ * this is trace-major order. A trace's P predictors are dealt
+ * round-robin over its G passes. A streamed trace gets G = 1 in a full
+ * wave and G = min(P, ceil(jobs / r)) in a last wave of r < jobs traces,
+ * so that every worker still has a pass. An in-memory trace's arena is
+ * decoded once (the TraceCache) however its predictors are grouped, so
+ * it gets G = P, the finest items; the last pass over a cache entry
+ * (TraceCache::identity) releases its arena.
  *
- *  - In-memory and front-end campaigns run one work item per cell, in
- *    waves of `jobs` traces, predictor-major inside a wave: the wave's
- *    first `jobs` cells decode distinct traces in parallel, the rest of
- *    the wave shares their arenas, and the cell that finishes a trace's
- *    last predictor releases its arena (TraceCache::release). With one
- *    worker this is trace-major order.
- *  - A streaming campaign (in_memory off, no front end) runs one work
- *    item per *pass*, which streams its trace once and steps every
- *    predictor it holds through each block (detail::simulateEach).
- *    Each trace listing is one pass over all P predictors, except the
- *    r = T mod jobs listings of a last, partial round of workers (all
- *    T listings when T < jobs): those are read in
- *    g = min(P, ceil(jobs / r)) passes each, with the predictors dealt
- *    round-robin, so the last round still has a pass for every worker.
- *    A cell's `simulation_time` (and so `branches_per_second`) is its
- *    kernel's own stepping time plus an even share of the pass's
- *    decode and bookkeeping, so a pass's cells sum to the pass's time;
- *    `prefetch_stall_seconds` is the pass's. A predictor that throws
- *    is retired from its pass and fails only its own cell.
- *
- * On every path a base_args.prediction_hook sees the predictor's index
- * in Campaign::predictors.
- *
- * Either way cells are *reported* in the same predictor-major grid
- * order as always.
+ * A cell's `simulation_time` (and so `branches_per_second`) is its
+ * kernel's own stepping time plus an even share of the pass's decode
+ * and bookkeeping, so a pass's cells sum to the pass's time;
+ * `prefetch_stall_seconds` is the pass's. A predictor that throws fails
+ * only its own cell. A base_args.prediction_hook sees the predictor's
+ * index in Campaign::predictors. Cells are *reported* in predictor-major
+ * grid order, whatever the schedule.
  */
 json_t run(const Campaign &campaign, unsigned jobs = 0);
 

@@ -56,7 +56,7 @@ inline constexpr std::uint64_t kDefaultMemBudget = std::uint64_t(1) << 30;
  * referenced by running cells survives eviction (the shared_ptr keeps
  * it alive), the cache merely stops accounting for it. release() drops
  * an arena the same way as soon as its caller knows it is done with it;
- * sweep::run does so after each trace's last cell.
+ * sweep::run does so after the last pass over each identity().
  */
 class TraceCache
 {
@@ -68,7 +68,7 @@ class TraceCache
         std::uint64_t misses = 0; //!< arena loads initiated
         std::uint64_t evictions = 0;
         /** Bytes of the arenas cached now; at the end of a sweep this
-         *  is 0, since run() releases each arena after its last cell. */
+         *  is 0, since run() releases each arena after its last pass. */
         std::uint64_t resident_bytes = 0;
         /** Highest resident_bytes reached. Counted as each arena is
          *  added, before eviction makes room for it, so under a budget
@@ -127,17 +127,16 @@ class TraceCache
     void release(const std::string &path,
                  const sbbt::ReaderOptions &options);
 
+    /** The key of (@p path, @p options): two listings share one entry
+     *  exactly when their identities are equal (see the file comment). */
+    std::string identity(const std::string &path,
+                         const sbbt::ReaderOptions &options);
+
     /** @return A consistent snapshot of the counters. */
     Stats stats() const;
 
     /** @return The configured budget in bytes (0 = unlimited). */
     std::uint64_t budgetBytes() const { return budget_; }
-
-    /** @return The attached persistent store (may be null). */
-    const std::shared_ptr<sbbt::ArenaStore> &store() const
-    {
-        return store_;
-    }
 
   private:
     struct Entry

@@ -120,48 +120,30 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
         field = v->asUint();
         return true;
     };
-    if (!uintField("warmup_instr", campaign.base_args.warmup_instr) ||
-        !uintField("sim_instr", campaign.base_args.sim_instr))
-        return false;
-    if (const json_t *v = spec.find("track_only_conditional")) {
+    auto boolField = [&](const char *key, bool &field) {
+        const json_t *v = spec.find(key);
+        if (v == nullptr)
+            return true;
         if (!v->isBool()) {
-            error = "\"track_only_conditional\" must be a bool";
+            error = std::string("\"") + key + "\" must be a bool";
             return false;
         }
-        campaign.base_args.track_only_conditional = v->asBool();
-    }
-    if (const json_t *v = spec.find("collect_most_failed")) {
-        if (!v->isBool()) {
-            error = "\"collect_most_failed\" must be a bool";
-            return false;
-        }
-        campaign.base_args.collect_most_failed = v->asBool();
-    }
+        field = v->asBool();
+        return true;
+    };
     std::uint64_t jobs = campaign.jobs;
-    if (!uintField("jobs", jobs, kMaxJobs))
+    if (!uintField("warmup_instr", campaign.base_args.warmup_instr) ||
+        !uintField("sim_instr", campaign.base_args.sim_instr) ||
+        !boolField("track_only_conditional",
+                   campaign.base_args.track_only_conditional) ||
+        !boolField("collect_most_failed",
+                   campaign.base_args.collect_most_failed) ||
+        !uintField("jobs", jobs, kMaxJobs) ||
+        !boolField("in_memory", campaign.in_memory) ||
+        !boolField("fused", campaign.fused) ||
+        !boolField("arena_cache", campaign.arena_cache))
         return false;
     campaign.jobs = static_cast<unsigned>(jobs);
-    if (const json_t *v = spec.find("in_memory")) {
-        if (!v->isBool()) {
-            error = "\"in_memory\" must be a bool";
-            return false;
-        }
-        campaign.in_memory = v->asBool();
-    }
-    if (const json_t *v = spec.find("fused")) {
-        if (!v->isBool()) {
-            error = "\"fused\" must be a bool";
-            return false;
-        }
-        campaign.fused = v->asBool();
-    }
-    if (const json_t *v = spec.find("arena_cache")) {
-        if (!v->isBool()) {
-            error = "\"arena_cache\" must be a bool";
-            return false;
-        }
-        campaign.arena_cache = v->asBool();
-    }
     if (const json_t *v = spec.find("arena_cache_dir")) {
         if (!v->isString()) {
             error = "\"arena_cache_dir\" must be a string";
@@ -197,18 +179,6 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
 
 namespace
 {
-
-json_t
-errorCell(const std::string &message)
-{
-    return json_t::object({{"error", message}});
-}
-
-json_t
-unknownPredictor(const PredictorSpec &spec)
-{
-    return errorCell("unknown predictor '" + spec.name + "'");
-}
 
 /**
  * A fresh kernel for one cell of @p spec: the spec's fused kernel when
@@ -261,13 +231,13 @@ run(const Campaign &campaign, unsigned jobs)
     // Campaigns built programmatically bypass campaignFromJson's parse
     // check; a bad spec then fails every cell rather than the process.
     frontend::FrontEndConfig frontend_config;
-    std::string frontend_error;
-    if (campaign.frontend) {
-        std::string spec_error;
-        if (!frontend::parseFrontEndSpec(campaign.frontend_spec,
-                                         frontend_config, spec_error))
-            frontend_error = "invalid frontend spec: " + spec_error;
-    }
+    json_t frontend_failure;
+    if (std::string spec_error;
+        campaign.frontend &&
+        !frontend::parseFrontEndSpec(campaign.frontend_spec,
+                                     frontend_config, spec_error))
+        frontend_failure = json_t::object(
+            {{"error", "invalid frontend spec: " + spec_error}});
 
     std::vector<json_t> cell_results(num_cells);
     const auto place = [&](std::size_t p, std::size_t t, json_t result) {
@@ -301,130 +271,107 @@ run(const Campaign &campaign, unsigned jobs)
         return args;
     };
     auto start_time = std::chrono::steady_clock::now();
-    if (!campaign.in_memory && !campaign.frontend) {
-        // Streaming holds no arena to share, so a trace's predictors share
-        // its blocks instead: each trace runs as one pass that streams it
-        // once and steps all of its predictors. Only the traces of a last,
-        // partial round of workers (all of them when there are fewer
-        // traces than workers) are split into tail_passes passes each,
-        // which deal the predictors round-robin, so that the last round
-        // still has a pass for every worker.
-        const std::size_t whole = num_traces - num_traces % used_jobs;
-        const std::size_t tail = num_traces - whole;
-        const std::size_t tail_passes =
-            tail == 0 ? 1
-                      : std::min<std::size_t>(
-                            num_predictors, (used_jobs + tail - 1) / tail);
-        parallelFor(
-            whole + tail * tail_passes, used_jobs, [&](std::size_t i) {
-                const bool split = i >= whole;
-                const std::size_t t =
-                    split ? whole + (i - whole) / tail_passes : i;
-                const std::size_t stride = split ? tail_passes : 1;
-                std::vector<std::size_t> members;
-                std::vector<std::unique_ptr<BlockKernel>> kernels;
-                for (std::size_t p = split ? (i - whole) % tail_passes : 0;
-                     p < num_predictors; p += stride) {
-                    const PredictorSpec &spec = campaign.predictors[p];
-                    std::unique_ptr<BlockKernel> kernel;
-                    try {
-                        kernel = makeKernel(campaign, spec);
-                    } catch (...) {
-                        place(p, t,
-                              detail::exceptionResult(
-                                  std::current_exception()));
-                        continue;
-                    }
-                    if (kernel == nullptr) {
-                        place(p, t, unknownPredictor(spec));
-                        continue;
-                    }
-                    members.push_back(p);
-                    kernels.push_back(std::move(kernel));
-                }
-                if (kernels.empty())
-                    return;
-                std::vector<BlockKernel *> pass;
-                for (const auto &kernel : kernels)
-                    pass.push_back(kernel.get());
-                std::vector<json_t> docs;
-                try {
-                    docs = detail::simulateEach(pass, cellArgs(t, members));
-                } catch (...) {
-                    docs.assign(pass.size(), detail::exceptionResult(
-                                                 std::current_exception()));
-                }
-                for (std::size_t k = 0; k < members.size(); ++k)
-                    place(members[k], t, std::move(docs[k]));
-            });
-    } else {
-        // Cells left to finish per trace; the cell that finishes a trace's
-        // last one releases its arena. A path listed twice is one cache
-        // entry, so its listings share the first one's counter.
-        std::vector<std::size_t> counter_of(num_traces);
-        std::vector<std::atomic<std::size_t>> cells_left(num_traces);
-        std::map<std::string_view, std::size_t> first_listing;
-        for (std::size_t t = 0; t < num_traces; ++t) {
-            counter_of[t] =
-                first_listing.emplace(campaign.traces[t], t).first->second;
-            cells_left[counter_of[t]] += num_predictors;
-        }
-        // Work indices walk the grid in waves of used_jobs traces,
-        // predictor-major inside a wave: the wave's first cells decode its
-        // traces concurrently, one per worker, and its remaining cells
-        // share those arenas. With one worker this is plain trace-major
-        // order.
-        const std::size_t wave_cells =
-            std::size_t(used_jobs) * num_predictors;
-        parallelFor(num_cells, used_jobs, [&](std::size_t i) {
-            const std::size_t first_trace = i / wave_cells * used_jobs;
-            const std::size_t wave_traces = std::min<std::size_t>(
-                used_jobs, num_traces - first_trace);
-            const std::size_t t = first_trace + i % wave_cells % wave_traces;
-            const std::size_t p = i % wave_cells / wave_traces;
+
+    // The schedule (see run() in sweep.hpp): waves of used_jobs traces,
+    // pass-major inside a wave, each trace's predictors dealt round-robin
+    // over its `groups` passes.
+    struct Pass
+    {
+        std::size_t trace;
+        std::size_t first; // predictors first, first + stride, ...
+        std::size_t stride;
+    };
+    std::vector<Pass> passes;
+    for (std::size_t wave_start = 0; wave_start < num_traces;
+         wave_start += used_jobs) {
+        const std::size_t wave =
+            std::min<std::size_t>(used_jobs, num_traces - wave_start);
+        const std::size_t groups =
+            campaign.in_memory
+                ? num_predictors
+                : std::min<std::size_t>(num_predictors,
+                                        (used_jobs + wave - 1) / wave);
+        for (std::size_t g = 0; g < groups; ++g)
+            for (std::size_t t = wave_start; t < wave_start + wave; ++t)
+                passes.push_back({t, g, groups});
+    }
+
+    // Passes left per cache entry, so per TraceCache::identity, not per
+    // listing: the pass that finishes an entry's last one releases it.
+    std::vector<std::string> identity(num_traces);
+    std::map<std::string, std::atomic<std::size_t>> passes_left;
+    if (campaign.in_memory) {
+        parallelFor(num_traces, used_jobs, [&](std::size_t t) {
+            identity[t] = cache.identity(campaign.traces[t], decode_options);
+        });
+        for (const Pass &pass : passes)
+            ++passes_left[identity[pass.trace]];
+    }
+
+    parallelFor(passes.size(), used_jobs, [&](std::size_t i) {
+        const std::size_t t = passes[i].trace;
+        std::vector<std::size_t> members;
+        std::vector<std::unique_ptr<BlockKernel>> kernels;
+        std::vector<std::unique_ptr<frontend::FrontEnd>> front_ends;
+        std::vector<BlockKernel *> kernel_ptrs;
+        std::vector<frontend::FrontEnd *> front_end_ptrs;
+        for (std::size_t p = passes[i].first; p < num_predictors;
+             p += passes[i].stride) {
             const PredictorSpec &spec = campaign.predictors[p];
-            const std::string &trace = campaign.traces[t];
-            SimArgs args = cellArgs(t, {p});
-            json_t result;
+            json_t failure;
             try {
-                // Front-end cells drive the virtual Predictor interface;
-                // the conditional-only kernels never apply to them.
-                std::unique_ptr<Predictor> instance;
+                // Front ends drive the virtual Predictor interface.
                 std::unique_ptr<BlockKernel> kernel;
-                if (campaign.frontend)
-                    instance = spec.make ? spec.make() : nullptr;
-                else
+                std::unique_ptr<Predictor> instance;
+                if (!campaign.frontend)
                     kernel = makeKernel(campaign, spec);
-                if (instance == nullptr && kernel == nullptr) {
-                    result = unknownPredictor(spec);
-                } else if (!frontend_error.empty()) {
-                    result = errorCell(frontend_error);
+                else if (spec.make)
+                    instance = spec.make();
+                if (kernel == nullptr && instance == nullptr) {
+                    failure = json_t::object(
+                        {{"error", "unknown predictor '" + spec.name + "'"}});
+                } else if (kernel != nullptr) {
+                    kernel_ptrs.push_back(kernel.get());
+                    kernels.push_back(std::move(kernel));
+                } else if (!frontend_failure.isNull()) {
+                    failure = frontend_failure;
                 } else {
-                    if (campaign.in_memory) {
-                        // A null arena (budget fallback or decode
-                        // failure) simply streams; a corrupt trace then
-                        // surfaces its error through the streaming
-                        // reader, same as before this cache existed.
-                        args.preloaded = cache.acquire(trace, decode_options);
-                    }
-                    if (kernel != nullptr) {
-                        result = detail::simulateKernel(*kernel, args);
-                    } else {
-                        frontend::FrontEnd front_end(std::move(instance),
-                                                     frontend_config);
-                        result = frontend::simulate(front_end, args);
-                    }
+                    front_ends.push_back(std::make_unique<frontend::FrontEnd>(
+                        std::move(instance), frontend_config));
+                    front_end_ptrs.push_back(front_ends.back().get());
                 }
             } catch (...) {
-                result = detail::exceptionResult(std::current_exception());
+                failure = detail::exceptionResult(std::current_exception());
             }
-            place(p, t, std::move(result));
-            args.preloaded = nullptr;
-            if (cells_left[counter_of[t]].fetch_sub(1) == 1 &&
-                campaign.in_memory)
-                cache.release(trace, decode_options);
-        });
-    }
+            if (failure.isNull())
+                members.push_back(p);
+            else
+                place(p, t, std::move(failure));
+        }
+        if (!members.empty()) {
+            SimArgs args = cellArgs(t, members);
+            std::vector<json_t> docs;
+            try {
+                // A null arena (budget fallback or decode failure) simply
+                // streams; a corrupt trace then surfaces its error through
+                // the streaming reader, same as before this cache existed.
+                if (campaign.in_memory)
+                    args.preloaded =
+                        cache.acquire(campaign.traces[t], decode_options);
+                docs = campaign.frontend
+                           ? frontend::simulateEach(front_end_ptrs, args)
+                           : detail::simulateEach(kernel_ptrs, args);
+            } catch (...) {
+                docs.assign(members.size(), detail::exceptionResult(
+                                                std::current_exception()));
+            }
+            for (std::size_t k = 0; k < members.size(); ++k)
+                place(members[k], t, std::move(docs[k]));
+        }
+        if (campaign.in_memory &&
+            passes_left.at(identity[t]).fetch_sub(1) == 1)
+            cache.release(campaign.traces[t], decode_options);
+    });
     auto end_time = std::chrono::steady_clock::now();
     double wall =
         std::chrono::duration<double>(end_time - start_time).count();

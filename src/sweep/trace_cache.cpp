@@ -171,6 +171,14 @@ TraceCache::release(const std::string &path,
     entries_.erase(it);
 }
 
+std::string
+TraceCache::identity(const std::string &path,
+                     const sbbt::ReaderOptions &options)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    return keyFor(lock, path, options);
+}
+
 TraceCache::Stats
 TraceCache::stats() const
 {

@@ -222,15 +222,14 @@ main(int argc, char **argv)
                                           frontend_config);
         result = mbp::frontend::simulate(front_end, args);
     } else if (fused) {
-        mbp::pred::FusedRunner runner =
-            mbp::pred::fusedRunnerByName(pos[0]);
-        if (!runner) {
+        auto kernel = mbp::pred::fusedKernelByName(pos[0]);
+        if (!kernel) {
             std::fprintf(stderr,
                          "unknown predictor '%s' (try '%s list')\n",
                          pos[0], argv[0]);
             return 2;
         }
-        result = runner(args);
+        result = mbp::detail::simulateKernel(*kernel, args);
     } else {
         auto predictor = mbp::pred::makeByName(pos[0]);
         if (!predictor) {

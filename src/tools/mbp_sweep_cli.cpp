@@ -16,11 +16,10 @@
  * Traces are decoded once into shared in-memory arenas by default
  * (--in-memory), and --mem-budget caps the arena cache (oversized traces
  * stream instead — the campaign never fails on budget). --streaming holds
- * no arena: each trace is streamed once per pass, and a pass steps all of
- * its predictors block by block (more than one pass per trace only for
- * the traces of a last, partial round of --jobs workers). A cell's
- * simulation_time, in the JSON and in the CSV, is then its predictor's
- * own stepping time plus an even share of the pass's decode.
+ * no arena: each trace is streamed once per pass, and a pass steps
+ * several predictors block by block (see sweep::run). A cell's
+ * simulation_time, in the JSON and in the CSV, is its predictor's own
+ * stepping time plus an even share of its pass's decode.
  *
  * --arena-cache[=DIR] additionally persists each decoded arena as an
  * SBBT-A sidecar in a content-addressed store (DIR, or $MBP_ARENA_CACHE,
@@ -35,8 +34,7 @@
  *
  * --frontend[=SPEC] composes every predictor into a front end (BTB +
  * RAS + indirect-target table, see mbp/frontend/frontend.hpp) and runs
- * the per-class fetch simulation in every cell; the fused kernels do
- * not apply to front-end cells.
+ * the per-class fetch simulation in every cell, on the same schedule.
  *
  * The campaign JSON spec (see README "Parallel sweeps"):
  *   {"predictors": ["gshare", ...], "traces": ["a.sbbt.flz", ...],

@@ -135,9 +135,11 @@ class ArenaConformanceTest : public testing::Test
                                          std::uint64_t, bool) {
             stream.push_back(predicted ? 'T' : 'N');
         };
-        pred::FusedRunner runner = pred::fusedRunnerByName(name);
-        EXPECT_TRUE(static_cast<bool>(runner)) << name;
-        json_t result = runner(args);
+        std::unique_ptr<BlockKernel> kernel = pred::fusedKernelByName(name);
+        EXPECT_NE(kernel, nullptr) << name;
+        if (kernel == nullptr)
+            return json_t::object();
+        json_t result = detail::simulateKernel(*kernel, args);
         EXPECT_FALSE(result.contains("error")) << result.dump(2);
         return result;
     }
@@ -397,14 +399,14 @@ TEST_F(ArenaConformanceTest, EveryRosterPredictorFusedHookFreeJsonMatches)
     for (const std::string &name : pred::rosterNames()) {
         auto virtual_pred = pred::makeByName(name);
         ASSERT_NE(virtual_pred, nullptr) << name;
-        pred::FusedRunner runner = pred::fusedRunnerByName(name);
-        ASSERT_TRUE(static_cast<bool>(runner)) << name;
+        std::unique_ptr<BlockKernel> kernel = pred::fusedKernelByName(name);
+        ASSERT_NE(kernel, nullptr) << name;
 
         SimArgs args = baseArgs();
         args.in_memory = true;
 
         json_t virtual_doc = simulate(*virtual_pred, args);
-        json_t fused_doc = runner(args);
+        json_t fused_doc = detail::simulateKernel(*kernel, args);
         ASSERT_FALSE(virtual_doc.contains("error")) << virtual_doc.dump(2);
         ASSERT_FALSE(fused_doc.contains("error")) << fused_doc.dump(2);
         EXPECT_EQ(scrubTiming(virtual_doc).dump(2),

@@ -996,31 +996,42 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
     // Five traces give tail waves of 1 (2 and 4 jobs) and 2 (3 jobs), and
     // one pass per trace at every job count; three traces give a tail of
     // 1 (2 jobs), a single short wave and two passes per trace (4 jobs,
-    // more workers than traces). The sim_instr window, streamed only,
-    // stops every pass inside a block.
+    // more workers than traces). The sim_instr window stops every pass
+    // inside a block. Front-end campaigns (two front ends) run the same
+    // shapes.
     struct Shape
     {
         std::size_t num_traces;
         std::uint64_t warmup_instr;
         std::uint64_t sim_instr;
         std::vector<std::string> sources;
+        bool frontend;
     };
     const std::uint64_t kUnlimited = SimArgs{}.sim_instr;
-    const std::vector<Shape> shapes = {
-        {5, 10'000, kUnlimited, {"streaming", "in-memory", "store"}},
-        {3, 10'000, kUnlimited, {"streaming", "in-memory", "store"}},
-        {5, 5'000, 30'001, {"streaming"}},
-        {3, 5'000, 30'001, {"streaming"}},
-    };
+    const std::vector<std::string> kAllSources = {"streaming", "in-memory",
+                                                  "store"};
+    std::vector<Shape> shapes;
+    for (const bool frontend : {false, true}) {
+        shapes.push_back({5, 10'000, kUnlimited, kAllSources, frontend});
+        shapes.push_back({3, 10'000, kUnlimited, kAllSources, frontend});
+        shapes.push_back({5, 5'000, 30'001,
+                          frontend ? kAllSources
+                                   : std::vector<std::string>{"streaming"},
+                          frontend});
+        shapes.push_back({3, 5'000, 30'001, {"streaming"}, frontend});
+    }
     for (const Shape &shape : shapes) {
         sweep::Campaign campaign;
-        campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare"),
-                               rosterSpec("two-level")};
+        campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+        if (!shape.frontend)
+            campaign.predictors.push_back(rosterSpec("two-level"));
         campaign.traces.assign(all.begin(), all.begin() + shape.num_traces);
         campaign.base_args.warmup_instr = shape.warmup_instr;
         campaign.base_args.sim_instr = shape.sim_instr;
+        campaign.frontend = shape.frontend;
         // Every source, with fused and virtual predictors, at every job
-        // count gives the documents of serial per-cell simulate() runs.
+        // count gives the documents of serial per-cell simulate() (or
+        // frontend::simulate()) runs. Front ends ignore `fused`.
         const json_t expected = serialCells(campaign);
         std::uint64_t expected_branches = 0;
         for (std::size_t i = 0; i < expected.size(); ++i)
@@ -1033,11 +1044,14 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
         for (const std::string &source : shape.sources)
             for (const bool fused : {false, true})
                 for (const unsigned jobs : {1u, 2u, 3u, 4u})
-                    runs.emplace_back(source, fused, jobs);
+                    if (!fused || !shape.frontend)
+                        runs.emplace_back(source, fused, jobs);
         for (const auto &[source, fused, jobs] : runs) {
             SCOPED_TRACE("traces " + std::to_string(shape.num_traces) +
                          ", sim_instr " + std::to_string(shape.sim_instr) +
-                         ", " + source + (fused ? " fused" : " virtual") +
+                         ", " + source +
+                         (shape.frontend ? " frontend"
+                                         : (fused ? " fused" : " virtual")) +
                          ", jobs " + std::to_string(jobs));
             campaign.in_memory = source != "streaming";
             campaign.arena_cache = source == "store";
@@ -1256,28 +1270,76 @@ TEST_F(SweepTest, StreamingPassCellsSplitThePassTime)
 
 TEST(SweepWaves, ADuplicatedPathIsReleasedAfterItsLastListing)
 {
-    // Both listings of a path share one cache entry, so its arena must
-    // stay until the cells of both are done: one decode per distinct
-    // trace, whatever the worker count.
+    // Every listing of one trace shares one cache entry — the same path
+    // twice, a ./ spelling of it, a byte-identical copy — so its arena
+    // must stay until the cells of all of them are done: one decode per
+    // distinct content, whatever the worker count.
     const std::vector<std::string> traces = waveTraces();
+    const std::filesystem::path first(traces[0]);
+    const std::string aliased =
+        (first.parent_path() / "." / first.filename()).string();
+    const std::string copied = traces[0] + ".copy";
+    std::filesystem::copy_file(traces[0], copied);
     sweep::Campaign campaign;
     campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
-    campaign.traces = {traces[0], traces[1], traces[2], traces[0]};
+    campaign.traces = {traces[0], traces[1], traces[2],
+                       traces[0], aliased,   copied};
+    const std::size_t num_listings = campaign.traces.size();
     for (const unsigned jobs : {1u, 2u, 3u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
         const json_t result = sweep::run(campaign, jobs);
         const json_t &cache =
             *result.find("aggregate")->find("trace_cache");
         EXPECT_EQ(cache.find("misses")->asUint(), 3u);
-        EXPECT_EQ(cache.find("hits")->asUint(), 8u - 3u);
+        EXPECT_EQ(cache.find("hits")->asUint(), 2 * num_listings - 3u);
         EXPECT_EQ(cache.find("resident_bytes")->asUint(), 0u);
         const json_t &cells = *result.find("cells");
         for (std::size_t p = 0; p < 2; ++p)
-            EXPECT_EQ(*cells[p * 4].find("result")->find("metrics")
-                           ->find("mispredictions"),
-                      *cells[p * 4 + 3].find("result")->find("metrics")
-                           ->find("mispredictions"))
-                << p;
+            for (const std::size_t t : {3u, 4u, 5u})
+                EXPECT_EQ(*cells[p * num_listings].find("result")
+                               ->find("metrics")
+                               ->find("mispredictions"),
+                          *cells[p * num_listings + t].find("result")
+                               ->find("metrics")
+                               ->find("mispredictions"))
+                    << p << ", listing " << t;
+    }
+    for (const std::string &path : traces)
+        std::remove(path.c_str());
+    std::remove(copied.c_str());
+}
+
+TEST(SweepWaves, AnInvalidFrontEndSpecFailsEveryCell)
+{
+    // A campaign built in code skips campaignFromJson's spec check; its
+    // bad spec must then fail every cell, on every source and schedule,
+    // and never the process.
+    const std::vector<std::string> traces = waveTraces();
+    sweep::Campaign campaign;
+    campaign.predictors = {rosterSpec("bimodal"), rosterSpec("gshare")};
+    campaign.traces.assign(traces.begin(), traces.begin() + 3);
+    campaign.frontend = true;
+    campaign.frontend_spec = "btb-sets=3";
+    for (const bool in_memory : {false, true}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(in_memory ? "in-memory" : "streaming") +
+                         ", jobs " + std::to_string(jobs));
+            campaign.in_memory = in_memory;
+            const json_t result = sweep::run(campaign, jobs);
+            const json_t &cells = *result.find("cells");
+            ASSERT_EQ(cells.size(), 6u);
+            for (std::size_t i = 0; i < cells.size(); ++i) {
+                const json_t &doc = *cells[i].find("result");
+                ASSERT_TRUE(doc.contains("error")) << i;
+                EXPECT_EQ(doc.find("error")->asString().rfind(
+                              "invalid frontend spec: ", 0),
+                          0u)
+                    << doc.find("error")->asString();
+            }
+            EXPECT_EQ(
+                result.find("aggregate")->find("failed_cells")->asUint(),
+                6u);
+        }
     }
     for (const std::string &path : traces)
         std::remove(path.c_str());
