@@ -26,17 +26,13 @@ Batage::Config::geometric(int num_tables, int min_hist, int max_hist,
 }
 
 Batage::Batage(Config config)
-    : config_(std::move(config)),
-      history_("batage", config_.tables, config_.log_bimodal_size),
-      bimodal_(std::size_t(1) << config_.log_bimodal_size),
-      arena_(history_.numEntries())
+    : BatageFrame("batage", config.tables, config.log_bimodal_size),
+      config_(std::move(config))
 {
     if (config_.counter_max < 1 || config_.counter_max > 255)
         throw std::invalid_argument(
             "batage: counter_max out of [1, 255] (packed 8-bit dual "
             "counter halves)");
-    lookup_.flat.resize(history_.numBanks());
-    lookup_.tag.resize(history_.numBanks());
 }
 
 bool
@@ -78,12 +74,12 @@ Batage::bump(PackedDualEntry &e, bool outcome) const
     e.setNumNotTaken(outcome ? other : same);
 }
 
-Batage::Resolved
+BatageResolved
 Batage::resolve(const std::uint32_t *flat, std::uint64_t hits,
                 std::uint32_t bimodal) const
 {
     const PackedDualEntry *entries = arena_.data();
-    Resolved r;
+    BatageResolved r;
     r.bimodal = bimodal;
     r.hits = hits;
 
@@ -104,28 +100,8 @@ Batage::resolve(const std::uint32_t *flat, std::uint64_t hits,
 }
 
 void
-Batage::computeLookup(std::uint64_t ip)
-{
-    lookup_.ip = ip;
-    lookup_.valid = true;
-    history_.lookup(ip, lookup_.flat.data(), lookup_.tag.data());
-    lookup_.resolved = resolve(
-        lookup_.flat.data(),
-        history_.hits(arena_.data(), lookup_.flat.data(), lookup_.tag.data()),
-        history_.bimodalIndex(ip));
-}
-
-bool
-Batage::predict(std::uint64_t ip)
-{
-    if (!lookup_.valid || lookup_.ip != ip)
-        computeLookup(ip);
-    return lookup_.resolved.prediction;
-}
-
-void
 Batage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
-                   const Resolved &lv, bool outcome)
+                   const BatageResolved &lv, bool outcome)
 {
     const bool mispredicted = lv.prediction != outcome;
     const int num_tables = static_cast<int>(history_.numBanks());
@@ -201,42 +177,6 @@ Batage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
             }
         }
     }
-}
-
-void
-Batage::train(const Branch &b)
-{
-    if (!lookup_.valid || lookup_.ip != b.ip())
-        computeLookup(b.ip());
-    applyTrain(lookup_.flat.data(), lookup_.tag.data(), lookup_.resolved,
-               b.isTaken());
-    lookup_.valid = false;
-}
-
-void
-Batage::track(const Branch &b)
-{
-    history_.push(b.ip(), b.isTaken());
-    lookup_.valid = false;
-}
-
-void
-Batage::indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
-                  std::size_t end, bool track_all)
-{
-    lookup_.valid = false;
-    history_.indexRows(columns, begin, end, track_all);
-}
-
-bool
-Batage::stepIndexed(std::size_t j, std::uint64_t, bool taken)
-{
-    const std::uint32_t *flat = history_.flat(j);
-    const std::uint16_t *tags = history_.tags(j);
-    const Resolved r =
-        resolve(flat, history_.hits(arena_.data(), j), history_.bimodal(j));
-    applyTrain(flat, tags, r, taken);
-    return r.prediction;
 }
 
 json_t

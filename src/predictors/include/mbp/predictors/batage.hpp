@@ -22,9 +22,11 @@
  *
  * Storage follows the TAGE fast path (mbp/predictors/tage_arena.hpp): all
  * tagged tables share one flat 64-byte-aligned arena of packed 4-byte
- * entries, the history half is the family's TaggedHistory, and the
- * block kernels step it in two phases like TAGE (KernelTwoPhase), with
- * the hit set carried as a 64-bit mask.
+ * entries. BATAGE steps in the same TaggedFrame as TAGE
+ * (mbp/predictors/tagged_history.hpp), which owns the history, the
+ * tables, the lookup memo and the two-phase block steps; this file holds
+ * only the dual-counter lookup rule and the CAT update, with the hit set
+ * carried as a 64-bit mask.
  */
 #ifndef MBP_PREDICTORS_BATAGE_HPP
 #define MBP_PREDICTORS_BATAGE_HPP
@@ -32,17 +34,30 @@
 #include <cstdint>
 #include <vector>
 
-#include "mbp/predictors/tage.hpp" // TageTableSpec, Tage::Config::geometric
+#include "mbp/predictors/tage.hpp" // Tage::Config::geometric
 #include "mbp/predictors/tagged_history.hpp"
-#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/predictor.hpp"
-#include "mbp/utils/lfsr.hpp"
 
 namespace mbp::pred
 {
 
+/** A BATAGE lookup's outcome beside the banks' flat indexes and tags
+ *  (TaggedFrame's Resolved). */
+struct BatageResolved
+{
+    std::uint64_t hits = 0; //!< bit t set = table t tag-matched
+    int provider = -1;      //!< chosen table, -1 = bimodal base
+    bool prediction = false;
+    std::uint32_t bimodal = 0; //!< the bimodal base's index
+};
+
+class Batage;
+/** The bimodal base holds dual counters too (tag unused). */
+using BatageFrame =
+    TaggedFrame<Batage, PackedDualEntry, PackedDualEntry, BatageResolved>;
+
 /** BATAGE with runtime-chosen geometry. */
-class Batage : public Predictor
+class Batage : public BatageFrame
 {
   public:
     /** Full predictor configuration. */
@@ -66,56 +81,20 @@ class Batage : public Predictor
      *  cannot hold (see validateTaggedGeometry; also counter_max > 255). */
     explicit Batage(Config config = Config::geometric());
 
-    bool predict(std::uint64_t ip) override;
-    void train(const Branch &b) override;
-    void track(const Branch &b) override;
-
-    /** Rows one indexRows() call covers at most (KernelTwoPhase). */
-    static constexpr std::size_t kIndexRows = TaggedHistory::kChunkRows;
-
-    /** Phase 1 (KernelTwoPhase); see Tage::indexRows. */
-    void indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
-                   std::size_t end, bool track_all);
-
-    /** Phase 2 for the @p j -th conditional row of the last indexRows()
-     *  chunk: exactly predict(ip); train(b); track(b) for it, returning
-     *  the prediction. */
-    bool stepIndexed(std::size_t j, std::uint64_t ip, bool taken);
-
-    /** Phase 2 of track() for a row that is not conditional: nothing. */
-    void trackIndexed(const Branch &) {}
-
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
     std::uint64_t storageBits() const override;
     std::optional<ComponentInfo> storage_components() const override;
 
   private:
-    /** A lookup's outcome beside the banks' flat indexes and tags. */
-    struct Resolved
-    {
-        std::uint64_t hits = 0; //!< bit t set = table t tag-matched
-        int provider = -1;      //!< chosen table, -1 = bimodal base
-        bool prediction = false;
-        std::uint32_t bimodal = 0; //!< the bimodal base's index
-    };
+    friend BatageFrame;
 
-    struct Lookup
-    {
-        std::uint64_t ip = ~std::uint64_t(0);
-        std::vector<std::uint32_t> flat; //!< per-table flat arena index
-        std::vector<std::uint16_t> tag;
-        Resolved resolved;
-        bool valid = false;
-    };
-
-    void computeLookup(std::uint64_t ip);
     /** The most confident of the base and the hits, for a branch whose
      *  banks index @p flat, of which @p hits matched its tags. */
-    Resolved resolve(const std::uint32_t *flat, std::uint64_t hits,
-                     std::uint32_t bimodal) const;
+    BatageResolved resolve(const std::uint32_t *flat, std::uint64_t hits,
+                           std::uint32_t bimodal) const;
     void applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
-                    const Resolved &r, bool outcome);
+                    const BatageResolved &r, bool outcome);
     /** Dual-counter update rule with decay at saturation. */
     void bump(PackedDualEntry &e, bool outcome) const;
     /** Confidence rank: lower is better; cross-multiplied comparison. */
@@ -124,11 +103,6 @@ class Batage : public Predictor
     bool isHighConfidence(PackedDualEntry e) const;
 
     Config config_;
-    TaggedHistory history_; //!< first: validates before the tables size
-    std::vector<PackedDualEntry> bimodal_; //!< dual counters, tag unused
-    TaggedTableArena<PackedDualEntry> arena_;
-    Lfsr rng_;
-    Lookup lookup_;
     int cat_ = 0;
     // Statistics.
     std::uint64_t stat_allocations_ = 0;

@@ -15,15 +15,16 @@
  * and the configuration is echoed in metadata_stats().
  *
  * Storage-wise all tagged tables live in one flat, 64-byte-aligned arena
- * of packed 4-byte entries (mbp/predictors/tage_arena.hpp), and the
- * history half — global and path histories, bank folds, bank geometry —
- * is the family's shared TaggedHistory (mbp/predictors/tagged_history.hpp).
- * The block kernels step the predictor in two phases
- * (KernelTwoPhase in mbp/sim/kernels.hpp): indexRows() computes every
- * bank's index and tag for a chunk of rows from the trace alone, then
- * stepIndexed() runs predict+train per conditional row on the tables.
- * Both are exactly equivalent to the virtual path — the conformance
- * suite pins the identity for the full roster.
+ * of packed 4-byte entries (mbp/predictors/tage_arena.hpp). Everything
+ * else TAGE shares with BATAGE — the TaggedHistory with its global and
+ * path histories and bank folds, the bimodal base, the lookup memo,
+ * predict/train/track, and the two-phase block steps (KernelTwoPhase in
+ * mbp/sim/kernels.hpp) — is their common TaggedFrame
+ * (mbp/predictors/tagged_history.hpp). This file holds only what is
+ * TAGE's own: how the provider and alternate resolve a prediction, and
+ * how the tables, the use_alt_on_na chooser and the periodic useful
+ * reset learn from the outcome. The conformance suite pins the block
+ * path to the virtual one for the full roster.
  */
 #ifndef MBP_PREDICTORS_TAGE_HPP
 #define MBP_PREDICTORS_TAGE_HPP
@@ -33,16 +34,31 @@
 
 #include "mbp/predictors/tage_arena.hpp"
 #include "mbp/predictors/tagged_history.hpp"
-#include "mbp/sbbt/mem_trace.hpp"
 #include "mbp/sim/predictor.hpp"
-#include "mbp/utils/lfsr.hpp"
 #include "mbp/utils/sat_counter.hpp"
 
 namespace mbp::pred
 {
 
+/** A TAGE lookup's outcome: what the update needs beside the banks'
+ *  flat indexes and tags (TaggedFrame's Resolved). */
+struct TageResolved
+{
+    int provider = -1; //!< table index of the longest hit, -1 = base
+    int alt = -1;      //!< next hit, -1 = base
+    bool provider_pred = false;
+    bool alt_pred = false;
+    bool prediction = false;
+    bool provider_is_weak = false; //!< newly-allocated heuristic
+    std::uint32_t bimodal = 0;     //!< the bimodal base's index
+};
+
+class Tage;
+using TageFrame =
+    TaggedFrame<Tage, PackedTageEntry, SatCounter<2>, TageResolved>;
+
 /** TAGE with runtime-chosen geometry. */
-class Tage : public Predictor
+class Tage : public TageFrame
 {
   public:
     /** Full predictor configuration. */
@@ -70,110 +86,28 @@ class Tage : public Predictor
      *  than 64 tables) or out of the bounds of validateTaggedGeometry. */
     explicit Tage(Config config = Config::geometric());
 
-    bool predict(std::uint64_t ip) override;
-    void train(const Branch &b) override;
-    void track(const Branch &b) override;
-
-    /** Rows one indexRows() call covers at most (KernelTwoPhase). */
-    static constexpr std::size_t kIndexRows = TaggedHistory::kChunkRows;
-
-    /**
-     * Phase 1 (KernelTwoPhase): every bank's index and tag for the
-     * conditional rows of [@p begin, @p end), and the history pushes of
-     * the rows track() would see (TaggedHistory::indexRows).
-     */
-    void indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
-                   std::size_t end, bool track_all);
-
-    /**
-     * Phase 2 for the @p j -th conditional row of the last indexRows()
-     * chunk, with outcome @p taken: exactly predict(ip); train(b);
-     * track(b) for that branch — its history push was phase 1's.
-     * Returns the prediction.
-     */
-    bool stepIndexed(std::size_t j, std::uint64_t ip, bool taken);
-
-    /** Phase 2 of track() for a row that is not conditional: nothing,
-     *  since its history push was phase 1's. */
-    void trackIndexed(const Branch &) {}
-
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
     std::uint64_t storageBits() const override;
     std::optional<ComponentInfo> storage_components() const override;
 
   private:
-    /** A lookup's outcome: what the update step needs beside the banks'
-     *  flat indexes and tags. */
-    struct Resolved
-    {
-        int provider = -1; //!< table index of the longest hit, -1 = base
-        int alt = -1;      //!< next hit, -1 = base
-        bool provider_pred = false;
-        bool alt_pred = false;
-        bool prediction = false;
-        bool provider_is_weak = false; //!< newly-allocated heuristic
-        std::uint32_t bimodal = 0;     //!< the bimodal base's index
-    };
+    friend TageFrame;
 
-    /** Everything predict() computes that train() needs again. */
-    struct Lookup
-    {
-        std::uint64_t ip = ~std::uint64_t(0);
-        std::vector<std::uint32_t> flat; //!< per-table flat arena index
-        std::vector<std::uint16_t> tag;  //!< per-table computed tag
-        Resolved resolved;
-        bool valid = false;
-    };
-
-    void computeLookup(std::uint64_t ip);
     /** Provider, alternate and prediction from the tables, for a branch
      *  whose banks index @p flat, of which @p hits matched its tags. */
-    Resolved resolve(const std::uint32_t *flat, std::uint64_t hits,
-                     std::uint32_t bimodal) const;
+    TageResolved resolve(const std::uint32_t *flat, std::uint64_t hits,
+                         std::uint32_t bimodal) const;
     void applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
-                    const Resolved &r, bool outcome);
+                    const TageResolved &r, bool outcome);
     int ctrMax() const { return (1 << (config_.counter_bits - 1)) - 1; }
     int ctrMin() const { return -(1 << (config_.counter_bits - 1)); }
     int uMax() const { return (1 << config_.useful_bits) - 1; }
 
-    // The graceful useful reset, amortized: instead of sweeping every
-    // entry at the period boundary (a latency spike proportional to the
-    // predictor size), the boundary only records the bit to clear and a
-    // background sweep retires a few entries per train. Reads of a
-    // not-yet-swept entry apply the pending mask on the fly, so observable
-    // useful values are identical to the eager sweep at every branch.
-    int usefulOf(std::uint32_t flat) const;
-    void setUseful(std::uint32_t flat, int value);
-    void sweepUsefulStep();
-    void startUsefulReset(std::uint8_t clear_mask);
-    void finishUsefulSweep();
-    bool
-    usefulSwept(std::uint32_t flat) const
-    {
-        return ((u_swept_[flat >> 6] >> (flat & 63)) & 1) != 0;
-    }
-    void
-    markUsefulSwept(std::uint32_t flat)
-    {
-        u_swept_[flat >> 6] |= std::uint64_t(1) << (flat & 63);
-    }
-
     Config config_;
-    TaggedHistory history_; //!< first: validates before the tables size
-    std::vector<SatCounter<2>> bimodal_;
-    TaggedTableArena<PackedTageEntry> arena_;
-    Lfsr rng_;
-    Lookup lookup_;
     SatCounter<4> use_alt_on_na_; //!< chooser for newly allocated entries
     std::uint32_t branch_counter_ = 0;
     bool reset_msb_next_ = true;
-    // Incremental useful-reset state (see above).
-    bool u_sweep_active_ = false;
-    std::uint8_t u_clear_mask_ = 0xff; //!< AND-mask pending on unswept
-    std::uint32_t u_sweep_pos_ = 0;
-    std::uint32_t u_sweep_step_ = 0;  //!< entries retired per train
-    std::vector<std::uint64_t> u_swept_; //!< 1 bit per arena entry
     // Statistics for execution_stats().
     std::uint64_t stat_allocations_ = 0;
     std::uint64_t stat_alloc_failures_ = 0;

@@ -43,10 +43,8 @@ Tage::Config::geometric(int num_tables, int min_hist, int max_hist,
 }
 
 Tage::Tage(Config config)
-    : config_(std::move(config)),
-      history_("tage", config_.tables, config_.log_bimodal_size),
-      bimodal_(std::size_t(1) << config_.log_bimodal_size),
-      arena_(history_.numEntries())
+    : TageFrame("tage", config.tables, config.log_bimodal_size),
+      config_(std::move(config))
 {
     if (config_.counter_bits < 2 ||
         config_.counter_bits > PackedTageEntry::kCounterBits)
@@ -56,93 +54,16 @@ Tage::Tage(Config config)
         config_.useful_bits > PackedTageEntry::kCounterBits)
         throw std::invalid_argument(
             "tage: useful_bits out of [1, 8] (packed counter field)");
-    lookup_.flat.resize(history_.numBanks());
-    lookup_.tag.resize(history_.numBanks());
-    u_swept_.assign((arena_.size() + 63) / 64, 0);
-    // Size the background sweep so one full pass always completes within
-    // one reset period: ceil(entries / period) entries per train.
-    u_sweep_step_ =
-        config_.u_reset_period == 0
-            ? arena_.size()
-            : (arena_.size() + config_.u_reset_period - 1) /
-                  config_.u_reset_period;
-    if (u_sweep_step_ == 0)
-        u_sweep_step_ = 1;
 }
 
-int
-Tage::usefulOf(std::uint32_t flat) const
-{
-    int useful = arena_[flat].useful();
-    // An entry the background sweep has not reached yet still carries the
-    // pre-reset value; apply the pending clear on the fly so every read
-    // sees exactly what the eager boundary sweep would have stored.
-    if (u_sweep_active_ && !usefulSwept(flat))
-        useful &= u_clear_mask_;
-    return useful;
-}
-
-void
-Tage::setUseful(std::uint32_t flat, int value)
-{
-    arena_[flat].setUseful(value);
-    if (u_sweep_active_)
-        markUsefulSwept(flat);
-}
-
-void
-Tage::sweepUsefulStep()
-{
-    if (!u_sweep_active_)
-        return;
-    const std::uint32_t total = arena_.size();
-    const std::uint32_t end =
-        std::min(total, u_sweep_pos_ + u_sweep_step_);
-    for (std::uint32_t pos = u_sweep_pos_; pos < end; ++pos) {
-        if (!usefulSwept(pos)) {
-            arena_[pos].setUseful(arena_[pos].useful() & u_clear_mask_);
-            markUsefulSwept(pos);
-        }
-    }
-    u_sweep_pos_ = end;
-    if (end >= total)
-        u_sweep_active_ = false;
-}
-
-void
-Tage::finishUsefulSweep()
-{
-    if (!u_sweep_active_)
-        return;
-    const std::uint32_t total = arena_.size();
-    for (std::uint32_t pos = u_sweep_pos_; pos < total; ++pos) {
-        if (!usefulSwept(pos))
-            arena_[pos].setUseful(arena_[pos].useful() & u_clear_mask_);
-    }
-    u_sweep_active_ = false;
-}
-
-void
-Tage::startUsefulReset(std::uint8_t clear_mask)
-{
-    // A sweep still in flight is only possible when the period is shorter
-    // than the sweep needs (u_sweep_step_ prevents it otherwise); retire
-    // it before arming the new one so pending masks never stack.
-    finishUsefulSweep();
-    u_clear_mask_ = clear_mask;
-    u_sweep_active_ = true;
-    u_sweep_pos_ = 0;
-    std::fill(u_swept_.begin(), u_swept_.end(), 0);
-}
-
-Tage::Resolved
+TageResolved
 Tage::resolve(const std::uint32_t *flat, std::uint64_t hits,
               std::uint32_t bimodal) const
 {
     const PackedTageEntry *entries = arena_.data();
     // Provider = longest (highest) hit, alternate = the next one below —
     // top two set bits of the mask, no table scan.
-    Resolved r;
+    TageResolved r;
     r.bimodal = bimodal;
     r.provider = static_cast<int>(std::bit_width(hits)) - 1;
     const std::uint64_t below =
@@ -151,8 +72,8 @@ Tage::resolve(const std::uint32_t *flat, std::uint64_t hits,
 
     const bool base_pred = bimodal_[bimodal] >= 0;
     if (r.provider >= 0) {
-        const std::uint32_t pf = flat[static_cast<std::size_t>(r.provider)];
-        const PackedTageEntry prov = entries[pf];
+        const PackedTageEntry prov =
+            entries[flat[static_cast<std::size_t>(r.provider)]];
         r.provider_pred = prov.ctr() >= 0;
         r.alt_pred =
             r.alt >= 0
@@ -160,7 +81,7 @@ Tage::resolve(const std::uint32_t *flat, std::uint64_t hits,
                 : base_pred;
         // "Newly allocated" heuristic: weak counter and no proven utility.
         r.provider_is_weak =
-            usefulOf(pf) == 0 && (prov.ctr() == 0 || prov.ctr() == -1);
+            prov.useful() == 0 && (prov.ctr() == 0 || prov.ctr() == -1);
         r.prediction = (r.provider_is_weak && use_alt_on_na_ >= 0)
                            ? r.alt_pred
                            : r.provider_pred;
@@ -173,30 +94,9 @@ Tage::resolve(const std::uint32_t *flat, std::uint64_t hits,
 }
 
 void
-Tage::computeLookup(std::uint64_t ip)
-{
-    lookup_.ip = ip;
-    lookup_.valid = true;
-    history_.lookup(ip, lookup_.flat.data(), lookup_.tag.data());
-    lookup_.resolved = resolve(
-        lookup_.flat.data(),
-        history_.hits(arena_.data(), lookup_.flat.data(), lookup_.tag.data()),
-        history_.bimodalIndex(ip));
-}
-
-bool
-Tage::predict(std::uint64_t ip)
-{
-    if (!lookup_.valid || lookup_.ip != ip)
-        computeLookup(ip);
-    return lookup_.resolved.prediction;
-}
-
-void
 Tage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
-                 const Resolved &lv, bool outcome)
+                 const TageResolved &lv, bool outcome)
 {
-    sweepUsefulStep();
     const bool mispredicted = lv.prediction != outcome;
     const int num_tables = static_cast<int>(history_.numBanks());
     PackedTageEntry *entries = arena_.data();
@@ -207,8 +107,8 @@ Tage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
         ++stat_base_predictions_;
 
     if (lv.provider >= 0) {
-        const std::uint32_t pf =
-            flat[static_cast<std::size_t>(lv.provider)];
+        PackedTageEntry &prov =
+            entries[flat[static_cast<std::size_t>(lv.provider)]];
 
         // use_alt_on_na chooser: when the provider looked newly allocated
         // and the two predictions differed, learn which one to trust.
@@ -216,17 +116,17 @@ Tage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
             use_alt_on_na_.sumOrSub(lv.alt_pred == outcome);
 
         // Prediction counter, clamped to the configured width.
-        int v = entries[pf].ctr() + (outcome ? 1 : -1);
-        entries[pf].setCtr(std::max(ctrMin(), std::min(ctrMax(), v)));
+        int v = prov.ctr() + (outcome ? 1 : -1);
+        prov.setCtr(std::max(ctrMin(), std::min(ctrMax(), v)));
 
         // Useful counter: the provider proved (un)helpful vs the alternate.
         if (lv.provider_pred != lv.alt_pred) {
-            const int useful = usefulOf(pf);
+            const int useful = prov.useful();
             if (lv.provider_pred == outcome) {
                 if (useful < uMax())
-                    setUseful(pf, useful + 1);
+                    prov.setUseful(useful + 1);
             } else if (useful > 0) {
-                setUseful(pf, useful - 1);
+                prov.setUseful(useful - 1);
             }
         }
         // Keep the base predictor trained when it served as alternate.
@@ -250,77 +150,42 @@ Tage::applyTrain(const std::uint32_t *flat, const std::uint16_t *tags,
         }
         int victim = -1;
         for (int t = start; t < num_tables; ++t) {
-            if (usefulOf(flat[static_cast<std::size_t>(t)]) == 0) {
+            if (entries[flat[static_cast<std::size_t>(t)]].useful() == 0) {
                 victim = t;
                 break;
             }
         }
         if (victim >= 0) {
             const std::size_t uv = static_cast<std::size_t>(victim);
-            entries[flat[uv]].setTag(tags[uv]);
-            entries[flat[uv]].setCtr(outcome ? 0 : -1); // weak, observed
-            setUseful(flat[uv], 0);
+            PackedTageEntry &e = entries[flat[uv]];
+            e.setTag(tags[uv]);
+            e.setCtr(outcome ? 0 : -1); // weak, observed
+            e.setUseful(0);
             ++stat_allocations_;
         } else {
             // Everything useful: age the candidates so future allocations
             // can succeed.
             for (int t = first; t < num_tables; ++t) {
-                const std::uint32_t f =
-                    flat[static_cast<std::size_t>(t)];
-                const int useful = usefulOf(f);
-                if (useful > 0)
-                    setUseful(f, useful - 1);
+                PackedTageEntry &e =
+                    entries[flat[static_cast<std::size_t>(t)]];
+                if (e.useful() > 0)
+                    e.setUseful(e.useful() - 1);
             }
             ++stat_alloc_failures_;
         }
     }
 
-    // Graceful useful reset: periodically clear alternating halves of the
-    // useful counters so stale entries do not block allocation forever.
-    // Amortized: the boundary arms a pending clear mask that the per-train
-    // background sweep (sweepUsefulStep) retires — no full-table spike.
+    // Graceful useful reset: periodically clear alternating bits (high,
+    // then low) of every useful counter, so stale entries do not block
+    // allocation forever. One pass over the arena per period.
     if (++branch_counter_ >= config_.u_reset_period) {
         branch_counter_ = 0;
-        int bit = reset_msb_next_ ? config_.useful_bits - 1 : 0;
+        const int bit = reset_msb_next_ ? config_.useful_bits - 1 : 0;
         reset_msb_next_ = !reset_msb_next_;
-        startUsefulReset(static_cast<std::uint8_t>(~(1u << bit)));
+        const int keep = ~(1 << bit);
+        for (std::uint32_t f = 0; f < arena_.size(); ++f)
+            entries[f].setUseful(entries[f].useful() & keep);
     }
-}
-
-void
-Tage::train(const Branch &b)
-{
-    if (!lookup_.valid || lookup_.ip != b.ip())
-        computeLookup(b.ip());
-    applyTrain(lookup_.flat.data(), lookup_.tag.data(), lookup_.resolved,
-               b.isTaken());
-    lookup_.valid = false;
-}
-
-void
-Tage::track(const Branch &b)
-{
-    history_.push(b.ip(), b.isTaken());
-    lookup_.valid = false;
-}
-
-void
-Tage::indexRows(const sbbt::BranchColumns &columns, std::size_t begin,
-                std::size_t end, bool track_all)
-{
-    lookup_.valid = false;
-    history_.indexRows(columns, begin, end, track_all);
-}
-
-bool
-Tage::stepIndexed(std::size_t j, std::uint64_t, bool taken)
-{
-    const std::uint32_t *flat = history_.flat(j);
-    const std::uint16_t *tags = history_.tags(j);
-    const Resolved r =
-        resolve(flat, history_.hits(arena_.data(), j), history_.bimodal(j));
-    applyTrain(flat, tags, r, taken);
-    return r.prediction;
 }
 
 json_t
