@@ -192,7 +192,7 @@ main(int argc, char **argv)
     // matters (predict is a handful of instructions, so dispatch overhead
     // dominated); the TAGE family anchors the expensive end, where the
     // win comes from the predictors' own fused fast path (flat arenas,
-    // single-pass fusedStep) rather than from dispatch removal.
+    // two-phase steps) rather than from dispatch removal.
     const std::vector<std::string> roster = {"bimodal", "gshare", "tage",
                                              "batage", "tage-scl"};
 

@@ -12,10 +12,13 @@ depth). The runs cover:
   - every `compare` pair in the same modes and windows;
   - every predictor with --frontend, over the whole trace.
 
-The predictors are TAGE's family (PREDICTORS, COMPARE_PAIRS), and the
-windows (WINDOWS) are the whole trace, a warm-up ending mid-trace and
-two limits that cut it, the second long enough to cross several of
-TAGE's useful resets on a trace of a million conditional branches.
+The predictors are the whole roster, as BUILD_A's `mbp_sim list` names
+it; the two builds must list the same names. The `compare` pairs are
+neighbours in that list (compare_pairs), so every predictor runs in
+one. The windows (WINDOWS) are the whole trace, a warm-up ending
+mid-trace and two limits that cut it, the second long enough to cross
+several of TAGE's useful resets on a trace of a million conditional
+branches.
 
 A run's exit code is compared too, so a run both builds reject matches
 only when both reject it with the same output; a build's own mbp_sim
@@ -23,8 +26,9 @@ path in that output is read as plain "mbp_sim".
 
 Usage: diff_sim_docs.py BUILD_A BUILD_B TRACE_DIR
 
-Exit status: 0 when every document matches, 1 when any differs, 2 on a
-usage error (a missing mbp_sim or trace directory, or no traces).
+Exit status: 0 when every document matches, 1 when any differs or the
+builds list different predictors, 2 on a usage error (a missing mbp_sim
+or trace directory, no traces, or an mbp_sim whose `list` fails).
 """
 
 import argparse
@@ -42,8 +46,6 @@ TIMING_KEYS = frozenset({
     "trace_load_seconds",
 })
 MODES = ["", "--in-memory", "--no-fused", "--streaming"]
-PREDICTORS = ["tage", "batage", "tage-scl", "filter-tage"]
-COMPARE_PAIRS = [("tage", "batage"), ("tage", "tage-scl")]
 # mbp_sim's [warmup_instr] [sim_instr] tail of each window.
 WINDOWS = [[], ["1000000"], ["200000", "1500000"], ["500000", "5000000"]]
 
@@ -95,17 +97,33 @@ def run(sim, args):
     return proc.returncode, doc
 
 
-def runs(traces):
+def roster(sim):
+    """The predictor names @p sim lists, or None when `list` fails."""
+    proc = subprocess.run([str(sim), "list"], capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.split()
+
+
+def compare_pairs(predictors):
+    """Neighbouring pairs of @p predictors, the last paired with the
+    first when their number is odd, so that each is in one pair."""
+    return list(zip(predictors[0::2], predictors[1::2] + predictors[:1]))
+
+
+def runs(traces, predictors):
     """Every argument list to run on both builds."""
+    pairs = compare_pairs(predictors)
     for trace in traces:
         for mode in MODES:
             flags = [mode] if mode else []
             for window in WINDOWS:
-                for predictor in PREDICTORS:
+                for predictor in predictors:
                     yield flags + [predictor, str(trace)] + window
-                for a, b in COMPARE_PAIRS:
+                for a, b in pairs:
                     yield flags + ["compare", a, b, str(trace)] + window
-        for predictor in PREDICTORS:
+        for predictor in predictors:
             yield ["--frontend", predictor, str(trace)]
 
 
@@ -129,7 +147,18 @@ def main(argv):
     if not traces:
         parser.error(f"no traces in {args.trace_dir}")
 
-    all_runs = list(runs(traces))
+    rosters = [roster(sim) for sim in sims]
+    for sim, names in zip(sims, rosters):
+        if names is None:
+            parser.error(f"{sim} list failed")
+    if set(rosters[0]) != set(rosters[1]):
+        only_a = sorted(set(rosters[0]) - set(rosters[1]))
+        only_b = sorted(set(rosters[1]) - set(rosters[0]))
+        print(f"the builds list different predictors: only in A "
+              f"{only_a}, only in B {only_b}")
+        return 1
+
+    all_runs = list(runs(traces, rosters[0]))
 
     def both(run_args):
         return [run(sim, run_args) for sim in sims]

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Script-level tests for diff_sim_docs.py's exit codes.
 
-Builds two fake build directories whose src/tools/mbp_sim prints a fixed
-document, or rejects every run naming itself by its path, and checks
-that documents differing only in timing keys match (0), that a
-differing misprediction count is reported (1), that both builds
-rejecting a run the same way match (0), and that a missing binary is a
-usage error (2).
+Builds two fake build directories whose src/tools/mbp_sim answers
+`list` with a fixed roster and prints a fixed document, or rejects every
+run naming itself by its path, and checks that documents differing only
+in timing keys match (0), that a differing misprediction count is
+reported (1), that both builds rejecting a run the same way match (0),
+that builds listing different predictors differ (1), and that a missing
+binary is a usage error (2).
 
 Usage: test_diff_sim_docs.py
 """
@@ -35,11 +36,18 @@ DOC = {
     "predictor_statistics": {"allocations": 921},
 }
 
-# Prints doc.json beside it, or, without one, rejects the run the way
-# mbp_sim rejects an unknown predictor.
+ROSTER = ["tage", "batage", "gshare"]
+
+# Answers `list` with roster.txt beside it; otherwise prints doc.json
+# beside it, or, without one, rejects the run the way mbp_sim rejects
+# an unknown predictor.
 FAKE_SIM = """#!{python}
 import pathlib, sys
-doc = pathlib.Path(__file__).with_name("doc.json")
+here = pathlib.Path(__file__).parent
+if sys.argv[1:] == ["list"]:
+    sys.stdout.write((here / "roster.txt").read_text())
+    sys.exit(0)
+doc = here / "doc.json"
 if not doc.is_file():
     sys.exit(f"unknown predictor (try '{{sys.argv[0]}} list')")
 sys.stdout.write(doc.read_text())
@@ -47,12 +55,14 @@ sys.stdout.write(doc.read_text())
 
 
 class DiffSimDocsTest(unittest.TestCase):
-    def diff(self, doc_a, doc_b, with_sim_b=True):
+    def diff(self, doc_a, doc_b, with_sim_b=True, roster_b=ROSTER):
         """Exit code and output of the script on fake builds printing
-        the docs (None: rejecting every run)."""
+        the docs (None: rejecting every run), build B listing
+        @p roster_b."""
         with tempfile.TemporaryDirectory() as tmp:
             builds = []
-            for name, doc in (("a", doc_a), ("b", doc_b)):
+            for name, doc, names in (("a", doc_a, ROSTER),
+                                     ("b", doc_b, roster_b)):
                 tools = pathlib.Path(tmp, name, "src", "tools")
                 tools.mkdir(parents=True)
                 builds.append(str(tools.parent.parent))
@@ -61,6 +71,7 @@ class DiffSimDocsTest(unittest.TestCase):
                 sim = tools / "mbp_sim"
                 sim.write_text(FAKE_SIM.format(python=sys.executable))
                 os.chmod(sim, 0o755)
+                (tools / "roster.txt").write_text("\n".join(names) + "\n")
                 if doc is not None:
                     (tools / "doc.json").write_text(json.dumps(doc))
             traces = pathlib.Path(tmp, "traces")
@@ -92,6 +103,19 @@ class DiffSimDocsTest(unittest.TestCase):
         code, out = self.diff(None, None)
         self.assertEqual(code, 0, out)
         self.assertIn("0 differ", out)
+
+    def test_every_listed_predictor_runs(self):
+        code, out = self.diff(DOC, DOC)
+        self.assertEqual(code, 0, out)
+        # Per trace: 3 predictors and 2 compare pairs in each of 4 modes
+        # x 4 windows, and 3 --frontend runs.
+        self.assertIn(f"{4 * 4 * (3 + 2) + 3} runs", out)
+
+    def test_different_rosters_differ(self):
+        code, out = self.diff(DOC, DOC, roster_b=["tage", "perceptron"])
+        self.assertEqual(code, 1, out)
+        self.assertIn("list different predictors", out)
+        self.assertIn("perceptron", out)
 
     def test_missing_binary_is_a_usage_error(self):
         code, _ = self.diff(DOC, DOC, with_sim_b=False)

@@ -20,9 +20,7 @@ statusName(Status status)
     switch (status) {
       case Status::kOk: return "ok";
       case Status::kZeroCost: return "zero-cost";
-      case Status::kMismatch: return "mismatch";
       case Status::kUnreported: return "unreported";
-      case Status::kUndeclaredComponents: return "undeclared-components";
     }
     return "?";
 }
@@ -38,21 +36,12 @@ auditPredictor(const std::string &name, const Predictor &predictor)
 {
     Entry entry;
     entry.name = name;
-    entry.declared_bits = predictor.storageBits();
     entry.components = predictor.storage_components();
-    if (!entry.components.has_value()) {
-        entry.status = entry.declared_bits == 0
-                           ? Status::kUnreported
-                           : Status::kUndeclaredComponents;
-        return entry;
-    }
+    if (!entry.components.has_value())
+        return entry; // kUnreported
     entry.derived_bits = entry.components->totalBits();
-    if (entry.derived_bits != entry.declared_bits)
-        entry.status = Status::kMismatch;
-    else if (entry.derived_bits == 0)
-        entry.status = Status::kZeroCost;
-    else
-        entry.status = Status::kOk;
+    entry.status =
+        entry.derived_bits == 0 ? Status::kZeroCost : Status::kOk;
     return entry;
 }
 
@@ -94,25 +83,21 @@ json_t
 report(const std::vector<Entry> &entries, const Options &options)
 {
     json_t predictors = json_t::array();
-    std::uint64_t ok = 0, zero_cost = 0, mismatches = 0, unreported = 0,
-                  undeclared = 0, over_budget = 0;
+    std::uint64_t ok = 0, zero_cost = 0, unreported = 0, over_budget = 0;
     for (const Entry &entry : entries) {
-        // The audited cost is the declared budget when it is available;
-        // a mismatch still reports both sides so the offending formula
-        // is obvious from the document alone.
         json_t row = json_t::object({
             {"name", entry.name},
             {"status", statusName(entry.status)},
-            {"declared_bits", entry.declared_bits},
         });
-        if (entry.components.has_value()) {
+        // null, not 0, when unreported: "never told us" must not read as
+        // "told us it costs nothing".
+        if (entry.components.has_value())
             row["derived_bits"] = entry.derived_bits;
-        } else {
+        else
             row["derived_bits"] = nullptr;
-        }
-        row["kib"] = static_cast<double>(entry.declared_bits) / 8192.0;
+        row["kib"] = static_cast<double>(entry.derived_bits) / 8192.0;
         if (options.budget_bits != 0) {
-            const bool over = entry.declared_bits > options.budget_bits;
+            const bool over = entry.derived_bits > options.budget_bits;
             row["over_budget"] = over;
             if (over)
                 ++over_budget;
@@ -124,9 +109,7 @@ report(const std::vector<Entry> &entries, const Options &options)
         switch (entry.status) {
           case Status::kOk: ++ok; break;
           case Status::kZeroCost: ++zero_cost; break;
-          case Status::kMismatch: ++mismatches; break;
           case Status::kUnreported: ++unreported; break;
-          case Status::kUndeclaredComponents: ++undeclared; break;
         }
     }
 
@@ -141,10 +124,8 @@ report(const std::vector<Entry> &entries, const Options &options)
     json_t summary = json_t::object({
         {"ok", ok},
         {"zero_cost", zero_cost},
-        {"mismatches", mismatches},
         {"unreported", unreported},
-        {"undeclared_components", undeclared},
-        {"failures", mismatches + unreported + undeclared},
+        {"failures", unreported},
     });
     if (options.budget_bits != 0)
         summary["over_budget"] = over_budget;
@@ -170,10 +151,9 @@ renderTable(const json_t &document)
 
     std::string out;
     char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%-*s  %-21s  %14s  %14s  %9s\n",
+    std::snprintf(line, sizeof(line), "%-*s  %-21s  %14s  %9s\n",
                   static_cast<int>(name_width), "predictor", "status",
-                  "declared bits", "derived bits", "KiB");
+                  "derived bits", "KiB");
     out += line;
     for (const json_t &row : predictors->elements()) {
         const json_t *derived = row.find("derived_bits");
@@ -184,14 +164,11 @@ renderTable(const json_t &document)
         const json_t *over = row.find("over_budget");
         if (over != nullptr && over->asBool())
             status += " (over budget)";
-        std::snprintf(line, sizeof(line),
-                      "%-*s  %-21s  %14llu  %14s  %9.1f\n",
+        std::snprintf(line, sizeof(line), "%-*s  %-21s  %14s  %9.1f\n",
                       static_cast<int>(name_width),
                       row.find("name")->asString().c_str(),
-                      status.c_str(),
-                      static_cast<unsigned long long>(
-                          row.find("declared_bits")->asUint()),
-                      derived_text.c_str(), row.find("kib")->asDouble());
+                      status.c_str(), derived_text.c_str(),
+                      row.find("kib")->asDouble());
         out += line;
     }
 
@@ -199,8 +176,7 @@ renderTable(const json_t &document)
     if (summary != nullptr) {
         std::snprintf(
             line, sizeof(line),
-            "\n%llu audited: %llu ok, %llu zero-cost, %llu mismatch, "
-            "%llu unreported, %llu undeclared\n",
+            "\n%llu audited: %llu ok, %llu zero-cost, %llu unreported\n",
             static_cast<unsigned long long>(
                 document.find("metadata")->find("num_predictors")
                     ->asUint()),
@@ -209,11 +185,7 @@ renderTable(const json_t &document)
             static_cast<unsigned long long>(
                 summary->find("zero_cost")->asUint()),
             static_cast<unsigned long long>(
-                summary->find("mismatches")->asUint()),
-            static_cast<unsigned long long>(
-                summary->find("unreported")->asUint()),
-            static_cast<unsigned long long>(
-                summary->find("undeclared_components")->asUint()));
+                summary->find("unreported")->asUint()));
         out += line;
         const json_t *over = summary->find("over_budget");
         if (over != nullptr) {

@@ -1,15 +1,14 @@
 /**
  * @file
- * Storage audit: machine-checking the championship budget accounting.
+ * Storage audit: the championship budget accounting as a report.
  *
  * MBPlib's value proposition is that predictors are composed from
- * modular components whose storage cost is accountable (paper Table II),
- * yet storageBits() has always been a hand-written formula — a wrong
- * formula fails silently, and the base-class default of 0 is
- * indistinguishable from a genuinely storage-free design. This module
- * cross-checks every predictor's *declared* storageBits() against the
- * sum *derived* from its ComponentInfo tree (the table geometry the
- * design says it is built from) and renders the result as a paper
+ * modular components whose storage cost is accountable (paper Table II).
+ * Each predictor declares its storage once, as the ComponentInfo tree
+ * its storage_components() returns, and its budget is that tree's
+ * total. This module walks the roster, sorts each predictor into ok,
+ * zero-cost (an empty tree: a genuinely storage-free design) or
+ * unreported (no tree at all), and renders the totals as a paper
  * Table-II-style budget report, JSON or text. The CBP-style budget gate
  * (predictors capped at N bits) rides on the same report.
  *
@@ -34,26 +33,20 @@
 namespace mbp::audit
 {
 
-/** Outcome of auditing one predictor's storage accounting. */
+/** Outcome of auditing one predictor's storage declaration. */
 enum class Status
 {
-    /** Components declared and the derived sum equals storageBits(). */
+    /** A component tree with a non-zero total. */
     kOk,
-    /** Components declared, both declared and derived cost are zero —
-     *  a genuinely storage-free design (static predictors). */
+    /** A component tree totalling zero — a genuinely storage-free
+     *  design (static predictors). */
     kZeroCost,
-    /** Components declared but the derived sum differs from
-     *  storageBits(): one of the two formulas is wrong. */
-    kMismatch,
-    /** No components and storageBits() == 0: the silent base-class
-     *  default — the design reports nothing at all. */
+    /** No component tree: the silent base-class default — the design
+     *  reports nothing at all. */
     kUnreported,
-    /** storageBits() != 0 but no component tree to derive it from, so
-     *  the declared value cannot be cross-checked. */
-    kUndeclaredComponents,
 };
 
-/** Stable identifier used in reports ("ok", "mismatch", ...). */
+/** Stable identifier used in reports ("ok", "zero-cost", ...). */
 const char *statusName(Status status);
 
 /** @return Whether @p status is a passing outcome (ok / zero-cost). */
@@ -64,9 +57,7 @@ struct Entry
 {
     std::string name;
     Status status = Status::kUnreported;
-    /** Hand-written storageBits() value. */
-    std::uint64_t declared_bits = 0;
-    /** Sum derived from the ComponentInfo tree (0 when undeclared). */
+    /** The total of the component tree (0 when unreported). */
     std::uint64_t derived_bits = 0;
     /** The declared tree itself, when present. */
     std::optional<ComponentInfo> components;
@@ -105,8 +96,8 @@ struct Options
 /**
  * Builds the budget report document:
  *   - "metadata": tool, version, roster size, budget;
- *   - "predictors": per-entry {name, status, declared_bits, derived_bits,
- *     kib, over_budget, components?};
+ *   - "predictors": per-entry {name, status, derived_bits (null when
+ *     unreported), kib, over_budget, components?};
  *   - "summary": counts per status, failures, over_budget.
  */
 json_t report(const std::vector<Entry> &entries,
@@ -114,14 +105,14 @@ json_t report(const std::vector<Entry> &entries,
 
 /**
  * Renders a report document as the paper-Table-II-style text table
- * (name, status, declared/derived bits, KiB, budget flag).
+ * (name, status, derived bits, KiB, budget flag).
  */
 std::string renderTable(const json_t &report);
 
 /**
- * @return Whether every entry passes (no mismatch, no unreported
- *         storage, no undeclared components) — the CLI's exit-0
- *         condition (combined with the budget gate when one is set).
+ * @return Whether every entry passes (no unreported storage) — the
+ *         CLI's exit-0 condition (combined with the budget gate when
+ *         one is set).
  */
 bool clean(const std::vector<Entry> &entries);
 

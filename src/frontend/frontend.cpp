@@ -373,23 +373,15 @@ FrontEnd::reportJson(std::uint64_t simulation_instr) const
 std::optional<ComponentInfo>
 FrontEnd::storage_components() const
 {
-    std::vector<ComponentInfo> children;
-    children.push_back(btb_.storageComponents());
-    children.push_back(ras_.storageComponents());
-    children.push_back(indirect_.storageComponents());
-    if (std::optional<ComponentInfo> cond =
-            conditional_->storage_components())
-        children.push_back(std::move(*cond));
-    else if (conditional_->storageBits() != 0)
-        children.push_back(ComponentInfo::reg("conditional-predictor",
-                                              conditional_->storageBits()));
-    return ComponentInfo::composite("frontend", std::move(children));
-}
-
-std::uint64_t
-FrontEnd::storageBits() const
-{
-    return storage_components()->totalBits();
+    // The composite rule: an unreported conditional predictor leaves the
+    // whole front end unreported.
+    std::optional<ComponentInfo> cond = conditional_->storage_components();
+    if (!cond.has_value())
+        return std::nullopt;
+    return ComponentInfo::composite(
+        "frontend",
+        {btb_.storageComponents(), ras_.storageComponents(),
+         indirect_.storageComponents(), *std::move(cond)});
 }
 
 void
@@ -442,9 +434,8 @@ frontEndDoc(const detail::RunDoc &run, const SimArgs &args,
     json_t metrics = json_t::object();
     for (std::size_t i = 0; i < count; ++i) {
         FrontEnd &fe = *front_ends[first + i];
-        json_t md = fe.metadata_stats();
-        md["storage_bits"] = fe.storageBits();
-        result["metadata"][key("predictor", i)] = std::move(md);
+        result["metadata"][key("predictor", i)] =
+            detail::predictorMetadata(fe);
         const KernelTally &tally = run.tallies[first + i];
         metrics[key("mpki", i)] = detail::mpkiOf(tally.mispredictions, instr);
         metrics[key("mispredictions", i)] = tally.mispredictions;

@@ -217,10 +217,10 @@ class FrontEnd
      */
     json_t reportJson(std::uint64_t simulation_instr) const;
 
-    /** Derived storage: the three structures plus the conditional
-     *  predictor's declared tree (when it reports one). */
+    /** Declared storage: the three structures plus the conditional
+     *  predictor's tree, or std::nullopt when the conditional predictor
+     *  reports none. */
     std::optional<ComponentInfo> storage_components() const;
-    std::uint64_t storageBits() const;
 
   private:
     std::unique_ptr<Predictor> conditional_;
@@ -250,11 +250,10 @@ class FrontEndKernel final : public BlockKernel
     {
         return front_end_->conditional().execution_stats();
     }
-    std::uint64_t storageBits() const override
+    std::optional<ComponentInfo> storage_components() const override
     {
-        return front_end_->storageBits();
+        return front_end_->storage_components();
     }
-    bool reportsStorage() const override { return true; }
 
     void runBlock(const KernelBlock &block, KernelTally &tally) override;
 

@@ -199,22 +199,6 @@ Batage::metadata_stats() const
     });
 }
 
-std::uint64_t
-Batage::storageBits() const
-{
-    int dual_bits = 2 * mbp::util::ceilLog2(
-                            std::uint64_t(config_.counter_max) + 1);
-    std::uint64_t bits =
-        (std::uint64_t(1) << config_.log_bimodal_size) *
-        std::uint64_t(dual_bits);
-    for (const TageTableSpec &spec : config_.tables) {
-        bits += (std::uint64_t(1) << spec.log_size) *
-                std::uint64_t(dual_bits + spec.tag_bits);
-    }
-    bits += std::uint64_t(history_.historyBits()) + 32 + 16 /* cat */;
-    return bits;
-}
-
 std::optional<ComponentInfo>
 Batage::storage_components() const
 {

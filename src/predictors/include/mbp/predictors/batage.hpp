@@ -83,7 +83,6 @@ class Batage : public BatageFrame
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
-    std::uint64_t storageBits() const override;
     std::optional<ComponentInfo> storage_components() const override;
 
   private:

@@ -51,20 +51,6 @@ struct Bimodal : Predictor
     void track(const Branch &) override {}
 
     /**
-     * Fused per-conditional-branch step for the simulation kernels
-     * (mbp::KernelFusedStep): exactly predict(), train(), track(), with
-     * the counter slot computed once (track is a no-op here).
-     */
-    bool
-    fusedStep(std::uint64_t ip, bool taken)
-    {
-        SatCounter<B> &counter = table[hash(ip)];
-        const bool guess = counter >= 0;
-        counter.sumOrSub(taken);
-        return guess;
-    }
-
-    /**
      * Per-site memoized index for the fused kernels
      * (mbp::KernelSiteFold): the bimodal slot is a pure function of the
      * address, so the kernel hashes each static site once and the hot
@@ -76,7 +62,11 @@ struct Bimodal : Predictor
         return hash(ip);
     }
 
-    /** fusedStep() with the slot already computed by siteFold(). */
+    /**
+     * Exactly predict(), train(), track() for a conditional branch
+     * whose slot siteFold() computed, with the counter read once (track
+     * is a no-op here).
+     */
     bool
     fusedStepFolded(std::uint64_t slot, bool taken)
     {
@@ -84,12 +74,6 @@ struct Bimodal : Predictor
         const bool guess = counter >= 0;
         counter.sumOrSub(taken);
         return guess;
-    }
-
-    std::uint64_t
-    storageBits() const override
-    {
-        return (std::uint64_t(1) << T) * B;
     }
 
     std::optional<ComponentInfo>

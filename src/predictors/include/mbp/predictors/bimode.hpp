@@ -72,13 +72,6 @@ class BiMode : public Predictor
         ghist_ = ((ghist_ << 1) | (b.isTaken() ? 1 : 0)) & util::maskBits(H);
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        return 2 * (std::uint64_t(1) << T) * 2 +
-               (std::uint64_t(1) << C) * 2 + H;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {

@@ -88,23 +88,14 @@ class BiasFilter : public Predictor
         main_->track(b);
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        // run counter (8 b saturating in hardware) + direction + flag.
-        // An unreported main predictor leaves the composite unreported.
-        return main_->reportsStorage()
-                   ? main_->storageBits() +
-                         (std::uint64_t(1) << T) * (8 + 1 + 1)
-                   : 0;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {
+        // An unreported main predictor leaves the composite unreported.
         std::optional<ComponentInfo> main = main_->storage_components();
         if (!main.has_value())
             return std::nullopt;
+        // run counter (8 b saturating in hardware) + direction + flag.
         return ComponentInfo::composite(
             "bias_filter",
             {ComponentInfo::table("filter_entries", std::uint64_t(1) << T,

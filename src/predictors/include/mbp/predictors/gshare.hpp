@@ -60,57 +60,38 @@ struct Gshare : Predictor
     }
 
     /**
-     * Fused per-conditional-branch step for the simulation kernels
-     * (mbp::KernelFusedStep): exactly predict(), train(), track().
-     * Predict and train both hash with the pre-track history, so
-     * computing the counter slot once is identical; the history shift
-     * then matches track().
-     */
-    bool
-    fusedStep(std::uint64_t ip, bool taken)
-    {
-        i2 &counter = table[hash(ip)];
-        const bool guess = counter >= 0;
-        counter.sumOrSub(taken);
-        ghist <<= 1;
-        ghist[0] = taken;
-        return guess;
-    }
-
-    /**
      * Per-site address fold for the fused kernels (mbp::KernelSiteFold).
      * XorFold distributes over XOR — every chunk of a^b is
      * chunk(a)^chunk(b) — so XorFold(ip ^ ghist, T) ==
-     * XorFold(ip, T) ^ XorFold(ghist, T); and with H <= T the history
-     * fits one fold chunk, so XorFold(ghist, T) is just ghist. The
-     * address fold is therefore a pure per-site value, and the hot loop
-     * XORs it with the live history (fusedStepFolded) — bit-identical to
-     * hash(ip), with no per-branch folding.
+     * XorFold(ip, T) ^ XorFold(ghist, T). The address fold is therefore
+     * a pure per-site value, and the hot loop XORs it with the folded
+     * live history (fusedStepFolded) — bit-identical to hash(ip).
      */
     std::uint64_t
     siteFold(std::uint64_t ip) const
-        requires(H <= T)
     {
         return XorFold(ip, T);
     }
 
-    /** fusedStep() with the address already folded by siteFold(). */
+    /**
+     * Exactly predict(), train(), track() for a conditional branch whose
+     * address siteFold() folded. Predict and train both hash with the
+     * pre-track history, so the counter slot is computed once; with
+     * H <= T the history fits one fold chunk and XorFold(ghist, T) is
+     * just ghist, so no per-branch folding is left.
+     */
     bool
     fusedStepFolded(std::uint64_t folded, bool taken)
-        requires(H <= T)
     {
-        i2 &counter = table[folded ^ ghist.to_ullong()];
+        std::uint64_t history = ghist.to_ullong();
+        if constexpr (H > T)
+            history = XorFold(history, T);
+        i2 &counter = table[folded ^ history];
         const bool guess = counter >= 0;
         counter.sumOrSub(taken);
         ghist <<= 1;
         ghist[0] = taken;
         return guess;
-    }
-
-    std::uint64_t
-    storageBits() const override
-    {
-        return (std::uint64_t(1) << T) * 2 + H;
     }
 
     std::optional<ComponentInfo>

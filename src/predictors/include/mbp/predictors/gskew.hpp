@@ -92,12 +92,6 @@ class Gskew2bc : public Predictor
         ghist_ = ((ghist_ << 1) | (b.isTaken() ? 1 : 0)) & util::maskBits(H);
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        return 4 * (std::uint64_t(1) << T) * 2 + H;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {

@@ -98,16 +98,10 @@ class LoopPredictor : public Predictor
 
     void track(const Branch &) override {}
 
-    std::uint64_t
-    storageBits() const override
-    {
-        // tag + trip count + current iteration (14 b each) + confidence.
-        return (std::uint64_t(1) << T) * (TagBits + 14 + 14 + 2);
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {
+        // tag + trip count + current iteration (14 b each) + confidence.
         return ComponentInfo::composite(
             "loop", {ComponentInfo::table("entries",
                                           std::uint64_t(1) << T,
@@ -189,23 +183,13 @@ class LoopOverride : public Predictor
         main_->track(b);
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        // An unreported main predictor makes the composite unreported
-        // too; a main that *declares* zero cost still pays for the loop
-        // tables.
-        return main_->reportsStorage()
-                   ? loop_.storageBits() + main_->storageBits()
-                   : 0;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {
         std::optional<ComponentInfo> main = main_->storage_components();
         if (!main.has_value())
             return std::nullopt; // cannot derive an undeclared component
+        // A main that *declares* zero cost still pays for the loop table.
         return ComponentInfo::composite(
             "loop_override",
             {*loop_.storage_components(),

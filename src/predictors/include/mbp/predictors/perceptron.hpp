@@ -116,13 +116,6 @@ class HashedPerceptron : public Predictor
         last_ip_ = ~std::uint64_t(0); // cached sum is stale now
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        return std::uint64_t(NumTables) * (std::uint64_t(1) << T) * 8 +
-               MaxHist + 32 /* path */ + 16 /* theta state */;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {

@@ -88,7 +88,6 @@ class Tage : public TageFrame
 
     json_t metadata_stats() const override;
     json_t execution_stats() const override;
-    std::uint64_t storageBits() const override;
     std::optional<ComponentInfo> storage_components() const override;
 
   private:

@@ -108,14 +108,6 @@ class TageScl : public Predictor
         });
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        return tage_.storageBits() + loop_.storageBits() +
-               sc_tables_.size() * kScSize * 6 + 64 /* folds + ghist */ +
-               7 /* WITHLOOP */;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {

@@ -78,22 +78,11 @@ class TournamentPred : public Predictor
         tracked_ = true;
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        // Reported only when every component reports; a component that
-        // declares zero cost (e.g. a static predictor) still counts as
-        // reported.
-        if (!meta_->reportsStorage() || !bp0_->reportsStorage() ||
-            !bp1_->reportsStorage())
-            return 0;
-        return meta_->storageBits() + bp0_->storageBits() +
-               bp1_->storageBits();
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {
+        // Reported only when every component reports; a component that
+        // declares zero cost (e.g. a static predictor) still reports.
         std::optional<ComponentInfo> meta = meta_->storage_components();
         std::optional<ComponentInfo> bp0 = bp0_->storage_components();
         std::optional<ComponentInfo> bp1 = bp1_->storage_components();

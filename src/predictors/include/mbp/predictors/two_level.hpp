@@ -102,13 +102,6 @@ class TwoLevel : public Predictor
             pushHistory(histories_[0], b.isTaken());
     }
 
-    std::uint64_t
-    storageBits() const override
-    {
-        return histories_.size() * std::uint64_t(H) +
-               tables_.size() * (std::uint64_t(1) << H) * B;
-    }
-
     std::optional<ComponentInfo>
     storage_components() const override
     {

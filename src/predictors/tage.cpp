@@ -209,22 +209,6 @@ Tage::metadata_stats() const
     });
 }
 
-std::uint64_t
-Tage::storageBits() const
-{
-    std::uint64_t bits =
-        (std::uint64_t(1) << config_.log_bimodal_size) * 2;
-    for (const TageTableSpec &spec : config_.tables) {
-        bits += (std::uint64_t(1) << spec.log_size) *
-                std::uint64_t(config_.counter_bits + config_.useful_bits +
-                              spec.tag_bits);
-    }
-    // Global machinery: history register, path, use_alt chooser, reset
-    // period counter.
-    bits += std::uint64_t(history_.historyBits()) + 32 + 4 + 32;
-    return bits;
-}
-
 std::optional<ComponentInfo>
 Tage::storage_components() const
 {

@@ -29,7 +29,7 @@ namespace mbp
 
 /**
  * The behavioural surface of a branch predictor, independent of the
- * Predictor base class: predict/train/track plus the reporting quartet.
+ * Predictor base class: predict/train/track plus the reporting trio.
  * Satisfied by every roster predictor through its virtual overrides, but
  * deliberately duck-typed so that the kernels can accept concrete
  * predictor types with no vtable at all.
@@ -42,7 +42,6 @@ concept PredictorLike = requires(P predictor, const P const_predictor,
     { predictor.track(branch) } -> std::same_as<void>;
     { const_predictor.metadata_stats() } -> std::same_as<json_t>;
     { const_predictor.execution_stats() } -> std::same_as<json_t>;
-    { const_predictor.storageBits() } -> std::same_as<std::uint64_t>;
     {
         const_predictor.storage_components()
     } -> std::same_as<std::optional<ComponentInfo>>;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -170,25 +171,24 @@ addThroughputMetrics(json_t &metrics, std::uint64_t dynamic_branches,
 }
 
 /**
- * Whether @p predictor reports its storage cost at all: either through a
- * declared component tree or a non-zero storageBits(). Works for the
- * virtual Predictor base (which has reportsStorage()) and for any
- * PredictorLike or BlockKernel shape.
+ * The `metadata.predictor` object of every document: @p predictor's
+ * metadata_stats() plus `storage_bits`, the total of its declared
+ * component tree — a true 0 for a storage-free design — or null when it
+ * declares none, so "unreported" is never mistaken for "zero-cost".
+ * Works for any shape with those two members: a PredictorLike, a
+ * BlockKernel or a front end.
  */
 template <typename P>
-inline bool
-reportsStorageOf(const P &predictor)
+json_t
+predictorMetadata(const P &predictor)
 {
-    if constexpr (requires {
-                      {
-                          predictor.reportsStorage()
-                      } -> std::convertible_to<bool>;
-                  }) {
-        return predictor.reportsStorage();
-    } else {
-        return predictor.storage_components().has_value() ||
-               predictor.storageBits() != 0;
-    }
+    json_t md = predictor.metadata_stats();
+    if (const std::optional<ComponentInfo> storage =
+            predictor.storage_components())
+        md["storage_bits"] = storage->totalBits();
+    else
+        md["storage_bits"] = nullptr;
+    return md;
 }
 
 /**

@@ -72,6 +72,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -87,42 +88,29 @@ namespace mbp
 {
 
 /**
- * A predictor whose whole per-conditional-branch sequence can run as a
- * single step. `fusedStep(ip, taken)` must be *exactly* equivalent to
- * `predict(ip)`, then `train(b)`, then `track(b)` for a conditional
- * branch b at @p ip with outcome @p taken — so only predictors whose
- * train/track consult nothing but the address and the outcome may offer
- * it. For table predictors this halves the hot loop's hash and index
- * work (the counter slot is computed once) and skips materializing the
- * Branch packet entirely on the conditional path.
+ * A predictor whose whole per-conditional-branch sequence runs as one
+ * step on a pure per-site fold of the address. `siteFold(ip)` must
+ * depend on nothing but @p ip, and `fusedStepFolded(siteFold(ip), taken)`
+ * must be *exactly* `predict(ip)`, then `train(b)`, then `track(b)` for a
+ * conditional branch b at @p ip with outcome @p taken — so only
+ * predictors whose train/track consult nothing but the address, the
+ * outcome and their own state may offer it. The loop evaluates
+ * `siteFold` once per static branch site (through the dense site ids)
+ * instead of once per dynamic branch: for table predictors this removes
+ * the whole address hash from the hot loop, computes the counter slot
+ * once instead of twice, and skips materializing the Branch packet on
+ * the conditional path.
  *
  * The loop substitutes it on every run, hooked or not: the prediction
  * hook fires only after the whole block's train/track, so nothing can
  * observe the predictor between the three calls.
  */
 template <typename P>
-concept KernelFusedStep = requires(P &p, std::uint64_t ip, bool taken) {
-    { p.fusedStep(ip, taken) } -> std::convertible_to<bool>;
+concept KernelSiteFold = requires(const P &cp, P &p, std::uint64_t ip,
+                                  std::uint64_t folded, bool taken) {
+    { cp.siteFold(ip) } -> std::convertible_to<std::uint64_t>;
+    { p.fusedStepFolded(folded, taken) } -> std::convertible_to<bool>;
 };
-
-/**
- * A fused-step predictor whose address hash factors into a pure per-site
- * component: `siteFold(ip)` must depend on nothing but @p ip, and
- * `fusedStepFolded(siteFold(ip), taken)` must be *exactly*
- * `fusedStep(ip, taken)`. The loop then evaluates `siteFold` once per
- * static branch site (through the dense site ids) instead of once per
- * dynamic branch — for table predictors this removes the whole address
- * hash from the hot loop, which indexes a tiny per-site fold table
- * instead of hashing the 8-byte ip column.
- */
-template <typename P>
-concept KernelSiteFold =
-    KernelFusedStep<P> &&
-    requires(const P &cp, P &p, std::uint64_t ip, std::uint64_t folded,
-             bool taken) {
-        { cp.siteFold(ip) } -> std::convertible_to<std::uint64_t>;
-        { p.fusedStepFolded(folded, taken) } -> std::convertible_to<bool>;
-    };
 
 /**
  * A predictor whose step splits into a history phase that the trace alone
@@ -142,7 +130,7 @@ concept KernelSiteFold =
  *    row that is not conditional (called only when track_all).
  *
  * The loop substitutes it on every run, hooked or not, for the same
- * reason as KernelFusedStep: nothing observes the predictor inside a
+ * reason as KernelSiteFold: nothing observes the predictor inside a
  * block.
  */
 template <typename P>
@@ -186,9 +174,9 @@ struct KernelTally
  * Type-erased handle to a predictor for the driver: one virtual call per
  * block — runBlock(), which steps the predictor through the block and
  * counts its measured conditionals. The other virtuals let the report
- * builder query metadata; deliberately *not* a mbp::Predictor (no
- * storage_components), so the fused and virtual entry points can never
- * be confused by overload resolution.
+ * builder query metadata and the declared storage; deliberately *not* a
+ * mbp::Predictor (no predict/train/track), so the fused and virtual
+ * entry points can never be confused by overload resolution.
  */
 class BlockKernel
 {
@@ -200,8 +188,7 @@ class BlockKernel
 
     virtual json_t metadata_stats() const = 0;
     virtual json_t execution_stats() const = 0;
-    virtual std::uint64_t storageBits() const = 0;
-    virtual bool reportsStorage() const = 0;
+    virtual std::optional<ComponentInfo> storage_components() const = 0;
 
     /**
      * Runs every row of @p block through the predictor — predict + train
@@ -237,13 +224,9 @@ class FusedKernel final : public BlockKernel
     {
         return predictor_->execution_stats();
     }
-    std::uint64_t storageBits() const override
+    std::optional<ComponentInfo> storage_components() const override
     {
-        return predictor_->storageBits();
-    }
-    bool reportsStorage() const override
-    {
-        return detail::reportsStorageOf(*predictor_);
+        return predictor_->storage_components();
     }
 
     void
@@ -320,8 +303,6 @@ class FusedKernel final : public BlockKernel
                     guess = p.stepIndexed(indexed++, ips[i], taken);
                 } else if constexpr (KernelSiteFold<P>) {
                     guess = p.fusedStepFolded(site_fold[sites[i]], taken);
-                } else if constexpr (KernelFusedStep<P>) {
-                    guess = p.fusedStep(ips[i], taken);
                 } else {
                     guess = detail::boundPredict(p, ips[i]);
                     const Branch b{ips[i], targets[i], OpCode(m & 0x0f),

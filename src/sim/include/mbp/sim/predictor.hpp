@@ -18,6 +18,11 @@
  *
  * When driven by the simulator, track() is invoked for all branches, while
  * train() is invoked (before track) only for conditional branches.
+ *
+ * A predictor declares its hardware storage once, as the ComponentInfo
+ * tree storage_components() returns: its budget is that tree's
+ * totalBits(), and std::nullopt means it reports none. The simulator
+ * documents, the front end and mbp_audit all read that one declaration.
  */
 #ifndef MBP_SIM_PREDICTOR_HPP
 #define MBP_SIM_PREDICTOR_HPP
@@ -41,10 +46,9 @@ namespace mbp
  * tables (`entries` rows of `bits_per_entry` bits) or registers
  * (`extra_bits` of non-tabular state such as history registers and
  * global counters); composite predictors nest their subcomponents as
- * `children`. The storage cost is then *derived* from the declared
- * geometry by totalBits() instead of being hand-computed per design,
- * and mbp_audit cross-checks it against storageBits() so a wrong budget
- * formula fails loudly instead of silently.
+ * `children`. The tree is the design's only storage declaration: its
+ * budget is totalBits(), derived from the declared geometry, so a
+ * composite costs exactly what its parts cost.
  */
 struct ComponentInfo
 {
@@ -170,39 +174,20 @@ class Predictor
     virtual json_t execution_stats() const { return json_t::object(); }
 
     /**
-     * Hardware storage cost of the design in bits — the championship
-     * budget accounting (the CBPs cap predictors at 64 kB + epsilon).
-     * Predictors that implement it have the value echoed into the
-     * simulator output; 0 means "not reported" *unless* the predictor
-     * also declares a storage_components() tree totalling 0 (a genuinely
-     * storage-free design, e.g. a static predictor).
-     */
-    virtual std::uint64_t storageBits() const { return 0; }
-
-    /**
      * Declared storage inventory: the table geometry and register state
-     * the design is built from, as a ComponentInfo tree. std::nullopt
-     * (the default) means the predictor does not describe its storage —
-     * distinct from an empty tree, which declares a zero-cost design.
-     *
-     * mbp_audit derives each roster predictor's budget from this tree
-     * and cross-checks it against storageBits(); the simulator report
-     * uses it to distinguish "unreported" from "zero-cost".
+     * the design is built from, as a ComponentInfo tree. Its totalBits()
+     * is the design's hardware budget — the championship accounting (the
+     * CBPs cap predictors at 64 kB + epsilon) — echoed into the
+     * simulator output as `storage_bits`. std::nullopt (the default)
+     * means the predictor does not report its storage, which the output
+     * writes as null; an empty tree declares a genuinely storage-free
+     * design (0 bits). A composite reports only when all of its parts
+     * do.
      */
     virtual std::optional<ComponentInfo>
     storage_components() const
     {
         return std::nullopt;
-    }
-
-    /**
-     * Whether the design reports its storage cost at all: either through
-     * a declared component tree or a non-zero storageBits().
-     */
-    bool
-    reportsStorage() const
-    {
-        return storage_components().has_value() || storageBits() != 0;
     }
 };
 

@@ -66,23 +66,6 @@ rankSites(const RunDoc &run, std::size_t num_sites, Key key)
     return ranked;
 }
 
-/** A kernel's metadata_stats() plus its storage_bits. */
-json_t
-predictorMetadata(const BlockKernel &kernel)
-{
-    json_t md = kernel.metadata_stats();
-    // Budget accounting: a design that reports its storage — via a
-    // non-zero storageBits() or a declared (possibly zero-total)
-    // component tree — gets the number, including a true 0 for
-    // storage-free designs; one that reports nothing gets an explicit
-    // null so "unreported" can never be mistaken for "zero-cost".
-    if (kernel.reportsStorage())
-        md["storage_bits"] = kernel.storageBits();
-    else
-        md["storage_bits"] = nullptr;
-    return md;
-}
-
 /** The simulate() document of kernel @p k of @p run. */
 json_t
 simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
@@ -93,7 +76,7 @@ simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
     result["metadata"] = detail::makeMetadata(
         run.name, args, run.simulation_instr, run.exhausted,
         tally.dynamic_cond, run.static_branches);
-    result["metadata"]["predictor"] = predictorMetadata(kernel);
+    result["metadata"]["predictor"] = detail::predictorMetadata(kernel);
     json_t metrics = json_t::object({
         {"mpki", detail::mpkiOf(tally.mispredictions, run.simulation_instr)},
         {"mispredictions", tally.mispredictions},
@@ -190,7 +173,7 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels)
         run.static_branches);
     for (std::size_t k = 0; k < n; ++k)
         result["metadata"]["predictor_" + std::to_string(k)] =
-            predictorMetadata(*kernels[k]);
+            detail::predictorMetadata(*kernels[k]);
     json_t metrics = json_t::object();
     for (std::size_t k = 0; k < n; ++k)
         metrics["mpki_" + std::to_string(k)] =

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 
 #include "mbp/sim/predictor.hpp"
 #include "mbp/utils/hash.hpp"
@@ -270,12 +271,17 @@ struct TageLite : Predictor
         ghist[0] = b.isTaken();
     }
 
-    std::uint64_t
-    storageBits() const override
+    std::optional<ComponentInfo>
+    storage_components() const override
     {
-        return (std::uint64_t(1) << kBaseBits) * 2 +
-               (std::uint64_t(1) << kTagTableBits) * (kTagBits + 3 + 1) +
-               kHistoryBits;
+        // Tagged entries: tag + 3-bit counter + 1-bit useful.
+        return ComponentInfo::composite(
+            "tage_lite",
+            {ComponentInfo::table("base", std::uint64_t(1) << kBaseBits, 2),
+             ComponentInfo::table("tagged",
+                                  std::uint64_t(1) << kTagTableBits,
+                                  kTagBits + 3 + 1),
+             ComponentInfo::reg("global_history", kHistoryBits)});
     }
 
     json_t

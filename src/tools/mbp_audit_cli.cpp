@@ -2,11 +2,10 @@
  * @file
  * mbp_audit: the storage-budget auditor. Walks the roster (or a named
  * subset), derives every predictor's storage cost from its declared
- * ComponentInfo tree, cross-checks it against the hand-written
- * storageBits() formula and prints a paper-Table-II-style budget report
- * (text table by default, JSON with --json). With --budget it doubles
- * as the championship budget gate: any predictor over the cap fails the
- * run.
+ * ComponentInfo tree — the one storage declaration a predictor makes —
+ * and prints a paper-Table-II-style budget report (text table by
+ * default, JSON with --json). With --budget it doubles as the
+ * championship budget gate: any predictor over the cap fails the run.
  *
  * Usage:
  *   mbp_audit [flags] [predictor...]
@@ -20,8 +19,8 @@
  *
  * Exit codes (the shared tool convention):
  *   0 — every audited predictor passes (and fits the budget, if given);
- *   1 — audit failures: a storageBits()/ComponentInfo mismatch, an
- *       unreported or underivable budget, or a predictor over budget;
+ *   1 — audit failures: a predictor that declares no component tree
+ *       (unreported storage), or one over the budget;
  *   2 — usage errors: unknown flag or flag value, unknown predictor.
  */
 #include <cstdio>

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the storage-audit layer (mbp::audit): ComponentInfo
- * derivation arithmetic, the status taxonomy (a deliberately wrong
- * budget formula must be flagged as a mismatch, the silent base-class
- * default as unreported), report shape including the unreported-vs-zero
- * distinction, the budget gate, and a roster-wide cleanliness check.
+ * derivation arithmetic, the status taxonomy (a declared tree is ok or
+ * zero-cost, the silent base-class default unreported), report shape
+ * including the unreported-vs-zero distinction, the budget gate, and a
+ * roster-wide cleanliness check.
  */
 #include <gtest/gtest.h>
 
@@ -23,20 +23,18 @@ using mbp::ComponentInfo;
 using mbp::audit::Entry;
 using mbp::audit::Status;
 
-/** Storage-accounting test double: behavior stubs, accounting knobs. */
+/** Storage-accounting test double: behavior stubs, a declared tree. */
 class FakePredictor : public mbp::Predictor
 {
   public:
-    FakePredictor(std::uint64_t declared,
-                  std::optional<ComponentInfo> components)
-        : declared_(declared), components_(std::move(components))
+    explicit FakePredictor(std::optional<ComponentInfo> components)
+        : components_(std::move(components))
     {
     }
 
     bool predict(std::uint64_t) override { return false; }
     void train(const mbp::Branch &) override {}
     void track(const mbp::Branch &) override {}
-    std::uint64_t storageBits() const override { return declared_; }
 
     std::optional<ComponentInfo>
     storage_components() const override
@@ -45,7 +43,6 @@ class FakePredictor : public mbp::Predictor
     }
 
   private:
-    std::uint64_t declared_;
     std::optional<ComponentInfo> components_;
 };
 
@@ -99,65 +96,37 @@ TEST(ComponentInfo, JsonFormCarriesGeometryAndDerivedTotal)
 // ---------------------------------------------------------------------------
 // Status taxonomy
 
-TEST(AuditStatus, MatchingFormulaIsOk)
+TEST(AuditStatus, DeclaredTreeIsOk)
 {
-    FakePredictor good(2065, honestTree());
+    FakePredictor good(honestTree());
     Entry entry = mbp::audit::auditPredictor("good", good);
     EXPECT_EQ(entry.status, Status::kOk);
-    EXPECT_EQ(entry.declared_bits, 2065u);
     EXPECT_EQ(entry.derived_bits, 2065u);
     EXPECT_TRUE(mbp::audit::statusPasses(entry.status));
 }
 
-TEST(AuditStatus, WrongFormulaIsMismatch)
-{
-    // The classic silent bug this layer exists to catch: the table was
-    // widened to 3-bit counters but the hand-written budget still says 2.
-    FakePredictor stale(2065,
-                        ComponentInfo::composite(
-                            "fake", {ComponentInfo::table("counters", 1024, 3),
-                                     ComponentInfo::reg("history", 17)}));
-    Entry entry = mbp::audit::auditPredictor("stale", stale);
-    EXPECT_EQ(entry.status, Status::kMismatch);
-    EXPECT_EQ(entry.declared_bits, 2065u);
-    EXPECT_EQ(entry.derived_bits, 3089u);
-    EXPECT_FALSE(mbp::audit::statusPasses(entry.status));
-}
-
 TEST(AuditStatus, SilentBaseClassDefaultIsUnreported)
 {
-    FakePredictor silent(0, std::nullopt);
+    FakePredictor silent(std::nullopt);
     Entry entry = mbp::audit::auditPredictor("silent", silent);
     EXPECT_EQ(entry.status, Status::kUnreported);
+    EXPECT_EQ(entry.derived_bits, 0u);
     EXPECT_FALSE(mbp::audit::statusPasses(entry.status));
-    EXPECT_FALSE(silent.reportsStorage());
 }
 
 TEST(AuditStatus, DeclaredEmptyTreeIsZeroCostNotUnreported)
 {
-    FakePredictor free_design(0, ComponentInfo::composite("static", {}));
+    FakePredictor free_design(ComponentInfo::composite("static", {}));
     Entry entry = mbp::audit::auditPredictor("static", free_design);
     EXPECT_EQ(entry.status, Status::kZeroCost);
     EXPECT_TRUE(mbp::audit::statusPasses(entry.status));
-    EXPECT_TRUE(free_design.reportsStorage());
-}
-
-TEST(AuditStatus, BitsWithoutTreeIsUndeclaredComponents)
-{
-    FakePredictor opaque(4096, std::nullopt);
-    Entry entry = mbp::audit::auditPredictor("opaque", opaque);
-    EXPECT_EQ(entry.status, Status::kUndeclaredComponents);
-    EXPECT_FALSE(mbp::audit::statusPasses(entry.status));
 }
 
 TEST(AuditStatus, NamesAreStable)
 {
     EXPECT_STREQ(mbp::audit::statusName(Status::kOk), "ok");
     EXPECT_STREQ(mbp::audit::statusName(Status::kZeroCost), "zero-cost");
-    EXPECT_STREQ(mbp::audit::statusName(Status::kMismatch), "mismatch");
     EXPECT_STREQ(mbp::audit::statusName(Status::kUnreported), "unreported");
-    EXPECT_STREQ(mbp::audit::statusName(Status::kUndeclaredComponents),
-                 "undeclared-components");
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +134,8 @@ TEST(AuditStatus, NamesAreStable)
 
 TEST(AuditReport, CountsFailuresAndEmbedsComponents)
 {
-    FakePredictor good(2065, honestTree());
-    FakePredictor silent(0, std::nullopt);
+    FakePredictor good(honestTree());
+    FakePredictor silent(std::nullopt);
     std::vector<Entry> entries = {
         mbp::audit::auditPredictor("good", good),
         mbp::audit::auditPredictor("silent", silent)};
@@ -179,14 +148,17 @@ TEST(AuditReport, CountsFailuresAndEmbedsComponents)
     EXPECT_EQ(document["summary"]["unreported"].asUint(), 1u);
     EXPECT_EQ(document["summary"]["failures"].asUint(), 1u);
     EXPECT_TRUE(document["predictors"][0].find("components") != nullptr);
+    // The row carries the tree's total once.
+    EXPECT_EQ(document["predictors"][0]["derived_bits"].asUint(), 2065u);
+    EXPECT_TRUE(document["predictors"][0].find("declared_bits") == nullptr);
 }
 
 TEST(AuditReport, UnreportedDerivedBitsIsJsonNullNotZero)
 {
     // The report must distinguish "never told us" (null) from "told us
     // it costs nothing" (0).
-    FakePredictor silent(0, std::nullopt);
-    FakePredictor free_design(0, ComponentInfo::composite("static", {}));
+    FakePredictor silent(std::nullopt);
+    FakePredictor free_design(ComponentInfo::composite("static", {}));
     mbp::json_t document = mbp::audit::report(
         {mbp::audit::auditPredictor("silent", silent),
          mbp::audit::auditPredictor("static", free_design)});
@@ -197,7 +169,7 @@ TEST(AuditReport, UnreportedDerivedBitsIsJsonNullNotZero)
 
 TEST(AuditReport, NoComponentsOptionOmitsTrees)
 {
-    FakePredictor good(2065, honestTree());
+    FakePredictor good(honestTree());
     mbp::audit::Options options;
     options.include_components = false;
     mbp::json_t document = mbp::audit::report(
@@ -207,8 +179,8 @@ TEST(AuditReport, NoComponentsOptionOmitsTrees)
 
 TEST(AuditReport, BudgetGateFlagsOversizedPredictors)
 {
-    FakePredictor big(2065, honestTree());
-    FakePredictor small(17, ComponentInfo::reg("history", 17));
+    FakePredictor big(honestTree());
+    FakePredictor small(ComponentInfo::reg("history", 17));
     mbp::audit::Options options;
     options.budget_bits = 1024;
     mbp::json_t document = mbp::audit::report(
@@ -223,8 +195,8 @@ TEST(AuditReport, BudgetGateFlagsOversizedPredictors)
 
 TEST(AuditReport, TableRendersEveryPredictorRow)
 {
-    FakePredictor good(2065, honestTree());
-    FakePredictor silent(0, std::nullopt);
+    FakePredictor good(honestTree());
+    FakePredictor silent(std::nullopt);
     mbp::json_t document = mbp::audit::report(
         {mbp::audit::auditPredictor("good", good),
          mbp::audit::auditPredictor("silent", silent)});
@@ -243,9 +215,7 @@ TEST(AuditRoster, EveryRosterPredictorPassesTheAudit)
     EXPECT_EQ(entries.size(), mbp::pred::rosterNames().size());
     for (const Entry &entry : entries)
         EXPECT_TRUE(mbp::audit::statusPasses(entry.status))
-            << entry.name << ": " << mbp::audit::statusName(entry.status)
-            << " declared=" << entry.declared_bits
-            << " derived=" << entry.derived_bits;
+            << entry.name << ": " << mbp::audit::statusName(entry.status);
     EXPECT_TRUE(mbp::audit::clean(entries));
 }
 

@@ -77,12 +77,12 @@ struct WrongPredictReturn
     void track(const Branch &);
     json_t metadata_stats() const;
     json_t execution_stats() const;
-    std::uint64_t storageBits() const;
     std::optional<ComponentInfo> storage_components() const;
 };
 static_assert(!PredictorLike<WrongPredictReturn>);
 
-/** A pre-introspection predictor shape (no storage_components()). */
+/** A predictor shape with no storage declaration (no
+ *  storage_components()). */
 struct NoStorageComponents
 {
     bool predict(std::uint64_t);
@@ -90,7 +90,6 @@ struct NoStorageComponents
     void track(const Branch &);
     json_t metadata_stats() const;
     json_t execution_stats() const;
-    std::uint64_t storageBits() const;
 };
 static_assert(!PredictorLike<NoStorageComponents>);
 
@@ -118,7 +117,9 @@ TEST(MakeSpec, ProducesFreshInstancesPerCall)
     ASSERT_NE(b, nullptr);
     EXPECT_NE(a.get(), b.get());
     using RosterGshare = Gshare<15, 17>;
-    EXPECT_EQ(a->storageBits(), RosterGshare().storageBits());
+    const std::uint64_t bits =
+        RosterGshare().storage_components()->totalBits();
+    EXPECT_EQ(a->storage_components()->totalBits(), bits);
     // The fused factory builds the same configuration, fresh per call.
     ASSERT_TRUE(spec.make_kernel != nullptr);
     std::unique_ptr<BlockKernel> ka = spec.make_kernel();
@@ -126,7 +127,7 @@ TEST(MakeSpec, ProducesFreshInstancesPerCall)
     ASSERT_NE(ka, nullptr);
     ASSERT_NE(kb, nullptr);
     EXPECT_NE(ka.get(), kb.get());
-    EXPECT_EQ(ka->storageBits(), RosterGshare().storageBits());
+    EXPECT_EQ(ka->storage_components()->totalBits(), bits);
 }
 
 TEST(MakeSpec, ForwardsConstructorArgumentsByValue)

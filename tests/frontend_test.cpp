@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -389,8 +390,12 @@ TEST(FrontEndTest, StorageComponentsComposeTheStructures)
     auto components = fe.storage_components();
     ASSERT_TRUE(components.has_value());
     EXPECT_EQ(components->name, "frontend");
-    EXPECT_EQ(fe.storageBits(), components->totalBits());
-    EXPECT_GT(fe.storageBits(), 0u);
+    EXPECT_EQ(components->totalBits(),
+              fe.btb().storageComponents().totalBits() +
+                  fe.ras().storageComponents().totalBits() +
+                  fe.indirect().storageComponents().totalBits() +
+                  pred::makeByName("gshare")->storage_components()
+                      ->totalBits());
 }
 
 // ---------------------------------------------------------------------------
@@ -444,6 +449,37 @@ TEST_F(FrontEndSimTest, ClassCountersSumToTotalForEveryRosterPredictor)
         EXPECT_EQ(class_sum, total)
             << name << ": class counters must partition the branch count";
     }
+}
+
+/** A conditional predictor that declares no storage. */
+struct UndeclaredStorage : Predictor
+{
+    bool predict(std::uint64_t) override { return true; }
+    void train(const Branch &) override {}
+    void track(const Branch &) override {}
+};
+
+TEST_F(FrontEndSimTest, UndeclaredConditionalLeavesStorageUnreported)
+{
+    // The composite rule: a front end around a predictor that declares
+    // nothing reports null, as simulate() does for the predictor alone.
+    FrontEnd fe(std::make_unique<UndeclaredStorage>());
+    EXPECT_FALSE(fe.storage_components().has_value());
+    SimArgs args;
+    args.trace_path = *trace_path_;
+    json_t doc = frontend::simulate(fe, args);
+    ASSERT_FALSE(doc.contains("error")) << doc.dump(2);
+    const json_t *bits =
+        doc.find("metadata")->find("predictor")->find("storage_bits");
+    ASSERT_NE(bits, nullptr);
+    EXPECT_TRUE(bits->isNull()) << bits->dump();
+
+    UndeclaredStorage alone;
+    json_t alone_doc = mbp::simulate(alone, args);
+    EXPECT_TRUE(alone_doc.find("metadata")
+                    ->find("predictor")
+                    ->find("storage_bits")
+                    ->isNull());
 }
 
 TEST_F(FrontEndSimTest, ReportIsSourceInvariantStreamingVsArena)

@@ -4,8 +4,8 @@
  * block-boundary edge cases of the pre-partitioned loops over every
  * block source — arena slices and streaming windows — (warmup ending
  * mid-block, instruction limit mid-block and at an exact block boundary,
- * traces shorter than one block), the KernelFusedStep / KernelSiteFold
- * equivalence contracts and which predictors step in two phases
+ * traces shorter than one block), the KernelSiteFold equivalence
+ * contract and which predictors step in two phases
  * (KernelTwoPhase), and the variadic simulateManyFused() /
  * compareFused() entry points. Whole-roster conformance against the
  * virtual path lives in arena_conformance_test.
@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -40,20 +41,20 @@ namespace
 {
 
 // The dispatch-selection contracts, pinned at compile time: table
-// predictors offer the fused single-step and the per-site fold, and the
-// TAGE family steps in two phases — its history work, which the trace
-// alone determines, then its tables — and has no per-branch fused step.
-static_assert(KernelFusedStep<pred::Bimodal<16>>);
+// predictors step each conditional on a per-site fold of its address —
+// GShare whether or not its history fits one fold chunk — and the TAGE
+// family steps in two phases — its history work, which the trace alone
+// determines, then its tables — and has no per-site fold.
 static_assert(KernelSiteFold<pred::Bimodal<16>>);
-static_assert(KernelFusedStep<pred::Gshare<15, 17>>);
 static_assert(KernelSiteFold<pred::Gshare<15, 17>>);
+static_assert(KernelSiteFold<pred::Gshare<25, 18>>);
 static_assert(!KernelTwoPhase<pred::Gshare<15, 17>>);
 static_assert(KernelTwoPhase<pred::Tage>);
 static_assert(KernelTwoPhase<pred::Batage>);
 static_assert(KernelTwoPhase<pred::TageScl>);
-static_assert(!KernelFusedStep<pred::Tage>);
-static_assert(!KernelFusedStep<pred::Batage>);
-static_assert(!KernelFusedStep<pred::TageScl>);
+static_assert(!KernelSiteFold<pred::Tage>);
+static_assert(!KernelSiteFold<pred::Batage>);
+static_assert(!KernelSiteFold<pred::TageScl>);
 // The front end's adapter stays instantiable: a new pure virtual on
 // BlockKernel breaks the build here, not a test at run time.
 static_assert(!std::is_abstract_v<frontend::FrontEndKernel>);
@@ -346,62 +347,55 @@ TEST(KernelShortTrace, TraceShorterThanOneBlock)
     std::remove(path.c_str());
 }
 
+/**
+ * Steps one @p P through fusedStepFolded(siteFold(ip), taken) and another
+ * through predict(ip), train(b), track(b) on the same random stream of
+ * conditionals at addresses 0x4000 + 4 * (draw % @p num_sites), spread
+ * over the high address bits by @p ip_spread: the guesses must agree at
+ * every step.
+ */
+template <typename P>
+void
+expectFoldedStepMatchesSeparateCalls(unsigned seed, std::uint64_t num_sites,
+                                     std::uint64_t ip_spread)
+{
+    auto folded = std::make_unique<P>();
+    auto separate = std::make_unique<P>();
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t site = rng() % num_sites;
+        const std::uint64_t ip = 0x4000 + 4 * site + site * ip_spread;
+        const bool taken = (rng() & 1) != 0;
+        const bool folded_guess =
+            folded->fusedStepFolded(folded->siteFold(ip), taken);
+        const bool separate_guess = separate->predict(ip);
+        const Branch b{ip, 0x9000, OpCode::condJump(), taken};
+        separate->train(b);
+        separate->track(b);
+        ASSERT_EQ(folded_guess, separate_guess) << "diverged at step " << i;
+    }
+}
+
 TEST(KernelFusedStep, BimodalMatchesSeparateCalls)
 {
-    pred::Bimodal<10> fused;
-    pred::Bimodal<10> separate;
-    std::mt19937_64 rng(11);
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t ip = 0x4000 + 4 * (rng() % 300);
-        const bool taken = (rng() & 1) != 0;
-        const bool fused_guess = fused.fusedStep(ip, taken);
-        const bool separate_guess = separate.predict(ip);
-        const Branch b{ip, 0x9000, OpCode::condJump(), taken};
-        separate.train(b);
-        separate.track(b);
-        ASSERT_EQ(fused_guess, separate_guess) << "diverged at step " << i;
-    }
+    expectFoldedStepMatchesSeparateCalls<pred::Bimodal<10>>(11, 300, 0);
 }
 
 TEST(KernelFusedStep, GshareMatchesSeparateCalls)
 {
-    pred::Gshare<7, 9> fused;
-    pred::Gshare<7, 9> separate;
-    std::mt19937_64 rng(13);
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t ip = 0x4000 + 4 * (rng() % 300);
-        const bool taken = (rng() & 1) != 0;
-        const bool fused_guess = fused.fusedStep(ip, taken);
-        const bool separate_guess = separate.predict(ip);
-        const Branch b{ip, 0x9000, OpCode::condJump(), taken};
-        separate.train(b);
-        separate.track(b);
-        ASSERT_EQ(fused_guess, separate_guess) << "diverged at step " << i;
-    }
+    // H <= T: the history fits one fold chunk.
+    expectFoldedStepMatchesSeparateCalls<pred::Gshare<7, 9>>(13, 300, 0);
 }
 
 TEST(KernelFusedStep, SiteFoldFactorizationIsExact)
 {
-    // fusedStepFolded(siteFold(ip), taken) must be exactly
-    // fusedStep(ip, taken) — for Gshare this is the XorFold linearity
-    // argument (fold of ip XOR history == fold of ip, XOR history when
-    // the history fits one fold chunk) checked against the direct hash.
-    pred::Gshare<7, 9> folded;
-    pred::Gshare<7, 9> direct;
-    pred::Bimodal<10> folded_bim;
-    pred::Bimodal<10> direct_bim;
-    std::mt19937_64 rng(17);
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t ip = 0x4000 + 4 * (rng() % 300);
-        const bool taken = (rng() & 1) != 0;
-        ASSERT_EQ(folded.fusedStepFolded(folded.siteFold(ip), taken),
-                  direct.fusedStep(ip, taken))
-            << "gshare diverged at step " << i;
-        ASSERT_EQ(
-            folded_bim.fusedStepFolded(folded_bim.siteFold(ip), taken),
-            direct_bim.fusedStep(ip, taken))
-            << "bimodal diverged at step " << i;
-    }
+    // H > T: the step folds the history too, which is exact by XorFold's
+    // linearity (the fold of ip XOR history is the fold of ip XOR the
+    // fold of history), over addresses that reach the high fold chunks.
+    expectFoldedStepMatchesSeparateCalls<pred::Gshare<25, 18>>(
+        17, 300, 0x9e3779b97f4a7c15ull);
+    expectFoldedStepMatchesSeparateCalls<pred::Gshare<23, 5>>(
+        19, 300, 0x9e3779b97f4a7c15ull);
 }
 
 TEST(KernelVariadic, SimulateManyFusedMatchesVirtual)

@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "mbp/frontend/frontend.hpp"
 #include "mbp/sbbt/writer.hpp"
+#include "mbp/sim/kernels.hpp"
 #include "mbp/sim/simulator.hpp"
 #include "mbp/tracegen/generator.hpp"
 #include "test_tmp.hpp"
@@ -350,6 +357,56 @@ TEST(Roster, UnknownNameReturnsNull)
 // Storage accounting
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** A predictor's budget: the total of its declared component tree. */
+std::uint64_t
+bitsOf(const Predictor &predictor)
+{
+    const std::optional<ComponentInfo> tree =
+        predictor.storage_components();
+    EXPECT_TRUE(tree.has_value());
+    return tree.has_value() ? tree->totalBits() : 0;
+}
+
+/** Each roster predictor's recorded budget, by name, from the audit
+ *  golden file. */
+std::map<std::string, std::uint64_t>
+goldenBudgets()
+{
+    std::ifstream in(MBP_AUDIT_GOLDEN_FILE);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    const std::optional<json_t> golden = json_t::parse(text.str(), &error);
+    EXPECT_TRUE(golden.has_value()) << error;
+    std::map<std::string, std::uint64_t> budgets;
+    if (!golden.has_value())
+        return budgets;
+    for (const json_t &row : golden->find("predictors")->elements())
+        budgets[row.find("name")->asString()] =
+            row.find("derived_bits")->asUint();
+    return budgets;
+}
+
+/** `metadata.predictor.storage_bits` of @p document, which must be a
+ *  number. */
+std::uint64_t
+documentStorageBits(const json_t &document)
+{
+    const json_t *metadata = document.find("metadata");
+    const json_t *predictor =
+        metadata != nullptr ? metadata->find("predictor") : nullptr;
+    const json_t *bits =
+        predictor != nullptr ? predictor->find("storage_bits") : nullptr;
+    EXPECT_TRUE(bits != nullptr && bits->isNumber())
+        << document.dump(2);
+    return bits != nullptr && bits->isNumber() ? bits->asUint() : 0;
+}
+
+} // namespace
+
 TEST(Storage, EveryRosterPredictorReportsAPlausibleBudget)
 {
     for (const std::string &name : rosterNames()) {
@@ -357,7 +414,7 @@ TEST(Storage, EveryRosterPredictorReportsAPlausibleBudget)
             continue; // the static predictors hold no state
         auto p = makeByName(name);
         ASSERT_NE(p, nullptr) << name;
-        std::uint64_t bits = p->storageBits();
+        std::uint64_t bits = bitsOf(*p);
         EXPECT_GE(bits, 8u * 1024) << name << " reports " << bits;
         EXPECT_LE(bits, 8u * 1024 * 1024) << name << " reports " << bits;
     }
@@ -367,19 +424,22 @@ TEST(Storage, KnownValuesAreExact)
 {
     // GShare<15,17>: 2^17 two-bit counters + a 15-bit history register.
     Gshare<15, 17> gshare;
-    EXPECT_EQ(gshare.storageBits(), (1ull << 17) * 2 + 15);
+    EXPECT_EQ(bitsOf(gshare), (1ull << 17) * 2 + 15);
     // Bimodal<16>: 2^16 two-bit counters.
     Bimodal<16> bimodal;
-    EXPECT_EQ(bimodal.storageBits(), (1ull << 16) * 2);
+    EXPECT_EQ(bitsOf(bimodal), (1ull << 16) * 2);
     // Composition sums its parts.
     LoopOverride composed(std::make_unique<Bimodal<16>>());
     LoopPredictor<> loop;
-    EXPECT_EQ(composed.storageBits(),
-              bimodal.storageBits() + loop.storageBits());
+    EXPECT_EQ(bitsOf(composed), bitsOf(bimodal) + bitsOf(loop));
 }
 
 TEST(Storage, SimulatorEchoesStorageIntoMetadata)
 {
+    // Every document builder writes the same storage_bits: the virtual
+    // simulate(), the fused kernel, and the front end, whose document
+    // adds its BTB, RAS and indirect table to the conditional
+    // predictor's budget.
     tracegen::WorkloadSpec spec;
     spec.seed = 3;
     spec.num_instr = 50'000;
@@ -392,17 +452,31 @@ TEST(Storage, SimulatorEchoesStorageIntoMetadata)
             ASSERT_TRUE(writer.append(ev.branch, ev.instr_gap));
         ASSERT_TRUE(writer.close());
     }
-    Gshare<15, 17> gshare;
     SimArgs args;
     args.trace_path = path;
-    json_t result = simulate(gshare, args);
-    ASSERT_NE(result.find("metadata")->find("predictor")->find(
-                  "storage_bits"),
-              nullptr);
-    EXPECT_EQ(result.find("metadata")
-                  ->find("predictor")
-                  ->find("storage_bits")
-                  ->asUint(),
-              gshare.storageBits());
+    const std::map<std::string, std::uint64_t> golden = goldenBudgets();
+    ASSERT_EQ(golden.size(), rosterNames().size());
+    for (const std::string &name : rosterNames()) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(golden.count(name), 1u);
+        const std::uint64_t bits = golden.at(name);
+
+        std::unique_ptr<Predictor> predictor = makeByName(name);
+        EXPECT_EQ(documentStorageBits(simulate(*predictor, args)), bits);
+
+        std::unique_ptr<BlockKernel> kernel = fusedKernelByName(name);
+        ASSERT_NE(kernel, nullptr);
+        EXPECT_EQ(
+            documentStorageBits(mbp::detail::simulateKernel(*kernel, args)),
+            bits);
+
+        frontend::FrontEnd fe(makeByName(name));
+        const std::uint64_t structures =
+            fe.btb().storageComponents().totalBits() +
+            fe.ras().storageComponents().totalBits() +
+            fe.indirect().storageComponents().totalBits();
+        EXPECT_EQ(documentStorageBits(frontend::simulate(fe, args)),
+                  bits + structures);
+    }
     std::remove(path.c_str());
 }

@@ -488,6 +488,8 @@ TEST(TwoLevelPred, StorageGrowsWithScopes)
     GAg<12> gag;   // one history + one table
     PAg<12, 10> pag; // 1024 histories + one table
     PAs<12, 10, 4> pas; // 1024 histories + 16 tables
-    EXPECT_LT(gag.storageBits(), pag.storageBits());
-    EXPECT_LT(pag.storageBits(), pas.storageBits());
+    EXPECT_LT(gag.storage_components()->totalBits(),
+              pag.storage_components()->totalBits());
+    EXPECT_LT(pag.storage_components()->totalBits(),
+              pas.storage_components()->totalBits());
 }
