@@ -10,7 +10,9 @@ depth). The runs cover:
   - every predictor x {default, --in-memory, --no-fused, --streaming}
     x every warm-up/limit window;
   - every `compare` pair in the same modes and windows;
-  - every predictor with --frontend, over the whole trace.
+  - every predictor with --frontend, in the same modes and windows, with
+    the default front end and with a small non-default one
+    (FRONTEND_SPECS).
 
 The predictors are the whole roster, as BUILD_A's `mbp_sim list` names
 it; the two builds must list the same names. The `compare` pairs are
@@ -48,6 +50,14 @@ TIMING_KEYS = frozenset({
 MODES = ["", "--in-memory", "--no-fused", "--streaming"]
 # mbp_sim's [warmup_instr] [sim_instr] tail of each window.
 WINDOWS = [[], ["1000000"], ["200000", "1500000"], ["500000", "5000000"]]
+# The --frontend flags: the default front end, and a small one with every
+# non-default policy, so that its BTB, RAS and indirect table overflow.
+FRONTEND_SPECS = [
+    "--frontend",
+    "--frontend=btb-sets=16,btb-ways=3,btb-banks=2,btb-tag=6,btb-repl=fifo,"
+    "ras=4,ras-overflow=discard,ras-underflow=reuse,"
+    "ind-bits=5,ind-tag=4,ind-hist=7,corrupt=on",
+]
 
 
 def strip_timing(value):
@@ -123,8 +133,9 @@ def runs(traces, predictors):
                     yield flags + [predictor, str(trace)] + window
                 for a, b in pairs:
                     yield flags + ["compare", a, b, str(trace)] + window
-        for predictor in predictors:
-            yield ["--frontend", predictor, str(trace)]
+                for spec in FRONTEND_SPECS:
+                    for predictor in predictors:
+                        yield flags + [spec, predictor, str(trace)] + window
 
 
 def main(argv):

@@ -107,9 +107,10 @@ class DiffSimDocsTest(unittest.TestCase):
     def test_every_listed_predictor_runs(self):
         code, out = self.diff(DOC, DOC)
         self.assertEqual(code, 0, out)
-        # Per trace: 3 predictors and 2 compare pairs in each of 4 modes
-        # x 4 windows, and 3 --frontend runs.
-        self.assertIn(f"{4 * 4 * (3 + 2) + 3} runs", out)
+        # Per trace, in each of 4 modes x 4 windows: 3 predictors, 2
+        # compare pairs, and 3 predictors under each of 2 --frontend
+        # specs.
+        self.assertIn(f"{4 * 4 * (3 + 2 + 2 * 3)} runs", out)
 
     def test_different_rosters_differ(self):
         code, out = self.diff(DOC, DOC, roster_b=["tage", "perceptron"])

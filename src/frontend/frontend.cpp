@@ -15,6 +15,7 @@
 
 #include <charconv>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "mbp/sim/detail/sim_core.hpp"
@@ -207,73 +208,139 @@ parseFrontEndSpec(const std::string &spec, FrontEndConfig &out,
 
 FrontEnd::FrontEnd(std::unique_ptr<Predictor> conditional,
                    const FrontEndConfig &config)
-    : conditional_(std::move(conditional)), config_(config),
-      btb_(config.btb), ras_(config.ras), indirect_(config.indirect)
+    : FrontEnd(std::make_unique<FusedKernel<Predictor>>(
+                   std::move(conditional)),
+               config)
 {
+}
+
+FrontEnd::FrontEnd(std::unique_ptr<BlockKernel> direction,
+                   const FrontEndConfig &config)
+    : direction_(std::move(direction)), config_(config), btb_(config.btb),
+      ras_(config.ras), indirect_(config.indirect)
+{
+}
+
+namespace
+{
+
+/** The report class of each 4-bit opcode. */
+constexpr std::array<BranchClass, 16> kClassOf = [] {
+    std::array<BranchClass, 16> table{};
+    for (unsigned bits = 0; bits < table.size(); ++bits)
+        table[bits] = classify(OpCode(static_cast<std::uint8_t>(bits)));
+    return table;
+}();
+
+} // namespace
+
+FrontEnd::SiteKeys
+FrontEnd::siteKeys(std::uint64_t ip) const
+{
+    return {btb_.setBase(ip), btb_.tagOf(ip), indirect_.siteIndex(ip),
+            indirect_.siteTag(ip), 0};
+}
+
+template <bool kMeasured>
+StepResult
+FrontEnd::targetStep(SiteKeys &keys, std::uint64_t ip, std::uint64_t target,
+                     std::uint8_t meta, bool guess)
+{
+    const OpCode opcode(meta & 0x0f);
+    const bool taken = (meta & 0x10) != 0;
+    StepResult result;
+    result.cls = kClassOf[meta & 0x0f];
+    result.taken_predicted = !opcode.isConditional() || guess;
+
+    // 2. Target. Returns consult the RAS only; other indirect branches
+    // try the path-indexed table first and fall back to the BTB; direct
+    // branches use the BTB. A miss predicts 0 — no target, a misfetch on
+    // any taken execution. The BTB set is scanned once per branch, for
+    // the lookup or the update or both; the indirect slot is folded once.
+    Btb::Probe probe;
+    bool probed = false;
+    IndirectTarget::Slot slot;
+    if (opcode.isRet()) {
+        result.target_predicted = ras_.peek();
+    } else {
+        bool hit = false;
+        if (opcode.isIndirect()) {
+            slot = indirect_.slot(keys.ind_index, keys.ind_tag);
+            hit = indirect_.lookup(slot, result.target_predicted);
+        }
+        if (!hit) {
+            probe =
+                btb_.probe(keys.btb_base, keys.btb_tag, int(keys.btb_way));
+            probed = true;
+            if (btb_.lookup(probe, result.target_predicted))
+                keys.btb_way = std::uint64_t(probe.hit);
+        }
+    }
+
+    // 3. Accounting (measured rows only), without branches.
+    const bool direction_wrong = opcode.isConditional() && guess != taken;
+    if constexpr (kMeasured) {
+        ClassCounts &c = counts_[static_cast<std::size_t>(result.cls)];
+        c.count += 1;
+        c.taken += std::uint64_t(taken);
+        c.target_mispredictions +=
+            std::uint64_t(taken && result.target_predicted != target);
+        c.direction_mispredictions += std::uint64_t(direction_wrong);
+    }
+
+    // 4. Updates (every execution, warm-up included); the direction
+    // predictor's own came first.
+    if (taken) {
+        if (opcode.isRet()) {
+            ras_.pop();
+        } else {
+            if (opcode.isCall())
+                ras_.push(ip + 4);
+            if (!probed)
+                probe = btb_.probe(keys.btb_base, keys.btb_tag,
+                                   int(keys.btb_way));
+            btb_.update(probe, target);
+            keys.btb_way = std::uint64_t(probe.way());
+            if (opcode.isIndirect())
+                indirect_.update(slot, target);
+        }
+    }
+    if (config_.corrupt_on_mispredict && direction_wrong)
+        ras_.corrupt(ip + 4);
+    indirect_.trackOutcome(taken);
+    return result;
 }
 
 StepResult
 FrontEnd::step(const Branch &branch, bool measured, bool track_all)
 {
+    // 1. Direction: the direction kernel over a one-row block.
     const std::uint64_t ip = branch.ip();
-    StepResult result;
-    result.cls = classify(branch.opcode());
-
-    // 1. Direction.
-    result.taken_predicted =
-        branch.isConditional() ? conditional_->predict(ip) : true;
-
-    // 2. Target. Returns consult the RAS only; other indirect branches
-    // try the path-indexed table first and fall back to the BTB; direct
-    // branches use the BTB. A miss predicts 0 — no target, a misfetch on
-    // any taken execution.
-    if (branch.isRet()) {
-        result.target_predicted = ras_.peek();
-    } else if (branch.isIndirect()) {
-        if (!indirect_.lookup(ip, result.target_predicted))
-            if (!btb_.lookup(ip, result.target_predicted))
-                result.target_predicted = 0;
-    } else {
-        if (!btb_.lookup(ip, result.target_predicted))
-            result.target_predicted = 0;
-    }
-
-    // 3. Accounting (measured window only).
-    const bool direction_wrong =
-        branch.isConditional() &&
-        result.taken_predicted != branch.isTaken();
-    if (measured) {
-        ClassCounts &c = counts_[static_cast<std::size_t>(result.cls)];
-        ++c.count;
-        if (branch.isTaken()) {
-            ++c.taken;
-            if (result.target_predicted != branch.target())
-                ++c.target_mispredictions;
-        }
-        if (direction_wrong)
-            ++c.direction_mispredictions;
-    }
-
-    // 4. Updates (every execution, warm-up included).
-    if (branch.isConditional())
-        conditional_->train(branch);
-    if (track_all || branch.isConditional())
-        conditional_->track(branch);
-    if (branch.isTaken()) {
-        if (branch.isRet()) {
-            ras_.pop();
-        } else {
-            if (branch.isCall())
-                ras_.push(ip + 4);
-            btb_.update(ip, branch.target());
-            if (branch.isIndirect())
-                indirect_.update(ip, branch.target());
-        }
-    }
-    if (config_.corrupt_on_mispredict && direction_wrong)
-        ras_.corrupt(ip + 4);
-    indirect_.trackOutcome(branch.isTaken());
-    return result;
+    const std::uint64_t target = branch.target();
+    const std::uint64_t instr = 1;
+    const std::uint8_t meta = static_cast<std::uint8_t>(
+        branch.opcode().bits() | (branch.isTaken() ? 0x10 : 0));
+    const std::uint32_t site = 0;
+    const std::uint64_t first_seen = 1;
+    std::uint8_t guess = 1;
+    KernelBlock block;
+    block.columns = {.ip = &ip,
+                     .target = &target,
+                     .instr = &instr,
+                     .meta = &meta,
+                     .site = &site,
+                     .first_seen = &first_seen,
+                     .size = 1};
+    block.mid = measured ? 0 : 1;
+    block.site_ips = &ip;
+    block.num_sites = 1;
+    block.track_all = track_all;
+    block.guesses = &guess;
+    KernelTally tally;
+    direction_->runBlock(block, tally);
+    SiteKeys keys = siteKeys(ip);
+    return measured ? targetStep<true>(keys, ip, target, meta, guess != 0)
+                    : targetStep<false>(keys, ip, target, meta, guess != 0);
 }
 
 std::uint64_t
@@ -289,7 +356,7 @@ json_t
 FrontEnd::metadata_stats() const
 {
     json_t md = json_t::object({{"name", "frontend"}});
-    md["conditional"] = conditional_->metadata_stats();
+    md["conditional"] = direction_->metadata_stats();
     md["btb"] = json_t::object({
         {"sets", std::uint64_t(1) << config_.btb.log2_sets},
         {"ways", std::uint64_t(config_.btb.ways)},
@@ -373,9 +440,9 @@ FrontEnd::reportJson(std::uint64_t simulation_instr) const
 std::optional<ComponentInfo>
 FrontEnd::storage_components() const
 {
-    // The composite rule: an unreported conditional predictor leaves the
+    // The composite rule: an unreported direction predictor leaves the
     // whole front end unreported.
-    std::optional<ComponentInfo> cond = conditional_->storage_components();
+    std::optional<ComponentInfo> cond = direction_->storage_components();
     if (!cond.has_value())
         return std::nullopt;
     return ComponentInfo::composite(
@@ -387,22 +454,52 @@ FrontEnd::storage_components() const
 void
 FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
 {
+    FrontEnd &fe = *front_end_;
     const sbbt::BranchColumns &c = block.columns;
-    for (std::size_t i = 0; i < c.size; ++i) {
-        const std::uint8_t m = c.meta[i];
-        const Branch b{c.ip[i], c.target[i], OpCode(m & 0x0f),
-                       (m & 0x10) != 0};
-        const bool measured = i >= block.mid;
-        const StepResult r = front_end_->step(b, measured, block.track_all);
-        if (!b.isConditional())
-            continue;
-        if (block.guesses != nullptr)
-            block.guesses[i] = r.taken_predicted ? 1 : 0;
-        if (measured) {
-            ++tally.dynamic_cond;
-            tally.mispredictions += r.taken_predicted != b.isTaken() ? 1 : 0;
-        }
+    // The tally's fold holds kKeyWords words of FrontEnd::SiteKeys per
+    // site; empty, it is a fresh run's, and the direction kernel's memo
+    // starts over with it.
+    constexpr std::size_t kKeyWords = 5;
+    if (tally.fold.empty())
+        direction_ = KernelTally{};
+
+    // Stage 1: the direction kernel over the whole block. Its guesses go
+    // where the driver's hook replay reads them, or to scratch.
+    KernelBlock direction = block;
+    direction.collect = false;
+    if (direction.guesses == nullptr) {
+        guesses_.resize(c.size);
+        direction.guesses = guesses_.data();
     }
+    direction_.dynamic_cond = 0;
+    direction_.mispredictions = 0;
+    fe.direction_->runBlock(direction, direction_);
+    tally.dynamic_cond += direction_.dynamic_cond;
+    tally.mispredictions += direction_.mispredictions;
+
+    // Stage 2: the target half over every row, on keys folded once per
+    // static site, the warm-up rows uncounted.
+    for (std::size_t s = tally.fold.size() / kKeyWords; s < block.num_sites;
+         ++s) {
+        const FrontEnd::SiteKeys k = fe.siteKeys(block.site_ips[s]);
+        tally.fold.insert(tally.fold.end(), {k.btb_base, k.btb_tag,
+                                             k.ind_index, k.ind_tag,
+                                             k.btb_way});
+    }
+    std::uint64_t *keys = tally.fold.data();
+    const std::uint8_t *guesses = direction.guesses;
+    const auto rows = [&](std::size_t begin, std::size_t end,
+                          auto measured) {
+        for (std::size_t i = begin; i < end; ++i) {
+            std::uint64_t *k = keys + kKeyWords * c.site[i];
+            FrontEnd::SiteKeys site{k[0], k[1], k[2], k[3], k[4]};
+            fe.targetStep<decltype(measured)::value>(
+                site, c.ip[i], c.target[i], c.meta[i], guesses[i] != 0);
+            k[4] = site.btb_way;
+        }
+    };
+    rows(0, block.mid, std::false_type{});
+    rows(block.mid, c.size, std::true_type{});
 }
 
 namespace
@@ -449,7 +546,7 @@ frontEndDoc(const detail::RunDoc &run, const SimArgs &args,
     for (std::size_t i = 0; i < count; ++i) {
         FrontEnd &fe = *front_ends[first + i];
         result[key("predictor_statistics", i)] =
-            fe.conditional().execution_stats();
+            fe.execution_stats();
         result[key("frontend", i)] = fe.reportJson(instr);
     }
     return result;

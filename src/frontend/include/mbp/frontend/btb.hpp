@@ -19,6 +19,7 @@
 #define MBP_FRONTEND_BTB_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mbp/json/json.hpp"
@@ -56,8 +57,20 @@ struct BtbConfig
             return "btb banks must be 2^0..2^4";
         if (tag_bits < 1 || tag_bits > 32)
             return "btb tag bits must be 1..32";
+        // Each bound alone admits 2^28 entries (8 GiB); the product is
+        // what allocates.
+        const std::uint64_t sets = std::uint64_t(1) << log2_sets;
+        const std::uint64_t banks = std::uint64_t(1) << log2_banks;
+        if (sets * banks * std::uint64_t(ways) > kMaxEntries)
+            return "btb entries (sets x ways x banks = " +
+                   std::to_string(sets) + " x " + std::to_string(ways) +
+                   " x " + std::to_string(banks) + ") must be at most " +
+                   std::to_string(kMaxEntries);
         return "";
     }
+
+    /** The most entries validate() accepts (512 MiB of entries). */
+    static constexpr std::uint64_t kMaxEntries = std::uint64_t(1) << 24;
 };
 
 /**
@@ -103,69 +116,121 @@ class Btb
     const Stats &stats() const { return stats_; }
 
     /**
-     * Probes the BTB for @p ip.
+     * One scan of a set: where the tag hits, and the policy's victim for
+     * an insertion on a miss. FrontEnd probes each branch's set once and
+     * hands the probe to lookup() and update().
+     */
+    struct Probe
+    {
+        std::uint64_t base = 0; //!< first entry of the set
+        std::uint64_t tag = 0;
+        int hit = -1;   //!< way whose valid entry holds the tag, or -1
+        int victim = 0; //!< first invalid way, else the oldest stamp
+        /** The way the tag lives in after update(): the best @p hint
+         *  for the next probe of the same tag. */
+        int way() const { return hit >= 0 ? hit : victim; }
+    };
+
+    /**
+     * Scans the set at entry @p base for @p tag, trying way @p hint
+     * first. A set never holds a valid tag twice (update() inserts only
+     * on a miss), so a hint that holds the tag is *the* hit and the scan
+     * stops there; otherwise every way is scanned. Way index breaks
+     * stamp ties, so the victim choice is deterministic.
+     */
+    Probe
+    probe(std::uint64_t base, std::uint64_t tag, int hint = 0) const
+    {
+        Probe p{base, tag};
+        const Entry *set = entries_.data() + base;
+        if (set[hint].valid && set[hint].tag == tag) {
+            p.hit = hint;
+            return p;
+        }
+        bool have_invalid = false;
+        for (int w = 0; w < config_.ways; ++w) {
+            const Entry &e = set[w];
+            if (e.valid && e.tag == tag) {
+                p.hit = w;
+                break;
+            }
+            if (!have_invalid) {
+                if (!e.valid) {
+                    p.victim = w;
+                    have_invalid = true;
+                } else if (e.stamp < set[p.victim].stamp) {
+                    p.victim = w;
+                }
+            }
+        }
+        return p;
+    }
+
+    /** probe() of @p ip's set and tag. */
+    Probe
+    probe(std::uint64_t ip) const
+    {
+        return probe(setBase(ip), tagOf(ip));
+    }
+
+    /**
+     * Counts a lookup of @p p's set.
      *
      * @param target_out Receives the stored target on a hit.
      * @return Whether a valid entry with a matching tag exists.
      */
     bool
-    lookup(std::uint64_t ip, std::uint64_t &target_out)
+    lookup(const Probe &p, std::uint64_t &target_out)
     {
         ++stats_.lookups;
-        const std::uint64_t base = setBase(ip);
-        const std::uint64_t tag = tagOf(ip);
-        for (int w = 0; w < config_.ways; ++w) {
-            const Entry &e = entries_[base + std::uint64_t(w)];
-            if (e.valid && e.tag == tag) {
-                ++stats_.hits;
-                target_out = e.target;
-                return true;
-            }
+        if (p.hit < 0) {
+            ++stats_.misses;
+            return false;
         }
-        ++stats_.misses;
-        return false;
+        ++stats_.hits;
+        target_out = entries_[p.base + std::uint64_t(p.hit)].target;
+        return true;
     }
 
     /**
-     * Records that the branch at @p ip went to @p target. A tag hit
-     * refreshes the entry (and its LRU stamp); a miss inserts, evicting
-     * the policy's victim when the set is full. Way index breaks stamp
-     * ties, so the victim choice is deterministic.
+     * Records that the branch whose set @p p scanned went to @p target.
+     * A tag hit refreshes the entry (and its LRU stamp); a miss inserts
+     * into the probe's victim way. Nothing may change the set between
+     * probe() and update().
      */
     void
-    update(std::uint64_t ip, std::uint64_t target)
+    update(const Probe &p, std::uint64_t target)
     {
-        const std::uint64_t base = setBase(ip);
-        const std::uint64_t tag = tagOf(ip);
         ++tick_;
-        int victim = 0;
-        bool have_invalid = false;
-        for (int w = 0; w < config_.ways; ++w) {
-            Entry &e = entries_[base + std::uint64_t(w)];
-            if (e.valid && e.tag == tag) {
-                e.target = target;
-                if (config_.replacement == Replacement::kLru)
-                    e.stamp = tick_;
-                return;
-            }
-            if (!have_invalid) {
-                if (!e.valid) {
-                    victim = w;
-                    have_invalid = true;
-                } else if (e.stamp <
-                           entries_[base + std::uint64_t(victim)].stamp) {
-                    victim = w;
-                }
-            }
+        if (p.hit >= 0) {
+            Entry &e = entries_[p.base + std::uint64_t(p.hit)];
+            e.target = target;
+            if (config_.replacement == Replacement::kLru)
+                e.stamp = tick_;
+            return;
         }
-        Entry &e = entries_[base + std::uint64_t(victim)];
+        Entry &e = entries_[p.base + std::uint64_t(p.victim)];
         ++stats_.insertions;
         if (e.valid)
             ++stats_.replacements;
         e.valid = true;
-        e.tag = tag;
+        e.tag = p.tag;
         e.target = target;
         e.stamp = tick_; // FIFO stamps at insertion only
+    }
+
+    /** lookup() of a fresh probe of @p ip. */
+    bool
+    lookup(std::uint64_t ip, std::uint64_t &target_out)
+    {
+        return lookup(probe(ip), target_out);
+    }
+
+    /** update() of a fresh probe of @p ip. */
+    void
+    update(std::uint64_t ip, std::uint64_t target)
+    {
+        update(probe(ip), target);
     }
 
     /** @return The raw entry at (bank, set, way), for tests. */
@@ -189,6 +254,14 @@ class Btb
     setOf(std::uint64_t ip) const
     {
         return XorFold((ip >> 2) >> config_.log2_banks, config_.log2_sets);
+    }
+
+    /** First entry of the set selected by @p ip. */
+    std::uint64_t
+    setBase(std::uint64_t ip) const
+    {
+        return (bankOf(ip) * sets_per_bank_ + setOf(ip)) *
+               std::uint64_t(config_.ways);
     }
 
     /** Partial tag of @p ip. */
@@ -222,13 +295,6 @@ class Btb
     }
 
   private:
-    std::uint64_t
-    setBase(std::uint64_t ip) const
-    {
-        return (bankOf(ip) * sets_per_bank_ + setOf(ip)) *
-               std::uint64_t(config_.ways);
-    }
-
     BtbConfig config_;
     std::uint64_t sets_per_bank_;
     std::uint64_t num_banks_;

@@ -22,6 +22,13 @@
  * warm-up/limit window and the prediction hook follow the conditional
  * simulators' rules.
  *
+ * A FrontEnd keeps its direction predictor's fast path: it drives the
+ * predictor as a BlockKernel (a fused kernel, or FusedKernel<Predictor>
+ * around a virtual one), which FrontEndKernel runs over a whole block
+ * before one pass over the block's rows predicts and updates the
+ * targets. That pass folds the BTB and indirect-table address hashes
+ * once per static site and scans each branch's BTB set once.
+ *
  * Everything here is deterministic and is replayed branch-for-branch by
  * the naive reference oracles in mbp::testkit (frontend_ref.hpp) under
  * mbp_fuzz — the same differential discipline the conditional roster
@@ -125,7 +132,8 @@ struct FrontEndConfig
  *   ras=N ras-overflow=wrap|discard ras-underflow=zero|reuse
  *   ind-bits=N ind-tag=N ind-hist=N corrupt=on|off
  *
- * btb-sets/btb-banks take entry counts and must be powers of two.
+ * btb-sets/btb-banks take entry counts and must be powers of two; the
+ * BTB's sets x ways x banks must be at most BtbConfig::kMaxEntries.
  *
  * @return Whether the spec parsed and validated; on failure @p error
  *         names the offending key.
@@ -144,23 +152,37 @@ struct StepResult
 };
 
 /**
- * A complete branch front end: a conditional predictor (direction), a
- * Btb (direct targets, indirect fallback), a Ras (return targets) and an
+ * A complete branch front end: a direction predictor, a Btb (direct
+ * targets, indirect fallback), a Ras (return targets) and an
  * IndirectTarget (path-disambiguated indirect targets).
  *
- * step() is the whole per-branch contract — predict, account, update —
- * in one deterministic sequence; frontend::simulate() drives it over a
- * trace, and the testkit oracles replay it against the naive reference.
+ * The direction predictor is a BlockKernel, so a front end around a
+ * roster predictor steps it through that predictor's own fast path (a
+ * fused kernel from pred::fusedKernelByName) or through the virtual
+ * interface (FusedKernel<Predictor>). Nothing in the BTB, the RAS or
+ * the indirect table feeds back into it: the corruption model only
+ * reads its guess. So a block runs in two stages (FrontEndKernel): the
+ * direction kernel over the whole block, then the target half over
+ * every row. step() is the one-row case of the same two stages.
  */
 class FrontEnd
 {
   public:
     /**
      * @param conditional Direction predictor; must be non-null. The
-     *        FrontEnd owns it, trains it on conditional branches and
-     *        tracks it per the simulator convention.
+     *        FrontEnd owns it and steps it through a
+     *        FusedKernel<Predictor> (virtual calls).
      */
     FrontEnd(std::unique_ptr<Predictor> conditional,
+             const FrontEndConfig &config = {});
+
+    /**
+     * @param direction Direction kernel; must be non-null. The FrontEnd
+     *        owns it and runs it over every branch: predict, train and
+     *        track on conditional branches, track on the others per the
+     *        simulator convention.
+     */
+    FrontEnd(std::unique_ptr<BlockKernel> direction,
              const FrontEndConfig &config = {});
 
     /**
@@ -184,6 +206,10 @@ class FrontEnd
      *     table; a mispredicted conditional pushes a corruption entry
      *     when the model is on; the outcome shifts into the indirect path
      *     history.
+     *
+     * The direction predictor's steps (1 and its part of 4) come first,
+     * as a one-row block of the direction kernel; the rest is the target
+     * half that FrontEndKernel runs per row.
      */
     StepResult step(const Branch &branch, bool measured,
                     bool track_all = true);
@@ -192,7 +218,6 @@ class FrontEnd
     const Btb &btb() const { return btb_; }
     const Ras &ras() const { return ras_; }
     const IndirectTarget &indirect() const { return indirect_; }
-    Predictor &conditional() { return *conditional_; }
 
     /** Measured-window counters of @p cls. */
     const ClassCounts &
@@ -207,6 +232,9 @@ class FrontEnd
     /** Name/configuration document for `metadata.predictor`. */
     json_t metadata_stats() const;
 
+    /** The direction predictor's `predictor_statistics`. */
+    json_t execution_stats() const { return direction_->execution_stats(); }
+
     /** BTB/RAS/indirect structure statistics document. */
     json_t structuresJson() const;
 
@@ -217,13 +245,37 @@ class FrontEnd
      */
     json_t reportJson(std::uint64_t simulation_instr) const;
 
-    /** Declared storage: the three structures plus the conditional
-     *  predictor's tree, or std::nullopt when the conditional predictor
+    /** Declared storage: the three structures plus the direction
+     *  predictor's tree, or std::nullopt when the direction predictor
      *  reports none. */
     std::optional<ComponentInfo> storage_components() const;
 
   private:
-    std::unique_ptr<Predictor> conditional_;
+    friend class FrontEndKernel;
+
+    /** The keys of one static branch site: its address folds, and the
+     *  BTB way its tag was last found in (a hint; any way is exact). */
+    struct SiteKeys
+    {
+        std::uint64_t btb_base;  //!< Btb::setBase()
+        std::uint64_t btb_tag;   //!< Btb::tagOf()
+        std::uint64_t ind_index; //!< IndirectTarget::siteIndex()
+        std::uint64_t ind_tag;   //!< IndirectTarget::siteTag()
+        std::uint64_t btb_way;   //!< Btb::probe() hint
+    };
+
+    SiteKeys siteKeys(std::uint64_t ip) const;
+
+    /** Steps 2-4 of step() but the direction predictor's own, for a
+     *  branch whose direction guess is @p guess (ignored for
+     *  unconditional branches); counted when kMeasured. Refreshes
+     *  @p keys' way hint. */
+    template <bool kMeasured>
+    [[gnu::always_inline]] inline StepResult
+    targetStep(SiteKeys &keys, std::uint64_t ip, std::uint64_t target,
+               std::uint8_t meta, bool guess);
+
+    std::unique_ptr<BlockKernel> direction_;
     FrontEndConfig config_;
     Btb btb_;
     Ras ras_;
@@ -232,10 +284,13 @@ class FrontEnd
 };
 
 /**
- * A FrontEnd as a kernel of the block driver: runBlock() calls
- * FrontEnd::step() on every row, with the block's warm-up split and
- * track rule, and counts the measured conditionals and direction
- * mispredictions into the tally. The front end must outlive the kernel.
+ * A FrontEnd as a kernel of the block driver. runBlock() runs each
+ * block in two stages: the front end's direction kernel over the whole
+ * block, its guesses into a scratch row (or the driver's hook row), and
+ * then the target half over every row, on per-site keys memoized once
+ * per static site in the tally's fold. It counts the measured
+ * conditionals and direction mispredictions, as the direction kernel
+ * counted them, into the tally. The front end must outlive the kernel.
  */
 class FrontEndKernel final : public BlockKernel
 {
@@ -248,7 +303,7 @@ class FrontEndKernel final : public BlockKernel
     }
     json_t execution_stats() const override
     {
-        return front_end_->conditional().execution_stats();
+        return front_end_->execution_stats();
     }
     std::optional<ComponentInfo> storage_components() const override
     {
@@ -259,6 +314,10 @@ class FrontEndKernel final : public BlockKernel
 
   private:
     FrontEnd *front_end_;
+    // The direction kernel's tally in the current run: its site-fold
+    // memo persists across blocks, its counts move to the run's tally.
+    KernelTally direction_;
+    std::vector<std::uint8_t> guesses_; // unhooked runs' stage-1 output
 };
 
 /**

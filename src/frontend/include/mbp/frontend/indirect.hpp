@@ -74,17 +74,47 @@ class IndirectTarget
     const Stats &stats() const { return stats_; }
 
     /**
-     * Probes the table for @p ip under the current history.
+     * Where @p ip's entry lies under the current history, and the tag it
+     * must hold. XorFold is linear over XOR, so the index and the tag
+     * split into a part of the address alone (siteIndex(), siteTag(),
+     * which FrontEnd memoizes per static site) and a part of the history
+     * alone, folded here.
+     */
+    struct Slot
+    {
+        std::size_t index = 0;
+        std::uint64_t tag = 0;
+    };
+
+    /** The slot of a site whose address parts are @p site_index and
+     *  @p site_tag. */
+    Slot
+    slot(std::uint64_t site_index, std::uint64_t site_tag) const
+    {
+        return {std::size_t(site_index ^
+                            XorFold(history_, config_.index_bits)),
+                site_tag ^ XorFold(history_ * 3, config_.tag_bits)};
+    }
+
+    /** slot() of @p ip. */
+    Slot
+    slot(std::uint64_t ip) const
+    {
+        return slot(siteIndex(ip), siteTag(ip));
+    }
+
+    /**
+     * Probes @p s.
      *
      * @param target_out Receives the stored target on a tag hit.
      * @return Whether a valid entry with a matching tag exists.
      */
     bool
-    lookup(std::uint64_t ip, std::uint64_t &target_out)
+    lookup(const Slot &s, std::uint64_t &target_out)
     {
         ++stats_.lookups;
-        const Entry &e = entries_[std::size_t(indexOf(ip))];
-        if (e.valid && e.tag == tagOf(ip)) {
+        const Entry &e = entries_[s.index];
+        if (e.valid && e.tag == s.tag) {
             ++stats_.hits;
             target_out = e.target;
             return true;
@@ -93,17 +123,31 @@ class IndirectTarget
         return false;
     }
 
-    /** Records that the indirect branch at @p ip went to @p target. */
+    /** Records that the indirect branch whose slot is @p s went to
+     *  @p target. */
+    void
+    update(const Slot &s, std::uint64_t target)
+    {
+        Entry &e = entries_[s.index];
+        if (!e.valid || e.tag != s.tag)
+            ++stats_.allocations;
+        e.valid = true;
+        e.tag = s.tag;
+        e.target = target;
+    }
+
+    /** lookup() of @p ip's slot under the current history. */
+    bool
+    lookup(std::uint64_t ip, std::uint64_t &target_out)
+    {
+        return lookup(slot(ip), target_out);
+    }
+
+    /** update() of @p ip's slot under the current history. */
     void
     update(std::uint64_t ip, std::uint64_t target)
     {
-        Entry &e = entries_[std::size_t(indexOf(ip))];
-        const std::uint64_t tag = tagOf(ip);
-        if (!e.valid || e.tag != tag)
-            ++stats_.allocations;
-        e.valid = true;
-        e.tag = tag;
-        e.target = target;
+        update(slot(ip), target);
     }
 
     /** Shifts the branch outcome @p taken into the path history. The
@@ -116,17 +160,24 @@ class IndirectTarget
 
     std::uint64_t history() const { return history_; }
 
+    /** Table index of @p ip under the current history. */
+    std::uint64_t indexOf(std::uint64_t ip) const { return slot(ip).index; }
+
+    /** Partial tag of @p ip under the current history. */
+    std::uint64_t tagOf(std::uint64_t ip) const { return slot(ip).tag; }
+
+    /** The address part of indexOf(@p ip). */
     std::uint64_t
-    indexOf(std::uint64_t ip) const
+    siteIndex(std::uint64_t ip) const
     {
-        return XorFold((ip >> 2) ^ history_, config_.index_bits);
+        return XorFold(ip >> 2, config_.index_bits);
     }
 
+    /** The address part of tagOf(@p ip). */
     std::uint64_t
-    tagOf(std::uint64_t ip) const
+    siteTag(std::uint64_t ip) const
     {
-        return XorFold(((ip >> 2) >> config_.index_bits) ^ (history_ * 3),
-                       config_.tag_bits);
+        return XorFold((ip >> 2) >> config_.index_bits, config_.tag_bits);
     }
 
     /** Declared storage: valid + tag + 64-bit target per entry, plus the

@@ -100,12 +100,10 @@ class Ras
                 return;
             // Wrap: the ring advances, silently overwriting the oldest
             // entry; depth stays at capacity.
-            top_ = (top_ + 1) % config_.size;
-            slots_[std::size_t(top_)] = address;
-            return;
+        } else {
+            ++depth_;
         }
-        ++depth_;
-        top_ = (top_ + 1) % config_.size;
+        top_ = top_ + 1 == config_.size ? 0 : top_ + 1;
         slots_[std::size_t(top_)] = address;
     }
 
@@ -129,7 +127,7 @@ class Ras
                                                              : 0;
         }
         const std::uint64_t value = slots_[std::size_t(top_)];
-        top_ = (top_ - 1 + config_.size) % config_.size;
+        top_ = (top_ == 0 ? config_.size : top_) - 1;
         --depth_;
         last_popped_ = value;
         return value;

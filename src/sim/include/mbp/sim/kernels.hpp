@@ -11,8 +11,9 @@
  * detail::BlockSource (slices of a decode-once arena, or one reused
  * window that streaming decode refills) and hands each block to every
  * kernel's BlockKernel::runBlock. FusedKernel::runBlock is the one loop
- * that steps a roster predictor on its own (the front end's kernel steps
- * a whole FrontEnd per row). The predictor type is a template
+ * that steps a roster predictor (the front end's kernel runs its
+ * direction predictor's kernel over the block, then its own pass over
+ * the targets). The predictor type is a template
  * parameter of FusedKernel: a concrete mbp::PredictorLike type inlines
  * predict/train/track into the loop, while the abstract mbp::Predictor
  * base — what the virtual entry points pass — keeps virtual dispatch.
@@ -167,7 +168,9 @@ struct KernelTally
     std::uint64_t dynamic_cond = 0;
     std::uint64_t mispredictions = 0;
     std::vector<std::uint64_t> site_mis; // by dense site id (collect)
-    std::vector<std::uint64_t> fold;     // KernelSiteFold memo, by site id
+    // Per-site memo by site id: a KernelSiteFold predictor's folds, or
+    // a front end's target keys.
+    std::vector<std::uint64_t> fold;
 };
 
 /**

@@ -186,11 +186,12 @@ struct Campaign
     std::string arena_cache_dir;
     /**
      * Compose every predictor into a front end (mbp::frontend): each
-     * cell wraps a fresh make() instance into a FrontEnd configured by
-     * frontend_spec, and its document is frontend::simulate()'s. An
-     * invalid spec (possible in a campaign built in code) fails every
-     * cell with "invalid frontend spec: ...". `fused` is ignored: the
-     * FrontEnd drives the virtual Predictor interface. Enabled by the
+     * cell wraps the kernel a plain cell would run (the spec's fused
+     * kernel under `fused`, else a virtual one around make()'s instance)
+     * into a FrontEnd configured by frontend_spec, and its document is
+     * frontend::simulate()'s. An invalid spec (possible in a campaign
+     * built in code) fails every cell with "invalid frontend spec:
+     * ...". Enabled by the
      * CLI's `--frontend[=SPEC]` or the JSON `"frontend"` key (a spec
      * string, or `true` for the default configuration).
      */

@@ -320,24 +320,19 @@ run(const Campaign &campaign, unsigned jobs)
             const PredictorSpec &spec = campaign.predictors[p];
             json_t failure;
             try {
-                // Front ends drive the virtual Predictor interface.
-                std::unique_ptr<BlockKernel> kernel;
-                std::unique_ptr<Predictor> instance;
-                if (!campaign.frontend)
-                    kernel = makeKernel(campaign, spec);
-                else if (spec.make)
-                    instance = spec.make();
-                if (kernel == nullptr && instance == nullptr) {
+                std::unique_ptr<BlockKernel> kernel =
+                    makeKernel(campaign, spec);
+                if (kernel == nullptr) {
                     failure = json_t::object(
                         {{"error", "unknown predictor '" + spec.name + "'"}});
-                } else if (kernel != nullptr) {
+                } else if (!campaign.frontend) {
                     kernel_ptrs.push_back(kernel.get());
                     kernels.push_back(std::move(kernel));
                 } else if (!frontend_failure.isNull()) {
                     failure = frontend_failure;
                 } else {
                     front_ends.push_back(std::make_unique<frontend::FrontEnd>(
-                        std::move(instance), frontend_config));
+                        std::move(kernel), frontend_config));
                     front_end_ptrs.push_back(front_ends.back().get());
                 }
             } catch (...) {

@@ -207,38 +207,25 @@ main(int argc, char **argv)
     if (!parseLimits(pos, 2, args))
         return usage(argv[0]);
     preloadArena(args);
+    // The fused kernel, or the virtual interface under --no-fused: the
+    // front end drives the same kernel as its direction predictor.
+    std::unique_ptr<mbp::BlockKernel> kernel;
+    if (fused)
+        kernel = mbp::pred::fusedKernelByName(pos[0]);
+    else if (auto predictor = mbp::pred::makeByName(pos[0]))
+        kernel = std::make_unique<mbp::FusedKernel<mbp::Predictor>>(
+            std::move(predictor));
+    if (!kernel) {
+        std::fprintf(stderr, "unknown predictor '%s' (try '%s list')\n",
+                     pos[0], argv[0]);
+        return 2;
+    }
     mbp::json_t result;
     if (frontend) {
-        // The front end drives the virtual Predictor interface; the fused
-        // conditional-only kernels do not apply here.
-        auto predictor = mbp::pred::makeByName(pos[0]);
-        if (!predictor) {
-            std::fprintf(stderr,
-                         "unknown predictor '%s' (try '%s list')\n",
-                         pos[0], argv[0]);
-            return 2;
-        }
-        mbp::frontend::FrontEnd front_end(std::move(predictor),
-                                          frontend_config);
+        mbp::frontend::FrontEnd front_end(std::move(kernel), frontend_config);
         result = mbp::frontend::simulate(front_end, args);
-    } else if (fused) {
-        auto kernel = mbp::pred::fusedKernelByName(pos[0]);
-        if (!kernel) {
-            std::fprintf(stderr,
-                         "unknown predictor '%s' (try '%s list')\n",
-                         pos[0], argv[0]);
-            return 2;
-        }
-        result = mbp::detail::simulateKernel(*kernel, args);
     } else {
-        auto predictor = mbp::pred::makeByName(pos[0]);
-        if (!predictor) {
-            std::fprintf(stderr,
-                         "unknown predictor '%s' (try '%s list')\n",
-                         pos[0], argv[0]);
-            return 2;
-        }
-        result = mbp::simulate(*predictor, args);
+        result = mbp::detail::simulateKernel(*kernel, args);
     }
     std::printf("%s\n", result.dump(2).c_str());
     return result.contains("error") ? 1 : 0;

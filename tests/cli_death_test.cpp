@@ -146,6 +146,10 @@ TEST(SimCli, FrontendRunExits0)
     auto defaults = run(std::string(MBP_SIM_BIN) + " --frontend bimodal " +
                         quoted(validTrace()));
     EXPECT_EQ(defaults.exit_code, 0) << defaults.err;
+    auto virtual_direction =
+        run(std::string(MBP_SIM_BIN) + " --no-fused --frontend tage " +
+            quoted(validTrace()));
+    EXPECT_EQ(virtual_direction.exit_code, 0) << virtual_direction.err;
 }
 
 TEST(SimCli, BadFrontendSpecExits2AndNamesTheFlag)

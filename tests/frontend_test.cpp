@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mbp/frontend/frontend.hpp"
@@ -142,6 +143,30 @@ TEST(FrontEndSpec, ErrorsNameTheOffendingKey)
 
     EXPECT_FALSE(parseFrontEndSpec("ras=abc", config, error));
     EXPECT_NE(error.find("ras"), std::string::npos) << error;
+}
+
+TEST(FrontEndSpec, BtbEntryProductIsBounded)
+{
+    // Parsing only: every knob is in range on its own, and the product
+    // (2^28 entries, 8 GiB) is rejected before anything is allocated.
+    FrontEndConfig config;
+    std::string error;
+    EXPECT_FALSE(parseFrontEndSpec("btb-sets=1048576,btb-ways=16,btb-banks=16",
+                                   config, error));
+    EXPECT_NE(error.find("1048576 x 16 x 16"), std::string::npos) << error;
+    EXPECT_NE(error.find(std::to_string(BtbConfig::kMaxEntries)),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(config.btb.log2_sets, FrontEndConfig{}.btb.log2_sets)
+        << "a rejected spec leaves the output untouched";
+
+    ASSERT_TRUE(parseFrontEndSpec("btb-sets=1048576,btb-ways=16,btb-banks=1",
+                                  config, error))
+        << error;
+    EXPECT_EQ(config.btb.validate(), "") << "2^24 entries is the bound";
+    config.btb.ways = 15;
+    config.btb.log2_banks = 1;
+    EXPECT_NE(config.btb.validate(), "") << "so is any product above it";
 }
 
 // ---------------------------------------------------------------------------
@@ -525,6 +550,203 @@ TEST_F(FrontEndSimTest, ReportIsIdenticalMappedVsDecodedArena)
     EXPECT_EQ(scrubTiming(decoded_doc).dump(2),
               scrubTiming(mapped_doc).dump(2));
     std::remove(sidecar.c_str());
+}
+
+/** What one front-end run showed: the frontend report, the direction
+ *  counts and statistics, and every conditional's direction guess. */
+struct FrontEndRun
+{
+    json_t report;
+    std::uint64_t simulation_instr = 0;
+    std::uint64_t mispredictions = 0;
+    json_t predictor_statistics;
+    std::vector<bool> guesses;
+};
+
+/**
+ * frontend::simulate() of @p front_end under @p args, its guesses taken
+ * by the prediction hook.
+ */
+FrontEndRun
+blockRun(FrontEnd &front_end, SimArgs args)
+{
+    FrontEndRun run;
+    args.prediction_hook = [&run](const Branch &, bool predicted,
+                                  std::uint64_t, bool, std::size_t) {
+        run.guesses.push_back(predicted);
+    };
+    const json_t doc = frontend::simulate(front_end, args);
+    EXPECT_FALSE(doc.contains("error")) << doc.dump(2);
+    if (doc.contains("error"))
+        return run;
+    run.report = *doc.find("frontend");
+    run.simulation_instr =
+        doc.find("metadata")->find("simulation_instr")->asUint();
+    run.mispredictions =
+        doc.find("metrics")->find("mispredictions")->asUint();
+    run.predictor_statistics = *doc.find("predictor_statistics");
+    return run;
+}
+
+/**
+ * FrontEnd::step() of @p front_end over @p trace's rows under @p args'
+ * window and track rule, the driver's row rules: a row past the limit
+ * ends the run, a row at or below the warm-up is not measured. The
+ * report's rates are over @p simulation_instr.
+ */
+FrontEndRun
+stepReplay(FrontEnd &front_end, const sbbt::MemTrace &trace,
+           const SimArgs &args, std::uint64_t simulation_instr)
+{
+    FrontEndRun run;
+    const std::uint64_t limit =
+        args.sim_instr > ~std::uint64_t(0) - args.warmup_instr
+            ? ~std::uint64_t(0)
+            : args.warmup_instr + args.sim_instr;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const std::uint64_t instr = trace.instrNumber(i);
+        if (instr > limit)
+            break;
+        const Branch b{trace.ip(i), trace.target(i), trace.opcode(i),
+                       trace.taken(i)};
+        const bool measured = instr > args.warmup_instr;
+        const StepResult r =
+            front_end.step(b, measured, !args.track_only_conditional);
+        if (!b.isConditional())
+            continue;
+        run.guesses.push_back(r.taken_predicted);
+        if (measured && r.taken_predicted != b.isTaken())
+            ++run.mispredictions;
+    }
+    run.simulation_instr = simulation_instr;
+    run.report = front_end.reportJson(simulation_instr);
+    run.predictor_statistics = front_end.execution_stats();
+    return run;
+}
+
+TEST_F(FrontEndSimTest, BlockPathMatchesStepReplayForEveryRosterPredictor)
+{
+    std::string error;
+    auto trace = sbbt::MemTrace::load(*trace_path_, {}, &error);
+    ASSERT_NE(trace, nullptr) << error;
+    ASSERT_GT(trace->size(), std::size_t{4096})
+        << "the stream must span more than one block";
+    const std::uint64_t instructions =
+        trace->instrNumber(trace->size() - 1);
+
+    FrontEndConfig small;
+    ASSERT_TRUE(parseFrontEndSpec(
+        "btb-sets=16,btb-ways=3,btb-banks=2,btb-tag=6,btb-repl=fifo,"
+        "ras=4,ras-overflow=discard,ras-underflow=reuse,"
+        "ind-bits=5,ind-tag=4,ind-hist=7,corrupt=on",
+        small, error))
+        << error;
+    const std::vector<std::pair<const char *, FrontEndConfig>> configs = {
+        {"default", FrontEndConfig{}}, {"small", small}};
+
+    struct Window
+    {
+        const char *name;
+        std::uint64_t warmup;
+        std::uint64_t sim;
+        bool track_only_conditional;
+    };
+    const Window windows[] = {
+        {"whole", 0, ~std::uint64_t(0), false},
+        {"warmup+limit", instructions / 4, instructions / 2, false},
+        {"track_only_conditional", 0, ~std::uint64_t(0), true},
+    };
+
+    for (const std::string &name : pred::rosterNames()) {
+        for (const auto &[config_name, config] : configs) {
+            for (const Window &w : windows) {
+                SimArgs args;
+                args.trace_path = *trace_path_;
+                args.warmup_instr = w.warmup;
+                args.sim_instr = w.sim;
+                args.track_only_conditional = w.track_only_conditional;
+                const std::string where =
+                    name + " / " + config_name + " / " + w.name;
+
+                std::vector<FrontEndRun> runs;
+                for (const bool in_memory : {false, true}) {
+                    SimArgs source_args = args;
+                    source_args.in_memory = in_memory;
+                    FrontEnd fe(pred::fusedKernelByName(name), config);
+                    runs.push_back(blockRun(fe, source_args));
+                }
+                FrontEnd stepped(pred::makeByName(name), config);
+                const FrontEndRun replay = stepReplay(
+                    stepped, *trace, args, runs[0].simulation_instr);
+                ASSERT_GT(replay.guesses.size(), 0u) << where;
+
+                for (const FrontEndRun &run : runs) {
+                    EXPECT_EQ(run.report.dump(2), replay.report.dump(2))
+                        << where;
+                    EXPECT_EQ(run.mispredictions, replay.mispredictions)
+                        << where;
+                    EXPECT_EQ(run.predictor_statistics.dump(2),
+                              replay.predictor_statistics.dump(2))
+                        << where;
+                    EXPECT_TRUE(run.guesses == replay.guesses) << where;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(FrontEndSimTest, AKernelRunTwiceStartsItsSiteKeysOver)
+{
+    // Site ids are dense per run, so a kernel that serves a second run
+    // over another trace must not reuse the first run's per-site keys.
+    const std::string other = mbp::test::tempDir() + "/frontend_other.sbbt";
+    testkit::Events events = tracegen::megamorphicSites(21, 900, 5);
+    for (tracegen::TraceEvent &ev : tracegen::deepRecursion(22, 900, 9))
+        events.push_back(ev);
+    ASSERT_EQ(testkit::writeSbbtFile(events, other), "");
+
+    FrontEndConfig config;
+    config.corrupt_on_mispredict = true;
+    FrontEnd run_twice(pred::fusedKernelByName("gshare"), config);
+    FrontEnd stepped(pred::makeByName("gshare"), config);
+    FrontEndKernel kernel(run_twice);
+    for (const std::string &path : {*trace_path_, other}) {
+        SimArgs args;
+        args.trace_path = path;
+        const json_t doc = detail::simulateKernel(kernel, args);
+        ASSERT_FALSE(doc.contains("error")) << doc.dump(2);
+        std::string error;
+        auto trace = sbbt::MemTrace::load(path, {}, &error);
+        ASSERT_NE(trace, nullptr) << error;
+        stepReplay(stepped, *trace, args, 0);
+    }
+    EXPECT_EQ(run_twice.reportJson(1).dump(2), stepped.reportJson(1).dump(2));
+    EXPECT_EQ(run_twice.execution_stats().dump(2),
+              stepped.execution_stats().dump(2));
+    std::remove(other.c_str());
+}
+
+TEST_F(FrontEndSimTest, FusedDirectionKernelMatchesTheVirtualPredictor)
+{
+    FrontEndConfig small;
+    std::string error;
+    ASSERT_TRUE(parseFrontEndSpec("btb-sets=8,btb-ways=2,ras=4,corrupt=on",
+                                  small, error))
+        << error;
+    for (const std::string &name : pred::rosterNames()) {
+        for (const FrontEndConfig &config : {FrontEndConfig{}, small}) {
+            SimArgs args;
+            args.trace_path = *trace_path_;
+            args.in_memory = true;
+            FrontEnd fused(pred::fusedKernelByName(name), config);
+            FrontEnd virtual_fe(pred::makeByName(name), config);
+            const json_t a = frontend::simulate(fused, args);
+            const json_t b = frontend::simulate(virtual_fe, args);
+            ASSERT_FALSE(a.contains("error")) << name << ": " << a.dump(2);
+            EXPECT_EQ(scrubTiming(a).dump(2), scrubTiming(b).dump(2))
+                << name;
+        }
+    }
 }
 
 TEST_F(FrontEndSimTest, SimulateManySuffixesSections)

@@ -1031,7 +1031,8 @@ TEST(SweepWaves, EveryJobCountMatchesASerialStreamingRun)
         campaign.frontend = shape.frontend;
         // Every source, with fused and virtual predictors, at every job
         // count gives the documents of serial per-cell simulate() (or
-        // frontend::simulate()) runs. Front ends ignore `fused`.
+        // frontend::simulate()) runs; a fused front end's direction
+        // kernel is the fused one.
         const json_t expected = serialCells(campaign);
         std::uint64_t expected_branches = 0;
         for (std::size_t i = 0; i < expected.size(); ++i)
