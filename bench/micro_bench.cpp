@@ -294,6 +294,46 @@ BM_MemTraceLoad(benchmark::State &state)
 BENCHMARK(BM_MemTraceLoad)->Unit(benchmark::kMillisecond);
 
 /**
+ * The streamed path every non-arena run takes: the whole trace through
+ * one reused TraceWindow of the simulator's 4096-row block, decoded into
+ * columns with site ids, touching each block's rows as a kernel would.
+ * range(0) enables the prefetch thread (the SimArgs default, and what
+ * the stream-virtual perfbench workload runs). items/s is directly
+ * comparable with BM_MemTraceLoad's.
+ */
+void
+BM_TraceWindowStream(benchmark::State &state)
+{
+    const std::string &path = pipelineTracePath();
+    sbbt::ReaderOptions options;
+    options.prefetch = state.range(0) != 0;
+    std::uint64_t branches = 0;
+    for (auto _ : state) {
+        sbbt::TraceWindow window(path, options, 4096);
+        std::uint64_t n = 0;
+        std::uint64_t sum = 0;
+        for (sbbt::BranchColumns block = window.next(UINT64_MAX);
+             block.size > 0; block = window.next(UINT64_MAX)) {
+            sum += block.site[block.size - 1] + block.meta[0];
+            n += block.size;
+        }
+        if (!window.error().empty()) {
+            state.SkipWithError(window.error().c_str());
+            return;
+        }
+        branches = n;
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(branches));
+    state.counters["branches"] = static_cast<double>(branches);
+}
+BENCHMARK(BM_TraceWindowStream)
+    ->Arg(0) // inline decompression
+    ->Arg(1) // prefetch thread
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * The steady-state in-memory path: walk the already-decoded arena in
  * the block driver's column slices, reading each branch's ip, meta and
  * instruction number — what every simulation pass after the first pays

@@ -15,6 +15,7 @@
 
 #include <charconv>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -214,10 +215,27 @@ FrontEnd::FrontEnd(std::unique_ptr<Predictor> conditional,
 {
 }
 
+namespace
+{
+
+/**
+ * @return @p config, once validate() accepts it.
+ * @throw std::invalid_argument carrying validate()'s message otherwise.
+ */
+const FrontEndConfig &
+validated(const FrontEndConfig &config)
+{
+    if (std::string error = config.validate(); !error.empty())
+        throw std::invalid_argument(error);
+    return config;
+}
+
+} // namespace
+
 FrontEnd::FrontEnd(std::unique_ptr<BlockKernel> direction,
                    const FrontEndConfig &config)
-    : direction_(std::move(direction)), config_(config), btb_(config.btb),
-      ras_(config.ras), indirect_(config.indirect)
+    : direction_(std::move(direction)), config_(validated(config)),
+      btb_(config.btb), ras_(config.ras), indirect_(config.indirect)
 {
 }
 

@@ -181,6 +181,10 @@ class FrontEnd
      *        owns it and runs it over every branch: predict, train and
      *        track on conditional branches, track on the others per the
      *        simulator convention.
+     * @throw std::invalid_argument with FrontEndConfig::validate()'s
+     *        message when @p config is unusable, before the BTB, RAS or
+     *        indirect table is sized (as is the other constructor,
+     *        which delegates here).
      */
     FrontEnd(std::unique_ptr<BlockKernel> direction,
              const FrontEndConfig &config = {});

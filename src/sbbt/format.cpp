@@ -14,9 +14,9 @@ namespace mbp::sbbt
 namespace
 {
 
-// Little-endian 64-bit load/store. On little-endian hosts (the common
-// case) these compile to single moves; the byte loop keeps big-endian
-// hosts correct.
+// Little-endian 64-bit store, the counterpart of loadLe64(). On
+// little-endian hosts (the common case) it compiles to a single move; the
+// byte loop keeps big-endian hosts correct.
 void
 encode64(std::uint8_t *p, std::uint64_t v)
 {
@@ -26,28 +26,6 @@ encode64(std::uint8_t *p, std::uint64_t v)
         for (int i = 0; i < 8; ++i)
             p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
-}
-
-std::uint64_t
-decode64(const std::uint8_t *p)
-{
-    if constexpr (std::endian::native == std::endian::little) {
-        std::uint64_t v;
-        std::memcpy(&v, p, sizeof v);
-        return v;
-    } else {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(p[i]) << (8 * i);
-        return v;
-    }
-}
-
-// Recovers a 64-bit canonical address from the top 52 bits of a block.
-std::uint64_t
-blockToAddress(std::uint64_t block)
-{
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(block) >> 12);
 }
 
 } // namespace
@@ -82,8 +60,8 @@ decodeHeader(const std::uint8_t *bytes, Header &out, std::string *error)
                      std::to_string(out.major);
         return false;
     }
-    out.instruction_count = decode64(bytes + 8);
-    out.branch_count = decode64(bytes + 16);
+    out.instruction_count = loadLe64(bytes + 8);
+    out.branch_count = loadLe64(bytes + 16);
     return true;
 }
 
@@ -104,31 +82,6 @@ encodePacket(const PacketData &data)
     encode64(out.data(), block1);
     encode64(out.data() + 8, block2);
     return out;
-}
-
-bool
-decodePacket(const std::uint8_t *bytes, PacketData &out, std::string *error)
-{
-    std::uint64_t block1 = decode64(bytes);
-    std::uint64_t block2 = decode64(bytes + 8);
-
-    OpCode opcode(static_cast<std::uint8_t>(block1 & 0xf));
-    bool taken = (block1 >> 11) & 1;
-    out.branch = Branch{blockToAddress(block1), blockToAddress(block2),
-                        opcode, taken};
-    out.instr_gap = static_cast<std::uint32_t>(block2 & 0xfff);
-
-    if (!opcode.valid()) {
-        if (error)
-            *error = "undefined opcode base type 0b11";
-        return false;
-    }
-    if (!branchIsValid(out.branch)) {
-        if (error)
-            *error = "packet violates SBBT validity rules";
-        return false;
-    }
-    return true;
 }
 
 } // namespace mbp::sbbt

@@ -19,15 +19,22 @@
  * sign-extends 52-bit virtual addresses to the 64-bit canonical form used
  * by x86-64 and ARMv8-A LVA.
  *
- * Validity rules:
+ * Validity rules (branchIsValid(), the one place they are written):
  *   1. A non-conditional branch must be taken.
  *   2. A conditional indirect branch that is not taken has a null target.
+ *
+ * Packet decode is inline (unpackPacket(), packetFault()), so the bulk
+ * column decode (sbbt::SiteDecoder) and the packet-at-a-time reader
+ * (SbbtReader::next()) check packets with the same code, in their own
+ * loops.
  */
 #ifndef MBP_SBBT_FORMAT_HPP
 #define MBP_SBBT_FORMAT_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "mbp/sbbt/branch.hpp"
@@ -87,17 +94,6 @@ struct PacketData
 std::array<std::uint8_t, kPacketSize> encodePacket(const PacketData &data);
 
 /**
- * Deserializes one branch packet.
- *
- * @param bytes 16 packet bytes.
- * @param out   Receives the decoded data.
- * @param error Receives a message on failure (optional).
- * @return False when the packet violates the format's validity rules.
- */
-bool decodePacket(const std::uint8_t *bytes, PacketData &out,
-                  std::string *error = nullptr);
-
-/**
  * @return Whether @p addr round-trips through the 52-bit encoding, i.e. its
  *         top 12 bits are the sign extension of bit 51.
  */
@@ -124,6 +120,80 @@ branchIsValid(const Branch &b)
         b.target() != 0)
         return false; // rule 2
     return true;
+}
+
+/**
+ * Why a decoded packet cannot appear in an SBBT trace.
+ *
+ * @return nullptr when @p b is valid, else the error every decoder of the
+ *         suite reports for it.
+ */
+constexpr const char *
+packetFault(const Branch &b)
+{
+    if (branchIsValid(b)) [[likely]]
+        return nullptr;
+    if (!b.opcode().valid())
+        return "undefined opcode base type 0b11";
+    return "packet violates SBBT validity rules";
+}
+
+/** @return The little-endian u64 at @p p. */
+inline std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::uint64_t v;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    } else {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= std::uint64_t(p[i]) << (8 * i);
+        return v;
+    }
+}
+
+/**
+ * Unpacks the 16 packet bytes at @p bytes without checking them: the
+ * addresses come back sign-extended from their 52 stored bits. Pair it
+ * with packetFault() (decodePacket() does).
+ */
+inline PacketData
+unpackPacket(const std::uint8_t *bytes)
+{
+    const std::uint64_t block1 = loadLe64(bytes);
+    const std::uint64_t block2 = loadLe64(bytes + 8);
+    const auto address = [](std::uint64_t block) {
+        return static_cast<std::uint64_t>(static_cast<std::int64_t>(block) >>
+                                          12);
+    };
+    return PacketData{
+        Branch{address(block1), address(block2),
+               OpCode(static_cast<std::uint8_t>(block1 & 0xf)),
+               ((block1 >> 11) & 1) != 0},
+        static_cast<std::uint32_t>(block2 & 0xfff)};
+}
+
+/**
+ * Deserializes one branch packet.
+ *
+ * @param bytes 16 packet bytes.
+ * @param out   Receives the decoded data.
+ * @param error Receives a message on failure (optional).
+ * @return False when the packet violates the format's validity rules.
+ */
+inline bool
+decodePacket(const std::uint8_t *bytes, PacketData &out,
+             std::string *error = nullptr)
+{
+    out = unpackPacket(bytes);
+    const char *fault = packetFault(out.branch);
+    if (fault == nullptr)
+        return true;
+    if (error != nullptr)
+        *error = fault;
+    return false;
 }
 
 } // namespace mbp::sbbt

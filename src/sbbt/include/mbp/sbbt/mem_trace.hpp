@@ -11,8 +11,10 @@
  * across any number of predictors and threads via
  * `std::shared_ptr<const MemTrace>`. A TraceWindow decodes the same
  * columns into one reused block instead, for runs that stream. Both go
- * through one decode loop (SiteDecoder), and both hand the simulation
- * kernels (mbp/sim/kernels.hpp) the same thing: BranchColumns blocks.
+ * through one decode loop (SiteDecoder), which reads the reader's raw
+ * packets straight into the columns in one pass, and both hand the
+ * simulation kernels (mbp/sim/kernels.hpp) the same thing: BranchColumns
+ * blocks.
  *
  * @code
  *   std::string error;
@@ -25,6 +27,7 @@
 #ifndef MBP_SBBT_MEM_TRACE_HPP
 #define MBP_SBBT_MEM_TRACE_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -64,11 +67,18 @@ std::uint64_t countFirstSeen(const std::uint64_t *bits, std::size_t count);
 
 /**
  * The packet-to-column decode loop shared by MemTrace::load and
- * TraceWindow. It numbers branch sites densely in first-seen order and
+ * TraceWindow: raw SBBT packets from SbbtReader::nextPackets() go
+ * straight into the columns, each checked against the validity rules on
+ * the way. It numbers branch sites densely in first-seen order and
  * counts each site's conditional executions. The site table and the
  * instruction count persist across decode() calls, so a trace decoded
  * in pieces gets the same site ids, first-seen bits and totals as one
  * decoded whole.
+ *
+ * Site numbering goes through a direct-mapped memo of recent
+ * `{ip, id + 1}` pairs in front of the site map: a loop's branches hit
+ * it from L1 instead of probing the map per row. The memo is exact,
+ * since a site's id never changes and a hit needs an equal ip.
  */
 class SiteDecoder
 {
@@ -85,15 +95,19 @@ class SiteDecoder
     };
 
     /**
-     * Decodes @p packets into rows [at, at + packets.size()) of @p rows.
-     * Each 64-row word of the first-seen bitmap is cleared when its first
-     * row is written.
+     * Decodes the raw packets @p packets (whole 16-byte packets, as
+     * SbbtReader::nextPackets() hands them out) into rows [at, at + k)
+     * of @p rows. Each 64-row word of the first-seen bitmap is cleared
+     * when its first row is written.
      *
-     * @return False, with @p error set, when the trace needs 2^32-1 or
-     *         more distinct sites (the site ids are 32-bit).
+     * @return k, the rows decoded: every packet, or fewer when @p error
+     *         is set — by the first packet that breaks the validity
+     *         rules (packetFault()'s message), or by a trace that needs
+     *         2^32-1 or more distinct sites (the site ids are 32-bit).
+     *         The rows before it are complete.
      */
-    bool decode(std::span<const PacketData> packets, const Rows &rows,
-                std::size_t at, std::string *error);
+    std::size_t decode(std::span<const std::uint8_t> packets,
+                       const Rows &rows, std::size_t at, std::string &error);
 
     /** @return Distinct sites seen so far. */
     std::uint32_t
@@ -112,9 +126,32 @@ class SiteDecoder
         return site_cond_occ_;
     }
 
+    /** Entries of the site memo (16 KiB of L1). */
+    static constexpr std::size_t kMemoEntries = 1024;
+
+    /** @return The memo entry @p ip maps to. */
+    static constexpr std::size_t
+    memoIndex(std::uint64_t ip)
+    {
+        return static_cast<std::size_t>(ip ^ (ip >> 10)) &
+               (kMemoEntries - 1);
+    }
+
   private:
     friend class MemTrace; // moves the site tables into the arena
 
+    /** A recently numbered site; id1 == 0 marks an empty entry. */
+    struct MemoEntry
+    {
+        std::uint64_t ip = 0;
+        std::uint32_t id1 = 0; // site id + 1
+    };
+
+    /** Numbers the site at @p ip through the map (a memo miss), adding
+     *  it when new. @return Its id + 1, or 0 when the ids are exhausted. */
+    [[gnu::noinline]] std::uint32_t lookupSite(std::uint64_t ip);
+
+    std::array<MemoEntry, kMemoEntries> memo_{};
     util::FlatHashMap<std::uint32_t> site_of_; // ip -> site id + 1
     std::vector<std::uint64_t> site_ips_;
     std::vector<std::uint64_t> site_cond_occ_;
@@ -152,8 +189,8 @@ class MemTrace
     static constexpr std::uint64_t kBytesPerBranch = 8 + 8 + 8 + 1 + 4;
 
     /**
-     * Decodes the whole trace at @p path in one streaming pass, copying
-     * the reader's decoded blocks straight into the columns. The decode
+     * Decodes the whole trace at @p path in one streaming pass, decoding
+     * the reader's raw packet blocks straight into the columns. The decode
      * runs inline on the calling thread: `options.prefetch` is ignored,
      * since a background decompression thread only adds a hand-off per
      * block here (and a ring buffer per concurrent load).
@@ -405,11 +442,14 @@ class TraceWindow
      * so a run that ends there reads no further into the trace.
      *
      * @return The block, valid until the next call; empty at end of
-     *         trace or on error (check error()).
+     *         trace or on error (check error()). A block cut short by an
+     *         invalid packet holds the rows before it, and the next call
+     *         returns empty.
      */
     BranchColumns next(std::uint64_t limit);
 
-    /** @return The first error: the reader's, or a site-id overflow. */
+    /** @return The first error: the reader's, an invalid packet's, or a
+     *          site-id overflow. */
     const std::string &
     error() const
     {
@@ -425,7 +465,6 @@ class TraceWindow
   private:
     SbbtReader reader_;
     SiteDecoder sites_;
-    std::span<const PacketData> pending_; // decoded, not yet windowed
     std::string error_;
     std::size_t capacity_;
     std::vector<std::uint64_t> ips_, targets_, instr_nums_, first_seen_;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Streaming SBBT trace reader with block decode and optional read-ahead.
+ * Streaming SBBT trace reader with block reads and optional read-ahead.
  */
 #ifndef MBP_SBBT_READER_HPP
 #define MBP_SBBT_READER_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,18 +24,18 @@ class PrefetchSource;
 namespace mbp::sbbt
 {
 
-/** Packets decoded per refill by default (64 KiB of trace per refill). */
+/** Packets read per refill by default (64 KiB of trace per refill). */
 inline constexpr std::size_t kDefaultBlockPackets = 4096;
 
 /** Tuning knobs for SbbtReader's decode pipeline. */
 struct ReaderOptions
 {
     /**
-     * Packets decoded per refill. The reader pulls
-     * `block_packets * kPacketSize` bytes per InStream::read call and
-     * decodes them eagerly, so next() is a pointer bump; 1 reproduces the
-     * original packet-at-a-time pipeline exactly (one virtual read per
-     * packet). Values are clamped to at least 1.
+     * Packets read per refill. The reader pulls
+     * `block_packets * kPacketSize` bytes per InStream::read call, and
+     * next() and nextPackets() hand them out of that buffer; 1 reproduces
+     * the original packet-at-a-time pipeline exactly (one virtual read
+     * per packet). Values are clamped to at least 1.
      */
     std::size_t block_packets = kDefaultBlockPackets;
 
@@ -62,7 +64,9 @@ struct ReaderOptions
  *
  * Errors (truncated file, corrupt compressed stream, invalid packet) are
  * surfaced after every packet preceding the error has been delivered, in
- * stream order — identical to a packet-at-a-time reader.
+ * stream order — identical to a packet-at-a-time reader. nextPackets()
+ * leaves the invalid-packet check to its caller; the stream errors
+ * (truncated packet, early end, corrupt stream) it reports the same way.
  */
 class SbbtReader
 {
@@ -85,7 +89,7 @@ class SbbtReader
     const Header &header() const { return header_; }
 
     /**
-     * Advances to the next branch.
+     * Advances to the next branch, decoding and checking its packet.
      *
      * @param out Receives the branch and its instruction gap.
      * @return False at end of trace or on error (check error()).
@@ -95,35 +99,43 @@ class SbbtReader
     {
         if (block_pos_ == block_fill_ && !refill())
             return false;
-        out = block_[block_pos_++];
+        out = unpackPacket(raw_.data() + block_pos_ * kPacketSize);
+        if (const char *fault = packetFault(out.branch)) [[unlikely]] {
+            fail(fault);
+            return false;
+        }
+        ++block_pos_;
         ++branches_read_;
         instr_number_ += out.instr_gap + 1; // gap plus the branch itself
         return true;
     }
 
     /**
-     * Hands out every branch left in the current decoded block at once:
-     * the bulk form of next() for consumers that copy packets into their
-     * own storage (MemTrace::load). Afterwards the reader is in the state
-     * that as many next() calls would leave: instrNumber() is that of the
-     * block's last branch and branchesRead() counts the whole block.
+     * Hands out up to @p max_packets whole packets of the current block
+     * as raw bytes, undecoded and unchecked: the bulk form of next() for
+     * consumers that decode packets straight into their own storage
+     * (sbbt::SiteDecoder), which must check each packet with
+     * packetFault() and stop at the first fault. branchesRead() counts
+     * every packet handed out; instrNumber() follows next() only, since
+     * the gaps are still encoded.
      *
-     * @return The packets, valid until the next call of next() or
-     *         nextBlock(); empty at end of trace or on error (check
-     *         error()).
+     * @return A multiple of kPacketSize bytes, valid until the next call
+     *         of next() or nextPackets(); empty at end of trace or on a
+     *         stream error (check error()).
      */
-    std::span<const PacketData>
-    nextBlock()
+    std::span<const std::uint8_t>
+    nextPackets(std::size_t max_packets =
+                    std::numeric_limits<std::size_t>::max())
     {
         if (block_pos_ == block_fill_ && !refill())
             return {};
-        const std::span<const PacketData> block(block_.data() + block_pos_,
-                                                block_fill_ - block_pos_);
-        for (const PacketData &p : block)
-            instr_number_ += p.instr_gap + 1;
-        branches_read_ += block.size();
-        block_pos_ = block_fill_;
-        return block;
+        const std::size_t count =
+            std::min(max_packets, block_fill_ - block_pos_);
+        const std::span<const std::uint8_t> packets(
+            raw_.data() + block_pos_ * kPacketSize, count * kPacketSize);
+        block_pos_ += count;
+        branches_read_ += count;
+        return packets;
     }
 
     /**
@@ -158,16 +170,16 @@ class SbbtReader
     void initBlocks(const ReaderOptions &options);
     void readHeader();
     bool refill();
+    void fail(const char *fault); // an invalid packet ends the trace
 
     std::unique_ptr<compress::InStream> input_;
     compress::PrefetchSource *prefetch_ = nullptr; // owned via input_
     Header header_;
     std::string error_;
-    std::string pending_error_; // surfaces once decoded packets drain
-    std::vector<std::uint8_t> raw_;  // undecoded block bytes
-    std::vector<PacketData> block_;  // decoded packets
-    std::size_t block_pos_ = 0;
-    std::size_t block_fill_ = 0;
+    std::string pending_error_; // surfaces once the block's packets drain
+    std::vector<std::uint8_t> raw_; // the current block's packet bytes
+    std::size_t block_pos_ = 0;     // packets of raw_ handed out
+    std::size_t block_fill_ = 0;    // whole packets in raw_
     std::uint64_t instr_number_ = 0;
     std::uint64_t branches_read_ = 0;
     std::uint64_t bytes_read_ = 0;

@@ -67,59 +67,85 @@ countFirstSeen(const std::uint64_t *bits, std::size_t count)
     return sites;
 }
 
-bool
-SiteDecoder::decode(std::span<const PacketData> packets, const Rows &rows,
-                    std::size_t at, std::string *error)
+std::uint32_t
+SiteDecoder::lookupSite(std::uint64_t ip)
 {
     constexpr std::size_t kMaxSites =
         std::numeric_limits<std::uint32_t>::max();
+    // The map stores id + 1, so its default-constructed 0 means "not seen
+    // yet".
+    std::uint32_t &slot = site_of_[ip];
+    if (slot == 0) {
+        if (site_ips_.size() == kMaxSites)
+            return 0;
+        site_ips_.push_back(ip);
+        site_cond_occ_.push_back(0);
+        slot = static_cast<std::uint32_t>(site_ips_.size());
+    }
+    return slot;
+}
+
+std::size_t
+SiteDecoder::decode(std::span<const std::uint8_t> packets, const Rows &rows,
+                    std::size_t at, std::string &error)
+{
     // Locals, not reads through @p rows: a call the compiler cannot see
-    // through (the site map's rehash) would otherwise force a reload of
-    // every column pointer per branch.
+    // through (a memo miss) would otherwise force a reload of every
+    // column pointer per branch.
     std::uint64_t *const ips = rows.ip;
     std::uint64_t *const targets = rows.target;
     std::uint64_t *const instr_nums = rows.instr;
     std::uint8_t *const meta = rows.meta;
     std::uint32_t *const site_index = rows.site;
     std::uint64_t *const first_seen = rows.first_seen;
+    MemoEntry *const memo = memo_.data();
+    const std::size_t count = packets.size() / kPacketSize;
+    const std::uint8_t *packet = packets.data();
     std::uint64_t instr = instr_;
     std::size_t n = at;
-    for (const PacketData &p : packets) {
+    for (std::size_t k = 0; k < count; ++k, ++n, packet += kPacketSize) {
+        const PacketData p = unpackPacket(packet);
         const Branch &b = p.branch;
-        ips[n] = b.ip();
+        const std::uint64_t ip = b.ip();
+        const char *fault = packetFault(b);
+        if (fault != nullptr) [[unlikely]] {
+            instr_ = instr;
+            error = fault;
+            return k;
+        }
+        if ((n & 63) == 0)
+            first_seen[n / 64] = 0;
+        MemoEntry &memoed = memo[memoIndex(ip)];
+        std::uint32_t id1 = memoed.ip == ip ? memoed.id1 : 0;
+        if (id1 == 0) [[unlikely]] {
+            const std::size_t known = site_ips_.size();
+            id1 = lookupSite(ip);
+            if (id1 == 0) {
+                instr_ = instr;
+                error = "trace has 2^32-1 or more distinct branch sites; "
+                        "site index would overflow";
+                return k;
+            }
+            if (site_ips_.size() != known)
+                first_seen[n / 64] |= std::uint64_t{1} << (n & 63);
+            memoed = MemoEntry{ip, id1};
+        }
+        ips[n] = ip;
         targets[n] = b.target();
         instr += p.instr_gap + 1;
         instr_nums[n] = instr;
         meta[n] = static_cast<std::uint8_t>(b.opcode().bits() |
                                             (b.isTaken() ? 0x10 : 0));
-        if ((n & 63) == 0)
-            first_seen[n / 64] = 0;
-        // The map stores id + 1, so its default-constructed 0 means "not
-        // seen yet".
-        std::uint32_t &slot = site_of_[b.ip()];
-        if (slot == 0) {
-            if (site_ips_.size() == kMaxSites) {
-                if (error != nullptr)
-                    *error = "trace has 2^32-1 or more distinct branch "
-                             "sites; site index would overflow";
-                return false;
-            }
-            site_ips_.push_back(b.ip());
-            site_cond_occ_.push_back(0);
-            slot = static_cast<std::uint32_t>(site_ips_.size());
-            first_seen[n / 64] |= std::uint64_t{1} << (n & 63);
-        }
-        site_index[n] = slot - 1;
+        site_index[n] = id1 - 1;
         // Predictor-independent accounting, paid once at decode: the
         // per-site conditional-execution totals every whole-trace
         // collect_most_failed run needs (the kernels then only count
         // mispredictions in their hot loop).
         if (b.isConditional())
-            ++site_cond_occ_[slot - 1];
-        ++n;
+            ++site_cond_occ_[id1 - 1];
     }
     instr_ = instr;
-    return true;
+    return count;
 }
 
 std::shared_ptr<const MemTrace>
@@ -147,19 +173,25 @@ MemTrace::load(const std::string &path, const ReaderOptions &options,
         capacity = static_cast<std::size_t>(std::min(
             trace->header_.branch_count, inputRowBound(path)));
         trace->resizeColumns(capacity);
-        for (std::span<const PacketData> block = reader.nextBlock();
-             !block.empty(); block = reader.nextBlock()) {
-            if (n + block.size() > capacity) {
-                capacity = std::max(n + block.size(), capacity * 2);
+        for (std::span<const std::uint8_t> packets = reader.nextPackets();
+             !packets.empty(); packets = reader.nextPackets()) {
+            const std::size_t count = packets.size() / kPacketSize;
+            if (n + count > capacity) {
+                capacity = std::max(n + count, capacity * 2);
                 trace->resizeColumns(capacity);
             }
             const SiteDecoder::Rows rows{
                 trace->ips_.data(),        trace->targets_.data(),
                 trace->instr_nums_.data(), trace->meta_.data(),
                 trace->site_index_.data(), trace->first_seen_.data()};
-            if (!sites.decode(block, rows, n, error))
+            std::string fault;
+            const std::size_t decoded = sites.decode(packets, rows, n, fault);
+            n += decoded;
+            if (decoded != count) {
+                if (error != nullptr)
+                    *error = std::move(fault);
                 return nullptr;
-            n += block.size();
+            }
         }
         if (reader.error().empty() && n != capacity) {
             trace->resizeColumns(n);
@@ -278,17 +310,14 @@ TraceWindow::next(std::uint64_t limit)
                                  site_index_.data(), first_seen_.data()};
     std::size_t n = 0;
     while (n < capacity_ && error_.empty()) {
-        if (pending_.empty()) {
-            pending_ = reader_.nextBlock();
-            if (pending_.empty())
-                break;
-        }
-        const std::size_t take = std::min(pending_.size(), capacity_ - n);
-        if (!sites_.decode(pending_.first(take), rows, n, &error_))
-            return {};
-        pending_ = pending_.subspan(take);
-        n += take;
-        if (instr_nums_[n - 1] > limit)
+        const std::span<const std::uint8_t> packets =
+            reader_.nextPackets(capacity_ - n);
+        if (packets.empty())
+            break;
+        const std::size_t count = packets.size() / kPacketSize;
+        const std::size_t decoded = sites_.decode(packets, rows, n, error_);
+        n += decoded;
+        if (decoded != count || instr_nums_[n - 1] > limit)
             break;
     }
     return BranchColumns{ips_.data(),        targets_.data(),

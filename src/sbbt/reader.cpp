@@ -2,12 +2,12 @@
  * @file
  * SbbtReader implementation.
  *
- * The reader decodes the trace in blocks: one InStream::read pulls
- * block_packets * kPacketSize bytes, every complete packet is decoded into
- * block_ up front, and next() hands them out by index. Errors discovered
- * while refilling (truncated tail, invalid packet) are parked in
- * pending_error_ so that every packet preceding the error is still
- * delivered first, matching the packet-at-a-time semantics bit for bit.
+ * The reader reads the trace in blocks: one InStream::read pulls
+ * block_packets * kPacketSize bytes into raw_, and next() decodes its
+ * packets one by one while nextPackets() hands them out undecoded. A
+ * ragged tail found while refilling is parked in pending_error_ so that
+ * every whole packet preceding it is still delivered first, matching the
+ * packet-at-a-time semantics bit for bit.
  */
 #include "mbp/sbbt/reader.hpp"
 
@@ -53,7 +53,6 @@ SbbtReader::initBlocks(const ReaderOptions &options)
 {
     std::size_t block_packets = std::max<std::size_t>(options.block_packets, 1);
     raw_.resize(block_packets * kPacketSize);
-    block_.resize(block_packets);
 }
 
 double
@@ -101,28 +100,26 @@ SbbtReader::refill()
     }
     // A short read means the stream ended: InStream::read only returns less
     // than requested at end of input. A ragged tail is a truncated packet.
-    std::size_t full = n / kPacketSize;
     if (n % kPacketSize != 0)
         pending_error_ = "truncated SBBT packet";
-    std::size_t decoded = 0;
-    std::string decode_error;
-    for (; decoded < full; ++decoded) {
-        if (!decodePacket(raw_.data() + decoded * kPacketSize,
-                          block_[decoded], &decode_error)) {
-            // The invalid packet precedes any ragged tail in stream order.
-            pending_error_ = decode_error;
-            break;
-        }
-    }
     block_pos_ = 0;
-    block_fill_ = decoded;
-    if (decoded == 0) {
+    block_fill_ = n / kPacketSize;
+    if (block_fill_ == 0) {
         error_ = std::move(pending_error_);
         pending_error_.clear();
         done_ = true;
         return false;
     }
     return true;
+}
+
+void
+SbbtReader::fail(const char *fault)
+{
+    error_ = fault;
+    pending_error_.clear();
+    block_pos_ = block_fill_;
+    done_ = true;
 }
 
 } // namespace mbp::sbbt

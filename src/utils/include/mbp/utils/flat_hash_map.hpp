@@ -5,6 +5,8 @@
  * The trace decoder keeps one entry per static branch to number branch
  * sites (sbbt::SiteDecoder); std::unordered_map's node allocations would
  * dominate that path, so the suite uses this flat, linear-probing map.
+ * The decoder probes it only when its small direct-mapped site memo
+ * misses, which on loop-heavy traces is a small share of the rows.
  */
 #ifndef MBP_UTILS_FLAT_HASH_MAP_HPP
 #define MBP_UTILS_FLAT_HASH_MAP_HPP

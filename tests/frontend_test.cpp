@@ -9,8 +9,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +170,35 @@ TEST(FrontEndSpec, BtbEntryProductIsBounded)
     config.btb.ways = 15;
     config.btb.log2_banks = 1;
     EXPECT_NE(config.btb.validate(), "") << "so is any product above it";
+}
+
+TEST(FrontEndSpec, ConstructorRejectsAnOversizedBtb)
+{
+    // A library caller that fills the BtbConfig by hand, past the
+    // 2^24-entry bound no spec string can cross: 2^20 sets x 16 ways x
+    // 2 banks is 2^25 entries, a 1 GiB table that zeroing would make
+    // resident. The constructor must refuse before sizing anything.
+    FrontEndConfig config;
+    config.btb.log2_sets = 20;
+    config.btb.ways = 16;
+    config.btb.log2_banks = 1;
+    const std::string expected = config.validate();
+    ASSERT_NE(expected, "");
+
+    rusage before{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+    try {
+        FrontEnd fe(pred::makeByName("gshare"), config);
+        ADD_FAILURE() << "an oversized BTB was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(e.what(), expected);
+    }
+    rusage after{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+    // ru_maxrss is the peak in KiB: a table that was sized and zeroed,
+    // even if freed again, leaves ~1 GiB in it.
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 128L * 1024)
+        << "the table was allocated before the throw";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,22 @@
  * default ctest run (`ctest -L fuzz-smoke`, budgeted well under 10 s).
  * Full-size campaigns run from the mbp_fuzz binary; this tier exists so a
  * regression that the differential or metamorphic oracles would catch
- * never survives an ordinary `ctest` invocation.
+ * never survives an ordinary `ctest` invocation. It also corrupts traces
+ * byte by byte and checks that every decoder reads a damaged trace alike.
  */
 #include "mbp/testkit/fuzz.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <random>
+#include <vector>
+
+#include "decode_check.hpp"
 #include "mbp/sbbt/reader.hpp"
+#include "mbp/sbbt/writer.hpp"
+#include "mbp/tracegen/adversarial.hpp"
 #include "test_tmp.hpp"
 
 using namespace mbp;
@@ -94,4 +103,55 @@ TEST(FuzzSmoke, FrontendSelfTestCatchesShrinksAndReplays)
         testkit::runFrontendLockstep(*subject, *reference, events);
     EXPECT_TRUE(mismatch.found)
         << "replaying the shrunk artifact must reproduce the divergence";
+}
+
+TEST(FuzzSmoke, SingleByteCorruptionsDecodeAlikeEveryWay)
+{
+    // One stream, raw and FLZ-compressed; each round flips one byte of
+    // one of them. The packet-at-a-time reader, MemTrace::load and a
+    // TraceWindow (a seeded capacity and reader block) must agree on
+    // every row, the site tables and the error.
+    const std::string dir = mbp::test::tempDir();
+    const testkit::Events events = tracegen::indirectStorm(3, 1500, 8, 31);
+    std::vector<std::vector<std::uint8_t>> bases;
+    const std::vector<std::string> names = {dir + "/base.sbbt",
+                                            dir + "/base.sbbt.flz"};
+    for (const std::string &name : names) {
+        ASSERT_EQ(testkit::writeSbbtFile(events, name), "");
+        std::ifstream in(name, std::ios::binary);
+        bases.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    }
+
+    std::mt19937_64 rng(20261020);
+    int clean = 0;
+    int failed = 0;
+    for (int round = 0; round < 200; ++round) {
+        const std::size_t which = round % 2;
+        std::vector<std::uint8_t> bytes = bases[which];
+        const std::size_t at = rng() % bytes.size();
+        bytes[at] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+        const std::string path =
+            dir + (which == 0 ? "/corrupt.sbbt" : "/corrupt.sbbt.flz");
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(bytes.data()),
+                      std::streamsize(bytes.size()));
+        }
+        const std::size_t capacities[] = {1, 63, 64, 4096};
+        const std::size_t blocks[] = {1, 7, sbbt::kDefaultBlockPackets};
+        const std::size_t capacity = capacities[rng() % 4];
+        const std::size_t block = blocks[rng() % 3];
+        SCOPED_TRACE("round " + std::to_string(round) + ": byte " +
+                     std::to_string(at) + " of " + names[which] +
+                     ", capacity " + std::to_string(capacity) +
+                     ", reader block " + std::to_string(block));
+
+        const test::DecodedTrace want = test::decodeByPackets(path);
+        ASSERT_EQ(test::diffArena(want, path, block), "");
+        ASSERT_EQ(test::diffWindow(want, path, capacity, block), "");
+        ++(want.error.empty() ? clean : failed);
+    }
+    EXPECT_GT(clean, 0) << "no corruption left a readable trace";
+    EXPECT_GT(failed, 0) << "no corruption was detected";
 }

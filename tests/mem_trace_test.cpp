@@ -4,8 +4,11 @@
  * through its column slices, must replay the exact packet stream
  * SbbtReader delivers from the same file — same branches, same gaps,
  * same instruction numbers — and a TraceWindow must hand out the same
- * columns, site ids and site tables block by block; plus the sizing
- * helpers the memory-budgeted cache relies on.
+ * columns, site ids and site tables block by block; both must match a
+ * packet-at-a-time reference decode (decode_check.hpp) on real, wide,
+ * stress and memo-colliding traces, and report each planted fault with
+ * the reference's error after exactly the rows before it; plus the
+ * sizing helpers the memory-budgeted cache relies on.
  */
 #include "mbp/sbbt/mem_trace.hpp"
 
@@ -18,13 +21,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "decode_check.hpp"
+#include "mbp/compress/flz.hpp"
 #include "mbp/compress/streams.hpp"
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
+#include "mbp/tracegen/adversarial.hpp"
+#include "mbp/tools/corpus.hpp"
 #include "mbp/tracegen/generator.hpp"
 #include "test_tmp.hpp"
 
@@ -88,6 +96,64 @@ writeThroughCodec(const std::string &path,
     ASSERT_NE(out, nullptr) << path;
     ASSERT_TRUE(out->write(bytes.data(), bytes.size()));
     ASSERT_TRUE(out->close());
+}
+
+/** Writes @p events as an SBBT trace (codec from the extension). */
+std::string
+writeEvents(const std::vector<tracegen::TraceEvent> &events,
+            const std::string &name)
+{
+    const std::string path = mbp::test::tempDir() + "/" + name;
+    // A compressed trace needs its header counts up front.
+    sbbt::SbbtWriter writer(
+        path, sbbt::Header{.instruction_count =
+                               tracegen::streamInstructions(events),
+                           .branch_count = events.size()});
+    for (const tracegen::TraceEvent &ev : events)
+        EXPECT_TRUE(writer.append(ev.branch, ev.instr_gap)) << writer.error();
+    EXPECT_TRUE(writer.close()) << writer.error();
+    return path;
+}
+
+/** The whole bytes of the file at @p path. */
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              std::streamsize(bytes.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
+/**
+ * Checks that the whole trace at @p path decodes cleanly and that
+ * MemTrace::load and TraceWindow, at every capacity and reader block
+ * that straddles a 64-row word or a window edge, match the reference.
+ */
+void
+expectDecodesAgree(const std::string &path)
+{
+    SCOPED_TRACE(path);
+    const test::DecodedTrace want = test::decodeByPackets(path);
+    ASSERT_EQ(want.error, "");
+    ASSERT_GT(want.size(), 0u);
+    for (std::size_t block : {std::size_t(1), std::size_t(7),
+                              sbbt::kDefaultBlockPackets})
+        EXPECT_EQ(test::diffArena(want, path, block), "")
+            << "reader block " << block;
+    for (std::size_t capacity : {1, 63, 64, 65, 4097})
+        for (std::size_t block : {std::size_t(1), std::size_t(7),
+                                  sbbt::kDefaultBlockPackets})
+            EXPECT_EQ(test::diffWindow(want, path, capacity, block), "")
+                << "capacity " << capacity << ", reader block " << block;
 }
 
 } // namespace
@@ -410,4 +476,224 @@ TEST(MemTrace, UnsizedInputGrowsTheColumnsPastTheFirstReserve)
     std::remove(fifo.c_str());
     std::remove(gz.c_str());
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// One-pass decode against the packet-at-a-time reference
+
+TEST(DecodeEquivalence, CorpusTrace)
+{
+    // The corpus's demo trace (materialized on demand, flock-guarded,
+    // with the spec the examples and the golden files use): 3.1 M
+    // branches of a synthetic program in 8 MiB FLZ blocks.
+    tracegen::WorkloadSpec spec;
+    spec.name = "example-demo";
+    spec.seed = 7;
+    spec.num_instr = 20'000'000;
+    tools::CorpusFormats formats;
+    formats.sbbt_flz = true;
+    const auto entries = tools::materialize(MBP_CORPUS_DIR, {spec}, formats);
+    ASSERT_EQ(entries.size(), 1u);
+    expectDecodesAgree(entries[0].sbbt_flz);
+}
+
+TEST(DecodeEquivalence, WideTraceOutgrowsTheSiteMemo)
+{
+    // 20000 sites, far more than the memo's 1024 entries and the 16 k
+    // slots the site map starts from, visited three times in shuffled
+    // order; half the sites sit at negative canonical addresses, so
+    // the sign extension of both address fields takes part.
+    constexpr std::size_t kSites = 20000;
+    std::vector<std::uint32_t> order(kSites);
+    for (std::uint32_t s = 0; s < kSites; ++s)
+        order[s] = s;
+    std::mt19937_64 rng(4242);
+    std::vector<tracegen::TraceEvent> events;
+    const OpCode kinds[] = {OpCode::condJump(), OpCode::jump(),
+                            OpCode::call(),     OpCode::ret(),
+                            OpCode::indJump(),  OpCode::indCall()};
+    for (int pass = 0; pass < 3; ++pass) {
+        std::shuffle(order.begin(), order.end(), rng);
+        for (std::uint32_t s : order) {
+            const std::uint64_t base = (s % 2 == 0)
+                                           ? std::uint64_t(0x400000)
+                                           : std::uint64_t(0xfff8000000000000);
+            const std::uint64_t ip = base + 4 * std::uint64_t(s);
+            const OpCode op = kinds[s % 6];
+            const bool taken = !op.isConditional() || (rng() & 1) != 0;
+            events.push_back({Branch{ip, ip + 0x40 * (pass + 1), op, taken},
+                              static_cast<std::uint32_t>(rng() % 40)});
+        }
+    }
+    const std::string path = writeEvents(events, "wide.sbbt.flz");
+    ASSERT_EQ(test::decodeByPackets(path).site_ips.size(), kSites);
+    expectDecodesAgree(path);
+}
+
+TEST(DecodeEquivalence, StressTraces)
+{
+    // The front-end stress streams `mbp_tracegen stress` renders, plus
+    // an aliasing storm.
+    expectDecodesAgree(writeEvents(tracegen::indirectStorm(5, 30000, 8, 31),
+                                   "stress-indirect.sbbt"));
+    expectDecodesAgree(writeEvents(tracegen::megamorphicSites(5, 30000, 40),
+                                   "stress-megamorphic.sbbt"));
+    expectDecodesAgree(writeEvents(tracegen::deepRecursion(5, 30000, 70),
+                                   "stress-recursion.sbbt.flz"));
+    expectDecodesAgree(writeEvents(tracegen::aliasingStorm(5, 30000, 64),
+                                   "stress-aliasing.sbbt"));
+}
+
+TEST(DecodeEquivalence, SitesThatShareAMemoEntryInterleave)
+{
+    // Eight sites 2^20 bytes apart share one memo entry, so nearly every
+    // row evicts the site the next row needs; interleaved with a few
+    // sites of their own entries.
+    std::vector<std::uint64_t> ips;
+    for (std::uint64_t k = 0; k < 8; ++k)
+        ips.push_back(0x7f0000001234 + (k << 20));
+    for (std::uint64_t ip : ips)
+        ASSERT_EQ(sbbt::SiteDecoder::memoIndex(ip),
+                  sbbt::SiteDecoder::memoIndex(ips[0]));
+    ips.push_back(0x400000);
+    ips.push_back(0x400010);
+    std::mt19937_64 rng(77);
+    std::vector<tracegen::TraceEvent> events;
+    for (std::size_t i = 0; i < 20000; ++i) {
+        const std::size_t pick = (i % 3 == 0) ? rng() % ips.size() : i % 8;
+        const bool taken = (rng() & 3) != 0;
+        events.push_back(
+            {Branch{ips[pick], ips[pick] + 0x100, OpCode::condJump(), taken},
+             static_cast<std::uint32_t>(i % 5)});
+    }
+    const std::string path = writeEvents(events, "memo-collide.sbbt");
+    const test::DecodedTrace want = test::decodeByPackets(path);
+    ASSERT_EQ(want.site_ips.size(), ips.size());
+    expectDecodesAgree(path);
+}
+
+// ---------------------------------------------------------------------------
+// Faults: the reference's error, after exactly the rows before the fault
+
+namespace
+{
+
+/** One way to break a trace at a row. */
+enum class Fault
+{
+    kUndefinedOpcode,
+    kRule1,
+    kRule2,
+    kRaggedTail,
+    kOverstatedHeader,
+    kCorruptFlzBlock,
+};
+
+/**
+ * @p raw (a whole raw SBBT trace) with @p fault planted at packet
+ * @p row, as the bytes of the file to write.
+ */
+std::vector<std::uint8_t>
+plantFault(std::vector<std::uint8_t> raw, Fault fault, std::size_t row)
+{
+    const std::size_t at = sbbt::kHeaderSize + row * sbbt::kPacketSize;
+    std::uint8_t *packet = raw.data() + at;
+    switch (fault) {
+    case Fault::kUndefinedOpcode: // base type 0b11
+        packet[0] = static_cast<std::uint8_t>((packet[0] & 0xf0) | 0x0c);
+        break;
+    case Fault::kRule1: // an unconditional jump that is not taken
+        packet[0] &= 0xf0;
+        packet[1] &= static_cast<std::uint8_t>(~0x08);
+        break;
+    case Fault::kRule2: // a not-taken conditional indirect, target != 0
+        packet[0] = static_cast<std::uint8_t>((packet[0] & 0xf0) | 0x03);
+        packet[1] &= static_cast<std::uint8_t>(~0x08);
+        packet[9] |= 0x10;
+        break;
+    case Fault::kRaggedTail:
+        raw.resize(at + 5);
+        break;
+    case Fault::kOverstatedHeader:
+        raw.resize(at);
+        break;
+    case Fault::kCorruptFlzBlock: {
+        // An FLZ1 frame of two blocks split at the row: the header and
+        // the rows before it stored, the rest compressed under a raw
+        // size one packet too large, so that block fails to decode.
+        std::vector<std::uint8_t> frame(compress::kFlzMagic,
+                                        compress::kFlzMagic + 4);
+        const auto put32 = [&frame](std::size_t v) {
+            for (int i = 0; i < 4; ++i)
+                frame.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        };
+        put32(at);
+        put32(0);
+        frame.insert(frame.end(), raw.begin(), raw.begin() + at);
+        const std::vector<std::uint8_t> rest = compress::flzCompress(
+            raw.data() + at, raw.size() - at);
+        put32(raw.size() - at + sbbt::kPacketSize);
+        put32(rest.size());
+        frame.insert(frame.end(), rest.begin(), rest.end());
+        put32(0);
+        put32(0);
+        return frame;
+    }
+    }
+    return raw;
+}
+
+} // namespace
+
+TEST(DecodeErrors, EachFaultSurfacesAfterExactlyTheRowsBeforeIt)
+{
+    const std::size_t kBranches = 5000;
+    const std::string clean = writeEvents(
+        tracegen::indirectStorm(9, kBranches, 8, 31), "fault_base.sbbt");
+    const std::vector<std::uint8_t> raw = fileBytes(clean);
+    ASSERT_EQ(raw.size(), sbbt::kHeaderSize + kBranches * sbbt::kPacketSize);
+
+    const struct
+    {
+        Fault fault;
+        const char *name;
+        std::string error; // "" = the early-end message, which names the row
+    } faults[] = {
+        {Fault::kUndefinedOpcode, "opcode", "undefined opcode base type 0b11"},
+        {Fault::kRule1, "rule1", "packet violates SBBT validity rules"},
+        {Fault::kRule2, "rule2", "packet violates SBBT validity rules"},
+        {Fault::kRaggedTail, "ragged", "truncated SBBT packet"},
+        {Fault::kOverstatedHeader, "overstated", ""},
+        {Fault::kCorruptFlzBlock, "flz", "corrupt compressed stream"},
+    };
+    for (const auto &f : faults) {
+        for (std::size_t row : {std::size_t(0), std::size_t(1),
+                                std::size_t(4095), std::size_t(4096),
+                                kBranches - 1}) {
+            SCOPED_TRACE(std::string(f.name) + " at row " +
+                         std::to_string(row));
+            const std::string path =
+                mbp::test::tempDir() + "/fault_" + f.name +
+                (f.fault == Fault::kCorruptFlzBlock ? ".sbbt.flz" : ".sbbt");
+            writeBytes(path, plantFault(raw, f.fault, row));
+
+            const test::DecodedTrace want = test::decodeByPackets(path);
+            EXPECT_EQ(want.size(), row);
+            EXPECT_EQ(want.error,
+                      f.error.empty()
+                          ? "trace ended early: header promises " +
+                                std::to_string(kBranches) + " branches, got " +
+                                std::to_string(row)
+                          : f.error);
+            EXPECT_EQ(test::diffArena(want, path, sbbt::kDefaultBlockPackets),
+                      "");
+            for (std::size_t capacity : {1, 63, 4096})
+                for (std::size_t block :
+                     {std::size_t(7), sbbt::kDefaultBlockPackets})
+                    EXPECT_EQ(test::diffWindow(want, path, capacity, block),
+                              "")
+                        << "capacity " << capacity << ", reader block "
+                        << block;
+        }
+    }
 }
