@@ -46,9 +46,6 @@ struct ReaderOptions
      * MemTrace::load decodes inline whatever this says.
      */
     bool prefetch = false;
-
-    /** Ring-slot size for the prefetch thread. */
-    std::size_t prefetch_block_bytes = 1 << 20;
 };
 
 /**

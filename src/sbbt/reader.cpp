@@ -25,8 +25,8 @@ SbbtReader::SbbtReader(const std::string &path, const ReaderOptions &options)
         return;
     }
     if (options.prefetch) {
-        auto prefetch = std::make_unique<compress::PrefetchSource>(
-            std::move(source), options.prefetch_block_bytes);
+        auto prefetch =
+            std::make_unique<compress::PrefetchSource>(std::move(source));
         prefetch_ = prefetch.get();
         source = std::move(prefetch);
     }

@@ -100,7 +100,7 @@ struct PredictorSpec
      * Optional fused factory: a fresh block kernel (mbp/sim/kernels.hpp)
      * over an instance of the same configuration `make` builds, with the
      * predictor's concrete type known at compile time. When present
-     * (makeSpec() and campaignFromJson set it) run() steps it instead of
+     * (makeSpec() and rosterSpec() set it) run() steps it instead of
      * a virtual FusedKernel<Predictor> over make()'s instance, unless
      * Campaign::fused is disabled; only throughput changes. The rules
      * of `make` apply.
@@ -135,6 +135,14 @@ makeSpec(std::string name, Args... args)
     spec.make_kernel = [args...] { return makeFusedKernel<P>(args...); };
     return spec;
 }
+
+/**
+ * The PredictorSpec of roster predictor @p name (mbp::pred): both its
+ * virtual factory and its fused kernel factory, as campaignFromJson and
+ * `mbp_sweep --predictors` build them. An unknown name gives factories
+ * that return null, so its cells fail with "unknown predictor".
+ */
+PredictorSpec rosterSpec(const std::string &name);
 
 /** A (predictor x trace) campaign specification. */
 struct Campaign

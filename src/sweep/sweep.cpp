@@ -52,6 +52,13 @@ parallelFor(std::size_t n, unsigned jobs,
         thread.join();
 }
 
+PredictorSpec
+rosterSpec(const std::string &name)
+{
+    return {name, [name] { return pred::makeByName(name); },
+            [name] { return pred::fusedKernelByName(name); }};
+}
+
 bool
 campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
 {
@@ -82,11 +89,7 @@ campaignFromJson(const json_t &spec, Campaign &out, std::string &error)
                     "' (see mbp_sweep list)";
             return false;
         }
-        std::string roster_name = name.asString();
-        campaign.predictors.push_back(
-            {roster_name,
-             [roster_name] { return pred::makeByName(roster_name); },
-             [roster_name] { return pred::fusedKernelByName(roster_name); }});
+        campaign.predictors.push_back(rosterSpec(name.asString()));
     }
     for (const json_t &path : traces->elements()) {
         if (!path.isString()) {

@@ -4,7 +4,6 @@
  */
 #include "mbp/testkit/frontend_oracle.hpp"
 
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -17,14 +16,6 @@ namespace mbp::testkit
 
 namespace
 {
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)v);
-    return buf;
-}
 
 /** The deliberately tiny configuration of the "-small-" targets. */
 frontend::FrontEndConfig
@@ -46,33 +37,33 @@ smallConfig()
     return config;
 }
 
-FrontendDiffTarget
+DiffTarget
 makeTarget(const std::string &label, const std::string &conditional,
            const frontend::FrontEndConfig &config,
            FrontendMutation mutation = FrontendMutation::kNone)
 {
-    return {label,
-            [conditional, config] {
-                return std::make_unique<frontend::FrontEnd>(
-                    pred::makeByName(conditional), config);
-            },
-            [conditional, config, mutation] {
-                return std::make_unique<RefFrontEnd>(
-                    pred::makeByName(conditional), config, mutation);
-            }};
+    return lockstepTarget(
+        label, Lane::kFrontend,
+        [conditional, config] {
+            return std::make_unique<frontend::FrontEnd>(
+                pred::makeByName(conditional), config);
+        },
+        [conditional, config, mutation] {
+            return std::make_unique<RefFrontEnd>(
+                pred::makeByName(conditional), config, mutation);
+        });
 }
 
-/** One frontend::simulate() run over @p path; "" or the error. */
+/** One run of @p runner over @p path; "" or the error. */
 std::string
-runFrontendSim(const FrontEndFactory &factory, const std::string &path,
+runFrontendSim(const SimRunner &runner, const std::string &path,
                std::uint64_t warmup, std::uint64_t sim_instr, json_t &out)
 {
-    auto front_end = factory();
     SimArgs args;
     args.trace_path = path;
     args.warmup_instr = warmup;
     args.sim_instr = sim_instr;
-    out = frontend::simulate(*front_end, args);
+    out = runner(args);
     if (out.contains("error"))
         return out.find("error")->asString();
     return "";
@@ -80,30 +71,11 @@ runFrontendSim(const FrontEndFactory &factory, const std::string &path,
 
 } // namespace
 
-std::string
-FrontendMismatch::describe() const
+Mismatch
+runLockstep(frontend::FrontEnd &subject, RefFrontEnd &reference,
+            const Events &events)
 {
-    if (!found)
-        return "no mismatch";
-    std::ostringstream os;
-    os << "event " << event_index << " (ip " << hex(ip) << "): ";
-    if (std::string(field) == "direction") {
-        os << "subject predicted "
-           << (subject_taken ? "taken" : "not-taken")
-           << ", reference predicted "
-           << (reference_taken ? "taken" : "not-taken");
-    } else {
-        os << "subject predicted target " << hex(subject_target)
-           << ", reference predicted target " << hex(reference_target);
-    }
-    return os.str();
-}
-
-FrontendMismatch
-runFrontendLockstep(frontend::FrontEnd &subject, RefFrontEnd &reference,
-                    const Events &events)
-{
-    FrontendMismatch mismatch;
+    Mismatch mismatch;
     for (std::size_t i = 0; i < events.size(); ++i) {
         const Branch &b = events[i].branch;
         const frontend::StepResult s = subject.step(b, true);
@@ -125,10 +97,10 @@ runFrontendLockstep(frontend::FrontEnd &subject, RefFrontEnd &reference,
     return mismatch;
 }
 
-std::vector<FrontendDiffTarget>
+std::vector<DiffTarget>
 frontendDiffTargets(const std::vector<std::string> &conditional_names)
 {
-    std::vector<FrontendDiffTarget> targets;
+    std::vector<DiffTarget> targets;
     for (const std::string &name : conditional_names) {
         if (pred::makeByName(name) == nullptr)
             continue;
@@ -141,7 +113,7 @@ frontendDiffTargets(const std::vector<std::string> &conditional_names)
     return targets;
 }
 
-FrontendDiffTarget
+DiffTarget
 brokenFrontendTarget()
 {
     return makeTarget("frontend-broken-btb-vs-ref", "gshare",
@@ -150,7 +122,7 @@ brokenFrontendTarget()
 }
 
 std::string
-checkFrontendWarmupSplit(const FrontEndFactory &factory,
+checkFrontendWarmupSplit(const SimRunner &runner,
                          const Events &events,
                          const std::string &scratch_path)
 {
@@ -162,13 +134,13 @@ checkFrontendWarmupSplit(const FrontEndFactory &factory,
     const std::uint64_t k = tracegen::streamInstructions(events) / 2;
 
     json_t full, prefix, tail;
-    err = runFrontendSim(factory, scratch_path, 0, kUnlimited, full);
+    err = runFrontendSim(runner, scratch_path, 0, kUnlimited, full);
     if (!err.empty())
         return "frontend-warmup-split: full run failed: " + err;
-    err = runFrontendSim(factory, scratch_path, 0, k, prefix);
+    err = runFrontendSim(runner, scratch_path, 0, k, prefix);
     if (!err.empty())
         return "frontend-warmup-split: prefix run failed: " + err;
-    err = runFrontendSim(factory, scratch_path, k, kUnlimited, tail);
+    err = runFrontendSim(runner, scratch_path, k, kUnlimited, tail);
     if (!err.empty())
         return "frontend-warmup-split: tail run failed: " + err;
 
@@ -215,31 +187,6 @@ checkFrontendWarmupSplit(const FrontEndFactory &factory,
             return os.str();
         }
     }
-    return "";
-}
-
-std::string
-checkFrontendDeterminism(const FrontEndFactory &factory,
-                         const Events &events,
-                         const std::string &scratch_path)
-{
-    std::string err = writeSbbtFile(events, scratch_path);
-    if (!err.empty())
-        return "frontend-determinism: " + err;
-    std::string dumps[2];
-    for (int run = 0; run < 2; ++run) {
-        json_t result;
-        err = runFrontendSim(factory, scratch_path, 0,
-                             std::numeric_limits<std::uint64_t>::max(),
-                             result);
-        if (!err.empty())
-            return "frontend-determinism: run failed: " + err;
-        dumps[run] = stableDump(result);
-    }
-    if (dumps[0] != dumps[1])
-        return "frontend-determinism: two identical runs produced "
-               "different results:\n  run 1: " +
-               dumps[0] + "\n  run 2: " + dumps[1];
     return "";
 }
 

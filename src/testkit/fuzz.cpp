@@ -5,6 +5,8 @@
 #include "mbp/testkit/fuzz.hpp"
 
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 
 #include "mbp/predictors/bimodal.hpp"
@@ -90,29 +92,144 @@ makeSimpleStream(std::uint64_t shape, Lfsr &rng, std::size_t num_branches,
     }
 }
 
+/** A lane's name and its keys in the report. */
+struct LaneKeys
+{
+    const char *name;
+    const char *targets;
+    const char *differential_checks;
+    const char *metamorphic_checks;
+};
+
+/** Indexed by Lane, in report order. */
+constexpr LaneKeys kLanes[] = {
+    {"conditional", "targets", "differential_checks", "metamorphic_checks"},
+    {"frontend", "frontend_targets", "frontend_differential_checks",
+     "frontend_metamorphic_checks"},
+};
+constexpr std::size_t kNumLanes = std::size(kLanes);
+
+/** One metamorphic check run on every stream. */
+struct MetamorphicCheck
+{
+    Lane lane;
+    const char *invariant;
+    /** Roster name of the predictor under check; empty for none. */
+    std::string predictor;
+    /** "" or the violation, given a stream and its scratch path prefix. */
+    std::function<std::string(const Events &, const std::string &)> run;
+};
+
+/**
+ * The checks every stream goes through, in report order. Predictors are
+ * resolved up front so a typo is one clear config failure in @p failures
+ * instead of one per stream.
+ */
+std::vector<MetamorphicCheck>
+metamorphicChecks(const FuzzOptions &options, json_t &failures)
+{
+    std::vector<MetamorphicCheck> checks;
+    if (!options.metamorphic)
+        return checks;
+    checks.push_back({Lane::kConditional, "round-trip", "",
+                      [](const Events &events, const std::string &scratch) {
+                          return checkRoundTrip(events, scratch);
+                      }});
+    auto known = [&](const std::string &name, const char *what) {
+        if (pred::makeByName(name) != nullptr)
+            return true;
+        failures.push_back(json_t::object(
+            {{"type", "config"},
+             {"detail", std::string("unknown ") + what + " predictor \"" +
+                            name + "\" (see mbp::pred::rosterNames)"}}));
+        return false;
+    };
+    for (const std::string &name : options.metamorphic_predictors) {
+        if (!known(name, "metamorphic"))
+            continue;
+        PredictorFactory factory = [name] { return pred::makeByName(name); };
+        SimRunner runner = [factory](const SimArgs &args) {
+            return simulate(*factory(), args);
+        };
+        checks.push_back(
+            {Lane::kConditional, "warmup-split", name,
+             [factory](const Events &events, const std::string &scratch) {
+                 return checkWarmupSplit(factory, events, scratch + ".sbbt");
+             }});
+        checks.push_back(
+            {Lane::kConditional, "determinism", name,
+             [runner](const Events &events, const std::string &scratch) {
+                 return checkDeterminism(runner, events, scratch + ".sbbt");
+             }});
+    }
+    for (const std::string &name : options.frontend_predictors) {
+        if (!known(name, "frontend"))
+            continue;
+        SimRunner runner = [name](const SimArgs &args) {
+            frontend::FrontEnd front_end(pred::makeByName(name),
+                                         frontend::FrontEndConfig{});
+            return frontend::simulate(front_end, args);
+        };
+        checks.push_back(
+            {Lane::kFrontend, "frontend-warmup-split", name,
+             [runner](const Events &events, const std::string &scratch) {
+                 return checkFrontendWarmupSplit(runner, events,
+                                                 scratch + ".sbbt");
+             }});
+        checks.push_back(
+            {Lane::kFrontend, "frontend-determinism", name,
+             [runner](const Events &events, const std::string &scratch) {
+                 return checkDeterminism(runner, events, scratch + ".sbbt",
+                                         "frontend-determinism");
+             }});
+    }
+    return checks;
+}
+
 } // namespace
+
+const char *
+laneName(Lane lane)
+{
+    return kLanes[std::size_t(lane)].name;
+}
 
 std::vector<DiffTarget>
 defaultDiffTargets()
 {
     return {
-        {"bimodal-vs-ref",
-         [] { return std::make_unique<pred::Bimodal<16>>(); },
-         [] { return std::make_unique<RefBimodal>(16, 2); }},
-        {"gshare-vs-ref",
-         [] { return std::make_unique<pred::Gshare<15, 17>>(); },
-         [] { return std::make_unique<RefGshare>(15, 17); }},
-        {"tage-lite-vs-ref", [] { return std::make_unique<TageLite>(); },
-         [] { return std::make_unique<RefTageLite>(); }},
+        lockstepTarget(
+            "bimodal-vs-ref", Lane::kConditional,
+            [] { return std::make_unique<pred::Bimodal<16>>(); },
+            [] { return std::make_unique<RefBimodal>(16, 2); }),
+        lockstepTarget(
+            "gshare-vs-ref", Lane::kConditional,
+            [] { return std::make_unique<pred::Gshare<15, 17>>(); },
+            [] { return std::make_unique<RefGshare>(15, 17); }),
+        lockstepTarget(
+            "tage-lite-vs-ref", Lane::kConditional,
+            [] { return std::make_unique<TageLite>(); },
+            [] { return std::make_unique<RefTageLite>(); }),
     };
 }
 
 DiffTarget
 brokenGshareTarget()
 {
-    return {"broken-gshare-vs-ref",
-            [] { return std::make_unique<BrokenGshare>(); },
-            [] { return std::make_unique<RefGshare>(15, 17); }};
+    return lockstepTarget(
+        "broken-gshare-vs-ref", Lane::kConditional,
+        [] { return std::make_unique<BrokenGshare>(); },
+        [] { return std::make_unique<RefGshare>(15, 17); });
+}
+
+std::vector<DiffTarget>
+fuzzTargets(const FuzzOptions &options)
+{
+    std::vector<DiffTarget> targets = defaultDiffTargets();
+    for (DiffTarget &target :
+         frontendDiffTargets(options.frontend_predictors))
+        targets.push_back(std::move(target));
+    return targets;
 }
 
 Events
@@ -143,8 +260,7 @@ makeStream(std::uint64_t seed, std::size_t index, std::size_t max_branches)
 }
 
 json_t
-runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets,
-        const std::vector<FrontendDiffTarget> &frontend_targets)
+runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets)
 {
     json_t report = json_t::object();
     json_t meta = json_t::object({
@@ -156,48 +272,23 @@ runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets,
         {"differential", options.differential},
         {"metamorphic", options.metamorphic},
     });
-    json_t target_names = json_t::array();
-    for (const DiffTarget &t : targets)
-        target_names.push_back(t.name);
-    meta["targets"] = std::move(target_names);
-    json_t frontend_target_names = json_t::array();
-    for (const FrontendDiffTarget &t : frontend_targets)
-        frontend_target_names.push_back(t.name);
-    meta["frontend_targets"] = std::move(frontend_target_names);
+    for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
+        json_t names = json_t::array();
+        for (const DiffTarget &t : targets)
+            if (std::size_t(t.lane) == lane)
+                names.push_back(t.name);
+        meta[kLanes[lane].targets] = std::move(names);
+    }
     report["metadata"] = std::move(meta);
 
     const std::string scratch_dir = options.artifact_dir + "/scratch";
     std::filesystem::create_directories(scratch_dir);
 
     json_t failures = json_t::array();
-    std::uint64_t differential_checks = 0, metamorphic_checks = 0;
-    std::uint64_t frontend_differential_checks = 0;
-    std::uint64_t frontend_metamorphic_checks = 0;
-
-    // Resolve metamorphic predictors up front so a typo is one clear
-    // config failure instead of one per stream.
-    std::vector<std::string> metamorphic_names;
-    std::vector<std::string> frontend_names;
-    if (options.metamorphic) {
-        for (const std::string &name : options.metamorphic_predictors) {
-            if (pred::makeByName(name) == nullptr)
-                failures.push_back(json_t::object(
-                    {{"type", "config"},
-                     {"detail", "unknown metamorphic predictor \"" + name +
-                                    "\" (see mbp::pred::rosterNames)"}}));
-            else
-                metamorphic_names.push_back(name);
-        }
-        for (const std::string &name : options.frontend_predictors) {
-            if (pred::makeByName(name) == nullptr)
-                failures.push_back(json_t::object(
-                    {{"type", "config"},
-                     {"detail", "unknown frontend predictor \"" + name +
-                                    "\" (see mbp::pred::rosterNames)"}}));
-            else
-                frontend_names.push_back(name);
-        }
-    }
+    std::uint64_t differential_checks[kNumLanes] = {};
+    std::uint64_t metamorphic_checks[kNumLanes] = {};
+    const std::vector<MetamorphicCheck> checks =
+        metamorphicChecks(options, failures);
 
     for (std::size_t i = 0; i < options.num_streams; ++i) {
         const Events events =
@@ -205,22 +296,13 @@ runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets,
 
         if (options.differential) {
             for (const DiffTarget &target : targets) {
-                ++differential_checks;
-                auto subject = target.subject();
-                auto reference = target.reference();
-                Mismatch mismatch =
-                    runLockstep(*subject, *reference, events);
-                if (!mismatch.found)
+                ++differential_checks[std::size_t(target.lane)];
+                if (!target.run(events).found)
                     continue;
-                auto stillFails = [&](const Events &candidate) {
-                    auto s = target.subject();
-                    auto r = target.reference();
-                    return runLockstep(*s, *r, candidate).found;
-                };
-                Events minimal = shrinkStream(events, stillFails);
-                auto s = target.subject();
-                auto r = target.reference();
-                Mismatch shrunk = runLockstep(*s, *r, minimal);
+                Events minimal = shrinkStream(events, [&](const Events &c) {
+                    return target.run(c).found;
+                });
+                const Mismatch shrunk = target.run(minimal);
                 const std::string name = target.name + "-seed" +
                                          std::to_string(options.seed) +
                                          "-stream" + std::to_string(i);
@@ -229,43 +311,7 @@ runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets,
                                target.name + ": " + shrunk.describe());
                 failures.push_back(json_t::object({
                     {"type", "differential"},
-                    {"lane", "conditional"},
-                    {"target", target.name},
-                    {"stream", std::uint64_t(i)},
-                    {"detail", shrunk.describe()},
-                    {"original_branches", std::uint64_t(events.size())},
-                    {"shrunk_branches", std::uint64_t(minimal.size())},
-                    {"sbbt", artifact.sbbt_path},
-                    {"stanza", artifact.stanza_path},
-                }));
-            }
-            for (const FrontendDiffTarget &target : frontend_targets) {
-                ++frontend_differential_checks;
-                auto subject = target.subject();
-                auto reference = target.reference();
-                FrontendMismatch mismatch =
-                    runFrontendLockstep(*subject, *reference, events);
-                if (!mismatch.found)
-                    continue;
-                auto stillFails = [&](const Events &candidate) {
-                    auto s = target.subject();
-                    auto r = target.reference();
-                    return runFrontendLockstep(*s, *r, candidate).found;
-                };
-                Events minimal = shrinkStream(events, stillFails);
-                auto s = target.subject();
-                auto r = target.reference();
-                FrontendMismatch shrunk =
-                    runFrontendLockstep(*s, *r, minimal);
-                const std::string name = target.name + "-seed" +
-                                         std::to_string(options.seed) +
-                                         "-stream" + std::to_string(i);
-                ReproArtifact artifact =
-                    writeRepro(options.artifact_dir, name, minimal,
-                               target.name + ": " + shrunk.describe());
-                failures.push_back(json_t::object({
-                    {"type", "differential"},
-                    {"lane", "frontend"},
+                    {"lane", laneName(target.lane)},
                     {"target", target.name},
                     {"stream", std::uint64_t(i)},
                     {"detail", shrunk.describe()},
@@ -277,78 +323,31 @@ runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets,
             }
         }
 
-        if (options.metamorphic) {
-            const std::string scratch =
-                scratch_dir + "/stream" + std::to_string(i);
-            ++metamorphic_checks;
-            std::string err = checkRoundTrip(events, scratch);
-            if (!err.empty())
-                failures.push_back(json_t::object(
-                    {{"type", "metamorphic"},
-                     {"invariant", "round-trip"},
-                     {"stream", std::uint64_t(i)},
-                     {"detail", err}}));
-            for (const std::string &name : metamorphic_names) {
-                PredictorFactory factory = [&name] {
-                    return pred::makeByName(name);
-                };
-                ++metamorphic_checks;
-                err = checkWarmupSplit(factory, events, scratch + ".sbbt");
-                if (!err.empty())
-                    failures.push_back(json_t::object(
-                        {{"type", "metamorphic"},
-                         {"invariant", "warmup-split"},
-                         {"predictor", name},
-                         {"stream", std::uint64_t(i)},
-                         {"detail", err}}));
-                ++metamorphic_checks;
-                err = checkDeterminism(factory, events, scratch + ".sbbt");
-                if (!err.empty())
-                    failures.push_back(json_t::object(
-                        {{"type", "metamorphic"},
-                         {"invariant", "determinism"},
-                         {"predictor", name},
-                         {"stream", std::uint64_t(i)},
-                         {"detail", err}}));
-            }
-            for (const std::string &name : frontend_names) {
-                FrontEndFactory factory = [&name] {
-                    return std::make_unique<frontend::FrontEnd>(
-                        pred::makeByName(name),
-                        frontend::FrontEndConfig{});
-                };
-                ++frontend_metamorphic_checks;
-                err = checkFrontendWarmupSplit(factory, events,
-                                               scratch + ".sbbt");
-                if (!err.empty())
-                    failures.push_back(json_t::object(
-                        {{"type", "metamorphic"},
-                         {"invariant", "frontend-warmup-split"},
-                         {"predictor", name},
-                         {"stream", std::uint64_t(i)},
-                         {"detail", err}}));
-                ++frontend_metamorphic_checks;
-                err = checkFrontendDeterminism(factory, events,
-                                               scratch + ".sbbt");
-                if (!err.empty())
-                    failures.push_back(json_t::object(
-                        {{"type", "metamorphic"},
-                         {"invariant", "frontend-determinism"},
-                         {"predictor", name},
-                         {"stream", std::uint64_t(i)},
-                         {"detail", err}}));
-            }
+        const std::string scratch =
+            scratch_dir + "/stream" + std::to_string(i);
+        for (const MetamorphicCheck &check : checks) {
+            ++metamorphic_checks[std::size_t(check.lane)];
+            const std::string err = check.run(events, scratch);
+            if (err.empty())
+                continue;
+            json_t failure = json_t::object(
+                {{"type", "metamorphic"}, {"invariant", check.invariant}});
+            if (!check.predictor.empty())
+                failure["predictor"] = check.predictor;
+            failure["stream"] = std::uint64_t(i);
+            failure["detail"] = err;
+            failures.push_back(std::move(failure));
         }
     }
 
-    report["counts"] = json_t::object({
-        {"streams", std::uint64_t(options.num_streams)},
-        {"differential_checks", differential_checks},
-        {"metamorphic_checks", metamorphic_checks},
-        {"frontend_differential_checks", frontend_differential_checks},
-        {"frontend_metamorphic_checks", frontend_metamorphic_checks},
-        {"failures", std::uint64_t(failures.size())},
-    });
+    json_t counts =
+        json_t::object({{"streams", std::uint64_t(options.num_streams)}});
+    for (std::size_t lane = 0; lane < kNumLanes; ++lane) {
+        counts[kLanes[lane].differential_checks] = differential_checks[lane];
+        counts[kLanes[lane].metamorphic_checks] = metamorphic_checks[lane];
+    }
+    counts["failures"] = std::uint64_t(failures.size());
+    report["counts"] = std::move(counts);
     report["ok"] = failures.size() == 0;
     report["failures"] = std::move(failures);
     return report;

@@ -6,16 +6,15 @@
  * direction prediction per conditional branch, the lockstep compares the
  * whole fetch prediction — direction *and* target — for *every* branch
  * class, with mbp::frontend::FrontEnd as the subject and the naive
- * RefFrontEnd (frontend_ref.hpp) as the reference. The metamorphic
- * checks pin frontend::simulate() itself: per-class counters must be
- * additive across a warmup split, and identical runs must report
- * bit-identical documents.
+ * RefFrontEnd (frontend_ref.hpp) as the reference. Its targets are
+ * DiffTargets of the front-end lane, and checkDeterminism() takes a
+ * frontend::simulate() runner. The one front-end-only metamorphic check
+ * pins frontend::simulate() itself: per-class counters must be additive
+ * across a warmup split.
  */
 #ifndef MBP_TESTKIT_FRONTEND_ORACLE_HPP
 #define MBP_TESTKIT_FRONTEND_ORACLE_HPP
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,53 +25,22 @@
 namespace mbp::testkit
 {
 
-/** Builds a fresh FrontEnd per run. */
-using FrontEndFactory =
-    std::function<std::unique_ptr<frontend::FrontEnd>()>;
-/** Builds a fresh RefFrontEnd per run. */
-using RefFrontEndFactory = std::function<std::unique_ptr<RefFrontEnd>()>;
-
-/** First branch where subject and reference front ends disagreed. */
-struct FrontendMismatch
-{
-    bool found = false;
-    std::size_t event_index = 0;
-    std::uint64_t ip = 0;
-    /** "direction" or "target". */
-    const char *field = "";
-    bool subject_taken = false;
-    bool reference_taken = false;
-    std::uint64_t subject_target = 0;
-    std::uint64_t reference_target = 0;
-
-    std::string describe() const;
-};
-
 /**
  * Runs subject and reference over @p events in lockstep, comparing the
  * full per-branch prediction (direction first, then target), and stops
  * at the first divergence.
  */
-FrontendMismatch runFrontendLockstep(frontend::FrontEnd &subject,
-                                     RefFrontEnd &reference,
-                                     const Events &events);
-
-/** A subject/reference front-end pair checked in lockstep. */
-struct FrontendDiffTarget
-{
-    std::string name;
-    FrontEndFactory subject;
-    RefFrontEndFactory reference;
-};
+Mismatch runLockstep(frontend::FrontEnd &subject, RefFrontEnd &reference,
+                     const Events &events);
 
 /**
- * Two targets per conditional-predictor roster name: the default
- * configuration, and a deliberately tiny "small" one (2-way FIFO BTB,
- * 4-deep discard/reuse RAS, 6-bit indirect table, corruption model on)
- * whose constant capacity pressure exercises every replacement and
+ * Two front-end-lane targets per conditional-predictor roster name: the
+ * default configuration, and a deliberately tiny "small" one (2-way FIFO
+ * BTB, 4-deep discard/reuse RAS, 6-bit indirect table, corruption model
+ * on) whose constant capacity pressure exercises every replacement and
  * overflow edge. Unknown roster names are skipped.
  */
-std::vector<FrontendDiffTarget>
+std::vector<DiffTarget>
 frontendDiffTargets(const std::vector<std::string> &conditional_names);
 
 /**
@@ -80,24 +48,16 @@ frontendDiffTargets(const std::vector<std::string> &conditional_names);
  * carrying the kBtbStaleTarget mutation. A healthy fuzzer must flag it
  * and shrink a small witness (any repeated taken branch suffices).
  */
-FrontendDiffTarget brokenFrontendTarget();
+DiffTarget brokenFrontendTarget();
 
 /**
  * Warmup-split additivity of the per-class counters: for k = half the
  * stream, every counter of every class in the full run's report must
  * equal its prefix-run (sim_instr = k) value plus its tail-run
- * (warmup_instr = k) value. @p scratch_path is overwritten.
+ * (warmup_instr = k) value. @p runner runs frontend::simulate();
+ * @p scratch_path is overwritten.
  */
-std::string checkFrontendWarmupSplit(const FrontEndFactory &factory,
-                                     const Events &events,
-                                     const std::string &scratch_path);
-
-/**
- * Determinism: two frontend::simulate() runs over the same trace with
- * fresh front ends must report bit-identical documents (timing fields
- * excluded).
- */
-std::string checkFrontendDeterminism(const FrontEndFactory &factory,
+std::string checkFrontendWarmupSplit(const SimRunner &runner,
                                      const Events &events,
                                      const std::string &scratch_path);
 

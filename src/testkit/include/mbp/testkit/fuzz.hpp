@@ -7,17 +7,19 @@
  * monotone runs, phase flips, structured programs and their compositions),
  * runs each stream through
  *
- *  - the differential oracles: every DiffTarget pairs a subject predictor
- *    with an independently written reference (reference.hpp), checked
- *    branch-by-branch with runLockstep(); and
+ *  - the differential oracles: every DiffTarget pairs a subject with an
+ *    independently written reference (reference.hpp, frontend_ref.hpp),
+ *    checked branch-by-branch with runLockstep(), whatever its lane; and
  *  - the metamorphic oracles: warm-up split invariance, trace-format
  *    round-trip and same-seed determinism of simulate() itself
- *    (oracle.hpp),
+ *    (oracle.hpp), and warm-up additivity and determinism of
+ *    frontend::simulate() (frontend_oracle.hpp),
  *
  * and, on any differential failure, shrinks the stream with ddmin
  * (shrink.hpp) and writes a replayable .sbbt plus a regression-test stanza
  * into the artifact directory. The whole run is a pure function of
- * FuzzOptions — same seed, same report, byte for byte.
+ * FuzzOptions and the target list — same seed, same report, byte for
+ * byte.
  */
 #ifndef MBP_TESTKIT_FUZZ_HPP
 #define MBP_TESTKIT_FUZZ_HPP
@@ -33,14 +35,6 @@
 namespace mbp::testkit
 {
 
-/** A subject/reference pair checked in lockstep. */
-struct DiffTarget
-{
-    std::string name;
-    PredictorFactory subject;
-    PredictorFactory reference;
-};
-
 /**
  * The roster pairs with an independent reference implementation:
  * bimodal vs RefBimodal, gshare vs RefGshare, and the testkit's own
@@ -51,10 +45,14 @@ struct DiffTarget
 std::vector<DiffTarget> defaultDiffTargets();
 
 /**
- * The self-test target: BrokenGshare (an off-by-one effective history
- * length) against RefGshare. A healthy fuzzer must flag it.
+ * The conditional self-test target: BrokenGshare (an off-by-one
+ * effective history length) against RefGshare. A healthy fuzzer must
+ * flag it.
  */
 DiffTarget brokenGshareTarget();
+
+/** "conditional" or "frontend": the `lane` of a failure record. */
+const char *laneName(Lane lane);
 
 /** Knobs of one fuzzing run. */
 struct FuzzOptions
@@ -80,6 +78,13 @@ struct FuzzOptions
 };
 
 /**
+ * Every lane's targets for @p options, in report order:
+ * defaultDiffTargets(), then frontendDiffTargets(
+ * options.frontend_predictors). What mbp_fuzz runs and lists.
+ */
+std::vector<DiffTarget> fuzzTargets(const FuzzOptions &options);
+
+/**
  * Deterministically derives stream @p index of a run seeded @p seed. The
  * stream shape (which adversarial generator, what size, what parameters)
  * and every outcome depend only on (seed, index, max_branches).
@@ -88,18 +93,17 @@ Events makeStream(std::uint64_t seed, std::size_t index,
                   std::size_t max_branches);
 
 /**
- * Runs the full campaign and returns a JSON report: metadata (tool,
- * version, options), counts (streams, checks) and a `failures` array with
- * one entry per violation — for differential failures including the
- * shrunk witness size and artifact paths. Differential failures carry a
- * `lane` field ("conditional" or "frontend"). Deterministic for fixed
- * options. Pass frontendDiffTargets(options.frontend_predictors) as
- * @p frontend_targets to run the front-end lane (empty = lane off).
+ * Runs the full campaign over @p targets and returns a JSON report:
+ * metadata (tool, version, options, each lane's target names), counts
+ * (streams, each lane's checks) and a `failures` array with one entry
+ * per violation — for differential failures including the target's
+ * `lane`, the shrunk witness size and artifact paths. Deterministic for
+ * fixed options. The conditional lane's report keys are `targets`,
+ * `differential_checks` and `metamorphic_checks`; the front-end lane's
+ * carry a `frontend_` prefix.
  */
 json_t runFuzz(const FuzzOptions &options,
-               const std::vector<DiffTarget> &targets,
-               const std::vector<FrontendDiffTarget> &frontend_targets =
-                   {});
+               const std::vector<DiffTarget> &targets);
 
 } // namespace mbp::testkit
 

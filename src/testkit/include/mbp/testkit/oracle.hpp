@@ -7,7 +7,9 @@
  *
  *  - runLockstep(): drive a subject and an independently written reference
  *    (reference.hpp) over the same event stream, mirroring simulate()'s
- *    calling convention, and stop at the first diverging prediction.
+ *    calling convention, and stop at the first diverging prediction. A
+ *    DiffTarget wraps one such pair for the fuzzer, in either lane:
+ *    conditional predictors here, front ends in frontend_oracle.hpp.
  *
  *  - check*(): metamorphic invariants of simulate() itself — properties
  *    that must hold between *related runs* regardless of what the
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "mbp/sim/predictor.hpp"
+#include "mbp/sim/simulator.hpp"
 #include "mbp/tracegen/generator.hpp"
 
 namespace mbp::testkit
@@ -39,15 +42,23 @@ using Events = std::vector<tracegen::TraceEvent>;
 /** Builds a fresh predictor per run (checks need independent instances). */
 using PredictorFactory = std::function<std::unique_ptr<Predictor>()>;
 
-/** First point where subject and reference disagreed. */
+/**
+ * First point where subject and reference disagreed. A conditional
+ * predictor can only disagree on a "direction"; a front end also on a
+ * "target".
+ */
 struct Mismatch
 {
     bool found = false;
-    /** Index into the event stream of the diverging conditional branch. */
+    /** Index into the event stream of the diverging branch. */
     std::size_t event_index = 0;
     std::uint64_t ip = 0;
-    bool subject_predicted = false;
-    bool reference_predicted = false;
+    /** "direction" or "target". */
+    const char *field = "";
+    bool subject_taken = false;
+    bool reference_taken = false;
+    std::uint64_t subject_target = 0;
+    std::uint64_t reference_target = 0;
 
     /** One-line "subject predicted X, reference Y at ..." description. */
     std::string describe() const;
@@ -61,6 +72,39 @@ struct Mismatch
 Mismatch runLockstep(Predictor &subject, Predictor &reference,
                      const Events &events,
                      bool track_only_conditional = false);
+
+/** The fuzzer's lanes; each has its own keys in the runFuzz() report. */
+enum class Lane : std::uint8_t
+{
+    kConditional,
+    kFrontend,
+};
+
+/** A subject/reference pair the fuzzer checks in lockstep. */
+struct DiffTarget
+{
+    std::string name;
+    Lane lane = Lane::kConditional;
+    /** Runs fresh instances of the pair over the events. */
+    std::function<Mismatch(const Events &)> run;
+};
+
+/**
+ * A DiffTarget whose run() builds a fresh subject and reference from the
+ * two factories and compares them with runLockstep().
+ */
+template <typename MakeSubject, typename MakeReference>
+DiffTarget
+lockstepTarget(std::string name, Lane lane, MakeSubject subject,
+               MakeReference reference)
+{
+    return {std::move(name), lane,
+            [subject, reference](const Events &events) {
+                auto s = subject();
+                auto r = reference();
+                return runLockstep(*s, *r, events);
+            }};
+}
 
 /**
  * Writes @p events as an SBBT trace at @p path (header counts filled in
@@ -92,14 +136,22 @@ std::string checkWarmupSplit(const PredictorFactory &factory,
 std::string checkRoundTrip(const Events &events,
                            const std::string &scratch_prefix);
 
+/** One simulation of a fresh subject: its simulate() document. */
+using SimRunner = std::function<json_t(const SimArgs &args)>;
+
 /**
- * Determinism: two simulate() runs over the same trace with fresh
- * predictors from @p factory must report bit-identical results (timing
- * fields excluded).
+ * Determinism: two runs of @p runner over the same trace (the stream
+ * written at @p scratch_path) must report bit-identical documents
+ * (timing fields excluded). The runner may be simulate() of a predictor
+ * or frontend::simulate() of a front end; @p invariant names the check
+ * in its messages.
  */
-std::string checkDeterminism(const PredictorFactory &factory,
-                             const Events &events,
-                             const std::string &scratch_path);
+std::string checkDeterminism(const SimRunner &runner, const Events &events,
+                             const std::string &scratch_path,
+                             const char *invariant = "determinism");
+
+/** "0x..." of @p value: how testkit messages and stanzas print addresses. */
+std::string hex(std::uint64_t value);
 
 /**
  * Serializes @p value with every member whose key mentions time removed,

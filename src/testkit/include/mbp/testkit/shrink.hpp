@@ -11,7 +11,8 @@
  * candidate is a well-formed trace.
  *
  * writeRepro() turns the minimal stream into durable artifacts: a replayable
- * .sbbt trace plus a ready-to-paste gtest regression stanza.
+ * .sbbt trace plus a ready-to-paste gtest regression stanza, whose
+ * runLockstep(subject, reference, events) call fits either lane's pair.
  */
 #ifndef MBP_TESTKIT_SHRINK_HPP
 #define MBP_TESTKIT_SHRINK_HPP

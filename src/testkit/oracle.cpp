@@ -22,14 +22,6 @@ namespace mbp::testkit
 namespace
 {
 
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)v);
-    return buf;
-}
-
 /**
  * Serializes @p value with every member whose key mentions time removed,
  * recursively — the only fields of a simulate() result that may differ
@@ -129,6 +121,14 @@ compareStreams(const char *format, const Events &expected,
 } // namespace
 
 std::string
+hex(std::uint64_t value)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)value);
+    return buf;
+}
+
+std::string
 stableDump(const json_t &value)
 {
     std::string out;
@@ -142,10 +142,16 @@ Mismatch::describe() const
     if (!found)
         return "no mismatch";
     std::ostringstream os;
-    os << "event " << event_index << " (ip " << hex(ip)
-       << "): subject predicted " << (subject_predicted ? "taken" : "not-taken")
-       << ", reference predicted "
-       << (reference_predicted ? "taken" : "not-taken");
+    os << "event " << event_index << " (ip " << hex(ip) << "): ";
+    if (std::string(field) == "direction") {
+        os << "subject predicted "
+           << (subject_taken ? "taken" : "not-taken")
+           << ", reference predicted "
+           << (reference_taken ? "taken" : "not-taken");
+    } else {
+        os << "subject predicted target " << hex(subject_target)
+           << ", reference predicted target " << hex(reference_target);
+    }
     return os.str();
 }
 
@@ -163,8 +169,9 @@ runLockstep(Predictor &subject, Predictor &reference, const Events &events,
                 mismatch.found = true;
                 mismatch.event_index = i;
                 mismatch.ip = b.ip();
-                mismatch.subject_predicted = ps;
-                mismatch.reference_predicted = pr;
+                mismatch.field = "direction";
+                mismatch.subject_taken = ps;
+                mismatch.reference_taken = pr;
                 return mismatch;
             }
             subject.train(b);
@@ -358,26 +365,26 @@ checkRoundTrip(const Events &events, const std::string &scratch_prefix)
 }
 
 std::string
-checkDeterminism(const PredictorFactory &factory, const Events &events,
-                 const std::string &scratch_path)
+checkDeterminism(const SimRunner &runner, const Events &events,
+                 const std::string &scratch_path, const char *invariant)
 {
+    const std::string prefix = std::string(invariant) + ": ";
     std::string err = writeSbbtFile(events, scratch_path);
     if (!err.empty())
-        return "determinism: " + err;
+        return prefix + err;
     std::string dumps[2];
     for (int run = 0; run < 2; ++run) {
-        auto predictor = factory();
         SimArgs args;
         args.trace_path = scratch_path;
-        json_t result = simulate(*predictor, args);
+        json_t result = runner(args);
         if (result.contains("error"))
-            return "determinism: run failed: " +
+            return prefix + "run failed: " +
                    result.find("error")->asString();
         dumps[run] = stableDump(result);
     }
     if (dumps[0] != dumps[1])
-        return "determinism: two identical runs produced different "
-               "results:\n  run 1: " +
+        return prefix + "two identical runs produced different "
+                        "results:\n  run 1: " +
                dumps[0] + "\n  run 2: " + dumps[1];
     return "";
 }

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,14 +27,6 @@ without(const Events &events, std::size_t begin, std::size_t end)
     candidate.insert(candidate.end(), events.begin() + std::ptrdiff_t(end),
                      events.end());
     return candidate;
-}
-
-std::string
-hex(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "0x%llx", (unsigned long long)v);
-    return buf;
 }
 
 } // namespace

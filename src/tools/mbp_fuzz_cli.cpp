@@ -22,6 +22,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "mbp/predictors/roster.hpp"
 #include "mbp/testkit/fuzz.hpp"
@@ -57,10 +60,7 @@ main(int argc, char **argv)
 
     if (argc >= 2 && std::strcmp(argv[1], "list") == 0) {
         for (const testkit::DiffTarget &target :
-             testkit::defaultDiffTargets())
-            std::printf("%s\n", target.name.c_str());
-        for (const testkit::FrontendDiffTarget &target :
-             testkit::frontendDiffTargets(options.frontend_predictors))
+             testkit::fuzzTargets(options))
             std::printf("%s\n", target.name.c_str());
         return 0;
     }
@@ -150,44 +150,42 @@ main(int argc, char **argv)
     }
 
     if (self_test) {
-        // The fuzzer fuzzes itself: a predictor with a planted off-by-one
-        // history bug and a front end whose reference carries a planted
-        // stale-target BTB bug must both be caught and shrunk.
+        // The fuzzer fuzzes itself: each lane's one planted bug (an
+        // off-by-one predictor history, a stale-target BTB in the front
+        // end's reference) must be caught and shrunk.
         options.metamorphic = false;
         options.differential = true;
-        json_t report =
-            testkit::runFuzz(options, {testkit::brokenGshareTarget()},
-                             {testkit::brokenFrontendTarget()});
+        const std::vector<testkit::DiffTarget> planted = {
+            testkit::brokenGshareTarget(), testkit::brokenFrontendTarget()};
+        json_t report = testkit::runFuzz(options, planted);
         std::printf("%s\n", report.dump(2).c_str());
-        const json_t &failures = *report.find("failures");
-        bool caught_conditional = false, caught_frontend = false;
-        for (std::size_t i = 0; i < failures.size(); ++i) {
-            const json_t &f = failures[i];
-            if (f.find("type")->asString() != "differential" ||
-                f.find("shrunk_branches")->asUint() >= 64)
-                continue;
-            if (f.find("lane")->asString() == "frontend")
-                caught_frontend = true;
-            else
-                caught_conditional = true;
+        std::set<std::string> caught;
+        for (const json_t &f : report.find("failures")->elements())
+            if (f.find("type")->asString() == "differential" &&
+                f.find("shrunk_branches")->asUint() < 64)
+                caught.insert(f.find("lane")->asString());
+        std::string verdicts;
+        bool all_caught = true;
+        for (const testkit::DiffTarget &target : planted) {
+            const std::string lane = testkit::laneName(target.lane);
+            const bool hit = caught.count(lane) != 0;
+            all_caught = all_caught && hit;
+            verdicts += (verdicts.empty() ? "" : ", ") + lane + ": " +
+                        (hit ? "caught" : "MISSED");
         }
-        if (!caught_conditional || !caught_frontend) {
-            std::fprintf(
-                stderr,
-                "self-test FAILED: planted bugs not caught with "
-                "<64-branch witnesses (conditional: %s, frontend: %s)\n",
-                caught_conditional ? "caught" : "MISSED",
-                caught_frontend ? "caught" : "MISSED");
+        if (!all_caught) {
+            std::fprintf(stderr,
+                         "self-test FAILED: planted bugs not caught with "
+                         "<64-branch witnesses (%s)\n",
+                         verdicts.c_str());
             return 1;
         }
         std::fprintf(stderr, "self-test passed: planted bugs caught and "
-                             "shrunk in both lanes\n");
+                             "shrunk in every lane\n");
         return 0;
     }
 
-    json_t report = testkit::runFuzz(
-        options, testkit::defaultDiffTargets(),
-        testkit::frontendDiffTargets(options.frontend_predictors));
+    json_t report = testkit::runFuzz(options, testkit::fuzzTargets(options));
     std::printf("%s\n", report.dump(2).c_str());
     return report.find("ok")->asBool() ? 0 : 1;
 }

@@ -87,6 +87,22 @@ parseLimits(const std::vector<const char *> &pos, std::size_t first,
     return true;
 }
 
+/**
+ * The kernel the run steps for roster predictor @p name: its fused kernel,
+ * or, with @p fused off, the virtual interface through FusedKernel. Null
+ * for an unknown name.
+ */
+std::unique_ptr<mbp::BlockKernel>
+kernelByName(const char *name, bool fused)
+{
+    if (fused)
+        return mbp::pred::fusedKernelByName(name);
+    if (auto predictor = mbp::pred::makeByName(name))
+        return std::make_unique<mbp::FusedKernel<mbp::Predictor>>(
+            std::move(predictor));
+    return nullptr;
+}
+
 } // namespace
 
 int
@@ -174,26 +190,14 @@ main(int argc, char **argv)
         if (!parseLimits(pos, 4, args))
             return usage(argv[0]);
         preloadArena(args);
-        mbp::json_t result;
-        if (fused) {
-            auto a = mbp::pred::fusedKernelByName(pos[1]);
-            auto b = mbp::pred::fusedKernelByName(pos[2]);
-            if (!a || !b) {
-                std::fprintf(stderr, "unknown predictor (try '%s list')\n",
-                             argv[0]);
-                return 2;
-            }
-            result = mbp::compareFused(*a, *b, args);
-        } else {
-            auto a = mbp::pred::makeByName(pos[1]);
-            auto b = mbp::pred::makeByName(pos[2]);
-            if (!a || !b) {
-                std::fprintf(stderr, "unknown predictor (try '%s list')\n",
-                             argv[0]);
-                return 2;
-            }
-            result = mbp::compare(*a, *b, args);
+        auto a = kernelByName(pos[1], fused);
+        auto b = kernelByName(pos[2], fused);
+        if (!a || !b) {
+            std::fprintf(stderr, "unknown predictor (try '%s list')\n",
+                         argv[0]);
+            return 2;
         }
+        mbp::json_t result = mbp::compareFused(*a, *b, args);
         std::printf("%s\n", result.dump(2).c_str());
         return result.contains("error") ? 1 : 0;
     }
@@ -207,14 +211,8 @@ main(int argc, char **argv)
     if (!parseLimits(pos, 2, args))
         return usage(argv[0]);
     preloadArena(args);
-    // The fused kernel, or the virtual interface under --no-fused: the
-    // front end drives the same kernel as its direction predictor.
-    std::unique_ptr<mbp::BlockKernel> kernel;
-    if (fused)
-        kernel = mbp::pred::fusedKernelByName(pos[0]);
-    else if (auto predictor = mbp::pred::makeByName(pos[0]))
-        kernel = std::make_unique<mbp::FusedKernel<mbp::Predictor>>(
-            std::move(predictor));
+    // The front end drives the same kernel as its direction predictor.
+    std::unique_ptr<mbp::BlockKernel> kernel = kernelByName(pos[0], fused);
     if (!kernel) {
         std::fprintf(stderr, "unknown predictor '%s' (try '%s list')\n",
                      pos[0], argv[0]);

@@ -237,9 +237,7 @@ main(int argc, char **argv)
                              name.c_str(), argv[0]);
                 return 2;
             }
-            campaign.predictors.push_back(
-                {name, [name] { return pred::makeByName(name); },
-                 [name] { return pred::fusedKernelByName(name); }});
+            campaign.predictors.push_back(sweep::rosterSpec(name));
         }
         campaign.traces = tools::splitCommaList(traces_arg);
         if (campaign.predictors.empty() || campaign.traces.empty())

@@ -28,24 +28,33 @@ namespace
 struct RunResult
 {
     int exit_code = -1;
+    std::string out;
     std::string err;
 };
 
-/** Runs @p command, capturing its exit code and stderr. */
+/** @return The contents of the file at @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Runs @p command, capturing its exit code, stdout and stderr. */
 RunResult
 run(const std::string &command)
 {
     static int counter = 0;
-    const std::string err_path = mbp::test::tempDir() + "/cli-death-stderr-" +
-                                 std::to_string(counter++) + ".txt";
+    const std::string prefix = mbp::test::tempDir() + "/cli-death-" +
+                               std::to_string(counter++);
     RunResult result;
-    const std::string full =
-        command + " >/dev/null 2>" + err_path;
+    const std::string full = command + " >" + prefix + "-stdout.txt 2>" +
+                             prefix + "-stderr.txt";
     int status = std::system(full.c_str());
     result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    std::ifstream in(err_path);
-    result.err.assign(std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>());
+    result.out = slurp(prefix + "-stdout.txt");
+    result.err = slurp(prefix + "-stderr.txt");
     return result;
 }
 
@@ -279,6 +288,17 @@ TEST(FuzzCli, UnknownFrontendPredictorExits2AndNamesIt)
     EXPECT_EQ(r.exit_code, 2);
     EXPECT_NE(r.err.find("--predictors"), std::string::npos) << r.err;
     EXPECT_NE(r.err.find("no-such-predictor"), std::string::npos) << r.err;
+}
+
+TEST(FuzzCli, ListNamesEveryLanesTargets)
+{
+    auto r = run(std::string(MBP_FUZZ_BIN) + " list");
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(r.out, "bimodal-vs-ref\n"
+                     "gshare-vs-ref\n"
+                     "tage-lite-vs-ref\n"
+                     "frontend-gshare-default-vs-ref\n"
+                     "frontend-gshare-small-vs-ref\n");
 }
 
 TEST(FuzzCli, SelfTestCatchesAndExits0)

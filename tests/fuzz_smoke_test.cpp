@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "decode_check.hpp"
+#include "mbp/predictors/roster.hpp"
 #include "mbp/sbbt/reader.hpp"
 #include "mbp/sbbt/writer.hpp"
 #include "mbp/tracegen/adversarial.hpp"
@@ -34,14 +35,16 @@ TEST(FuzzSmoke, SeededCampaignIsCleanAndDeterministic)
     options.metamorphic_predictors = {"bimodal", "gshare", "tage"};
     options.frontend_predictors = {"gshare"};
 
-    const auto frontend_targets =
-        testkit::frontendDiffTargets(options.frontend_predictors);
-    json_t first = testkit::runFuzz(options, testkit::defaultDiffTargets(),
-                                    frontend_targets);
+    const auto targets = testkit::fuzzTargets(options);
+    json_t first = testkit::runFuzz(options, targets);
     EXPECT_TRUE(first.find("ok")->asBool()) << first.dump(2);
+    EXPECT_EQ(first.find("counts")
+                  ->find("frontend_differential_checks")
+                  ->asUint(),
+              2u * options.num_streams)
+        << "both front-end targets must run on every stream";
 
-    json_t second = testkit::runFuzz(
-        options, testkit::defaultDiffTargets(), frontend_targets);
+    json_t second = testkit::runFuzz(options, targets);
     EXPECT_EQ(first.dump(), second.dump())
         << "same options must reproduce the identical report";
 }
@@ -69,8 +72,8 @@ TEST(FuzzSmoke, FrontendSelfTestCatchesShrinksAndReplays)
     options.artifact_dir = mbp::test::tempDir() + "/fuzz-smoke-frontend";
     options.metamorphic = false;
 
-    testkit::FrontendDiffTarget broken = testkit::brokenFrontendTarget();
-    json_t report = testkit::runFuzz(options, {}, {broken});
+    json_t report =
+        testkit::runFuzz(options, {testkit::brokenFrontendTarget()});
     const json_t &failures = *report.find("failures");
     ASSERT_GT(failures.size(), 0u)
         << "the planted BTB mutation must be caught";
@@ -97,12 +100,26 @@ TEST(FuzzSmoke, FrontendSelfTestCatchesShrinksAndReplays)
         events.push_back({packet.branch, packet.instr_gap});
     ASSERT_GT(events.size(), 0u);
 
-    auto subject = broken.subject();
-    auto reference = broken.reference();
-    testkit::FrontendMismatch mismatch =
-        testkit::runFrontendLockstep(*subject, *reference, events);
+    // Replay through the call the repro stanza prints, on the pair
+    // brokenFrontendTarget() names.
+    frontend::FrontEnd subject(pred::makeByName("gshare"),
+                               frontend::FrontEndConfig{});
+    testkit::RefFrontEnd reference(pred::makeByName("gshare"),
+                                   frontend::FrontEndConfig{},
+                                   testkit::FrontendMutation::kBtbStaleTarget);
+    testkit::Mismatch mismatch =
+        testkit::runLockstep(subject, reference, events);
     EXPECT_TRUE(mismatch.found)
         << "replaying the shrunk artifact must reproduce the divergence";
+    EXPECT_EQ(mismatch.describe(), witness->find("detail")->asString());
+
+    std::ifstream stanza(witness->find("stanza")->asString());
+    const std::string text((std::istreambuf_iterator<char>(stanza)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("mbp::testkit::runLockstep(subject, reference, "
+                        "events)"),
+              std::string::npos)
+        << text;
 }
 
 TEST(FuzzSmoke, SingleByteCorruptionsDecodeAlikeEveryWay)

@@ -36,6 +36,7 @@
 #include "test_tmp.hpp"
 
 using namespace mbp;
+using sweep::rosterSpec;
 
 namespace
 {
@@ -55,16 +56,6 @@ writeTrace(const std::string &name, std::uint64_t seed,
         EXPECT_TRUE(writer.append(ev.branch, ev.instr_gap));
     EXPECT_TRUE(writer.close()) << writer.error();
     return path;
-}
-
-sweep::PredictorSpec
-rosterSpec(const std::string &name)
-{
-    // Match campaignFromJson: both the virtual factory and the fused
-    // kernel factory, so these tests cover the path production campaigns
-    // take.
-    return {name, [name] { return pred::makeByName(name); },
-            [name] { return pred::fusedKernelByName(name); }};
 }
 
 } // namespace

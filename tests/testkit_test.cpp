@@ -185,6 +185,38 @@ TEST(Differential, BrokenGshareIsCaught)
     auto mismatch = testkit::runLockstep(subject, reference, events);
     EXPECT_TRUE(mismatch.found)
         << "an off-by-one history bug must diverge on history wraps";
+    EXPECT_STREQ(mismatch.field, "direction");
+    EXPECT_NE(mismatch.describe().find("subject predicted "),
+              std::string::npos);
+    EXPECT_EQ(mismatch.describe().find("target"), std::string::npos)
+        << "a conditional mismatch reads as a direction one";
+
+    const testkit::DiffTarget target = testkit::brokenGshareTarget();
+    EXPECT_EQ(target.lane, testkit::Lane::kConditional);
+    EXPECT_EQ(target.run(events).describe(), mismatch.describe())
+        << "the target's run() is runLockstep over fresh instances";
+}
+
+TEST(Differential, EveryTargetNamesItsLane)
+{
+    for (const testkit::DiffTarget &target : testkit::defaultDiffTargets())
+        EXPECT_EQ(target.lane, testkit::Lane::kConditional) << target.name;
+    const auto frontend_targets = testkit::frontendDiffTargets({"gshare"});
+    ASSERT_EQ(frontend_targets.size(), 2u);
+    for (const testkit::DiffTarget &target : frontend_targets)
+        EXPECT_EQ(target.lane, testkit::Lane::kFrontend) << target.name;
+    EXPECT_EQ(testkit::brokenFrontendTarget().lane,
+              testkit::Lane::kFrontend);
+    EXPECT_STREQ(testkit::laneName(testkit::Lane::kConditional),
+                 "conditional");
+    EXPECT_STREQ(testkit::laneName(testkit::Lane::kFrontend), "frontend");
+
+    // fuzzTargets: the conditional lane's targets, then the front end's.
+    const auto all = testkit::fuzzTargets(testkit::FuzzOptions{});
+    ASSERT_EQ(all.size(), 5u);
+    EXPECT_EQ(all[2].lane, testkit::Lane::kConditional);
+    EXPECT_EQ(all[3].name, frontend_targets[0].name);
+    EXPECT_EQ(all[4].name, frontend_targets[1].name);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,11 +232,29 @@ TEST(Metamorphic, InvariantsHoldForRosterPredictors)
         EXPECT_EQ("", testkit::checkWarmupSplit(
                           factory, events, tempPath("meta-warmup.sbbt")))
             << name;
+        testkit::SimRunner runner = [factory](const SimArgs &args) {
+            return simulate(*factory(), args);
+        };
         EXPECT_EQ("", testkit::checkDeterminism(
-                          factory, events, tempPath("meta-det.sbbt")))
+                          runner, events, tempPath("meta-det.sbbt")))
             << name;
     }
     EXPECT_EQ("", testkit::checkRoundTrip(events, tempPath("meta-rt")));
+}
+
+TEST(Metamorphic, FrontendInvariantsHoldThroughTheSameDeterminismCheck)
+{
+    Events events = tracegen::deepRecursion(35, 1200, 17);
+    testkit::SimRunner runner = [](const SimArgs &args) {
+        frontend::FrontEnd front_end(pred::makeByName("gshare"),
+                                     frontend::FrontEndConfig{});
+        return frontend::simulate(front_end, args);
+    };
+    EXPECT_EQ("", testkit::checkFrontendWarmupSplit(
+                      runner, events, tempPath("meta-fe-warmup.sbbt")));
+    EXPECT_EQ("", testkit::checkDeterminism(runner, events,
+                                            tempPath("meta-fe-det.sbbt"),
+                                            "frontend-determinism"));
 }
 
 TEST(Metamorphic, RoundTripCoversCallsAndReturns)
