@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Diffs the mbp_sim documents of two builds over a directory of traces.
+"""Diffs the mbp_sim and mbp_sweep documents of two builds over a
+directory of traces.
 
 Runs BUILD_A/src/tools/mbp_sim and BUILD_B/src/tools/mbp_sim with the
-same arguments on every regular file of TRACE_DIR and compares what
-they print, modulo the keys that time the run (simulation_time,
-branches_per_second, prefetch_stall_seconds, trace_load_seconds, at any
-depth). The runs cover:
+same arguments on every regular file of TRACE_DIR, and both builds'
+src/tools/mbp_sweep over all of them, and compares what they print,
+modulo the keys that time the run (simulation_time,
+branches_per_second, prefetch_stall_seconds, trace_load_seconds and
+wall_time_seconds, at any depth). The runs cover:
 
   - every predictor x {default, --in-memory, --no-fused, --streaming}
     x every warm-up/limit window;
   - every `compare` pair in the same modes and windows;
   - every predictor with --frontend, in the same modes and windows, with
     the default front end and with a small non-default one
-    (FRONTEND_SPECS).
+    (FRONTEND_SPECS);
+  - one sweep of every predictor over every trace on one worker, in
+    --in-memory and --streaming, each plain and with each of
+    FRONTEND_SPECS.
 
 The predictors are the whole roster, as BUILD_A's `mbp_sim list` names
 it; the two builds must list the same names. The `compare` pairs are
@@ -23,14 +28,15 @@ several of TAGE's useful resets on a trace of a million conditional
 branches.
 
 A run's exit code is compared too, so a run both builds reject matches
-only when both reject it with the same output; a build's own mbp_sim
-path in that output is read as plain "mbp_sim".
+only when both reject it with the same output; a build's own tool path
+in that output is read as the tool's plain name.
 
 Usage: diff_sim_docs.py BUILD_A BUILD_B TRACE_DIR
 
 Exit status: 0 when every document matches, 1 when any differs or the
-builds list different predictors, 2 on a usage error (a missing mbp_sim
-or trace directory, no traces, or an mbp_sim whose `list` fails).
+builds list different predictors, 2 on a usage error (a missing mbp_sim,
+mbp_sweep or trace directory, no traces, or an mbp_sim whose `list`
+fails).
 """
 
 import argparse
@@ -46,6 +52,7 @@ TIMING_KEYS = frozenset({
     "branches_per_second",
     "prefetch_stall_seconds",
     "trace_load_seconds",
+    "wall_time_seconds",
 })
 MODES = ["", "--in-memory", "--no-fused", "--streaming"]
 # mbp_sim's [warmup_instr] [sim_instr] tail of each window.
@@ -91,19 +98,21 @@ def first_difference(a, b, path=""):
     return None if a == b else (path or "/")
 
 
-def run(sim, args):
-    """(exit code, document modulo timing keys, or raw output).
+def run(build, tool, args):
+    """(exit code, document modulo timing keys, or raw output) of
+    @p build's @p tool.
 
-    mbp_sim names itself by its path in usage and rejection messages;
-    the raw output reads that path as "mbp_sim", so that both builds
-    rejecting a run the same way match.
+    The tools name themselves by their path in usage and rejection
+    messages; the raw output reads that path as the tool's name, so
+    that both builds rejecting a run the same way match.
     """
-    proc = subprocess.run([str(sim)] + args, capture_output=True,
+    binary = str(build / "src" / "tools" / tool)
+    proc = subprocess.run([binary] + args, capture_output=True,
                           text=True, check=False)
     try:
         doc = strip_timing(json.loads(proc.stdout))
     except json.JSONDecodeError:
-        doc = (proc.stdout + proc.stderr).replace(str(sim), "mbp_sim")
+        doc = (proc.stdout + proc.stderr).replace(binary, tool)
     return proc.returncode, doc
 
 
@@ -123,19 +132,27 @@ def compare_pairs(predictors):
 
 
 def runs(traces, predictors):
-    """Every argument list to run on both builds."""
+    """Every (tool, argument list) to run on both builds."""
     pairs = compare_pairs(predictors)
     for trace in traces:
         for mode in MODES:
             flags = [mode] if mode else []
             for window in WINDOWS:
                 for predictor in predictors:
-                    yield flags + [predictor, str(trace)] + window
+                    yield "mbp_sim", flags + [predictor, str(trace)] + window
                 for a, b in pairs:
-                    yield flags + ["compare", a, b, str(trace)] + window
+                    yield "mbp_sim", (flags + ["compare", a, b, str(trace)]
+                                      + window)
                 for spec in FRONTEND_SPECS:
                     for predictor in predictors:
-                        yield flags + [spec, predictor, str(trace)] + window
+                        yield "mbp_sim", (flags + [spec, predictor,
+                                                   str(trace)] + window)
+    sweep = ["--jobs", "1", "--no-arena-cache",
+             "--predictors", ",".join(predictors),
+             "--traces", ",".join(str(trace) for trace in traces)]
+    for mode in ["--in-memory", "--streaming"]:
+        for spec in [[]] + [[spec] for spec in FRONTEND_SPECS]:
+            yield "mbp_sweep", sweep + [mode] + spec
 
 
 def main(argv):
@@ -146,11 +163,12 @@ def main(argv):
     parser.add_argument("trace_dir", type=pathlib.Path)
     args = parser.parse_args(argv)
 
-    sims = [build / "src" / "tools" / "mbp_sim"
-            for build in (args.build_a, args.build_b)]
-    for sim in sims:
-        if not sim.is_file():
-            parser.error(f"no mbp_sim at {sim}")
+    builds = [args.build_a, args.build_b]
+    for build in builds:
+        for tool in ("mbp_sim", "mbp_sweep"):
+            if not (build / "src" / "tools" / tool).is_file():
+                parser.error(f"no {tool} in {build}/src/tools")
+    sims = [build / "src" / "tools" / "mbp_sim" for build in builds]
     if not args.trace_dir.is_dir():
         parser.error(f"{args.trace_dir} is not a directory")
     traces = sorted(p for p in args.trace_dir.iterdir()
@@ -171,18 +189,19 @@ def main(argv):
 
     all_runs = list(runs(traces, rosters[0]))
 
-    def both(run_args):
-        return [run(sim, run_args) for sim in sims]
+    def both(tool_args):
+        return [run(build, *tool_args) for build in builds]
 
     differing = 0
     with concurrent.futures.ThreadPoolExecutor(os.cpu_count()) as pool:
-        for run_args, (a, b) in zip(all_runs, pool.map(both, all_runs)):
+        for (tool, run_args), (a, b) in zip(all_runs,
+                                            pool.map(both, all_runs)):
             if a == b:
                 continue
             differing += 1
             where = ("exit code" if a[0] != b[0] else
                      first_difference(a[1], b[1]) or "output")
-            print(f"DIFF mbp_sim {' '.join(run_args)}: {where}")
+            print(f"DIFF {tool} {' '.join(run_args)}: {where}")
     print(f"{len(all_runs)} runs over {len(traces)} traces, "
           f"{differing} differ")
     return 1 if differing else 0

@@ -3,7 +3,8 @@
 
 Builds two fake build directories whose src/tools/mbp_sim answers
 `list` with a fixed roster and prints a fixed document, or rejects every
-run naming itself by its path, and checks that documents differing only
+run naming itself by its path, and whose src/tools/mbp_sweep does the
+same (it is the same fake), and checks that documents differing only
 in timing keys match (0), that a differing misprediction count is
 reported (1), that both builds rejecting a run the same way match (0),
 that builds listing different predictors differ (1), and that a missing
@@ -34,6 +35,7 @@ DOC = {
         "trace_load_seconds": 0.0,
     },
     "predictor_statistics": {"allocations": 921},
+    "aggregate": {"wall_time_seconds": 1.5},
 }
 
 ROSTER = ["tage", "batage", "gshare"]
@@ -68,9 +70,10 @@ class DiffSimDocsTest(unittest.TestCase):
                 builds.append(str(tools.parent.parent))
                 if name == "b" and not with_sim_b:
                     continue
-                sim = tools / "mbp_sim"
-                sim.write_text(FAKE_SIM.format(python=sys.executable))
-                os.chmod(sim, 0o755)
+                for tool in ("mbp_sim", "mbp_sweep"):
+                    fake = tools / tool
+                    fake.write_text(FAKE_SIM.format(python=sys.executable))
+                    os.chmod(fake, 0o755)
                 (tools / "roster.txt").write_text("\n".join(names) + "\n")
                 if doc is not None:
                     (tools / "doc.json").write_text(json.dumps(doc))
@@ -88,6 +91,7 @@ class DiffSimDocsTest(unittest.TestCase):
         other["metrics"]["branches_per_second"] = 1.0
         other["metrics"]["prefetch_stall_seconds"] = 3.0
         other["metrics"]["trace_load_seconds"] = 2.0
+        other["aggregate"]["wall_time_seconds"] = 7.0
         code, out = self.diff(DOC, other)
         self.assertEqual(code, 0, out)
         self.assertIn("0 differ", out)
@@ -109,8 +113,8 @@ class DiffSimDocsTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         # Per trace, in each of 4 modes x 4 windows: 3 predictors, 2
         # compare pairs, and 3 predictors under each of 2 --frontend
-        # specs.
-        self.assertIn(f"{4 * 4 * (3 + 2 + 2 * 3)} runs", out)
+        # specs; then 2 sweep modes x {plain, 2 --frontend specs}.
+        self.assertIn(f"{4 * 4 * (3 + 2 + 2 * 3) + 2 * 3} runs", out)
 
     def test_different_rosters_differ(self):
         code, out = self.diff(DOC, DOC, roster_b=["tage", "perceptron"])

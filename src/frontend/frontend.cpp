@@ -2,17 +2,17 @@
  * @file
  * FrontEnd composition, spec parsing and the frontend simulators.
  *
- * The simulate()/simulateMany()/simulateEach() entry points run on the
- * library's one block driver (detail::runJoined/runEach in
- * mbp/sim/kernels.hpp): each FrontEnd steps through the same column
- * blocks as the conditional simulators in a FrontEndKernel, and the
- * frontend document is built from the driver's finished-run record with
- * the same accounting helpers (instruction windows, metadata/throughput
- * layout), so the frontend documents cannot drift from the conditional
- * simulators' conventions.
+ * The simulate()/simulateMany()/simulateEach() entry points run each
+ * FrontEnd, a BlockKernel, on the library's one block driver
+ * (detail::runJoined/runEach in mbp/sim/kernels.hpp) through the same
+ * column blocks as the conditional simulators, and take the driver's
+ * own documents (detail::simulateDoc/manyDoc) with the "frontend"
+ * sections added, so the frontend documents cannot drift from the
+ * conditional simulators' conventions.
  */
 #include "mbp/frontend/frontend.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <memory>
 #include <stdexcept>
@@ -470,16 +470,15 @@ FrontEnd::storage_components() const
 }
 
 void
-FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
+FrontEnd::runBlock(const KernelBlock &block, KernelTally &tally)
 {
-    FrontEnd &fe = *front_end_;
     const sbbt::BranchColumns &c = block.columns;
-    // The tally's fold holds kKeyWords words of FrontEnd::SiteKeys per
-    // site; empty, it is a fresh run's, and the direction kernel's memo
-    // starts over with it.
+    // The tally's fold holds kKeyWords words of SiteKeys per site; empty,
+    // it is a fresh run's, and the direction kernel's memo starts over
+    // with it.
     constexpr std::size_t kKeyWords = 5;
     if (tally.fold.empty())
-        direction_ = KernelTally{};
+        direction_tally_ = KernelTally{};
 
     // Stage 1: the direction kernel over the whole block. Its guesses go
     // where the driver's hook replay reads them, or to scratch.
@@ -489,17 +488,17 @@ FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
         guesses_.resize(c.size);
         direction.guesses = guesses_.data();
     }
-    direction_.dynamic_cond = 0;
-    direction_.mispredictions = 0;
-    fe.direction_->runBlock(direction, direction_);
-    tally.dynamic_cond += direction_.dynamic_cond;
-    tally.mispredictions += direction_.mispredictions;
+    direction_tally_.dynamic_cond = 0;
+    direction_tally_.mispredictions = 0;
+    direction_->runBlock(direction, direction_tally_);
+    tally.dynamic_cond += direction_tally_.dynamic_cond;
+    tally.mispredictions += direction_tally_.mispredictions;
 
     // Stage 2: the target half over every row, on keys folded once per
     // static site, the warm-up rows uncounted.
     for (std::size_t s = tally.fold.size() / kKeyWords; s < block.num_sites;
          ++s) {
-        const FrontEnd::SiteKeys k = fe.siteKeys(block.site_ips[s]);
+        const SiteKeys k = siteKeys(block.site_ips[s]);
         tally.fold.insert(tally.fold.end(), {k.btb_base, k.btb_tag,
                                              k.ind_index, k.ind_tag,
                                              k.btb_way});
@@ -510,8 +509,8 @@ FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
                           auto measured) {
         for (std::size_t i = begin; i < end; ++i) {
             std::uint64_t *k = keys + kKeyWords * c.site[i];
-            FrontEnd::SiteKeys site{k[0], k[1], k[2], k[3], k[4]};
-            fe.targetStep<decltype(measured)::value>(
+            SiteKeys site{k[0], k[1], k[2], k[3], k[4]};
+            targetStep<decltype(measured)::value>(
                 site, c.ip[i], c.target[i], c.meta[i], guesses[i] != 0);
             k[4] = site.btb_way;
         }
@@ -523,92 +522,31 @@ FrontEndKernel::runBlock(const KernelBlock &block, KernelTally &tally)
 namespace
 {
 
-/**
- * The frontend document of @p run's front ends first .. first + count
- * (its kernels are @p front_ends): simulate()'s layout for one, keys
- * suffixed _0, _1, ... for more (simulateMany()).
- */
-json_t
-frontEndDoc(const detail::RunDoc &run, const SimArgs &args,
-            const std::vector<FrontEnd *> &front_ends, std::size_t first,
-            std::size_t count)
+/** @p args without the per-site ranking, which the frontend documents
+ *  do not carry. */
+SimArgs
+unranked(const SimArgs &args)
 {
-    const auto key = [&](const char *stem, std::size_t i) {
-        std::string name(stem);
-        if (count > 1) {
-            name += '_';
-            name += std::to_string(i);
-        }
-        return name;
-    };
-    const std::uint64_t instr = run.simulation_instr;
-    json_t result = json_t::object();
-    result["metadata"] = detail::makeMetadata(
-        run.name, args, instr, run.exhausted,
-        run.tallies[first].dynamic_cond, run.static_branches);
-    json_t metrics = json_t::object();
-    for (std::size_t i = 0; i < count; ++i) {
-        FrontEnd &fe = *front_ends[first + i];
-        result["metadata"][key("predictor", i)] =
-            detail::predictorMetadata(fe);
-        const KernelTally &tally = run.tallies[first + i];
-        metrics[key("mpki", i)] = detail::mpkiOf(tally.mispredictions, instr);
-        metrics[key("mispredictions", i)] = tally.mispredictions;
-        metrics[key("accuracy", i)] =
-            detail::accuracyOf(tally.mispredictions, tally.dynamic_cond);
-    }
-    detail::addThroughputMetrics(
-        metrics, run.dynamic_branches,
-        count == 1 ? detail::throughputOf(run, first) : run.tp);
-    result["metrics"] = std::move(metrics);
-    for (std::size_t i = 0; i < count; ++i) {
-        FrontEnd &fe = *front_ends[first + i];
-        result[key("predictor_statistics", i)] =
-            fe.execution_stats();
-        result[key("frontend", i)] = fe.reportJson(instr);
-    }
-    return result;
+    SimArgs run_args = args;
+    run_args.collect_most_failed = false;
+    return run_args;
 }
 
-/** The block driver's input for @p front_ends (none null): one
- *  FrontEndKernel each, and no per-site ranking, which the frontend
- *  documents do not carry. */
-struct DriverInput
-{
-    DriverInput(const std::vector<FrontEnd *> &front_ends,
-                const SimArgs &run_args)
-        : args(run_args)
-    {
-        args.collect_most_failed = false;
-        for (FrontEnd *fe : front_ends) {
-            owned.push_back(std::make_unique<FrontEndKernel>(*fe));
-            kernels.push_back(owned.back().get());
-        }
-    }
-
-    SimArgs args;
-    std::vector<std::unique_ptr<FrontEndKernel>> owned;
-    std::vector<BlockKernel *> kernels;
-};
-
-/** The one- and N-front-end simulator: one joined run of the block
- *  driver, and the frontend document of the finished run. */
+/** simulate()'s document of front end @p k of @p run: the driver's
+ *  simulate() document and the front end's per-class section. */
 json_t
-simulateFrontEnds(const char *kName, const std::vector<FrontEnd *> &front_ends,
-                  const SimArgs &args)
+oneFrontEndDoc(const detail::RunDoc &run, std::size_t k, const FrontEnd &fe)
 {
-    if (front_ends.empty())
-        return detail::errorResult(kName, args,
-                                   "no front ends to simulate");
-    for (const FrontEnd *fe : front_ends) {
-        if (fe == nullptr)
-            return detail::errorResult(kName, args, "null front end");
-    }
-    const DriverInput in(front_ends, args);
-    return detail::runJoined(
-        kName, in.kernels, in.args, [&](const detail::RunDoc &run) {
-            return frontEndDoc(run, args, front_ends, 0, front_ends.size());
-        });
+    json_t doc = detail::simulateDoc(run, k, fe);
+    doc["frontend"] = fe.reportJson(run.simulation_instr);
+    return doc;
+}
+
+bool
+hasNull(const std::vector<FrontEnd *> &front_ends)
+{
+    return std::find(front_ends.begin(), front_ends.end(), nullptr) !=
+           front_ends.end();
 }
 
 } // namespace
@@ -616,25 +554,49 @@ simulateFrontEnds(const char *kName, const std::vector<FrontEnd *> &front_ends,
 json_t
 simulate(FrontEnd &front_end, const SimArgs &args)
 {
-    return simulateFrontEnds(kFrontEndSimulatorName, {&front_end}, args);
+    return detail::runJoined(kFrontEndSimulatorName, {&front_end},
+                             unranked(args), [&](const detail::RunDoc &run) {
+                                 return oneFrontEndDoc(run, 0, front_end);
+                             });
 }
 
 json_t
 simulateMany(const std::vector<FrontEnd *> &front_ends,
              const SimArgs &args)
 {
-    return simulateFrontEnds(kFrontEndMultiSimulatorName, front_ends, args);
+    const char *name = kFrontEndMultiSimulatorName;
+    if (front_ends.empty())
+        return detail::errorResult(name, args, "no front ends to simulate");
+    if (hasNull(front_ends))
+        return detail::errorResult(name, args, "null front end");
+    const std::vector<BlockKernel *> kernels(front_ends.begin(),
+                                             front_ends.end());
+    return detail::runJoined(
+        name, kernels, unranked(args), [&](const detail::RunDoc &run) {
+            if (front_ends.size() == 1)
+                return oneFrontEndDoc(run, 0, *front_ends[0]);
+            json_t doc = detail::manyDoc(run, kernels);
+            for (std::size_t k = 0; k < front_ends.size(); ++k)
+                doc["frontend_" + std::to_string(k)] =
+                    front_ends[k]->reportJson(run.simulation_instr);
+            return doc;
+        });
 }
 
 std::vector<json_t>
 simulateEach(const std::vector<FrontEnd *> &front_ends, const SimArgs &args)
 {
-    const DriverInput in(front_ends, args);
-    return detail::runEach(
-        kFrontEndSimulatorName, in.kernels, in.args,
-        [&](const detail::RunDoc &run, std::size_t k) {
-            return frontEndDoc(run, args, front_ends, k, 1);
-        });
+    const char *name = kFrontEndSimulatorName;
+    if (hasNull(front_ends))
+        return std::vector<json_t>(
+            front_ends.size(),
+            detail::errorResult(name, args, "null front end"));
+    const std::vector<BlockKernel *> kernels(front_ends.begin(),
+                                             front_ends.end());
+    return detail::runEach(name, kernels, unranked(args),
+                           [&](const detail::RunDoc &run, std::size_t k) {
+                               return oneFrontEndDoc(run, k, *front_ends[k]);
+                           });
 }
 
 } // namespace mbp::frontend

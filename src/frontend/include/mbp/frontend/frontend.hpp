@@ -17,17 +17,20 @@
  * document (metadata / metrics / predictor_statistics) and add a
  * "frontend" section: per-class counts and target mispredictions,
  * MPKI-style rollups, and the BTB/RAS/indirect structure statistics.
- * They run on the library's one block driver (mbp/sim/kernels.hpp),
- * each FrontEnd wrapped in a FrontEndKernel, so trace reading, the
- * warm-up/limit window and the prediction hook follow the conditional
- * simulators' rules.
+ * A FrontEnd is itself a BlockKernel, so they run it on the library's
+ * one block driver (mbp/sim/kernels.hpp) and take the driver's own
+ * documents, to which they add that section: trace reading, the
+ * warm-up/limit window, the prediction hook and the document layout
+ * follow the conditional simulators' rules. A front-end sweep's pass
+ * holds its FrontEnds in the kernel list a plain pass holds its kernels
+ * in.
  *
  * A FrontEnd keeps its direction predictor's fast path: it drives the
  * predictor as a BlockKernel (a fused kernel, or FusedKernel<Predictor>
- * around a virtual one), which FrontEndKernel runs over a whole block
- * before one pass over the block's rows predicts and updates the
- * targets. That pass folds the BTB and indirect-table address hashes
- * once per static site and scans each branch's BTB set once.
+ * around a virtual one) over a whole block before one pass over the
+ * block's rows predicts and updates the targets. That pass folds the
+ * BTB and indirect-table address hashes once per static site and scans
+ * each branch's BTB set once.
  *
  * Everything here is deterministic and is replayed branch-for-branch by
  * the naive reference oracles in mbp::testkit (frontend_ref.hpp) under
@@ -161,11 +164,11 @@ struct StepResult
  * fused kernel from pred::fusedKernelByName) or through the virtual
  * interface (FusedKernel<Predictor>). Nothing in the BTB, the RAS or
  * the indirect table feeds back into it: the corruption model only
- * reads its guess. So a block runs in two stages (FrontEndKernel): the
+ * reads its guess. So a block runs in two stages (runBlock()): the
  * direction kernel over the whole block, then the target half over
  * every row. step() is the one-row case of the same two stages.
  */
-class FrontEnd
+class FrontEnd final : public BlockKernel
 {
   public:
     /**
@@ -213,7 +216,7 @@ class FrontEnd
      *
      * The direction predictor's steps (1 and its part of 4) come first,
      * as a one-row block of the direction kernel; the rest is the target
-     * half that FrontEndKernel runs per row.
+     * half that runBlock() runs per row.
      */
     StepResult step(const Branch &branch, bool measured,
                     bool track_all = true);
@@ -234,10 +237,13 @@ class FrontEnd
     std::uint64_t totalCounted() const;
 
     /** Name/configuration document for `metadata.predictor`. */
-    json_t metadata_stats() const;
+    json_t metadata_stats() const override;
 
     /** The direction predictor's `predictor_statistics`. */
-    json_t execution_stats() const { return direction_->execution_stats(); }
+    json_t execution_stats() const override
+    {
+        return direction_->execution_stats();
+    }
 
     /** BTB/RAS/indirect structure statistics document. */
     json_t structuresJson() const;
@@ -252,11 +258,19 @@ class FrontEnd
     /** Declared storage: the three structures plus the direction
      *  predictor's tree, or std::nullopt when the direction predictor
      *  reports none. */
-    std::optional<ComponentInfo> storage_components() const;
+    std::optional<ComponentInfo> storage_components() const override;
+
+    /**
+     * Runs @p block in two stages: the direction kernel over the whole
+     * block, its guesses into a scratch row (or the driver's hook row),
+     * and then the target half over every row, on per-site keys memoized
+     * once per static site in @p tally's fold. It counts the measured
+     * conditionals and direction mispredictions, as the direction kernel
+     * counted them, into @p tally.
+     */
+    void runBlock(const KernelBlock &block, KernelTally &tally) override;
 
   private:
-    friend class FrontEndKernel;
-
     /** The keys of one static branch site: its address folds, and the
      *  BTB way its tag was last found in (a hint; any way is exact). */
     struct SiteKeys
@@ -285,42 +299,9 @@ class FrontEnd
     Ras ras_;
     IndirectTarget indirect_;
     std::array<ClassCounts, kNumBranchClasses> counts_{};
-};
-
-/**
- * A FrontEnd as a kernel of the block driver. runBlock() runs each
- * block in two stages: the front end's direction kernel over the whole
- * block, its guesses into a scratch row (or the driver's hook row), and
- * then the target half over every row, on per-site keys memoized once
- * per static site in the tally's fold. It counts the measured
- * conditionals and direction mispredictions, as the direction kernel
- * counted them, into the tally. The front end must outlive the kernel.
- */
-class FrontEndKernel final : public BlockKernel
-{
-  public:
-    explicit FrontEndKernel(FrontEnd &front_end) : front_end_(&front_end) {}
-
-    json_t metadata_stats() const override
-    {
-        return front_end_->metadata_stats();
-    }
-    json_t execution_stats() const override
-    {
-        return front_end_->execution_stats();
-    }
-    std::optional<ComponentInfo> storage_components() const override
-    {
-        return front_end_->storage_components();
-    }
-
-    void runBlock(const KernelBlock &block, KernelTally &tally) override;
-
-  private:
-    FrontEnd *front_end_;
     // The direction kernel's tally in the current run: its site-fold
     // memo persists across blocks, its counts move to the run's tally.
-    KernelTally direction_;
+    KernelTally direction_tally_;
     std::vector<std::uint8_t> guesses_; // unhooked runs' stage-1 output
 };
 
@@ -343,18 +324,20 @@ class FrontEndKernel final : public BlockKernel
 json_t simulate(FrontEnd &front_end, const SimArgs &args);
 
 /**
- * The N-front-end variant: one trace pass feeds every FrontEnd, the
- * document generalizes metadata/metrics with _k suffixes (the
- * simulateMany() convention) and carries one frontend_k section per
- * front end.
+ * The N-front-end variant: one trace pass feeds every FrontEnd, and the
+ * document is simulateMany()'s (keys suffixed _0 .. _N-1 and grouped by
+ * stem, no most_failed) followed by frontend_0 .. frontend_N-1. One
+ * front end gets simulate()'s layout under this simulator's name. No
+ * front end, or a null one, is an error document.
  */
 json_t simulateMany(const std::vector<FrontEnd *> &front_ends,
                     const SimArgs &args);
 
 /**
- * simulate() over each of @p front_ends (none null) in one pass over the
- * trace (a sweep's pass): entry k is simulate(*front_ends[k], args)'s
- * document but for the timing fields, as in detail::simulateEach().
+ * simulate() over each of @p front_ends in one pass over the trace (a
+ * sweep's pass): entry k is simulate(*front_ends[k], args)'s document
+ * but for the timing fields, as in detail::simulateEach(). A null entry
+ * makes every entry the "null front end" error document.
  */
 std::vector<json_t> simulateEach(const std::vector<FrontEnd *> &front_ends,
                                  const SimArgs &args);

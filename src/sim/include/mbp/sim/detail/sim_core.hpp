@@ -10,7 +10,7 @@
  * BlockSource and books it through RunTotals, so the warmup/limit
  * accounting and the document layout cannot drift apart between paths.
  * One driver (runBlocks in kernels.cpp) hands the blocks to every
- * kernel, the front end's included.
+ * kernel, and a frontend::FrontEnd is one.
  *
  * This is an internal header: everything in mbp::detail may change
  * between versions. User code should stick to mbp/sim/simulator.hpp and
@@ -175,8 +175,8 @@ addThroughputMetrics(json_t &metrics, std::uint64_t dynamic_branches,
  * metadata_stats() plus `storage_bits`, the total of its declared
  * component tree — a true 0 for a storage-free design — or null when it
  * declares none, so "unreported" is never mistaken for "zero-cost".
- * Works for any shape with those two members: a PredictorLike, a
- * BlockKernel or a front end.
+ * Works for any shape with those two members: a PredictorLike or a
+ * BlockKernel, a FrontEnd included.
  */
 template <typename P>
 json_t

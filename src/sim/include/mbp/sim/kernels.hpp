@@ -5,15 +5,16 @@
  * One driver (src/sim/kernels.cpp) serves every run: simulate() and
  * simulateFused() are its one-kernel case, compare(), simulateMany(),
  * their fused forms and detail::simulateEach its N-kernel case, and the
- * front end's simulators run through it too, each FrontEnd wrapped in a
- * BlockKernel of the front end's own (detail::runJoined/runEach).
+ * front end's simulators run through it too: a frontend::FrontEnd is a
+ * BlockKernel, and their documents are the driver's (detail::simulateDoc
+ * and manyDoc) with the front end's per-class sections added.
  * It reads the run as a sequence of sbbt::BranchColumns blocks from a
  * detail::BlockSource (slices of a decode-once arena, or one reused
  * window that streaming decode refills) and hands each block to every
  * kernel's BlockKernel::runBlock. FusedKernel::runBlock is the one loop
- * that steps a roster predictor (the front end's kernel runs its
- * direction predictor's kernel over the block, then its own pass over
- * the targets). The predictor type is a template
+ * that steps a roster predictor (a FrontEnd runs its direction
+ * predictor's kernel over the block, then its own pass over the
+ * targets). The predictor type is a template
  * parameter of FusedKernel: a concrete mbp::PredictorLike type inlines
  * predict/train/track into the loop, while the abstract mbp::Predictor
  * base — what the virtual entry points pass — keeps virtual dispatch.
@@ -397,6 +398,24 @@ std::vector<json_t>
 runEach(const char *name, const std::vector<BlockKernel *> &kernels,
         const SimArgs &args,
         const std::function<json_t(const RunDoc &, std::size_t)> &doc);
+
+/**
+ * The simulate() document of kernel @p k (@p kernel) of @p run: metadata,
+ * metrics, predictor_statistics, and the most_failed ranking when
+ * run.args.collect_most_failed. Its `simulation_time` is
+ * throughputOf(run, k).
+ */
+json_t simulateDoc(const RunDoc &run, std::size_t k,
+                   const BlockKernel &kernel);
+
+/**
+ * The compare()/simulateMany() document of @p run over @p kernels: keys
+ * suffixed _0 .. _N-1 and grouped by stem (metadata.predictor_k, then
+ * metrics mpki_k, mispredictions_k and accuracy_k, then
+ * predictor_statistics_k), the most_failed spread ranking when
+ * run.args.collect_most_failed.
+ */
+json_t manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels);
 
 /** simulate() over one kernel: the driver's one-kernel case. */
 json_t simulateKernel(BlockKernel &kernel, const SimArgs &args);

@@ -3,9 +3,9 @@
  * The one driver in the library: simulate() and simulateFused() are its
  * one-kernel case, compare(), simulateMany() and their fused forms its
  * N-kernel case, detail::simulateEach (a sweep's pass) its N-kernel
- * case with one simulate() document per kernel, and the front end's
- * simulators reach it through detail::runJoined/runEach with document
- * builders of their own.
+ * case with one simulate() document per kernel. A FrontEnd is one more
+ * kernel: the front end's simulators take these same documents
+ * (detail::simulateDoc/manyDoc) and add their per-class sections.
  *
  * Per block of up to kKernelBlockBranches branches, the driver books the
  * warmup/limit split (detail::RunTotals) and calls each kernel's
@@ -66,9 +66,11 @@ rankSites(const RunDoc &run, std::size_t num_sites, Key key)
     return ranked;
 }
 
-/** The simulate() document of kernel @p k of @p run. */
+} // namespace
+
 json_t
-simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
+detail::simulateDoc(const RunDoc &run, std::size_t k,
+                    const BlockKernel &kernel)
 {
     const SimArgs &args = run.args;
     const KernelTally &tally = run.tallies[k];
@@ -122,9 +124,8 @@ simulateDoc(const RunDoc &run, std::size_t k, const BlockKernel &kernel)
     return result;
 }
 
-/** The compare()/simulateMany() document. */
 json_t
-manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels)
+detail::manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels)
 {
     const SimArgs &args = run.args;
     const std::vector<KernelTally> &tallies = run.tallies;
@@ -194,6 +195,9 @@ manyDoc(const RunDoc &run, const std::vector<BlockKernel *> &kernels)
         result["most_failed"] = std::move(most_failed);
     return result;
 }
+
+namespace
+{
 
 /**
  * Fires the prediction hook for every conditional row of @p block,
@@ -417,7 +421,7 @@ simulateManyFused(const std::vector<BlockKernel *> &kernels,
 {
     return detail::runJoined(
         detail::kMultiSimulatorName, kernels, args,
-        [&](const RunDoc &run) { return manyDoc(run, kernels); });
+        [&](const RunDoc &run) { return detail::manyDoc(run, kernels); });
 }
 
 json_t
@@ -426,7 +430,7 @@ compareFused(BlockKernel &a, BlockKernel &b, const SimArgs &args)
     const std::vector<BlockKernel *> kernels{&a, &b};
     return detail::runJoined(
         detail::kCompareSimulatorName, kernels, args,
-        [&](const RunDoc &run) { return manyDoc(run, kernels); });
+        [&](const RunDoc &run) { return detail::manyDoc(run, kernels); });
 }
 
 } // namespace mbp

@@ -315,7 +315,6 @@ run(const Campaign &campaign, unsigned jobs)
         const std::size_t t = passes[i].trace;
         std::vector<std::size_t> members;
         std::vector<std::unique_ptr<BlockKernel>> kernels;
-        std::vector<std::unique_ptr<frontend::FrontEnd>> front_ends;
         std::vector<BlockKernel *> kernel_ptrs;
         std::vector<frontend::FrontEnd *> front_end_ptrs;
         for (std::size_t p = passes[i].first; p < num_predictors;
@@ -328,15 +327,17 @@ run(const Campaign &campaign, unsigned jobs)
                 if (kernel == nullptr) {
                     failure = json_t::object(
                         {{"error", "unknown predictor '" + spec.name + "'"}});
-                } else if (!campaign.frontend) {
-                    kernel_ptrs.push_back(kernel.get());
-                    kernels.push_back(std::move(kernel));
-                } else if (!frontend_failure.isNull()) {
+                } else if (campaign.frontend && !frontend_failure.isNull()) {
                     failure = frontend_failure;
                 } else {
-                    front_ends.push_back(std::make_unique<frontend::FrontEnd>(
-                        std::move(kernel), frontend_config));
-                    front_end_ptrs.push_back(front_ends.back().get());
+                    if (campaign.frontend) {
+                        auto fe = std::make_unique<frontend::FrontEnd>(
+                            std::move(kernel), frontend_config);
+                        front_end_ptrs.push_back(fe.get());
+                        kernel = std::move(fe);
+                    }
+                    kernel_ptrs.push_back(kernel.get());
+                    kernels.push_back(std::move(kernel));
                 }
             } catch (...) {
                 failure = detail::exceptionResult(std::current_exception());

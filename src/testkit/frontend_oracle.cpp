@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "mbp/predictors/roster.hpp"
 #include "mbp/sim/simulator.hpp"
@@ -17,33 +18,28 @@ namespace mbp::testkit
 namespace
 {
 
-/** The deliberately tiny configuration of the "-small-" targets. */
-frontend::FrontEndConfig
-smallConfig()
-{
-    frontend::FrontEndConfig config;
-    config.btb.log2_sets = 4;
-    config.btb.ways = 2;
-    config.btb.log2_banks = 0;
-    config.btb.tag_bits = 6;
-    config.btb.replacement = frontend::Replacement::kFifo;
-    config.ras.size = 4;
-    config.ras.overflow = frontend::RasOverflow::kDiscard;
-    config.ras.underflow = frontend::RasUnderflow::kReuse;
-    config.indirect.index_bits = 6;
-    config.indirect.tag_bits = 5;
-    config.indirect.history_bits = 8;
-    config.corrupt_on_mispredict = true;
-    return config;
-}
+/** The deliberately tiny configuration of the "-small-" targets, in the
+ *  --frontend grammar, which their replay command passes on. */
+constexpr const char *kSmallSpec =
+    "btb-sets=16,btb-ways=2,btb-banks=1,btb-tag=6,btb-repl=fifo,ras=4,"
+    "ras-overflow=discard,ras-underflow=reuse,ind-bits=6,ind-tag=5,"
+    "ind-hist=8,corrupt=on";
 
+/** The front end of @p conditional configured by @p spec against its
+ *  reference, replayed by `mbp_sim --frontend[=spec] conditional`. */
 DiffTarget
 makeTarget(const std::string &label, const std::string &conditional,
-           const frontend::FrontEndConfig &config,
+           const std::string &spec,
            FrontendMutation mutation = FrontendMutation::kNone)
 {
+    frontend::FrontEndConfig config;
+    std::string error;
+    if (!frontend::parseFrontEndSpec(spec, config, error))
+        throw std::logic_error("frontend target spec: " + error);
     return lockstepTarget(
         label, Lane::kFrontend,
+        "mbp_sim --frontend" + (spec.empty() ? "" : "=" + spec) + " " +
+            conditional,
         [conditional, config] {
             return std::make_unique<frontend::FrontEnd>(
                 pred::makeByName(conditional), config);
@@ -104,11 +100,10 @@ frontendDiffTargets(const std::vector<std::string> &conditional_names)
     for (const std::string &name : conditional_names) {
         if (pred::makeByName(name) == nullptr)
             continue;
-        targets.push_back(makeTarget("frontend-" + name +
-                                         "-default-vs-ref",
-                                     name, frontend::FrontEndConfig{}));
+        targets.push_back(
+            makeTarget("frontend-" + name + "-default-vs-ref", name, ""));
         targets.push_back(makeTarget("frontend-" + name + "-small-vs-ref",
-                                     name, smallConfig()));
+                                     name, kSmallSpec));
     }
     return targets;
 }
@@ -116,8 +111,7 @@ frontendDiffTargets(const std::vector<std::string> &conditional_names)
 DiffTarget
 brokenFrontendTarget()
 {
-    return makeTarget("frontend-broken-btb-vs-ref", "gshare",
-                      frontend::FrontEndConfig{},
+    return makeTarget("frontend-broken-btb-vs-ref", "gshare", "",
                       FrontendMutation::kBtbStaleTarget);
 }
 

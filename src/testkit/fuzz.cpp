@@ -199,15 +199,15 @@ defaultDiffTargets()
 {
     return {
         lockstepTarget(
-            "bimodal-vs-ref", Lane::kConditional,
+            "bimodal-vs-ref", Lane::kConditional, "mbp_sim bimodal",
             [] { return std::make_unique<pred::Bimodal<16>>(); },
             [] { return std::make_unique<RefBimodal>(16, 2); }),
         lockstepTarget(
-            "gshare-vs-ref", Lane::kConditional,
+            "gshare-vs-ref", Lane::kConditional, "mbp_sim gshare",
             [] { return std::make_unique<pred::Gshare<15, 17>>(); },
             [] { return std::make_unique<RefGshare>(15, 17); }),
         lockstepTarget(
-            "tage-lite-vs-ref", Lane::kConditional,
+            "tage-lite-vs-ref", Lane::kConditional, "",
             [] { return std::make_unique<TageLite>(); },
             [] { return std::make_unique<RefTageLite>(); }),
     };
@@ -217,7 +217,7 @@ DiffTarget
 brokenGshareTarget()
 {
     return lockstepTarget(
-        "broken-gshare-vs-ref", Lane::kConditional,
+        "broken-gshare-vs-ref", Lane::kConditional, "",
         [] { return std::make_unique<BrokenGshare>(); },
         [] { return std::make_unique<RefGshare>(15, 17); });
 }
@@ -306,9 +306,9 @@ runFuzz(const FuzzOptions &options, const std::vector<DiffTarget> &targets)
                 const std::string name = target.name + "-seed" +
                                          std::to_string(options.seed) +
                                          "-stream" + std::to_string(i);
-                ReproArtifact artifact =
-                    writeRepro(options.artifact_dir, name, minimal,
-                               target.name + ": " + shrunk.describe());
+                ReproArtifact artifact = writeRepro(
+                    options.artifact_dir, name, minimal,
+                    target.name + ": " + shrunk.describe(), target.replay);
                 failures.push_back(json_t::object({
                     {"type", "differential"},
                     {"lane", laneName(target.lane)},

@@ -85,6 +85,10 @@ struct DiffTarget
 {
     std::string name;
     Lane lane = Lane::kConditional;
+    /** The mbp_sim command, less the trace path, that runs this target's
+     *  subject over a witness ("mbp_sim gshare"), or "" when no mbp_sim
+     *  predictor is the subject. */
+    std::string replay;
     /** Runs fresh instances of the pair over the events. */
     std::function<Mismatch(const Events &)> run;
 };
@@ -95,10 +99,10 @@ struct DiffTarget
  */
 template <typename MakeSubject, typename MakeReference>
 DiffTarget
-lockstepTarget(std::string name, Lane lane, MakeSubject subject,
-               MakeReference reference)
+lockstepTarget(std::string name, Lane lane, std::string replay,
+               MakeSubject subject, MakeReference reference)
 {
-    return {std::move(name), lane,
+    return {std::move(name), lane, std::move(replay),
             [subject, reference](const Events &events) {
                 auto s = subject();
                 auto r = reference();

@@ -46,11 +46,13 @@ struct ReproArtifact
  * Writes @p events into @p dir (created if needed) as `<name>.sbbt` plus
  * `<name>.repro.txt`, a self-contained gtest stanza reproducing the
  * failure. @p description is embedded as a comment (typically
- * Mismatch::describe() plus the target name).
+ * Mismatch::describe() plus the target name), and so is @p replay
+ * followed by the trace's path (DiffTarget::replay), when not "".
  */
 ReproArtifact writeRepro(const std::string &dir, const std::string &name,
                          const Events &events,
-                         const std::string &description);
+                         const std::string &description,
+                         const std::string &replay);
 
 } // namespace mbp::testkit
 

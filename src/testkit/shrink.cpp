@@ -63,7 +63,8 @@ shrinkStream(Events events,
 
 ReproArtifact
 writeRepro(const std::string &dir, const std::string &name,
-           const Events &events, const std::string &description)
+           const Events &events, const std::string &description,
+           const std::string &replay)
 {
     std::filesystem::create_directories(dir);
     ReproArtifact artifact;
@@ -76,8 +77,9 @@ writeRepro(const std::string &dir, const std::string &name,
     os << "// Shrunk repro written by mbp_fuzz — paste into a regression "
           "test.\n";
     os << "// " << description << "\n";
-    os << "// Replay the trace file instead with: mbp_sim <predictor> "
-       << artifact.sbbt_path << "\n";
+    if (!replay.empty())
+        os << "// Replay the trace file instead with: " << replay << " "
+           << artifact.sbbt_path << "\n";
     std::string test_name = name;
     for (char &c : test_name)
         if (!std::isalnum(static_cast<unsigned char>(c)))

@@ -8,7 +8,7 @@
  *            [--predictors a,b,...] [--artifacts DIR]
  *            [--no-differential] [--no-metamorphic]
  *   mbp_fuzz --self-test [--seed N] [--streams N] [--artifacts DIR]
- *   mbp_fuzz list
+ *   mbp_fuzz list [--predictors a,b,...]
  *
  * Prints the JSON campaign report. The run is a pure function of its
  * flags: same seed, same report, byte for byte.
@@ -43,7 +43,7 @@ usage(const char *prog)
         "          [--no-differential] [--no-metamorphic]\n"
         "       %s --self-test [--seed N] [--streams N] "
         "[--artifacts DIR]\n"
-        "       %s list\n",
+        "       %s list [--predictors a,b,...]\n",
         prog, prog, prog);
     return 2;
 }
@@ -57,13 +57,7 @@ main(int argc, char **argv)
 
     testkit::FuzzOptions options;
     bool self_test = false;
-
-    if (argc >= 2 && std::strcmp(argv[1], "list") == 0) {
-        for (const testkit::DiffTarget &target :
-             testkit::fuzzTargets(options))
-            std::printf("%s\n", target.name.c_str());
-        return 0;
-    }
+    bool list = false;
 
     for (int i = 1; i < argc; ++i) {
         auto value = [&](const char *flag) -> const char * {
@@ -134,10 +128,19 @@ main(int argc, char **argv)
             options.metamorphic = false;
         } else if (std::strcmp(argv[i], "--self-test") == 0) {
             self_test = true;
+        } else if (std::strcmp(argv[i], "list") == 0) {
+            list = true;
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
             return usage(argv[0]);
         }
+    }
+
+    if (list) {
+        for (const testkit::DiffTarget &target :
+             testkit::fuzzTargets(options))
+            std::printf("%s\n", target.name.c_str());
+        return 0;
     }
 
     std::error_code dir_error;

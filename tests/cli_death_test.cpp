@@ -299,6 +299,18 @@ TEST(FuzzCli, ListNamesEveryLanesTargets)
                      "tage-lite-vs-ref\n"
                      "frontend-gshare-default-vs-ref\n"
                      "frontend-gshare-small-vs-ref\n");
+    // `list` is a positional: the flags around it still apply.
+    for (const char *args : {" list --predictors frontend:tage",
+                             " --predictors frontend:tage list"}) {
+        r = run(std::string(MBP_FUZZ_BIN) + args);
+        EXPECT_EQ(r.exit_code, 0) << args << ": " << r.err;
+        EXPECT_EQ(r.out, "bimodal-vs-ref\n"
+                         "gshare-vs-ref\n"
+                         "tage-lite-vs-ref\n"
+                         "frontend-tage-default-vs-ref\n"
+                         "frontend-tage-small-vs-ref\n")
+            << args;
+    }
 }
 
 TEST(FuzzCli, SelfTestCatchesAndExits0)

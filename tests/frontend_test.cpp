@@ -741,11 +741,10 @@ TEST_F(FrontEndSimTest, AKernelRunTwiceStartsItsSiteKeysOver)
     config.corrupt_on_mispredict = true;
     FrontEnd run_twice(pred::fusedKernelByName("gshare"), config);
     FrontEnd stepped(pred::makeByName("gshare"), config);
-    FrontEndKernel kernel(run_twice);
     for (const std::string &path : {*trace_path_, other}) {
         SimArgs args;
         args.trace_path = path;
-        const json_t doc = detail::simulateKernel(kernel, args);
+        const json_t doc = detail::simulateKernel(run_twice, args);
         ASSERT_FALSE(doc.contains("error")) << doc.dump(2);
         std::string error;
         auto trace = sbbt::MemTrace::load(path, {}, &error);
@@ -781,6 +780,57 @@ TEST_F(FrontEndSimTest, FusedDirectionKernelMatchesTheVirtualPredictor)
     }
 }
 
+/** The names of @p object's members, in order. */
+std::vector<std::string>
+keysOf(const json_t &object)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, member] : object.members())
+        keys.push_back(key);
+    return keys;
+}
+
+/** @p object without its member @p drop. */
+json_t
+without(const json_t &object, const std::string &drop)
+{
+    json_t out = json_t::object({});
+    for (const auto &[key, member] : object.members()) {
+        if (key != drop)
+            out[key] = member;
+    }
+    return out;
+}
+
+TEST_F(FrontEndSimTest, SimulateIsTheKernelDocumentPlusItsSection)
+{
+    // A FrontEnd is a BlockKernel: simulate()'s document is the driver's
+    // one-kernel document, unranked, under the frontend simulator's name
+    // and with the frontend section last.
+    SimArgs whole;
+    whole.trace_path = *trace_path_;
+    SimArgs window = whole;
+    window.warmup_instr = 2000;
+    window.sim_instr = 9000;
+    for (const std::string &name : pred::rosterNames()) {
+        for (const SimArgs &args : {whole, window}) {
+            FrontEnd simulated(pred::makeByName(name));
+            FrontEnd kernel(pred::makeByName(name));
+            const json_t doc = frontend::simulate(simulated, args);
+            ASSERT_FALSE(doc.contains("error")) << name << ": " << doc.dump(2);
+            EXPECT_EQ(keysOf(doc).back(), "frontend") << name;
+            json_t as_kernel = without(doc, "frontend");
+            as_kernel["metadata"]["simulator"] = detail::kStdSimulatorName;
+            SimArgs unranked = args;
+            unranked.collect_most_failed = false;
+            EXPECT_EQ(scrubTiming(as_kernel).dump(2),
+                      scrubTiming(detail::simulateKernel(kernel, unranked))
+                          .dump(2))
+                << name;
+        }
+    }
+}
+
 TEST_F(FrontEndSimTest, SimulateManySuffixesSections)
 {
     FrontEnd a(pred::makeByName("bimodal"));
@@ -805,18 +855,62 @@ TEST_F(FrontEndSimTest, SimulateManySuffixesSections)
     EXPECT_EQ(t0, t1);
     EXPECT_EQ(t0, events_->size());
 
+    // compare()'s layout, keys grouped by stem, then the sections.
+    EXPECT_EQ(keysOf(doc),
+              (std::vector<std::string>{"metadata", "metrics",
+                                        "predictor_statistics_0",
+                                        "predictor_statistics_1",
+                                        "frontend_0", "frontend_1"}));
+    const std::vector<std::string> metadata = keysOf(*doc.find("metadata"));
+    EXPECT_EQ(std::vector<std::string>(metadata.end() - 2, metadata.end()),
+              (std::vector<std::string>{"predictor_0", "predictor_1"}));
+    const std::vector<std::string> metrics = keysOf(*doc.find("metrics"));
+    EXPECT_EQ(std::vector<std::string>(metrics.begin(), metrics.begin() + 6),
+              (std::vector<std::string>{"mpki_0", "mpki_1",
+                                        "mispredictions_0",
+                                        "mispredictions_1", "accuracy_0",
+                                        "accuracy_1"}));
+    // Every value is the one simulate() gives that front end alone.
+    FrontEnd fresh_a(pred::makeByName("bimodal"));
+    FrontEnd fresh_b(pred::makeByName("gshare"));
+    FrontEnd *const fresh[] = {&fresh_a, &fresh_b};
+    for (std::size_t k = 0; k < 2; ++k) {
+        const json_t one = frontend::simulate(*fresh[k], args);
+        const std::string suffix = "_" + std::to_string(k);
+        EXPECT_EQ(doc.find("metadata")->find("predictor" + suffix)->dump(),
+                  one.find("metadata")->find("predictor")->dump());
+        for (const char *stem : {"mpki", "mispredictions", "accuracy"})
+            EXPECT_EQ(doc.find("metrics")->find(stem + suffix)->dump(),
+                      one.find("metrics")->find(stem)->dump())
+                << stem << suffix;
+        EXPECT_EQ(doc.find("predictor_statistics" + suffix)->dump(),
+                  one.find("predictor_statistics")->dump());
+        EXPECT_EQ(doc.find("frontend" + suffix)->dump(),
+                  one.find("frontend")->dump());
+    }
+
     // No front end, or a null one, is an error document, not a run.
-    const auto errorDoc = [&](const char *message) {
+    const auto errorDoc = [&](const char *simulator, const char *message) {
         return json_t::object({
             {"metadata",
-             json_t::object({{"simulator", kFrontEndMultiSimulatorName},
+             json_t::object({{"simulator", simulator},
                              {"version", kMbpVersion},
                              {"trace", *trace_path_}})},
             {"error", message},
         });
     };
     EXPECT_EQ(frontend::simulateMany({}, args).dump(2),
-              errorDoc("no front ends to simulate").dump(2));
+              errorDoc(kFrontEndMultiSimulatorName,
+                       "no front ends to simulate")
+                  .dump(2));
     EXPECT_EQ(frontend::simulateMany({&a, nullptr}, args).dump(2),
-              errorDoc("null front end").dump(2));
+              errorDoc(kFrontEndMultiSimulatorName, "null front end")
+                  .dump(2));
+    // simulateEach's entries are simulate() documents, so they carry its
+    // simulator name; a null entry fails every entry, not only its own.
+    const std::vector<json_t> each = frontend::simulateEach({&a, nullptr}, args);
+    ASSERT_EQ(each.size(), 2u);
+    for (const json_t &entry : each)
+        EXPECT_EQ(entry.dump(2),
+                  errorDoc(kFrontEndSimulatorName, "null front end").dump(2));
 }

@@ -55,9 +55,9 @@ static_assert(KernelTwoPhase<pred::TageScl>);
 static_assert(!KernelSiteFold<pred::Tage>);
 static_assert(!KernelSiteFold<pred::Batage>);
 static_assert(!KernelSiteFold<pred::TageScl>);
-// The front end's adapter stays instantiable: a new pure virtual on
+// The front end stays an instantiable kernel: a new pure virtual on
 // BlockKernel breaks the build here, not a test at run time.
-static_assert(!std::is_abstract_v<frontend::FrontEndKernel>);
+static_assert(!std::is_abstract_v<frontend::FrontEnd>);
 
 /** Timing metrics: the only fields allowed to differ fused vs virtual. */
 bool

@@ -310,8 +310,8 @@ TEST(Shrink, WriteReproProducesReplayableSbbtAndStanza)
 {
     const std::string dir = tempPath("repro-dir");
     Events events = tracegen::degenerateRun(5, false);
-    auto artifact =
-        testkit::writeRepro(dir, "demo-case", events, "demo description");
+    auto artifact = testkit::writeRepro(dir, "demo-case", events,
+                                        "demo description", "");
     EXPECT_EQ(artifact.num_branches, 5u);
 
     sbbt::SbbtReader reader(artifact.sbbt_path);
@@ -332,6 +332,40 @@ TEST(Shrink, WriteReproProducesReplayableSbbtAndStanza)
               std::string::npos);
     EXPECT_NE(text.find("demo description"), std::string::npos);
     EXPECT_NE(text.find("runLockstep"), std::string::npos);
+    EXPECT_EQ(text.find("mbp_sim"), std::string::npos)
+        << "no replay command, no replay hint";
+
+    // Each target's stanza names the mbp_sim run of its subject: a
+    // front-end witness replays under --frontend, with its target's spec
+    // when it has one, a conditional one under the plain predictor.
+    testkit::FuzzOptions options;
+    options.frontend_predictors = {"gshare"};
+    std::size_t frontend_targets = 0;
+    for (const testkit::DiffTarget &target : testkit::fuzzTargets(options)) {
+        if (target.replay.empty())
+            continue;
+        const auto replayed = testkit::writeRepro(dir, target.name, events,
+                                                  "demo", target.replay);
+        std::ifstream target_stanza(replayed.stanza_path);
+        const std::string hint(
+            (std::istreambuf_iterator<char>(target_stanza)),
+            std::istreambuf_iterator<char>());
+        EXPECT_NE(hint.find(target.replay + " " + replayed.sbbt_path),
+                  std::string::npos)
+            << hint;
+        if (target.lane == testkit::Lane::kConditional) {
+            EXPECT_EQ(hint.find("--frontend"), std::string::npos) << hint;
+            continue;
+        }
+        ++frontend_targets;
+        const bool small = target.name.find("-small-") != std::string::npos;
+        EXPECT_EQ(hint.find("mbp_sim --frontend=") != std::string::npos,
+                  small)
+            << hint;
+        EXPECT_NE(hint.find("mbp_sim --frontend"), std::string::npos)
+            << hint;
+    }
+    EXPECT_EQ(frontend_targets, 2u);
 }
 
 // ---------------------------------------------------------------------------
