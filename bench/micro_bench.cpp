@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -172,47 +173,55 @@ pipelineInstrCount()
 }
 
 /**
- * On-disk compressed trace for the end-to-end pipeline benchmark. Built
- * lazily on first use: a count pass (compressed SBBT needs the header
- * counts up front), then a streaming write. At the default size, ~14M
- * branches from a 70M instruction workload, so one benchmark iteration
- * decompresses and decodes roughly 220 MB of packet data. The cached
- * file name encodes the size so runs with different
- * MBP_BENCH_PIPELINE_INSTR never reuse a stale trace.
+ * Writes the pipeline workload of @p num_instr instructions as a
+ * compressed SBBT trace under the temporary directory, unless a file of
+ * that size is there already, and returns its path: a count pass
+ * (compressed SBBT needs the header counts up front), then a streaming
+ * write. The file name encodes the size so runs of different sizes never
+ * reuse a stale trace.
+ */
+std::string
+writePipelineTrace(std::uint64_t num_instr)
+{
+    tracegen::WorkloadSpec spec;
+    spec.name = "pipeline";
+    spec.seed = 13;
+    spec.num_instr = num_instr;
+    std::uint64_t instr = 0, branches = 0;
+    {
+        tracegen::TraceGenerator gen(spec);
+        tracegen::TraceEvent ev;
+        while (gen.next(ev)) {
+            instr += ev.instr_gap + 1;
+            ++branches;
+        }
+    }
+    sbbt::Header header;
+    header.instruction_count = instr;
+    header.branch_count = branches;
+    std::string p = (std::filesystem::temp_directory_path() /
+                     ("mbp_pipeline_bench_" + std::to_string(num_instr) +
+                      ".sbbt.flz"))
+                        .string();
+    sbbt::SbbtWriter writer(p, header, 1);
+    tracegen::TraceGenerator gen(spec);
+    tracegen::TraceEvent ev;
+    while (gen.next(ev))
+        writer.append(ev.branch, ev.instr_gap);
+    writer.close();
+    return p;
+}
+
+/**
+ * On-disk compressed trace for the end-to-end pipeline benchmark. At the
+ * default size, ~14M branches from a 70M instruction workload, so one
+ * benchmark iteration decompresses and decodes roughly 220 MB of packet
+ * data.
  */
 const std::string &
 pipelineTracePath()
 {
-    static const std::string path = [] {
-        tracegen::WorkloadSpec spec;
-        spec.name = "pipeline";
-        spec.seed = 13;
-        spec.num_instr = pipelineInstrCount();
-        std::uint64_t instr = 0, branches = 0;
-        {
-            tracegen::TraceGenerator gen(spec);
-            tracegen::TraceEvent ev;
-            while (gen.next(ev)) {
-                instr += ev.instr_gap + 1;
-                ++branches;
-            }
-        }
-        sbbt::Header header;
-        header.instruction_count = instr;
-        header.branch_count = branches;
-        std::string p =
-            (std::filesystem::temp_directory_path() /
-             ("mbp_pipeline_bench_" + std::to_string(spec.num_instr) +
-              ".sbbt.flz"))
-                .string();
-        sbbt::SbbtWriter writer(p, header, 1);
-        tracegen::TraceGenerator gen(spec);
-        tracegen::TraceEvent ev;
-        while (gen.next(ev))
-            writer.append(ev.branch, ev.instr_gap);
-        writer.close();
-        return p;
-    }();
+    static const std::string path = writePipelineTrace(pipelineInstrCount());
     return path;
 }
 
@@ -329,6 +338,41 @@ BM_TraceWindowStream(benchmark::State &state)
     state.counters["branches"] = static_cast<double>(branches);
 }
 BENCHMARK(BM_TraceWindowStream)
+    ->Arg(0) // inline decompression
+    ->Arg(1) // prefetch thread
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Open latency of the streamed path: open a compressed trace whose first
+ * FLZ2 block is a full 8 MiB one (4M instructions, ~800k branches,
+ * whatever MBP_BENCH_PIPELINE_INSTR says) and take its first 4096-row
+ * block, as every streamed run does before its first prediction. The
+ * window's teardown is not timed. range(0) enables the prefetch thread.
+ */
+void
+BM_TraceWindowFirstBlock(benchmark::State &state)
+{
+    static const std::string path = writePipelineTrace(4'000'000);
+    sbbt::ReaderOptions options;
+    options.prefetch = state.range(0) != 0;
+    std::optional<sbbt::TraceWindow> window;
+    for (auto _ : state) {
+        window.emplace(path, options, 4096);
+        const sbbt::BranchColumns block = window->next(UINT64_MAX);
+        if (block.size != 4096 ||
+            window->reader().header().branch_count <
+                compress::kFlz2BlockSize / sbbt::kPacketSize) {
+            state.SkipWithError("the trace's first FLZ block is not full");
+            return;
+        }
+        benchmark::DoNotOptimize(block.site[block.size - 1] +
+                                 block.meta[0]);
+        state.PauseTiming();
+        window.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_TraceWindowFirstBlock)
     ->Arg(0) // inline decompression
     ->Arg(1) // prefetch thread
     ->Unit(benchmark::kMillisecond);

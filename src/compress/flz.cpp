@@ -168,66 +168,131 @@ flzCompressBlock(const std::uint8_t *src, std::size_t src_size,
     return static_cast<std::size_t>(dst - dst_start);
 }
 
+namespace
+{
+
+/**
+ * The one FLZ block walker. It resumes from @p cursor and walks whole
+ * sequences until at least @p stop bytes are out; once all @p dst_size
+ * bytes are, it walks on to the end of the input, which holds at most the
+ * empty final token of a block that ends in a match. Every length, offset
+ * and room check runs in both modes; kCopy = false (the check pass)
+ * writes nothing and may be given a null @p dst.
+ *
+ * Where the output has room, literal runs under 15 bytes and matches
+ * with offsets of at least 16 (or 8) are copied in fixed 16-byte (or
+ * 8-byte) chunks, which may write garbage past the sequence's end but
+ * never past @p dst_size; closer matches keep the byte loop, which
+ * replicates overlapping (RLE-style) references.
+ *
+ * @return False on a corrupt sequence, or when the input ends before the
+ *         output reaches @p dst_size; @p cursor is then unspecified.
+ */
+template <bool kCopy>
 bool
-flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
-                   std::uint8_t *dst, std::size_t dst_size, bool wide)
+walkBlock(const std::uint8_t *src, std::size_t src_size, std::uint8_t *dst,
+          std::size_t dst_size, FlzCursor &cursor, std::size_t stop,
+          bool wide)
 {
     const std::size_t offset_bytes = wide ? 3 : 2;
-    const std::uint8_t *sp = src;
-    const std::uint8_t *const send = src + src_size;
-    std::uint8_t *dp = dst;
-    std::uint8_t *const dend = dst + dst_size;
+    std::size_t ip = cursor.in;
+    std::size_t op = cursor.out;
 
     auto readRun = [&](std::size_t base) -> std::size_t {
         std::size_t len = base;
         if (base == 15) {
             std::uint8_t b;
             do {
-                if (sp >= send)
+                if (ip >= src_size)
                     return SIZE_MAX;
-                b = *sp++;
+                b = src[ip++];
                 len += b;
             } while (b == 255);
         }
         return len;
     };
 
-    while (sp < send) {
-        std::uint8_t token = *sp++;
+    while (ip < src_size && (op < stop || op == dst_size)) {
+        const std::uint8_t token = src[ip++];
         // Literals.
-        std::size_t lit_len = readRun(token >> 4);
-        if (lit_len == SIZE_MAX)
+        const std::size_t lit_len = readRun(token >> 4);
+        if (lit_len == SIZE_MAX || lit_len > src_size - ip ||
+            lit_len > dst_size - op)
             return false;
-        if (lit_len > static_cast<std::size_t>(send - sp) ||
-            lit_len > static_cast<std::size_t>(dend - dp))
-            return false;
-        std::memcpy(dp, sp, lit_len);
-        sp += lit_len;
-        dp += lit_len;
-        if (sp == send)
+        if constexpr (kCopy) {
+            if (lit_len < 15 && src_size - ip >= 16 && dst_size - op >= 16)
+                std::memcpy(dst + op, src + ip, 16);
+            else
+                std::memcpy(dst + op, src + ip, lit_len);
+        }
+        ip += lit_len;
+        op += lit_len;
+        if (ip == src_size)
             break; // final literal-only sequence
         // Match.
-        if (static_cast<std::size_t>(send - sp) < offset_bytes)
+        if (src_size - ip < offset_bytes)
             return false;
-        std::size_t offset = sp[0] | (std::size_t(sp[1]) << 8);
+        std::size_t offset = src[ip] | (std::size_t(src[ip + 1]) << 8);
         if (wide)
-            offset |= std::size_t(sp[2]) << 16;
-        sp += offset_bytes;
-        if (offset == 0 || offset > static_cast<std::size_t>(dp - dst))
+            offset |= std::size_t(src[ip + 2]) << 16;
+        ip += offset_bytes;
+        if (offset == 0 || offset > op)
             return false;
         std::size_t match_len = readRun(token & 0x0f);
         if (match_len == SIZE_MAX)
             return false;
         match_len += kMinMatch;
-        if (match_len > static_cast<std::size_t>(dend - dp))
+        if (match_len > dst_size - op)
             return false;
-        const std::uint8_t *ref = dp - offset;
-        // Byte-by-byte copy handles overlapping matches (RLE-style).
-        for (std::size_t i = 0; i < match_len; ++i)
-            dp[i] = ref[i];
-        dp += match_len;
+        if constexpr (kCopy) {
+            std::uint8_t *const d = dst + op;
+            const std::uint8_t *const ref = d - offset;
+            const std::size_t slack = dst_size - op - match_len;
+            if (offset >= 16 && slack >= 15) {
+                for (std::size_t i = 0; i < match_len; i += 16)
+                    std::memcpy(d + i, ref + i, 16);
+            } else if (offset >= 8 && slack >= 7) {
+                for (std::size_t i = 0; i < match_len; i += 8)
+                    std::memcpy(d + i, ref + i, 8);
+            } else {
+                for (std::size_t i = 0; i < match_len; ++i)
+                    d[i] = ref[i];
+            }
+        }
+        op += match_len;
     }
-    return dp == dend;
+    if (ip == src_size && op != dst_size)
+        return false;
+    cursor = {ip, op};
+    return true;
+}
+
+} // namespace
+
+bool
+flzCheckBlock(const std::uint8_t *src, std::size_t src_size,
+              std::size_t dst_size, bool wide)
+{
+    FlzCursor cursor;
+    return walkBlock<false>(src, src_size, nullptr, dst_size, cursor,
+                            dst_size, wide);
+}
+
+bool
+flzDecodeRange(const std::uint8_t *src, std::size_t src_size,
+               std::uint8_t *dst, std::size_t dst_size, FlzCursor &cursor,
+               std::size_t stop, bool wide)
+{
+    return walkBlock<true>(src, src_size, dst, dst_size, cursor, stop, wide);
+}
+
+bool
+flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
+                   std::uint8_t *dst, std::size_t dst_size, bool wide)
+{
+    FlzCursor cursor;
+    return flzDecodeRange(src, src_size, dst, dst_size, cursor, dst_size,
+                          wide);
 }
 
 std::vector<std::uint8_t>

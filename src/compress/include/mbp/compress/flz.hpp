@@ -5,8 +5,16 @@
  * The paper distributes SBBT traces compressed with zstandard; zstd is not
  * available in this environment, so FLZ plays its role in every experiment
  * (see DESIGN.md, substitutions). Like zstd/LZ4 it favors decompression
- * speed: matches are copied with plain byte loops from a 64 KiB window and
- * there is no entropy stage.
+ * speed: there is no entropy stage, and the decoder copies short literal
+ * runs and all but the closest matches in fixed 16- or 8-byte chunks,
+ * keeping a byte loop only for overlapping (RLE-style) references. The
+ * window is 64 KiB in v1 blocks and 16 MiB in v2 blocks.
+ *
+ * One resumable walker decodes every block: flzCheckBlock walks it with
+ * every bounds check and writes nothing, flzDecodeRange decodes it a
+ * range at a time from an FlzCursor, and flzDecompressBlock decodes it
+ * whole. A framed reader checks a block first and then decodes it only as
+ * far as it is read, so a corrupt block still yields none of its bytes.
  *
  * Block format (LZ4-inspired):
  *   A compressed block is a sequence of "sequences". Each sequence is
@@ -82,6 +90,45 @@ std::size_t flzCompressBlock(const std::uint8_t *src, std::size_t src_size,
 bool flzDecompressBlock(const std::uint8_t *src, std::size_t src_size,
                         std::uint8_t *dst, std::size_t dst_size,
                         bool wide = false);
+
+/**
+ * Checks one block without decompressing it: the walk of
+ * flzDecompressBlock, every token, length and offset bounds-checked,
+ * with nothing copied.
+ *
+ * @return True exactly when flzDecompressBlock would succeed on the same
+ *         arguments.
+ */
+bool flzCheckBlock(const std::uint8_t *src, std::size_t src_size,
+                   std::size_t dst_size, bool wide = false);
+
+/**
+ * Where a block walk stopped: compressed bytes consumed and decompressed
+ * bytes produced. A walk starts from a zero cursor and stops only between
+ * sequences.
+ */
+struct FlzCursor
+{
+    std::size_t in = 0;  //!< compressed bytes consumed
+    std::size_t out = 0; //!< decompressed bytes produced
+};
+
+/**
+ * Decodes one block from @p cursor on, whole sequences at a time, until at
+ * least @p stop bytes are out; a walk that puts out the block's last byte
+ * also consumes the rest of its input, as flzDecompressBlock does. Bytes
+ * of @p dst past the new cursor.out may be overwritten and hold no
+ * meaning until a later call decodes them.
+ *
+ * @param dst    The whole block's output buffer of @p dst_size bytes:
+ *               matches refer back to bytes that earlier calls decoded.
+ * @param cursor Where the previous call stopped; advanced on success.
+ * @return False on a corrupt sequence, or when the input ends before
+ *         @p dst_size bytes are out; @p cursor is then unspecified.
+ */
+bool flzDecodeRange(const std::uint8_t *src, std::size_t src_size,
+                    std::uint8_t *dst, std::size_t dst_size,
+                    FlzCursor &cursor, std::size_t stop, bool wide = false);
 
 /** Convenience one-shot block compression into a vector. */
 std::vector<std::uint8_t> flzCompress(const std::uint8_t *src,

@@ -223,7 +223,13 @@ class GzipSink : public ByteSink
     bool finished_ = false;
 };
 
-/** Framed FLZ decoder over an inner source. */
+/**
+ * Framed FLZ decoder over an inner source. Each block is checked whole
+ * before any of its bytes leave (a corrupt block yields none of them),
+ * then decoded only as far as read() asks, at least kMinDecode bytes at a
+ * time, into one block buffer allocated at the first block and never
+ * zero-filled.
+ */
 class FlzSource : public ByteSource
 {
   public:
@@ -246,10 +252,12 @@ class FlzSource : public ByteSource
         auto *out = static_cast<std::uint8_t *>(dst);
         std::size_t total = 0;
         while (total < size && !failed_ && !done_) {
-            if (pos_ == raw_.size() && !nextBlock())
+            if (pos_ == raw_size_ && !nextBlock())
                 break;
-            std::size_t n = std::min(size - total, raw_.size() - pos_);
-            std::memcpy(out + total, raw_.data() + pos_, n);
+            if (pos_ == cursor_.out && !decodeUpTo(pos_ + size - total))
+                break;
+            std::size_t n = std::min(size - total, cursor_.out - pos_);
+            std::memcpy(out + total, block_.get() + pos_, n);
             pos_ += n;
             total += n;
         }
@@ -259,6 +267,9 @@ class FlzSource : public ByteSource
     bool failed() const override { return failed_; }
 
   private:
+    /** Fewest bytes one decode step produces (unless the block ends). */
+    static constexpr std::size_t kMinDecode = 64 * 1024;
+
     bool
     readAll(void *dst, std::size_t size)
     {
@@ -302,20 +313,38 @@ class FlzSource : public ByteSource
             failed_ = true;
             return false;
         }
-        raw_.resize(raw_size);
+        if (!block_)
+            block_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+                kFlz2BlockSize);
+        raw_size_ = raw_size;
         pos_ = 0;
+        cursor_ = {};
         if (comp_size == 0) {
             // Stored block.
-            if (!readAll(raw_.data(), raw_size)) {
+            if (!readAll(block_.get(), raw_size)) {
                 failed_ = true;
                 return false;
             }
+            cursor_.out = raw_size;
             return true;
         }
         comp_.resize(comp_size);
         if (!readAll(comp_.data(), comp_size) ||
-            !flzDecompressBlock(comp_.data(), comp_size, raw_.data(),
-                                raw_size, wide_)) {
+            !flzCheckBlock(comp_.data(), comp_size, raw_size, wide_)) {
+            failed_ = true;
+            return false;
+        }
+        return true;
+    }
+
+    /** Decodes the checked block on to at least @p want bytes out. */
+    bool
+    decodeUpTo(std::size_t want)
+    {
+        const std::size_t stop =
+            std::min(raw_size_, std::max(want, pos_ + kMinDecode));
+        if (!flzDecodeRange(comp_.data(), comp_.size(), block_.get(),
+                            raw_size_, cursor_, stop, wide_)) {
             failed_ = true;
             return false;
         }
@@ -323,9 +352,11 @@ class FlzSource : public ByteSource
     }
 
     std::unique_ptr<ByteSource> inner_;
-    std::vector<std::uint8_t> raw_;
+    std::unique_ptr<std::uint8_t[]> block_; // kFlz2BlockSize bytes
     std::vector<std::uint8_t> comp_;
+    std::size_t raw_size_ = 0;
     std::size_t pos_ = 0;
+    FlzCursor cursor_; // how far the current block is decoded
     bool wide_ = false;
     bool failed_ = false;
     bool done_ = false;

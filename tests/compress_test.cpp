@@ -222,6 +222,228 @@ TEST(Flz, RejectsWrongDeclaredSize)
                                               out.data(), out.size()));
 }
 
+namespace
+{
+
+/** A hand-made FLZ block: its token stream and the bytes it decodes to. */
+struct CraftedBlock
+{
+    bool wide = false;
+    std::vector<std::uint8_t> comp;
+    std::vector<std::uint8_t> raw;
+
+    void
+    putRun(std::size_t len)
+    {
+        for (; len >= 255; len -= 255)
+            comp.push_back(255);
+        comp.push_back(static_cast<std::uint8_t>(len));
+    }
+
+    /**
+     * Appends @p literals, then a match of @p match_len bytes at
+     * @p offset; a zero @p match_len makes this the final sequence.
+     */
+    void
+    add(const std::vector<std::uint8_t> &literals, std::size_t offset = 0,
+        std::size_t match_len = 0)
+    {
+        const std::size_t code = match_len ? match_len - 4 : 0;
+        comp.push_back(static_cast<std::uint8_t>(
+            (std::min<std::size_t>(literals.size(), 15) << 4) |
+            std::min<std::size_t>(code, 15)));
+        if (literals.size() >= 15)
+            putRun(literals.size() - 15);
+        comp.insert(comp.end(), literals.begin(), literals.end());
+        raw.insert(raw.end(), literals.begin(), literals.end());
+        if (match_len == 0)
+            return;
+        for (std::size_t i = 0; i < (wide ? 3u : 2u); ++i)
+            comp.push_back(static_cast<std::uint8_t>(offset >> (8 * i)));
+        if (code >= 15)
+            putRun(code - 15);
+        for (std::size_t i = 0; i < match_len; ++i)
+            raw.push_back(raw[raw.size() - offset]);
+    }
+};
+
+/** The bytes of an FLZ1 frame, or of an FLZ2 one when @p wide. */
+class FrameBytes
+{
+  public:
+    explicit FrameBytes(bool wide)
+        : bytes_(wide ? compress::kFlz2Magic : compress::kFlzMagic,
+                 (wide ? compress::kFlz2Magic : compress::kFlzMagic) + 4)
+    {}
+
+    /** Appends a block of @p raw_size bytes; a zero @p comp_size stores it. */
+    void
+    block(std::size_t raw_size, const std::uint8_t *payload,
+          std::size_t comp_size)
+    {
+        put32(raw_size);
+        put32(comp_size);
+        bytes_.insert(bytes_.end(), payload,
+                      payload + (comp_size ? comp_size : raw_size));
+    }
+
+    /** The frame with its end marker. */
+    std::vector<std::uint8_t>
+    finish()
+    {
+        put32(0);
+        put32(0);
+        return bytes_;
+    }
+
+  private:
+    void
+    put32(std::size_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
+    std::vector<std::uint8_t> bytes_;
+};
+
+std::vector<std::uint8_t>
+noise(std::size_t n, std::mt19937 &rng)
+{
+    std::vector<std::uint8_t> bytes(n);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(rng());
+    return bytes;
+}
+
+/**
+ * Blocks that reach every copy path of the decoder: overlapping matches
+ * at offsets 1-17, literal runs of 14, 15, 16 and 270 bytes, matches
+ * that end within 16 bytes of the block's end (one of them exactly at
+ * it), and a compressor-made block of 200 kB.
+ */
+std::vector<CraftedBlock>
+copyPathBlocks(bool wide)
+{
+    std::mt19937 rng(wide ? 29 : 28);
+    CraftedBlock paths;
+    paths.wide = wide;
+    paths.add(noise(40, rng), 40, 4);
+    for (std::size_t offset = 1; offset <= 17; ++offset)
+        paths.add(noise(offset % 4, rng), offset, 4 + (offset * 7) % 40);
+    for (std::size_t lits : {14, 15, 16, 270})
+        paths.add(noise(lits, rng), 100, 20);
+    // Matches ending 18 and 6 bytes before the end of the block; the
+    // second one's 8-byte chunks would overrun it by one byte.
+    paths.add(noise(3, rng), 32, 24);
+    paths.add(noise(3, rng), 9, 9);
+    paths.add(noise(6, rng));
+
+    // A match whose 16-byte chunks would overrun the block by one byte.
+    CraftedBlock near_end;
+    near_end.wide = wide;
+    near_end.add(noise(20, rng), 20, 17);
+    near_end.add(noise(14, rng));
+
+    CraftedBlock ends_in_match;
+    ends_in_match.wide = wide;
+    ends_in_match.add(noise(20, rng), 17, 30);
+    ends_in_match.add(noise(1, rng), 16, 21);
+    ends_in_match.add({});
+
+    CraftedBlock made;
+    made.wide = wide;
+    made.raw = makeCompressibleData(200000, wide ? 41 : 40);
+    made.comp.resize(compress::flzCompressBound(made.raw.size()));
+    made.comp.resize(compress::flzCompressBlock(
+        made.raw.data(), made.raw.size(), made.comp.data(), 8, wide));
+    return {paths, near_end, ends_in_match, made};
+}
+
+} // namespace
+
+TEST(Flz, ResumableDecodeMatchesOneShot)
+{
+    const std::size_t kStops[] = {1, 15, 16, 17, 4096, 65536, SIZE_MAX};
+    for (bool wide : {false, true}) {
+        const std::vector<CraftedBlock> blocks = copyPathBlocks(wide);
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            SCOPED_TRACE("wide " + std::to_string(wide) + ", block " +
+                         std::to_string(b));
+            const CraftedBlock &block = blocks[b];
+            const std::size_t size = block.raw.size();
+            ASSERT_TRUE(compress::flzCheckBlock(block.comp.data(),
+                                                block.comp.size(), size,
+                                                wide));
+            EXPECT_FALSE(compress::flzCheckBlock(
+                block.comp.data(), block.comp.size(), size + 1, wide));
+            std::vector<std::uint8_t> one_shot(size);
+            ASSERT_TRUE(compress::flzDecompressBlock(
+                block.comp.data(), block.comp.size(), one_shot.data(), size,
+                wide));
+            ASSERT_EQ(one_shot, block.raw);
+            for (std::size_t step : kStops) {
+                SCOPED_TRACE("stop step " + std::to_string(step));
+                // Guard bytes past the block catch a chunk copy that
+                // overruns it.
+                std::vector<std::uint8_t> out(size + 16, 0xa5);
+                compress::FlzCursor cursor;
+                while (cursor.out < size) {
+                    const std::size_t before = cursor.out;
+                    const std::size_t stop =
+                        step > size - before ? size : before + step;
+                    ASSERT_TRUE(compress::flzDecodeRange(
+                        block.comp.data(), block.comp.size(), out.data(),
+                        size, cursor, stop, wide));
+                    ASSERT_GE(cursor.out, stop);
+                    ASSERT_LE(cursor.out, size);
+                    ASSERT_TRUE(std::equal(out.begin(),
+                                           out.begin() + cursor.out,
+                                           one_shot.begin()));
+                }
+                EXPECT_EQ(cursor.in, block.comp.size());
+                EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + size,
+                                                    out.end()),
+                          std::vector<std::uint8_t>(16, 0xa5));
+                out.resize(size);
+                EXPECT_EQ(out, block.raw);
+            }
+        }
+
+        // The same blocks framed around a stored one, read through a
+        // frame source in chunks of every stop size.
+        FrameBytes framed(wide);
+        std::vector<std::uint8_t> want;
+        // An empty comp stores the block.
+        const auto putBlock = [&](const std::vector<std::uint8_t> &raw,
+                                  const std::vector<std::uint8_t> &comp) {
+            framed.block(raw.size(), comp.empty() ? raw.data() : comp.data(),
+                         comp.size());
+            want.insert(want.end(), raw.begin(), raw.end());
+        };
+        std::mt19937 rng(5);
+        putBlock(blocks[0].raw, blocks[0].comp);
+        putBlock(noise(5000, rng), {});
+        for (const CraftedBlock &block : blocks)
+            putBlock(block.raw, block.comp);
+        const std::vector<std::uint8_t> frame = framed.finish();
+        for (std::size_t step : kStops) {
+            SCOPED_TRACE("frame read size " + std::to_string(step));
+            auto dec = compress::makeFlzSource(
+                std::make_unique<compress::MemorySource>(frame.data(),
+                                                         frame.size()));
+            std::vector<std::uint8_t> got(want.size() + 1);
+            std::size_t total = 0, n;
+            while ((n = dec->read(got.data() + total,
+                                  std::min(step, got.size() - total))) > 0)
+                total += n;
+            EXPECT_FALSE(dec->failed());
+            got.resize(total);
+            EXPECT_EQ(got, want);
+        }
+    }
+}
+
 /** Property sweep: random structured buffers round-trip at all efforts. */
 class FlzProperty : public testing::TestWithParam<std::tuple<int, int>>
 {};
@@ -414,6 +636,53 @@ TEST(FlzFrame, RejectsAbsurdBlockHeaders)
         EXPECT_EQ(dec->read(buf, sizeof buf), 0u);
         EXPECT_TRUE(dec->failed())
             << "raw_size=" << raw_size << " comp_size=" << comp_size;
+    }
+}
+
+TEST(FlzFrame, CorruptSequenceDeliversNoneOfItsBlock)
+{
+    // A stored block, then a 2 MiB block whose one bad match (an offset
+    // reaching one byte before the block) sits past its first MiB. A
+    // block is checked whole before any of it leaves, so neither small
+    // reads nor a prefetch slot's worth of it may come out.
+    const auto data = makeCompressibleData(2 << 20, 51);
+    const std::size_t at = (1 << 20) + 12345;
+    const std::size_t tail = data.size() - at - 4;
+    std::vector<std::uint8_t> comp(compress::flzCompressBound(at) + 3 +
+                                   compress::flzCompressBound(tail));
+    // The head's final literal-only sequence gains a 4-byte match.
+    std::size_t n =
+        compress::flzCompressBlock(data.data(), at, comp.data(), 4, true);
+    for (int i = 0; i < 3; ++i)
+        comp[n++] = static_cast<std::uint8_t>((at + 1) >> (8 * i));
+    n += compress::flzCompressBlock(data.data() + at + 4, tail,
+                                    comp.data() + n, 4, true);
+    ASSERT_FALSE(compress::flzCheckBlock(comp.data(), n, data.size(), true));
+
+    const std::size_t kStored = 1000;
+    FrameBytes framed(true);
+    framed.block(kStored, data.data(), 0);
+    framed.block(data.size(), comp.data(), n);
+    const std::vector<std::uint8_t> frame = framed.finish();
+
+    for (bool prefetch : {false, true}) {
+        for (std::size_t chunk : {std::size_t(4096), std::size_t(1) << 20}) {
+            SCOPED_TRACE("prefetch " + std::to_string(prefetch) +
+                         ", read size " + std::to_string(chunk));
+            std::unique_ptr<compress::ByteSource> dec =
+                compress::makeFlzSource(
+                    std::make_unique<compress::MemorySource>(frame.data(),
+                                                             frame.size()));
+            if (prefetch)
+                dec = std::make_unique<compress::PrefetchSource>(
+                    std::move(dec));
+            std::vector<std::uint8_t> buf(chunk);
+            std::size_t total = 0, got;
+            while ((got = dec->read(buf.data(), buf.size())) > 0)
+                total += got;
+            EXPECT_EQ(total, kStored);
+            EXPECT_TRUE(dec->failed());
+        }
     }
 }
 

@@ -587,6 +587,7 @@ enum class Fault
     kRaggedTail,
     kOverstatedHeader,
     kCorruptFlzBlock,
+    kCorruptFlzSequence,
 };
 
 /**
@@ -617,12 +618,13 @@ plantFault(std::vector<std::uint8_t> raw, Fault fault, std::size_t row)
     case Fault::kOverstatedHeader:
         raw.resize(at);
         break;
-    case Fault::kCorruptFlzBlock: {
-        // An FLZ1 frame of two blocks split at the row: the header and
-        // the rows before it stored, the rest compressed under a raw
-        // size one packet too large, so that block fails to decode.
-        std::vector<std::uint8_t> frame(compress::kFlzMagic,
-                                        compress::kFlzMagic + 4);
+    case Fault::kCorruptFlzBlock:
+    case Fault::kCorruptFlzSequence: {
+        // A frame of two blocks split at the row: the header and the rows
+        // before it stored, the rest compressed and corrupt.
+        const bool wide = fault == Fault::kCorruptFlzSequence;
+        const char *magic = wide ? compress::kFlz2Magic : compress::kFlzMagic;
+        std::vector<std::uint8_t> frame(magic, magic + 4);
         const auto put32 = [&frame](std::size_t v) {
             for (int i = 0; i < 4; ++i)
                 frame.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -630,11 +632,35 @@ plantFault(std::vector<std::uint8_t> raw, Fault fault, std::size_t row)
         put32(at);
         put32(0);
         frame.insert(frame.end(), raw.begin(), raw.begin() + at);
-        const std::vector<std::uint8_t> rest = compress::flzCompress(
-            raw.data() + at, raw.size() - at);
-        put32(raw.size() - at + sbbt::kPacketSize);
-        put32(rest.size());
-        frame.insert(frame.end(), rest.begin(), rest.end());
+        const std::size_t rest = raw.size() - at;
+        std::vector<std::uint8_t> comp;
+        if (!wide) {
+            // FLZ1, under a raw size one packet too large, so that block
+            // fails to decode.
+            comp = compress::flzCompress(raw.data() + at, rest);
+            put32(rest + sbbt::kPacketSize);
+        } else {
+            // FLZ2, except that the sequence ending at the middle of the
+            // block gains a match whose offset reaches one byte before
+            // the block. The block's first rows decode cleanly; only a
+            // check of the whole block fails. The first half's final
+            // literal-only sequence, followed by an offset, becomes a
+            // 4-byte match (its token's match nibble is 0).
+            const std::size_t half = rest / 2;
+            comp.resize(compress::flzCompressBound(half) + 3 +
+                        compress::flzCompressBound(rest - half - 4));
+            std::size_t n = compress::flzCompressBlock(
+                raw.data() + at, half, comp.data(), 4, true);
+            for (int i = 0; i < 3; ++i)
+                comp[n++] = static_cast<std::uint8_t>((half + 1) >> (8 * i));
+            n += compress::flzCompressBlock(raw.data() + at + half + 4,
+                                            rest - half - 4, comp.data() + n,
+                                            4, true);
+            comp.resize(n);
+            put32(rest);
+        }
+        put32(comp.size());
+        frame.insert(frame.end(), comp.begin(), comp.end());
         put32(0);
         put32(0);
         return frame;
@@ -665,6 +691,8 @@ TEST(DecodeErrors, EachFaultSurfacesAfterExactlyTheRowsBeforeIt)
         {Fault::kRaggedTail, "ragged", "truncated SBBT packet"},
         {Fault::kOverstatedHeader, "overstated", ""},
         {Fault::kCorruptFlzBlock, "flz", "corrupt compressed stream"},
+        {Fault::kCorruptFlzSequence, "flz-sequence",
+         "corrupt compressed stream"},
     };
     for (const auto &f : faults) {
         for (std::size_t row : {std::size_t(0), std::size_t(1),
@@ -674,7 +702,10 @@ TEST(DecodeErrors, EachFaultSurfacesAfterExactlyTheRowsBeforeIt)
                          std::to_string(row));
             const std::string path =
                 mbp::test::tempDir() + "/fault_" + f.name +
-                (f.fault == Fault::kCorruptFlzBlock ? ".sbbt.flz" : ".sbbt");
+                (f.fault == Fault::kCorruptFlzBlock ||
+                         f.fault == Fault::kCorruptFlzSequence
+                     ? ".sbbt.flz"
+                     : ".sbbt");
             writeBytes(path, plantFault(raw, f.fault, row));
 
             const test::DecodedTrace want = test::decodeByPackets(path);
